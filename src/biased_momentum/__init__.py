@@ -41,6 +41,7 @@ from .engine import (
 from .errors import ConfigurationError, DataError
 from .estimators import (
     EstimatorSpec,
+    aggregate,
     apply_estimator,
     clip,
     composite_estimate,
@@ -60,7 +61,6 @@ from .problems import (
     make_quadratic,
     make_synthetic_classification,
     problem_from_dict,
-    worker_gradient,
 )
 from .theory import (
     TheoryReport,

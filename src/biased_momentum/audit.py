@@ -17,13 +17,12 @@ as skipped, never as passed:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import IterationRecord, RunConfig, RunResult, TrialStats, run, run_trials
+from .engine import IterationRecord, RunConfig, RunResult, TrialStats, per_k_stats, run_trials
 from .errors import ConfigurationError
 from .estimators import EstimatorSpec, measure_eta
 from .problems import NoiseSpec, Problem, as_param_vector, full_gradient
@@ -39,6 +38,8 @@ __all__ = [
     "audit_gradients",
     "audit_figure2_qualitative",
     "finite_difference_gradient",
+    "pilot_points",
+    "pilot_report",
     "verify_config",
 ]
 
@@ -191,27 +192,9 @@ def audit_theorem_pl(
     if stats.k_max == 0:
         return _skip(name, "empty trajectory")
     # phi from raw fields, independent of the engine's recorded phi column
-    phis = []
-    for res in stats.results:
-        phis.append(
-            [
-                (rec.f - report.f_star) + report.A_pl * rec.v_error_sq
-                for rec in res.records
-            ]
-        )
+    phi = (stats.table["f"] - report.f_star) + report.A_pl * stats.table["v_error_sq"]
+    _, mean_phi, _, se = per_k_stats(phi)
     k_max = stats.k_max
-    table = np.full((len(phis), k_max), np.nan)
-    for t, vals in enumerate(phis):
-        table[t, : len(vals)] = vals
-    mean_phi = np.nanmean(table, axis=0)
-    counts = np.sum(~np.isnan(table), axis=0)
-    if len(phis) > 1:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            sample_std = np.nanstd(table, axis=0, ddof=1)
-        se = np.where(counts > 1, sample_std / np.sqrt(np.maximum(counts, 1)), 0.0)
-    else:
-        se = np.zeros(k_max)
     _, pl_rhs = theorem_bounds(report)
     worst = np.inf
     where = None
@@ -350,19 +333,12 @@ def pilot_points(result: RunResult, max_points: int = 20) -> list:
     return [xs[i] for i in idx]
 
 
-def verify_config(
-    cfg: RunConfig,
-    eta_draws: int = 1000,
-    eta_points: int = 20,
-) -> tuple[TheoryReport, list[AuditOutcome], TrialStats]:
-    """Run the full audit battery for a configuration.
-
-    Pipeline: pilot trial -> measured premise constants -> theory report ->
-    gradient oracle, error-model bound, descent inequality and both
-    convergence bounds on a fresh multi-trial run.
-    """
-    pilot = run(cfg, trial=0)
-    points = pilot_points(pilot, eta_points)
+def pilot_report(
+    cfg: RunConfig, stats: TrialStats, max_points: int = 20
+) -> tuple[TheoryReport, list]:
+    """Theory report of cfg with the premise constants measured along trial 0
+    of its runs; also returns those pilot points."""
+    points = pilot_points(stats.results[0], max_points)
     report = build_theory_report(
         cfg.problem,
         cfg.gamma,
@@ -373,7 +349,22 @@ def verify_config(
         v_init=cfg.v_init,
         pilot_points=points,
     )
+    return report, points
+
+
+def verify_config(
+    cfg: RunConfig,
+    eta_draws: int = 1000,
+    eta_points: int = 20,
+) -> tuple[TheoryReport, list[AuditOutcome], TrialStats]:
+    """Run the full audit battery for a configuration.
+
+    Pipeline: all trials -> premise constants measured along trial 0 ->
+    theory report -> gradient oracle, error-model bound, descent inequality
+    and both convergence bounds on the trials.
+    """
     stats = run_trials(cfg)
+    report, points = pilot_report(cfg, stats, eta_points)
     outcomes = [
         audit_gradients(cfg.problem, n_points=25, seed=cfg.seed),
         audit_affine_variance(

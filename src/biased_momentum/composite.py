@@ -11,7 +11,6 @@ I - gamma * (loss Hessian), and only its action on a vector is ever needed
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,7 +18,6 @@ from scipy.special import expit
 
 from .errors import ConfigurationError
 from .problems import Problem, as_param_vector, make_synthetic_classification
-from .rng import pairwise_mean
 
 __all__ = [
     "InnerComponent",
@@ -102,25 +100,13 @@ class CompositeProblem(Problem):
     def L(self) -> float:
         return self.L_g * self.ell_F + self.ell_g**2 * self.L_F
 
-    def full_indices_g(self) -> np.ndarray:
-        return np.arange(self.m_g)
-
-    def full_indices_F(self) -> np.ndarray:
-        return np.arange(self.m_F)
-
     def worker_value(self, i: int, x: np.ndarray) -> float:
         self._check_worker(i)
-        z = inner_value(self, i, x, self.full_indices_g())
+        z = inner_value(self, i, x, np.arange(self.m_g))
         return float(np.mean([F.value(z) for F in self.outer[i]]))
 
-    def f(self, x: np.ndarray) -> float:
-        vals = [np.array([self.worker_value(i, x)]) for i in range(self.n_workers)]
-        return float(pairwise_mean(vals)[0])
-
     def worker_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        return chained_gradient(
-            self, i, x, self.full_indices_g(), self.full_indices_F()
-        )
+        return chained_gradient(self, i, x, np.arange(self.m_g), np.arange(self.m_F))
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +406,3 @@ def measure_composite_sigmas(
                 F_grads = [cp.outer[i][j].grad(z) for j in range(cp.m_F)]
                 sig_F2 = max(sig_F2, _anchored_variance(F_grads))
     return safety * sig_g2, safety * sig_dg2, safety * sig_F2
-
-
-def enumerate_subset_means(values: Sequence[np.ndarray], size: int):
-    """All subset means of the given size (exhaustive, for small m)."""
-    return [np.mean([values[j] for j in combo], axis=0)
-            for combo in combinations(range(len(values)), size)]

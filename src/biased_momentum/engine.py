@@ -18,6 +18,7 @@ order and reproduce identically.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,16 +26,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimators import EstimatorSpec, worker_estimate
+from .estimators import EstimatorSpec, aggregate
 from .problems import (
     NoiseSpec,
     Problem,
     as_param_vector,
+    check_keys,
     full_gradient,
     problem_from_dict,
 )
 from .rng import STREAM_X0, pairwise_mean, substream, worker_stream
-from .theory import lyapunov_weight
+from .theory import analysis_regime, lyapunov_weight
 
 __all__ = [
     "RunConfig",
@@ -47,6 +49,8 @@ __all__ = [
     "run",
     "run_trials",
     "stats_from_results",
+    "stats_from_records",
+    "per_k_stats",
     "write_run_csv",
     "read_run_csv",
     "CSV_HEADER",
@@ -56,6 +60,9 @@ DIVERGENCE_F_MAX = 1e12
 
 CSV_FIELDS = ("f", "grad_norm_sq", "eta_norm_sq", "v_error_sq", "step_norm_sq", "phi")
 CSV_HEADER = "k,trial," + ",".join(CSV_FIELDS)
+SCHEMA_VERSION = 1
+CONFIG_KEYS = ("schema_version", "problem", "gamma", "beta", "iterations", "trials",
+               "estimator", "noise", "v_init", "seed", "x0")
 
 
 class DivergedError(RuntimeError):
@@ -84,8 +91,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ConfigurationError(f"gamma must be > 0, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ConfigurationError(f"gamma must be finite and > 0, got {self.gamma}")
         if not 0.0 < self.beta <= 1.0:
             raise ConfigurationError(
                 f"beta must be in (0, 1] (beta=0 freezes the estimate), got {self.beta}"
@@ -118,11 +125,15 @@ class RunConfig:
 
     def lyapunov_A(self) -> float:
         """Weight used for the recorded phi column (PL weight when certified)."""
-        regime = "pl" if (self.problem.mu > 0 and self.problem.f_star is not None) else "ncvx"
-        return lyapunov_weight(self.gamma, self.beta, regime)
+        return lyapunov_weight(self.gamma, self.beta, analysis_regime(self.problem))
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        check_keys(d, CONFIG_KEYS, "config")
+        if d.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+            raise ConfigurationError(
+                f"unsupported schema_version {d['schema_version']!r}; expected {SCHEMA_VERSION}"
+            )
         for key in ("gamma", "beta", "iterations", "problem"):
             if key not in d:
                 raise ConfigurationError(f"config missing required key '{key}'")
@@ -146,7 +157,7 @@ class RunConfig:
             "n_workers": self.problem.n_workers,
         }
         d = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "problem": problem_echo,
             "gamma": self.gamma,
             "beta": self.beta,
@@ -218,14 +229,10 @@ def step(
     fval = problem.f(x)
     if not np.isfinite(fval) or fval > DIVERGENCE_F_MAX or not np.all(np.isfinite(x)):
         raise DivergedError(f"objective {fval} at iteration {k}")
-    grad = full_gradient(problem, x)
-    gs = [
-        worker_estimate(
-            problem, i, x, estimator, noise, worker_stream(state.seed, state.trial, i, k)
-        )
-        for i in range(problem.n_workers)
-    ]
-    g = pairwise_mean(gs)
+    grads = [problem.worker_grad(i, x) for i in range(problem.n_workers)]
+    grad = pairwise_mean(grads)
+    rngs = [worker_stream(state.seed, state.trial, i, k) for i in range(problem.n_workers)]
+    g = aggregate(problem, x, grads, estimator, noise, rngs)
     if not np.all(np.isfinite(g)):
         raise DivergedError(f"non-finite aggregate at iteration {k}")
 
@@ -236,8 +243,7 @@ def step(
     x_new = x - gamma * v
 
     if lyapunov_A is None:
-        regime = "pl" if (problem.mu > 0 and problem.f_star is not None) else "ncvx"
-        lyapunov_A = lyapunov_weight(gamma, beta, regime)
+        lyapunov_A = lyapunov_weight(gamma, beta, analysis_regime(problem))
     f_star = problem.f_star if problem.f_star is not None else 0.0
     v_err = grad - v_prev
     dx = x_new - x
@@ -285,7 +291,9 @@ class TrialStats:
     """Per-iteration mean/std/stderr of every record field across trials.
 
     Arrays have length max-k; entries only average the trials that reached
-    that iteration (counts tracks how many).
+    that iteration (counts tracks how many).  ``table`` holds each field's
+    (trial, k) array, NaN where a trial stopped early; ``results`` are the
+    runs behind it (empty for records replayed from a CSV).
     """
 
     results: tuple
@@ -293,44 +301,57 @@ class TrialStats:
     mean: dict
     std: dict
     stderr: dict
+    table: dict
 
     @property
     def k_max(self) -> int:
         return len(self.counts)
 
 
-def stats_from_results(results) -> TrialStats:
-    """Aggregate per-trial records into per-k mean/std/stderr arrays.
+def per_k_stats(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(counts, mean, std, stderr) per column of a (trial, k) table.
+
+    NaN marks an iteration the trial never reached and is left out of its
+    column; stderr is the sample std over sqrt(count), 0 below two trials.
+    """
+    n_trials, k_max = table.shape
+    counts = np.sum(~np.isnan(table), axis=0).astype(int)
+    if not k_max:
+        return counts, np.zeros(0), np.zeros(0), np.zeros(0)
+    mean = np.nanmean(table, axis=0)
+    std = np.nanstd(table, axis=0)
+    if n_trials > 1:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sample_std = np.nanstd(table, axis=0, ddof=1)
+        stderr = np.where(counts > 1, sample_std / np.sqrt(np.maximum(counts, 1)), 0.0)
+    else:
+        stderr = np.zeros(k_max)
+    return counts, mean, std, stderr
+
+
+def stats_from_records(per_trial, results: tuple = ()) -> TrialStats:
+    """Aggregate per-trial record lists into per-k mean/std/stderr arrays.
 
     Deterministic and order-independent: records land in a (trial, k) table
-    indexed by trial id before any reduction.
+    indexed by trial position before any reduction.
     """
+    per_trial = [tuple(recs) for recs in per_trial]
+    k_max = max(map(len, per_trial), default=0)
+    table, mean, std, stderr = {}, {}, {}, {}
+    for name in CSV_FIELDS:
+        table[name] = np.full((len(per_trial), k_max), np.nan)
+        for t, recs in enumerate(per_trial):
+            table[name][t, : len(recs)] = [getattr(rec, name) for rec in recs]
+        _, mean[name], std[name], stderr[name] = per_k_stats(table[name])
+    counts = np.sum(~np.isnan(table["f"]), axis=0)  # f is finite in every record
+    return TrialStats(tuple(results), counts, mean, std, stderr, table)
+
+
+def stats_from_results(results) -> TrialStats:
+    """TrialStats of finished runs (records plus the RunResults behind them)."""
     results = tuple(results)
-    k_max = max((len(r.records) for r in results), default=0)
-    mean, std, stderr = {}, {}, {}
-    table = np.full((len(CSV_FIELDS), len(results), k_max), np.nan)
-    for t, res in enumerate(results):
-        for j, name in enumerate(CSV_FIELDS):
-            vals = [getattr(rec, name) for rec in res.records]
-            table[j, t, : len(vals)] = vals
-    counts = np.sum(~np.isnan(table[0]), axis=0).astype(int) if k_max else np.zeros(0, int)
-    for j, name in enumerate(CSV_FIELDS):
-        if not k_max:
-            mean[name] = std[name] = stderr[name] = np.zeros(0)
-            continue
-        block = table[j]
-        mean[name] = np.nanmean(block, axis=0)
-        std[name] = np.nanstd(block, axis=0)
-        if len(results) > 1:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                sample_std = np.nanstd(block, axis=0, ddof=1)
-            stderr[name] = np.where(
-                counts > 1, sample_std / np.sqrt(np.maximum(counts, 1)), 0.0
-            )
-        else:
-            stderr[name] = np.zeros(k_max)
-    return TrialStats(results=results, counts=counts, mean=mean, std=std, stderr=stderr)
+    return stats_from_records([res.records for res in results], results)
 
 
 def run_trials(cfg: RunConfig) -> TrialStats:
@@ -342,17 +363,13 @@ def run_trials(cfg: RunConfig) -> TrialStats:
 # CSV emission (one row per iteration per trial; shortest round-trip floats)
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def write_run_csv(results, path) -> None:
     lines = [CSV_HEADER]
     for res in results:
         for rec in res.records:
             lines.append(
                 f"{rec.k},{res.trial},"
-                + ",".join(_fmt(getattr(rec, name)) for name in CSV_FIELDS)
+                + ",".join(repr(float(getattr(rec, name))) for name in CSV_FIELDS)
             )
     Path(path).write_text("\n".join(lines) + "\n")
 

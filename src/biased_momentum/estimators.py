@@ -6,17 +6,22 @@ worst case 1/d for scaled sign.  Clipping rescales to norm tau, with the
 exact residual ||clip(g) - g|| = max(||g|| - tau, 0).  The composite
 estimator subsamples both layers of a composite problem and is biased even
 in expectation.
+
+``aggregate`` is the one path from exact worker gradients to the server's
+averaged estimate; the momentum engine, the Monte-Carlo error measurement
+and ``worker_estimate`` all go through it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .composite import CompositeProblem, chained_gradient
 from .errors import ConfigurationError
-from .problems import NoiseSpec, Problem, as_param_vector, full_gradient, worker_gradient
+from .problems import NoiseSpec, Problem, as_param_vector, check_keys
 from .rng import pairwise_mean
 
 __all__ = [
@@ -28,10 +33,13 @@ __all__ = [
     "composite_estimate",
     "apply_estimator",
     "worker_estimate",
+    "aggregate",
     "measure_eta",
 ]
 
 KINDS = ("identity", "top_k", "scaled_sign", "clip", "composite")
+# optional parameters: field -> (JSON key, type)
+PARAMS = {"k": ("k", int), "tau": ("tau", float), "s_g": ("S_g", int), "s_f": ("S_F", int)}
 
 
 @dataclass(frozen=True)
@@ -51,8 +59,8 @@ class EstimatorSpec:
             if self.k is None or self.k < 1:
                 raise ConfigurationError("top_k needs k >= 1")
         if self.kind == "clip":
-            if self.tau is None or not self.tau > 0:
-                raise ConfigurationError("clip needs tau > 0")
+            if self.tau is None or not (self.tau > 0 and math.isfinite(self.tau)):
+                raise ConfigurationError(f"clip needs a finite tau > 0, got {self.tau}")
         if self.kind == "composite":
             if self.s_g is None or self.s_f is None or self.s_g < 1 or self.s_f < 1:
                 raise ConfigurationError("composite needs S_g >= 1 and S_F >= 1")
@@ -71,25 +79,16 @@ class EstimatorSpec:
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
-        if self.k is not None:
-            d["k"] = self.k
-        if self.tau is not None:
-            d["tau"] = self.tau
-        if self.s_g is not None:
-            d["S_g"] = self.s_g
-        if self.s_f is not None:
-            d["S_F"] = self.s_f
+        for name, (key, _) in PARAMS.items():
+            if getattr(self, name) is not None:
+                d[key] = getattr(self, name)
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorSpec":
-        return cls(
-            kind=d.get("kind", "identity"),
-            k=int(d["k"]) if "k" in d else None,
-            tau=float(d["tau"]) if "tau" in d else None,
-            s_g=int(d["S_g"]) if "S_g" in d else None,
-            s_f=int(d["S_F"]) if "S_F" in d else None,
-        )
+        check_keys(d, ["kind"] + [key for key, _ in PARAMS.values()], "estimator")
+        params = {name: cast(d[key]) for name, (key, cast) in PARAMS.items() if key in d}
+        return cls(kind=d.get("kind", "identity"), **params)
 
 
 def top_k(g: np.ndarray, k: int) -> np.ndarray:
@@ -178,6 +177,35 @@ def apply_estimator(spec: EstimatorSpec, raw: np.ndarray) -> np.ndarray:
     )
 
 
+def _transmission(p: Problem, i: int, x: np.ndarray, grad_i, spec: EstimatorSpec,
+                  noise: NoiseSpec | None, rng) -> np.ndarray:
+    """What worker i sends, given its exact gradient grad_i at x.
+
+    For compressor/clip kinds the noise is injected before the operator,
+    matching the Top-K(grad + offset + gaussian) experimental pipeline; the
+    composite kind ignores grad_i, draws its index subsets first and then
+    adds any configured noise to the chained estimate.
+    """
+    if spec.kind == "composite":
+        g = composite_estimate(p, i, x, spec.s_g, spec.s_f, rng)
+        return g if noise is None else noise.perturb(g, rng)
+    g = grad_i if noise is None else noise.perturb(grad_i, rng)
+    return apply_estimator(spec, g)
+
+
+def aggregate(p: Problem, x: np.ndarray, grads, spec: EstimatorSpec,
+              noise: NoiseSpec | None, rngs) -> np.ndarray:
+    """Pairwise-tree mean of the n worker transmissions at x.
+
+    ``grads[i]`` is the exact gradient of worker i at x and ``rngs[i]`` its
+    random stream; workers draw in ascending order, so one shared generator
+    may be passed for every worker.
+    """
+    return pairwise_mean(
+        [_transmission(p, i, x, grads[i], spec, noise, rngs[i]) for i in range(p.n_workers)]
+    )
+
+
 def worker_estimate(
     p: Problem,
     i: int,
@@ -186,26 +214,10 @@ def worker_estimate(
     noise: NoiseSpec | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """What worker i transmits: estimator applied to its (noisy) gradient.
-
-    For compressor/clip kinds the noise is injected before the operator,
-    matching the Top-K(grad + offset + gaussian) experimental pipeline; the
-    composite kind draws its index subsets first and then adds any
-    configured noise to the chained estimate.
-    """
-    if spec.kind == "composite":
-        if not isinstance(p, CompositeProblem):
-            raise ConfigurationError(
-                f"composite estimator cannot run on problem kind {p.kind!r}"
-            )
-        g = composite_estimate(p, i, x, spec.s_g, spec.s_f, rng)
-        if noise is not None:
-            pert = noise.draw(p.dimension, rng)
-            if pert is not None:
-                g = g + pert
-        return g
-    raw = worker_gradient(p, i, x, noise, rng)
-    return apply_estimator(spec, raw)
+    """What worker i transmits: estimator applied to its (noisy) gradient."""
+    x = as_param_vector(x, p.dimension)
+    grad_i = None if spec.kind == "composite" else p.worker_grad(i, x)
+    return _transmission(p, i, x, grad_i, spec, noise, rng)
 
 
 def measure_eta(
@@ -219,20 +231,20 @@ def measure_eta(
     """Monte-Carlo (mean, stderr) of ||eta||^2 at a fixed iterate.
 
     eta is the aggregate error: the pairwise-averaged worker estimates minus
-    the exact full gradient at x.
+    the exact full gradient at x.  The exact worker gradients are computed
+    once; every draw reuses them.
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
     x = as_param_vector(x, p.dimension)
     if rng is None:
         rng = np.random.default_rng(0 if noise is None else noise.seed)
-    exact = full_gradient(p, x)
+    grads = [p.worker_grad(i, x) for i in range(p.n_workers)]
+    exact = pairwise_mean(grads)
+    rngs = [rng] * p.n_workers
     vals = np.empty(samples)
     for s in range(samples):
-        g = pairwise_mean(
-            [worker_estimate(p, i, x, spec, noise, rng) for i in range(p.n_workers)]
-        )
-        diff = g - exact
+        diff = aggregate(p, x, grads, spec, noise, rngs) - exact
         vals[s] = diff @ diff
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0

@@ -36,6 +36,7 @@ from .audit import (
     audit_figure2_qualitative,
     audit_theorem_ncvx,
     audit_theorem_pl,
+    pilot_report,
     verify_config,
 )
 from .engine import (
@@ -43,10 +44,11 @@ from .engine import (
     TrialStats,
     read_run_csv,
     run_trials,
+    stats_from_records,
     write_run_csv,
 )
 from .errors import ConfigurationError, DataError
-from .theory import TheoryReport, build_theory_report
+from .theory import TheoryReport
 
 __all__ = [
     "main",
@@ -103,8 +105,10 @@ def _load_json(path) -> dict:
 
 def _apply_seed_env(doc: dict) -> dict:
     if SEED_ENV in os.environ:
-        doc = dict(doc)
-        doc["seed"] = int(os.environ[SEED_ENV])
+        raw = os.environ[SEED_ENV]
+        if not raw.strip().isdecimal():
+            raise ConfigurationError(f"{SEED_ENV}={raw!r} is not a non-negative integer")
+        doc = dict(doc, seed=int(raw))
     return doc
 
 
@@ -176,9 +180,8 @@ def summarize_point(stats: TrialStats, threshold: float) -> dict:
     }
 
 
-def sweep_summary_rows(sweep_doc: dict) -> list[dict]:
-    """Run every sweep point and summarize it (library entry for the CLI)."""
-    rows = []
+def sweep_summary_rows(sweep_doc: dict):
+    """Run every sweep point in order and yield (summary row, config, stats)."""
     for value in sweep_doc["values"]:
         doc = set_by_path(sweep_doc["base"], sweep_doc["axis"], value)
         if "trials" in sweep_doc:
@@ -186,40 +189,27 @@ def sweep_summary_rows(sweep_doc: dict) -> list[dict]:
         cfg = RunConfig.from_dict(doc)
         stats = run_trials(cfg)
         threshold = resolve_threshold(sweep_doc.get("threshold"), stats)
-        row = {"axis_value": value, **summarize_point(stats, threshold)}
-        rows.append((row, cfg, stats))
-    return rows
+        yield {"axis_value": value, **summarize_point(stats, threshold)}, cfg, stats
 
 
 # ---------------------------------------------------------------------------
 # artifact writing
 
 
-def _write_sidecar(path: Path, cfg: RunConfig, report: TheoryReport | None, stats: TrialStats) -> None:
+def _write_run_artifacts(cfg: RunConfig, stats: TrialStats, out_dir: Path, version: str) -> None:
+    """run.csv plus the run.json sidecar (config echo, theory report, flags)."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report, _ = pilot_report(cfg, stats)
+    write_run_csv(stats.results, out_dir / "run.csv")
     doc = {
         "schema_version": 1,
         "config": cfg.to_dict(),
-        "theory": report.to_dict() if report else None,
+        "theory": report.to_dict(),
         "diverged": [bool(r.diverged) for r in stats.results],
-        "version": version_string(),
+        "version": version,
         "seed": cfg.seed,
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _emit_run(cfg: RunConfig, out_dir: Path) -> TrialStats:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    from .audit import pilot_points
-
-    stats = run_trials(cfg)
-    points = pilot_points(stats.results[0])
-    report = build_theory_report(
-        cfg.problem, cfg.gamma, cfg.beta, cfg.estimator, cfg.noise,
-        x0=cfg.resolve_x0(), v_init=cfg.v_init, pilot_points=points,
-    )
-    write_run_csv(stats.results, out_dir / "run.csv")
-    _write_sidecar(out_dir / "run.json", cfg, report, stats)
-    return stats
+    (out_dir / "run.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +249,8 @@ def format_outcomes(outcomes: list[AuditOutcome]) -> str:
 def cli_run(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out)
-    stats = _emit_run(cfg, out_dir)
+    stats = run_trials(cfg)
+    _write_run_artifacts(cfg, stats, out_dir, version_string())
     n_div = sum(r.diverged for r in stats.results)
     print(f"wrote {out_dir / 'run.csv'} ({cfg.trials} trials, {n_div} diverged)")
     return 0
@@ -269,19 +260,15 @@ def cli_sweep(args) -> int:
     sweep_doc = load_sweep(args.sweep)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    version = version_string()
     summary_lines = [
         "axis_value,final_plateau_mean,final_plateau_std,iters_to_threshold,diverged_count"
     ]
     rows = []
-    for value in sweep_doc["values"]:
-        doc = set_by_path(sweep_doc["base"], sweep_doc["axis"], value)
-        if "trials" in sweep_doc:
-            doc["trials"] = int(sweep_doc["trials"])
-        cfg = RunConfig.from_dict(doc)
+    for row, cfg, stats in sweep_summary_rows(sweep_doc):
+        value = row["axis_value"]
         sub = out_dir / f"{sweep_doc['axis'].replace('.', '_')}_{value}"
-        stats = _emit_run(cfg, sub)
-        threshold = resolve_threshold(sweep_doc.get("threshold"), stats)
-        row = {"axis_value": value, **summarize_point(stats, threshold)}
+        _write_run_artifacts(cfg, stats, sub, version)
         rows.append(row)
         summary_lines.append(
             f"{value},{row['final_plateau_mean']!r},{row['final_plateau_std']!r},"
@@ -290,7 +277,7 @@ def cli_sweep(args) -> int:
     (out_dir / "summary.csv").write_text("\n".join(summary_lines) + "\n")
     (out_dir / "sweep.json").write_text(
         json.dumps(
-            {"spec": sweep_doc, "rows": rows, "version": version_string()},
+            {"spec": sweep_doc, "rows": rows, "version": version},
             indent=2,
             sort_keys=True,
         )
@@ -333,7 +320,7 @@ def cli_report(args) -> int:
     report = TheoryReport.from_dict(sidecar["theory"])
     RunConfig.from_dict(sidecar["config"])  # validate the config echo
     per_trial = read_run_csv(csv_path)
-    stats = _stats_from_records(per_trial)
+    stats = stats_from_records(per_trial)
     outcomes = [
         audit_descent(per_trial, report),
         audit_theorem_ncvx(stats, report),
@@ -344,17 +331,6 @@ def cli_report(args) -> int:
     print()
     print(format_outcomes(outcomes))
     return 1 if any(o.failed for o in outcomes) else 0
-
-
-def _stats_from_records(per_trial) -> TrialStats:
-    """TrialStats over records replayed from a CSV (no iterates/states)."""
-    from .engine import RunResult, stats_from_results
-
-    results = tuple(
-        RunResult(records=tuple(recs), iterates=(), final_state=None, diverged=False, trial=t)
-        for t, recs in enumerate(per_trial)
-    )
-    return stats_from_results(results)
 
 
 def build_parser() -> argparse.ArgumentParser:

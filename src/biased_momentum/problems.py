@@ -2,7 +2,8 @@
 
 Each problem instance is an immutable object exposing
 
-* ``f(x)``              -- the global objective (1/n) sum_i f_i(x),
+* ``f(x)``              -- the global objective (1/n) sum_i f_i(x), the
+  pairwise-tree mean of ``worker_value(i, x)`` unless a closed form exists,
 * ``worker_grad(i, x)`` -- the exact local gradient grad f_i(x),
 * ``L``, ``mu``, ``f_star`` -- a certified gradient-Lipschitz constant, a
   PL constant (0.0 when no certificate is claimed) and the global lower
@@ -19,6 +20,7 @@ worker gradients, so aggregation identities hold bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +41,6 @@ __all__ = [
     "make_nonconvex_reg",
     "make_synthetic_classification",
     "full_gradient",
-    "worker_gradient",
     "problem_from_dict",
 ]
 
@@ -58,8 +59,19 @@ def as_param_vector(values, dimension: int | None = None) -> np.ndarray:
     return x
 
 
+def check_keys(d: dict, allowed, section: str) -> None:
+    """Reject keys of a config section that its schema does not define."""
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ConfigurationError(f"unknown {section} key(s) {unknown}; allowed: {sorted(allowed)}")
+
+
 class Problem:
-    """Base interface; concrete problems are frozen dataclasses."""
+    """Base interface; concrete problems are frozen dataclasses.
+
+    ``f`` averages ``worker_value`` over the workers; a problem with a
+    closed-form objective overrides it.
+    """
 
     kind: str
     n_workers: int
@@ -69,14 +81,11 @@ class Problem:
     f_star: float | None
 
     def f(self, x: np.ndarray) -> float:
-        raise NotImplementedError
+        vals = [np.array([self.worker_value(i, x)]) for i in range(self.n_workers)]
+        return float(pairwise_mean(vals)[0])
 
     def worker_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        """Exact full gradient (pairwise average of worker gradients)."""
-        return full_gradient(self, x)
 
     def _check_worker(self, i: int) -> None:
         if not 0 <= i < self.n_workers:
@@ -103,11 +112,18 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ConfigurationError(f"sigma2 must be >= 0, got {self.sigma2}")
+        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise ConfigurationError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
         off = self.delta_offset
         if isinstance(off, (list, np.ndarray)):
-            object.__setattr__(self, "delta_offset", tuple(float(v) for v in off))
+            off = tuple(float(v) for v in off)
+            object.__setattr__(self, "delta_offset", off)
+        try:
+            finite = all(math.isfinite(v) for v in (off if isinstance(off, tuple) else (off,)))
+        except TypeError:
+            finite = False
+        if not finite:
+            raise ConfigurationError(f"delta_offset must be finite numbers, got {off!r}")
 
     @property
     def is_null(self) -> bool:
@@ -131,16 +147,16 @@ class NoiseSpec:
         v = self.offset_vector(dimension)
         return float(v @ v)
 
-    def draw(self, dimension: int, rng: np.random.Generator | None) -> np.ndarray | None:
-        """Perturbation to add to one worker gradient, or None when null."""
+    def perturb(self, g: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
+        """g plus the offset and one Gaussian draw from rng (g itself when null)."""
         if self.is_null:
-            return None
-        pert = self.offset_vector(dimension).copy()
+            return g
+        pert = self.offset_vector(g.size)  # a fresh array
         if self.sigma2 > 0:
             if rng is None:
                 raise ConfigurationError("sigma2 > 0 requires an rng stream")
-            pert += rng.normal(0.0, np.sqrt(self.sigma2), size=dimension)
-        return pert
+            pert += rng.normal(0.0, np.sqrt(self.sigma2), size=g.size)
+        return g + pert
 
     def to_dict(self) -> dict:
         off = self.delta_offset
@@ -152,6 +168,7 @@ class NoiseSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseSpec":
+        check_keys(d, ("sigma2", "delta_offset", "seed"), "noise")
         return cls(
             sigma2=float(d.get("sigma2", 0.0)),
             delta_offset=d.get("delta_offset", 0.0),
@@ -269,8 +286,30 @@ def _logistic_loss_and_coef(X: np.ndarray, b: np.ndarray, x: np.ndarray):
     return loss, coef
 
 
+class _LogisticLossProblem(Problem):
+    """Mean logistic loss over worker i's dataset plus a regularizer.
+
+    Subclasses hold ``features``/``labels`` and define the regularizer's
+    value ``_reg_value(x)`` and gradient ``_reg_grad(x)``.
+    """
+
+    features: tuple
+    labels: tuple
+
+    def worker_value(self, i: int, x: np.ndarray) -> float:
+        self._check_worker(i)
+        loss, _ = _logistic_loss_and_coef(self.features[i], self.labels[i], x)
+        return loss + self._reg_value(x)
+
+    def worker_grad(self, i: int, x: np.ndarray) -> np.ndarray:
+        self._check_worker(i)
+        X, b = self.features[i], self.labels[i]
+        _, coef = _logistic_loss_and_coef(X, b, x)
+        return X.T @ coef / X.shape[0] + self._reg_grad(x)
+
+
 @dataclass(frozen=True)
-class LogisticL2Problem(Problem):
+class LogisticL2Problem(_LogisticLossProblem):
     """l2-regularized logistic regression over per-worker datasets.
 
     f_i(x) = (1/m) sum_j log(1 + exp(-b_ij <a_ij, x>)) + (lam/2) ||x||^2.
@@ -289,23 +328,15 @@ class LogisticL2Problem(Problem):
     kind: str = "logistic_l2"
     source: dict | None = field(default=None, repr=False, compare=False)
 
-    def worker_value(self, i: int, x: np.ndarray) -> float:
-        self._check_worker(i)
-        loss, _ = _logistic_loss_and_coef(self.features[i], self.labels[i], x)
-        return loss + 0.5 * self.lam * float(x @ x)
+    def _reg_value(self, x: np.ndarray) -> float:
+        return 0.5 * self.lam * float(x @ x)
 
-    def f(self, x: np.ndarray) -> float:
-        vals = [np.array([self.worker_value(i, x)]) for i in range(self.n_workers)]
-        return float(pairwise_mean(vals)[0])
-
-    def worker_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        self._check_worker(i)
-        X, b = self.features[i], self.labels[i]
-        _, coef = _logistic_loss_and_coef(X, b, x)
-        return X.T @ coef / X.shape[0] + self.lam * x
+    def _reg_grad(self, x: np.ndarray) -> np.ndarray:
+        return self.lam * x
 
 
 def _validate_classification_data(features, labels):
+    """Checked per-worker (features, labels), the dimension and max row ||a||^2."""
     features = tuple(np.asarray(X, dtype=np.float64) for X in features)
     labels = tuple(np.asarray(b, dtype=np.float64) for b in labels)
     if len(features) != len(labels) or not features:
@@ -319,15 +350,15 @@ def _validate_classification_data(features, labels):
             raise DataError("labels must be length-m per worker")
         if not np.all(np.isin(b, (-1.0, 1.0))):
             raise DataError("labels must lie in {-1, +1}")
-    return features, labels, d
+    max_row_sq = max(float(np.max(np.sum(X**2, axis=1))) for X in features)
+    return features, labels, d, max_row_sq
 
 
 def make_logistic_l2(features, labels, lam: float, source: dict | None = None) -> LogisticL2Problem:
     """Logistic-regression instance; lam > 0 gives the PL certificate mu = lam."""
     if lam <= 0:
         raise ConfigurationError(f"lambda must be > 0, got {lam}")
-    features, labels, d = _validate_classification_data(features, labels)
-    max_row_sq = max(float(np.max(np.sum(X**2, axis=1))) for X in features)
+    features, labels, d, max_row_sq = _validate_classification_data(features, labels)
     return LogisticL2Problem(
         features=features,
         labels=labels,
@@ -345,7 +376,7 @@ def make_logistic_l2(features, labels, lam: float, source: dict | None = None) -
 
 
 @dataclass(frozen=True)
-class NonconvexRegProblem(Problem):
+class NonconvexRegProblem(_LogisticLossProblem):
     """Logistic loss plus the bounded non-convex penalty sum x_j^2/(1+x_j^2).
 
     The penalty's scalar derivative 2t/(1+t^2)^2 has global slope at most 2,
@@ -369,27 +400,11 @@ class NonconvexRegProblem(Problem):
     def _reg_grad(self, x: np.ndarray) -> np.ndarray:
         return self.lam_nc * 2.0 * x / (1.0 + x**2) ** 2
 
-    def worker_value(self, i: int, x: np.ndarray) -> float:
-        self._check_worker(i)
-        loss, _ = _logistic_loss_and_coef(self.features[i], self.labels[i], x)
-        return loss + self._reg_value(x)
-
-    def f(self, x: np.ndarray) -> float:
-        vals = [np.array([self.worker_value(i, x)]) for i in range(self.n_workers)]
-        return float(pairwise_mean(vals)[0])
-
-    def worker_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        self._check_worker(i)
-        X, b = self.features[i], self.labels[i]
-        _, coef = _logistic_loss_and_coef(X, b, x)
-        return X.T @ coef / X.shape[0] + self._reg_grad(x)
-
 
 def make_nonconvex_reg(features, labels, lam_nc: float, source: dict | None = None) -> NonconvexRegProblem:
     if lam_nc <= 0:
         raise ConfigurationError(f"lambda_nc must be > 0, got {lam_nc}")
-    features, labels, d = _validate_classification_data(features, labels)
-    max_row_sq = max(float(np.max(np.sum(X**2, axis=1))) for X in features)
+    features, labels, d, max_row_sq = _validate_classification_data(features, labels)
     return NonconvexRegProblem(
         features=features,
         labels=labels,
@@ -431,23 +446,6 @@ def full_gradient(p: Problem, x: np.ndarray) -> np.ndarray:
     """Exact (1/n) sum_i grad f_i(x), pairwise-tree reduced over ascending i."""
     x = as_param_vector(x, p.dimension)
     return pairwise_mean([p.worker_grad(i, x) for i in range(p.n_workers)])
-
-
-def worker_gradient(
-    p: Problem,
-    i: int,
-    x: np.ndarray,
-    noise: NoiseSpec | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """grad f_i(x) plus the configured offset and Gaussian perturbation."""
-    x = as_param_vector(x, p.dimension)
-    g = p.worker_grad(i, x)
-    if noise is not None:
-        pert = noise.draw(p.dimension, rng)
-        if pert is not None:
-            g = g + pert
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,12 @@ import numpy as np
 from .errors import ConfigurationError
 from .estimators import EstimatorSpec
 from .problems import NoiseSpec, Problem, as_param_vector, full_gradient
+from .rng import pairwise_mean
 
 __all__ = [
     "TheoryReport",
     "momentum_alpha",
+    "analysis_regime",
     "lemma_stepsize_bound",
     "lyapunov_weight",
     "lemma1_constants",
@@ -55,6 +57,11 @@ def momentum_alpha(beta: float, regime: str) -> float:
 def _check_beta(beta: float) -> None:
     if not 0.0 < beta <= 1.0:
         raise ConfigurationError(f"beta must be in (0, 1], got {beta}")
+
+
+def analysis_regime(problem: Problem) -> str:
+    """"pl" when the problem certifies mu > 0 and knows f*, else "ncvx"."""
+    return "pl" if (problem.mu > 0 and problem.f_star is not None) else "ncvx"
 
 
 def lemma_stepsize_bound(a: float, b: float, c: float) -> float:
@@ -210,9 +217,10 @@ def measure_heterogeneity(p: Problem, points: Sequence[np.ndarray], safety: floa
     worst = 0.0
     for x in points:
         x = as_param_vector(x, p.dimension)
-        g = full_gradient(p, x)
-        for i in range(p.n_workers):
-            diff = p.worker_grad(i, x) - g
+        grads = [p.worker_grad(i, x) for i in range(p.n_workers)]
+        g = pairwise_mean(grads)
+        for gi in grads:
+            diff = gi - g
             worst = max(worst, float(diff @ diff))
     return safety * worst
 
@@ -353,7 +361,7 @@ def build_theory_report(
     gamma_max_ncvx, gamma_max_pl = stepsize_bounds(beta, L, mu)
     A_ncvx = lyapunov_weight(gamma, beta, "ncvx")
     A_pl = lyapunov_weight(gamma, beta, "pl")
-    regime = "pl" if (mu > 0 and f_star is not None) else "ncvx"
+    regime = analysis_regime(problem)
     A_used = A_pl if regime == "pl" else A_ncvx
     B1, B2, B3 = lemma1_constants(gamma, beta, L, A_used)
 
@@ -396,10 +404,10 @@ def build_theory_report(
     else:  # pragma: no cover - KINDS is closed
         raise ConfigurationError(f"unknown estimator kind {estimator.kind!r}")
 
-    grad0 = full_gradient(problem, x0)
     if v_init == "grad_at_x0":
         grad_v_err0_sq = 0.0
     elif v_init == "zero":
+        grad0 = full_gradient(problem, x0)
         grad_v_err0_sq = float(grad0 @ grad0)
     else:
         raise ConfigurationError(f"unknown v_init {v_init!r}")

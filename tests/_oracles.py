@@ -6,6 +6,8 @@ characteristic polynomial instead of eigvalsh, a hand-rolled SGD loop
 instead of the momentum engine.
 """
 
+from itertools import combinations
+
 import numpy as np
 
 from biased_momentum.estimators import worker_estimate
@@ -75,3 +77,26 @@ def reference_sgd(problem, estimator, noise, gamma, iterations, x0, seed, trial=
         x = x - gamma * g
         xs.append(x.copy())
     return xs
+
+
+def reference_measure_eta(problem, x, spec, noise, samples, rng):
+    """(mean, stderr) of ||eta||^2 by the per-draw loop: every draw asks
+    each worker for a fresh estimate from its own gradient evaluation."""
+    x = np.asarray(x, dtype=np.float64)
+    exact = pairwise_mean([problem.worker_grad(i, x) for i in range(problem.n_workers)])
+    vals = np.empty(samples)
+    for s in range(samples):
+        g = pairwise_mean(
+            [worker_estimate(problem, i, x, spec, noise, rng)
+             for i in range(problem.n_workers)]
+        )
+        diff = g - exact
+        vals[s] = diff @ diff
+    stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+    return float(np.mean(vals)), stderr
+
+
+def enumerate_subset_means(values, size):
+    """All subset means of the given size (exhaustive, for small m)."""
+    return [np.mean([values[j] for j in combo], axis=0)
+            for combo in combinations(range(len(values)), size)]

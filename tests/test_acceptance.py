@@ -32,12 +32,14 @@ from biased_momentum import (
     theorem_bounds,
 )
 from biased_momentum.audit import pilot_points
-from biased_momentum.composite import chained_gradient, enumerate_subset_means
+from biased_momentum.composite import chained_gradient
 from biased_momentum.estimators import composite_estimate
 from biased_momentum.harness import main, sweep_summary_rows
 from biased_momentum.problems import make_synthetic_classification
 from biased_momentum.rng import substream
 from biased_momentum.theory import lemma_stepsize_bound, measure_heterogeneity
+
+from _oracles import enumerate_subset_means
 
 SPECTRUM_10 = np.linspace(0.5, 2.0, 10)
 

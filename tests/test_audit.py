@@ -357,3 +357,23 @@ def test_verify_skip_discipline_inadmissible_gamma():
     assert by_name["pl_linear_rate"].status == "skipped"
     assert by_name["gradient_oracle"].passed
     assert by_name["affine_variance_bound"].passed
+
+
+def test_verify_config_runs_each_trial_once(monkeypatch):
+    # the premise constants come from trial 0 of the audited runs, not a rerun
+    from biased_momentum import audit, engine
+
+    p = _pl_quadratic()
+    cfg = RunConfig(problem=p, gamma=0.09, beta=0.5, iterations=30, trials=3,
+                    noise=NoiseSpec(sigma2=0.001), seed=18)
+    original, calls = engine.run, []
+
+    def counting(c, trial=0):
+        calls.append(trial)
+        return original(c, trial)
+
+    for module in (engine, audit):
+        if getattr(module, "run", None) is original:
+            monkeypatch.setattr(module, "run", counting)
+    verify_config(cfg, eta_draws=20, eta_points=3)
+    assert sorted(calls) == list(range(cfg.trials))

@@ -17,12 +17,11 @@ from biased_momentum.composite import (
     OuterComponent,
     CompositeProblem,
     composite_from_dict,
-    enumerate_subset_means,
 )
 from biased_momentum.problems import make_synthetic_classification
 from biased_momentum.rng import substream
 
-from _oracles import fd_gradient
+from _oracles import enumerate_subset_means, fd_gradient
 
 
 def _toy(n_workers=1):

@@ -1,5 +1,7 @@
 """Momentum engine: update identities, SGD equivalence, determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -250,3 +252,84 @@ def test_config_rejects_oversized_top_k():
     with pytest.raises(ConfigurationError):
         RunConfig(problem=p, gamma=0.1, beta=0.5, iterations=1,
                   estimator=EstimatorSpec(kind="top_k", k=5))
+
+
+def test_step_evaluates_each_worker_gradient_once(monkeypatch):
+    # the exact full gradient is the pairwise mean of the same n evaluations
+    # that feed the worker estimates
+    p = make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), n_workers=3, seed=2)
+    cls, calls = type(p), []
+    original = cls.worker_grad
+
+    def counting(self, i, x):
+        calls.append(i)
+        return original(self, i, x)
+
+    for spec in (EstimatorSpec(), EstimatorSpec(kind="top_k", k=2),
+                 EstimatorSpec(kind="clip", tau=0.5)):
+        cfg = RunConfig(problem=p, gamma=0.1, beta=0.5, iterations=1, estimator=spec,
+                        noise=NoiseSpec(sigma2=0.01, delta_offset=0.1), seed=5)
+        state = init_state(cfg)
+        expected = step(state, p, spec, cfg.noise, cfg.gamma, cfg.beta)
+        monkeypatch.setattr(cls, "worker_grad", counting)
+        calls.clear()
+        got = step(state, p, spec, cfg.noise, cfg.gamma, cfg.beta)
+        monkeypatch.undo()
+        assert sorted(calls) == list(range(p.n_workers))
+        np.testing.assert_array_equal(got[0].x, expected[0].x)
+
+
+def _config_doc(**overrides):
+    doc = {
+        "schema_version": 1,
+        "problem": {"kind": "quadratic", "n_workers": 2, "seed": 1,
+                    "matrix": {"spectrum": [1.0, 2.0]}},
+        "gamma": 0.1, "beta": 0.5, "iterations": 3, "trials": 2,
+        "estimator": {"kind": "clip", "tau": 1.0},
+        "noise": {"sigma2": 0.01, "delta_offset": 0.001, "seed": 0},
+        "v_init": "grad_at_x0", "seed": 4, "x0": [1.0, 0.0],
+    }
+    doc.update(overrides)
+    return doc
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("section,key,value", [
+    (None, "gamma", NAN),
+    (None, "gamma", INF),
+    ("noise", "sigma2", NAN),
+    ("noise", "sigma2", INF),
+    ("noise", "delta_offset", NAN),
+    ("noise", "delta_offset", -INF),
+    ("noise", "delta_offset", [0.0, INF]),
+    ("estimator", "tau", INF),
+    ("estimator", "tau", NAN),
+])
+def test_config_rejects_non_finite_values(section, key, value):
+    doc = _config_doc()
+    assert RunConfig.from_dict(doc).to_dict() == doc
+    (doc if section is None else doc[section])[key] = value
+    # through JSON, as a config file would carry NaN / Infinity
+    with pytest.raises(ConfigurationError):
+        RunConfig.from_dict(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("section,key", [
+    (None, "trails"), ("noise", "sigma"), ("estimator", "topk"),
+])
+def test_config_rejects_unknown_keys(section, key):
+    doc = _config_doc()
+    (doc if section is None else doc[section])[key] = 100
+    with pytest.raises(ConfigurationError, match=key):
+        RunConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("version", [0, 2, "1", None])
+def test_config_rejects_other_schema_versions(version):
+    with pytest.raises(ConfigurationError, match="schema_version"):
+        RunConfig.from_dict(_config_doc(schema_version=version))
+    doc = _config_doc()
+    del doc["schema_version"]
+    assert RunConfig.from_dict(doc).to_dict()["schema_version"] == 1

@@ -20,8 +20,10 @@ from biased_momentum import (
     worker_estimate,
 )
 from biased_momentum.composite import make_maml
-from biased_momentum.problems import make_synthetic_classification, worker_gradient
+from biased_momentum.problems import make_synthetic_classification
 from biased_momentum.rng import pairwise_mean, substream
+
+from _oracles import reference_measure_eta
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +242,30 @@ def test_measure_eta_respects_compression_bound():
     assert mean >= 0.0 and se >= 0.0
 
 
+def _quadratic_6():
+    return make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), seed=4, n_workers=3)
+
+
+def _maml_4():
+    return make_maml(*make_synthetic_classification(4, 2, 6, seed=5), 0.1)
+
+
+@pytest.mark.parametrize("build,spec,noise", [
+    (_quadratic_6, EstimatorSpec(kind="top_k", k=2), NoiseSpec(sigma2=0.05, delta_offset=0.01)),
+    (_quadratic_6, EstimatorSpec(kind="scaled_sign"), NoiseSpec(sigma2=0.05, delta_offset=0.01)),
+    (_quadratic_6, EstimatorSpec(kind="clip", tau=0.5),
+     NoiseSpec(sigma2=0.05, delta_offset=[0.01, 0.0, -0.02, 0.0, 0.03, 0.0])),
+    (_maml_4, EstimatorSpec(kind="composite", s_g=2, s_f=3), NoiseSpec(sigma2=0.01)),
+])
+def test_measure_eta_matches_per_draw_reference(build, spec, noise):
+    # reusing the exact worker gradients across draws changes no bit
+    p = build()
+    x = substream(40, 2, 0).standard_normal(p.dimension)
+    got = measure_eta(p, x, spec, noise, samples=200, rng=substream(40, 2, 1))
+    want = reference_measure_eta(p, x, spec, noise, 200, substream(40, 2, 1))
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # aggregate error decomposition (the (1+theta) / (1+1/theta) split)
 
@@ -251,7 +277,8 @@ def test_eta_decomposition_inequality():
     for _ in range(200):
         x = rng.standard_normal(8)
         theta = rng.uniform(0.05, 5.0)
-        raws = [worker_gradient(p, i, x, noise, rng) for i in range(p.n_workers)]
+        raws = [worker_estimate(p, i, x, EstimatorSpec(), noise, rng)
+                for i in range(p.n_workers)]
         outs = [top_k(g, 3) for g in raws]
         eta = pairwise_mean(outs) - full_gradient(p, x)
         t1 = np.mean([np.sum((q - g) ** 2) for q, g in zip(outs, raws)])

@@ -66,6 +66,16 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert load_config(path).seed == 3
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+def test_bad_seed_env_exits_2(tmp_path, monkeypatch, capsys, value):
+    path = _write(tmp_path / "cfg.json", _minimal_config())
+    monkeypatch.setenv(SEED_ENV, value)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and SEED_ENV in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_set_by_path_validates_axis():
     doc = _minimal_config()
     out = set_by_path(doc, "estimator.kind", "top_k")

@@ -6,6 +6,7 @@ import pytest
 from biased_momentum import (
     ConfigurationError,
     DataError,
+    EstimatorSpec,
     NoiseSpec,
     full_gradient,
     make_logistic_l2,
@@ -13,7 +14,7 @@ from biased_momentum import (
     make_quadratic,
     make_synthetic_classification,
     problem_from_dict,
-    worker_gradient,
+    worker_estimate,
 )
 from biased_momentum.rng import pairwise_mean, substream
 
@@ -173,14 +174,14 @@ def test_full_gradient_zero_at_designed_stationary_point():
 def test_worker_gradient_exact_when_noise_off():
     p = make_quadratic(np.eye(4), n_workers=2)
     x = np.array([1.0, -2.0, 0.5, 0.0])
-    g = worker_gradient(p, 0, x, NoiseSpec(), rng=None)
+    g = worker_estimate(p, 0, x, EstimatorSpec(), NoiseSpec(), rng=None)
     np.testing.assert_array_equal(g, p.worker_grad(0, x))
 
 
 def test_worker_gradient_constant_offset_exact():
     p = make_quadratic(np.eye(4), n_workers=2)
     x = np.ones(4)
-    g = worker_gradient(p, 1, x, NoiseSpec(delta_offset=0.25), rng=None)
+    g = worker_estimate(p, 1, x, EstimatorSpec(), NoiseSpec(delta_offset=0.25), rng=None)
     np.testing.assert_allclose(g, p.worker_grad(1, x) + 0.25, rtol=0, atol=0)
 
 
@@ -193,7 +194,7 @@ def test_worker_gradient_gaussian_mean():
     n = 100_000
     acc = np.zeros(3)
     for _ in range(n):
-        acc += worker_gradient(p, 0, x, noise, rng)
+        acc += worker_estimate(p, 0, x, EstimatorSpec(), noise, rng)
     mean = acc / n
     expected = p.worker_grad(0, x) + 0.1
     tol = 4 * np.sqrt(0.04) / np.sqrt(n)
@@ -203,7 +204,7 @@ def test_worker_gradient_gaussian_mean():
 def test_worker_gradient_invalid_index():
     p = make_quadratic(np.eye(3), n_workers=1)
     with pytest.raises(ConfigurationError):
-        worker_gradient(p, 3, np.zeros(3))
+        worker_estimate(p, 3, np.zeros(3), EstimatorSpec())
 
 
 def test_noise_spec_vector_offset_and_validation():
@@ -219,7 +220,9 @@ def test_noise_spec_vector_offset_and_validation():
 def test_worker_gradient_vector_offset():
     p = make_quadratic(np.eye(2))
     x = np.array([1.0, -1.0])
-    g = worker_gradient(p, 0, x, NoiseSpec(delta_offset=[0.1, -0.3]), rng=None)
+    g = worker_estimate(
+        p, 0, x, EstimatorSpec(), NoiseSpec(delta_offset=[0.1, -0.3]), rng=None
+    )
     np.testing.assert_allclose(g, p.worker_grad(0, x) + np.array([0.1, -0.3]))
 
 
