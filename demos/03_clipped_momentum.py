@@ -15,7 +15,6 @@ from biased_momentum import (
     RunConfig,
     build_theory_report,
     clip,
-    full_gradient,
     make_quadratic,
     measure_eta,
     run,
@@ -42,9 +41,8 @@ for tau in (1.0, 2.0, 5.0):
     )
     worst = 0.0
     for j, x in enumerate(points):
-        mean, se = measure_eta(problem, x, spec, noise, samples=300,
-                               rng=substream(13, 9, j))
-        g = full_gradient(problem, x)
+        mean, se, _ = measure_eta(problem, x, spec, noise, samples=300,
+                                  rng=substream(13, 9, j))
         worst = max(worst, mean + 3 * se)
     print(f"tau={tau}: measured delta={report.delta_subopt:.3f}, "
           f"C={report.C_var:.3f}, worst measured E||eta||^2={worst:.4f}")

@@ -2,68 +2,72 @@
 finite averages, the chained-gradient evaluation, and the meta-learning
 instantiation g_{i,j}(x) = x - gamma * grad of the per-sample loss.
 
-Inner maps expose a Jacobian-transpose-vector oracle instead of dense
-Jacobians: for the meta-learning inner map the Jacobian is
-I - gamma * (loss Hessian), and only its action on a vector is ever needed
-(for per-sample logistic losses the Hessian-vector product is closed form).
+Components are held as arrays and every oracle evaluates an index array in
+one call.  For the meta-learning inner map the Jacobian is
+I - gamma * (loss Hessian); for per-sample logistic losses both its action
+on a vector and the dense matrix are closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigurationError
-from .problems import Problem, as_param_vector, make_synthetic_classification
+from .problems import (
+    Problem,
+    as_param_vector,
+    check_keys,
+    classification_from_dict,
+    config_array,
+    config_float,
+    config_int,
+    validate_classification_data,
+)
 
 __all__ = [
-    "InnerComponent",
-    "OuterComponent",
     "CompositeProblem",
+    "MamlProblem",
+    "ToyCompositeProblem",
     "make_maml",
     "make_toy_composite",
     "composite_from_dict",
     "inner_value",
-    "inner_jacobian_t_vec",
-    "outer_gradient_at",
     "chained_gradient",
     "measure_composite_sigmas",
 ]
 
 
-@dataclass(frozen=True)
-class InnerComponent:
-    """One inner map g_{i,j}: value plus Jacobian-transpose-vector oracle."""
-
-    value: Callable[[np.ndarray], np.ndarray]
-    jac_t_vec: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class OuterComponent:
-    """One outer component F_{i,j}: scalar value plus gradient oracle."""
-
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CompositeProblem(Problem):
     """Two-level finite sum f_i(x) = (1/m_F) sum_j F_{i,j}((1/m_g) sum_l g_{i,l}(x)).
 
+    Subclasses hold the components as arrays and define the batched
+    oracles below; row r of each result belongs to component idx[r] of
+    worker i, and k = len(idx):
+
+    * ``inner_values(i, x, idx)``        g_{i,j}(x), shape (k, p)
+    * ``inner_jac_t_vecs(i, x, idx, u)`` J_{i,j}(x)^T u, shape (k, d)
+    * ``inner_jac_t(i, x, idx)``         dense J_{i,j}(x)^T, shape (k, d, p)
+    * ``outer_values(i, z, idx)``        F_{i,j}(z), shape (k,)
+    * ``outer_grads(i, z, idx)``         grad F_{i,j}(z), shape (k, p)
+
+    Each row rounds exactly like the same component evaluated on its own,
+    so a subset average does not depend on how its rows were batched.
+
     ``ell_g``/``L_g``/``ell_F``/``L_F`` are certified Lipschitz constants of
     the component maps and their gradients; the objective then has
-    L = L_g * ell_F + ell_g^2 * L_F.  For the meta-learning build the base
-    per-sample loss constants (ell_base, L_base) are kept alongside.
+    L = L_g * ell_F + ell_g^2 * L_F.
     """
 
-    inner: tuple  # per worker: tuple of InnerComponent
-    outer: tuple  # per worker: tuple of OuterComponent
+    n_workers: int
     dimension: int
     inner_dimension: int
+    m_g: int
+    m_F: int
     ell_g: float
     L_g: float
     ell_F: float
@@ -71,42 +75,24 @@ class CompositeProblem(Problem):
     mu: float = 0.0
     f_star: float | None = None
     kind: str = "composite_finite_sum"
-    gamma_inner: float = 0.0
-    ell_base: float = 0.0
-    L_base: float = 0.0
     source: dict | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.inner or len(self.inner) != len(self.outer):
-            raise ConfigurationError("need matching inner/outer components per worker")
-        m_g, m_F = len(self.inner[0]), len(self.outer[0])
-        for gs, Fs in zip(self.inner, self.outer):
-            if len(gs) != m_g or len(Fs) != m_F:
-                raise ConfigurationError("component counts must match across workers")
-
-    @property
-    def n_workers(self) -> int:
-        return len(self.inner)
-
-    @property
-    def m_g(self) -> int:
-        return len(self.inner[0])
-
-    @property
-    def m_F(self) -> int:
-        return len(self.outer[0])
 
     @property
     def L(self) -> float:
         return self.L_g * self.ell_F + self.ell_g**2 * self.L_F
 
     def worker_value(self, i: int, x: np.ndarray) -> float:
-        self._check_worker(i)
         z = inner_value(self, i, x, np.arange(self.m_g))
-        return float(np.mean([F.value(z) for F in self.outer[i]]))
+        return float(np.mean(self.outer_values(i, z, np.arange(self.m_F))))
 
     def worker_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         return chained_gradient(self, i, x, np.arange(self.m_g), np.arange(self.m_F))
+
+
+def _row_dots(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<A[r], v> for every row r, each rounded like the 1-D product A[r] @ v
+    (a matrix-vector product ``A @ v`` may round differently)."""
+    return (A[:, None, :] @ v)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +103,7 @@ def _validate_indices(idx, m: int, label: str) -> np.ndarray:
     idx = np.asarray(idx, dtype=np.intp)
     if idx.size == 0:
         raise ConfigurationError(f"empty {label} index set")
-    if np.any(idx < 0) or np.any(idx >= m):
+    if idx.min() < 0 or idx.max() >= m:
         raise ConfigurationError(f"{label} index out of range [0, {m})")
     return idx
 
@@ -127,26 +113,7 @@ def inner_value(cp: CompositeProblem, i: int, x: np.ndarray, indices) -> np.ndar
     cp._check_worker(i)
     idx = _validate_indices(indices, cp.m_g, "inner")
     x = as_param_vector(x, cp.dimension)
-    vals = [cp.inner[i][j].value(x) for j in idx]
-    return np.mean(vals, axis=0)
-
-
-def inner_jacobian_t_vec(
-    cp: CompositeProblem, i: int, x: np.ndarray, indices, u: np.ndarray
-) -> np.ndarray:
-    """Average subset Jacobian, transposed, applied to u."""
-    cp._check_worker(i)
-    idx = _validate_indices(indices, cp.m_g, "inner")
-    vals = [cp.inner[i][j].jac_t_vec(x, u) for j in idx]
-    return np.mean(vals, axis=0)
-
-
-def outer_gradient_at(cp: CompositeProblem, i: int, z: np.ndarray, indices) -> np.ndarray:
-    """Average gradient of the selected outer components at the inner point z."""
-    cp._check_worker(i)
-    idx = _validate_indices(indices, cp.m_F, "outer")
-    vals = [cp.outer[i][j].grad(z) for j in idx]
-    return np.mean(vals, axis=0)
+    return np.mean(cp.inner_values(i, x, idx), axis=0)
 
 
 def chained_gradient(
@@ -160,51 +127,54 @@ def chained_gradient(
     exact worker gradient.
     """
     x = as_param_vector(x, cp.dimension)
-    z = inner_value(cp, i, x, indices_g)
-    w = outer_gradient_at(cp, i, z, indices_F)
-    return inner_jacobian_t_vec(cp, i, x, indices_g, w)
+    idx_g = _validate_indices(indices_g, cp.m_g, "inner")
+    z = inner_value(cp, i, x, idx_g)
+    w = np.mean(cp.outer_grads(i, z, _validate_indices(indices_F, cp.m_F, "outer")), axis=0)
+    return np.mean(cp.inner_jac_t_vecs(i, x, idx_g, w), axis=0)
 
 
 # ---------------------------------------------------------------------------
 # meta-learning build (one inner gradient step per sample)
 
 
-def _point_logistic(a: np.ndarray, b: float):
-    """Closed-form value / gradient / Hessian-vector product of one sample loss.
+@dataclass(frozen=True, kw_only=True)
+class MamlProblem(CompositeProblem):
+    """Meta-learning problem (see make_maml).  With s = sigmoid(-b <a, x>)
+    the sample loss log(1 + exp(-b <a, x>)) has gradient -b s a and
+    Hessian s (1 - s) a a^T, for the rows a, b of features[i], labels[i]."""
 
-    loss(x) = log(1 + exp(-b <a, x>)); with s = sigmoid(-b <a, x>):
-    grad = -b s a and hess @ u = s (1 - s) <a, u> a.
-    """
+    features: tuple  # per-worker (m, d) arrays
+    labels: tuple  # per-worker (m,) arrays with entries in {-1, +1}
+    gamma_inner: float
+    ell_base: float
+    L_base: float
+    kind: str = "maml"
 
-    def value(x: np.ndarray) -> float:
-        return float(np.logaddexp(0.0, -b * (a @ x)))
+    def _sigmoids(self, i: int, v: np.ndarray, idx: np.ndarray):
+        """Rows a_j, labels b_j and s_j = sigmoid(-b_j <a_j, v>) for idx."""
+        A, b = self.features[i][idx], self.labels[i][idx]
+        return A, b, expit(-b * _row_dots(A, v))
 
-    def grad(x: np.ndarray) -> np.ndarray:
-        s = expit(-b * (a @ x))
-        return (-b * s) * a
+    def inner_values(self, i, x, idx):
+        A, b, s = self._sigmoids(i, x, idx)
+        return x - self.gamma_inner * ((-b * s)[:, None] * A)
 
-    def hess_vec(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        s = expit(-b * (a @ x))
-        return (s * (1.0 - s) * (a @ u)) * a
+    def inner_jac_t_vecs(self, i, x, idx, u):
+        A, _, s = self._sigmoids(i, x, idx)
+        return u - self.gamma_inner * ((s * (1.0 - s) * _row_dots(A, u))[:, None] * A)
 
-    return value, grad, hess_vec
+    def inner_jac_t(self, i, x, idx):
+        A, _, s = self._sigmoids(i, x, idx)
+        scaled = (s * (1.0 - s))[:, None] * A
+        return np.eye(self.dimension) - self.gamma_inner * (A[:, :, None] * scaled[:, None, :])
 
+    def outer_values(self, i, z, idx):
+        A, b = self.features[i][idx], self.labels[i][idx]
+        return np.logaddexp(0.0, -b * _row_dots(A, z))
 
-def _maml_inner(a: np.ndarray, b: float, gamma: float) -> InnerComponent:
-    _, grad, hess_vec = _point_logistic(a, b)
-
-    def value(x: np.ndarray) -> np.ndarray:
-        return x - gamma * grad(x)
-
-    def jac_t_vec(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return u - gamma * hess_vec(x, u)
-
-    return InnerComponent(value=value, jac_t_vec=jac_t_vec)
-
-
-def _maml_outer(a: np.ndarray, b: float) -> OuterComponent:
-    value, grad, _ = _point_logistic(a, b)
-    return OuterComponent(value=value, grad=grad)
+    def outer_grads(self, i, z, idx):
+        A, b, s = self._sigmoids(i, z, idx)
+        return (-b * s)[:, None] * A
 
 
 def make_maml(
@@ -212,7 +182,7 @@ def make_maml(
     labels: Sequence[np.ndarray],
     gamma_inner: float,
     source: dict | None = None,
-) -> CompositeProblem:
+) -> MamlProblem:
     """Meta-learning objective (1/n) sum_i f_i(x - gamma_inner grad f_i(x)).
 
     Components: F_{i,j} is the j-th per-sample logistic loss of worker i and
@@ -226,35 +196,21 @@ def make_maml(
     """
     if gamma_inner < 0:
         raise ConfigurationError(f"gamma_inner must be >= 0, got {gamma_inner}")
-    features = tuple(np.asarray(X, dtype=np.float64) for X in features)
-    labels = tuple(np.asarray(b, dtype=np.float64) for b in labels)
-    if not features or len(features) != len(labels):
-        raise ConfigurationError("need matching feature/label lists per worker")
-    d = features[0].shape[1]
-    inner, outer = [], []
-    max_norm = 0.0
-    for X, b in zip(features, labels):
-        if not np.all(np.isin(b, (-1.0, 1.0))):
-            raise ConfigurationError("labels must lie in {-1, +1}")
-        inner.append(
-            tuple(_maml_inner(X[j], float(b[j]), gamma_inner) for j in range(X.shape[0]))
-        )
-        outer.append(
-            tuple(_maml_outer(X[j], float(b[j])) for j in range(X.shape[0]))
-        )
-        max_norm = max(max_norm, float(np.max(np.linalg.norm(X, axis=1))))
-    ell_base = max_norm
-    L_base = max_norm**2 / 4.0
-    return CompositeProblem(
-        inner=tuple(inner),
-        outer=tuple(outer),
+    features, labels, d, max_row_sq = validate_classification_data(features, labels)
+    ell_base = float(np.sqrt(max_row_sq))
+    L_base = ell_base**2 / 4.0
+    return MamlProblem(
+        features=features,
+        labels=labels,
+        n_workers=len(features),
         dimension=d,
         inner_dimension=d,
+        m_g=features[0].shape[0],
+        m_F=features[0].shape[0],
         ell_g=1.0 + gamma_inner * L_base,
         L_g=2.0 * gamma_inner * L_base,
         ell_F=ell_base,
         L_F=L_base,
-        kind="maml",
         gamma_inner=float(gamma_inner),
         ell_base=ell_base,
         L_base=L_base,
@@ -276,16 +232,29 @@ TOY_OUTER_CENTERS = ((0.0, 0.0), (1.0, 0.0), (0.0, -1.0))
 TOY_BALL_RADIUS = 3.0  # constants below are certified on ||x|| <= this radius
 
 
-def _linear_inner(G: np.ndarray) -> InnerComponent:
-    GT = G.T.copy()
-    return InnerComponent(value=lambda x: G @ x, jac_t_vec=lambda x, u: GT @ u)
+@dataclass(frozen=True, kw_only=True)
+class ToyCompositeProblem(CompositeProblem):
+    """g_j(x) = G_j x and F_j(z) = c_j sum_t (z_t - r_{j,t})^4, shared by
+    every worker."""
 
+    G: np.ndarray  # (m_g, p, d) inner matrices
+    coeffs: np.ndarray  # (m_F,) outer coefficients c_j
+    centers: np.ndarray  # (m_F, p) outer centers r_j
 
-def _quartic_outer(c: float, r: np.ndarray) -> OuterComponent:
-    return OuterComponent(
-        value=lambda z: float(c * np.sum((z - r) ** 4)),
-        grad=lambda z: 4.0 * c * (z - r) ** 3,
-    )
+    def inner_values(self, i, x, idx):
+        return self.G[idx] @ x
+
+    def inner_jac_t_vecs(self, i, x, idx, u):
+        return self.inner_jac_t(i, x, idx) @ u
+
+    def inner_jac_t(self, i, x, idx):
+        return np.ascontiguousarray(self.G[idx].transpose(0, 2, 1))
+
+    def outer_values(self, i, z, idx):
+        return self.coeffs[idx] * np.sum((z - self.centers[idx]) ** 4, axis=1)
+
+    def outer_grads(self, i, z, idx):
+        return (4.0 * self.coeffs[idx])[:, None] * (z - self.centers[idx]) ** 3
 
 
 def make_toy_composite(
@@ -294,7 +263,7 @@ def make_toy_composite(
     outer_coeffs=TOY_OUTER_COEFFS,
     outer_centers=TOY_OUTER_CENTERS,
     source: dict | None = None,
-) -> CompositeProblem:
+) -> ToyCompositeProblem:
     """Hand-auditable composite: g_{i,j} integer linear maps, F_{i,j} quartics.
 
     Every worker holds the same components, so the closed-form gradient
@@ -302,30 +271,29 @@ def make_toy_composite(
     quartic outer is not globally smooth; L_F/ell_F are certified only on
     the ball ||x|| <= TOY_BALL_RADIUS (times the largest ||G_j||).
     """
-    mats = [np.asarray(G, dtype=np.float64) for G in inner_matrices]
-    coeffs = [float(c) for c in outer_coeffs]
-    centers = [np.asarray(r, dtype=np.float64) for r in outer_centers]
-    if not mats or not coeffs or len(coeffs) != len(centers):
-        raise ConfigurationError("toy composite needs inner matrices and outer terms")
-    p, d = mats[0].shape
-    ell_g = max(float(np.sqrt(np.linalg.eigvalsh(G.T @ G)[-1])) for G in mats)
-    z_max = ell_g * TOY_BALL_RADIUS + max(float(np.max(np.abs(r))) for r in centers)
-    pdim = mats[0].shape[0]
-    ell_F = max(coeffs) * 4.0 * np.sqrt(pdim) * z_max**3
-    L_F = max(coeffs) * 12.0 * z_max**2
-    inner = tuple(_linear_inner(G) for G in mats)
-    outer = tuple(_quartic_outer(c, r) for c, r in zip(coeffs, centers))
-    return CompositeProblem(
-        inner=tuple(inner for _ in range(n_workers)),
-        outer=tuple(outer for _ in range(n_workers)),
+    G = np.asarray(inner_matrices, dtype=np.float64)
+    coeffs = np.asarray(outer_coeffs, dtype=np.float64)
+    centers = np.asarray(outer_centers, dtype=np.float64)
+    if G.ndim != 3 or not G.size or not coeffs.size or centers.shape != (coeffs.size, G.shape[1]):
+        raise ConfigurationError("toy composite needs inner matrices (m_g, p, d), outer "
+                                 "coefficients (m_F,) and outer centers (m_F, p)")
+    m_g, p, d = G.shape
+    ell_g = max(float(np.sqrt(np.linalg.eigvalsh(Gj.T @ Gj)[-1])) for Gj in G)
+    z_max = ell_g * TOY_BALL_RADIUS + float(np.max(np.abs(centers)))
+    c_max = float(np.max(coeffs))
+    return ToyCompositeProblem(
+        G=G,
+        coeffs=coeffs,
+        centers=centers,
+        n_workers=n_workers,
         dimension=d,
         inner_dimension=p,
+        m_g=m_g,
+        m_F=coeffs.size,
         ell_g=ell_g,
         L_g=0.0,
-        ell_F=ell_F,
-        L_F=L_F,
-        f_star=None,
-        kind="composite_finite_sum",
+        ell_F=c_max * 4.0 * np.sqrt(p) * z_max**3,
+        L_F=c_max * 12.0 * z_max**2,
         source=source,
     )
 
@@ -333,21 +301,22 @@ def make_toy_composite(
 def composite_from_dict(spec: dict) -> CompositeProblem:
     """Build a composite problem from its JSON document (see problem_from_dict)."""
     kind = spec.get("kind")
-    n_workers = int(spec.get("n_workers", 1))
     if kind == "maml":
-        for key in ("dimension", "m", "gamma_inner"):
-            if key not in spec:
-                raise ConfigurationError(f"maml spec missing required key '{key}'")
-        features, labels = make_synthetic_classification(
-            int(spec["dimension"]), n_workers, int(spec["m"]), int(spec.get("seed", 0))
-        )
-        return make_maml(features, labels, float(spec["gamma_inner"]), source=spec)
+        check_keys(spec, ("kind", "dimension", "n_workers", "m", "seed", "gamma_inner"),
+                   "maml spec", required=("dimension", "m", "gamma_inner"))
+        features, labels = classification_from_dict(spec)
+        gamma_inner = config_float(spec["gamma_inner"], "gamma_inner")
+        return make_maml(features, labels, gamma_inner, source=spec)
     if kind in ("composite_toy", "composite_finite_sum"):
+        check_keys(spec, ("kind", "n_workers", "inner_matrices", "outer_coeffs", "outer_centers"),
+                   f"{kind} spec")
         return make_toy_composite(
-            n_workers=n_workers,
-            inner_matrices=spec.get("inner_matrices", TOY_INNER_MATRICES),
-            outer_coeffs=spec.get("outer_coeffs", TOY_OUTER_COEFFS),
-            outer_centers=spec.get("outer_centers", TOY_OUTER_CENTERS),
+            n_workers=config_int(spec.get("n_workers", 1), "n_workers", minimum=1),
+            inner_matrices=config_array(
+                spec.get("inner_matrices", TOY_INNER_MATRICES), "inner_matrices", 3),
+            outer_coeffs=config_array(spec.get("outer_coeffs", TOY_OUTER_COEFFS), "outer_coeffs", 1),
+            outer_centers=config_array(
+                spec.get("outer_centers", TOY_OUTER_CENTERS), "outer_centers", 2),
             source=spec,
         )
     raise ConfigurationError(f"unknown composite kind {kind!r}")
@@ -381,28 +350,20 @@ def measure_composite_sigmas(
     returned values are the max over (point, worker) times a safety factor.
     Jacobian deviations are measured in the Frobenius norm (an upper bound
     on the spectral norm, so the error-model constant stays valid) on the
-    dense matrix reconstructed column-by-column from the transpose-vector
-    oracle.
+    closed-form dense Jacobians.
     """
     if not points:
         raise ConfigurationError("need at least one sample point")
     sig_g2 = sig_dg2 = sig_F2 = 0.0
-    eye = np.eye(cp.inner_dimension)
+    all_g, all_F = np.arange(cp.m_g), np.arange(cp.m_F)
     for x in points:
         x = as_param_vector(x, cp.dimension)
         for i in range(cp.n_workers):
-            g_vals = [cp.inner[i][j].value(x) for j in range(cp.m_g)]
+            g_vals = cp.inner_values(i, x, all_g)
             sig_g2 = max(sig_g2, _anchored_variance(g_vals))
-            # dense J^T per component, columns J^T e_t
-            jts = [
-                np.stack([cp.inner[i][j].jac_t_vec(x, eye[t]) for t in range(len(eye))], axis=1)
-                for j in range(cp.m_g)
-            ]
-            sig_dg2 = max(sig_dg2, _anchored_variance(jts))
+            sig_dg2 = max(sig_dg2, _anchored_variance(cp.inner_jac_t(i, x, all_g)))
             # outer gradients evaluated where the estimator may land: at the
             # full inner mean and at each single-component inner value
-            z_points = [np.mean(g_vals, axis=0)] + g_vals
-            for z in z_points:
-                F_grads = [cp.outer[i][j].grad(z) for j in range(cp.m_F)]
-                sig_F2 = max(sig_F2, _anchored_variance(F_grads))
+            for z in (np.mean(g_vals, axis=0), *g_vals):
+                sig_F2 = max(sig_F2, _anchored_variance(cp.outer_grads(i, z, all_F)))
     return safety * sig_g2, safety * sig_dg2, safety * sig_F2

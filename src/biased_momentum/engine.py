@@ -32,6 +32,7 @@ from .problems import (
     Problem,
     as_param_vector,
     check_keys,
+    config_int,
     full_gradient,
     problem_from_dict,
 )
@@ -107,15 +108,7 @@ class RunConfig:
             object.__setattr__(
                 self, "x0", tuple(float(v) for v in np.asarray(self.x0).ravel())
             )
-        # composite estimators only make sense on composite problems
-        if self.estimator.kind == "composite" and self.problem.kind not in (
-            "composite_finite_sum",
-            "maml",
-        ):
-            raise ConfigurationError(
-                f"composite estimator cannot run on problem kind {self.problem.kind!r}"
-            )
-        self.estimator.contraction_alpha(self.problem.dimension)
+        self.estimator.contraction_alpha(self.problem)  # raises unless the spec fits
 
     def resolve_x0(self) -> np.ndarray:
         if self.x0 is not None:
@@ -129,25 +122,22 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        check_keys(d, CONFIG_KEYS, "config")
+        check_keys(d, CONFIG_KEYS, "config", required=("gamma", "beta", "iterations", "problem"))
         if d.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigurationError(
                 f"unsupported schema_version {d['schema_version']!r}; expected {SCHEMA_VERSION}"
             )
-        for key in ("gamma", "beta", "iterations", "problem"):
-            if key not in d:
-                raise ConfigurationError(f"config missing required key '{key}'")
         return cls(
             problem=problem_from_dict(d["problem"]),
             gamma=float(d["gamma"]),
             beta=float(d["beta"]),
-            iterations=int(d["iterations"]),
-            trials=int(d.get("trials", 1)),
+            iterations=config_int(d["iterations"], "iterations"),
+            trials=config_int(d.get("trials", 1), "trials"),
             estimator=EstimatorSpec.from_dict(d.get("estimator", {})),
             noise=NoiseSpec.from_dict(d.get("noise", {})),
             v_init=d.get("v_init", "grad_at_x0"),
             x0=d.get("x0"),
-            seed=int(d.get("seed", 0)),
+            seed=config_int(d.get("seed", 0), "seed"),
         )
 
     def to_dict(self) -> dict:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .composite import CompositeProblem, chained_gradient
 from .errors import ConfigurationError
-from .problems import NoiseSpec, Problem, as_param_vector, check_keys
+from .problems import NoiseSpec, Problem, as_param_vector, check_keys, config_float, config_int
 from .rng import pairwise_mean
 
 __all__ = [
@@ -38,8 +38,9 @@ __all__ = [
 ]
 
 KINDS = ("identity", "top_k", "scaled_sign", "clip", "composite")
-# optional parameters: field -> (JSON key, type)
-PARAMS = {"k": ("k", int), "tau": ("tau", float), "s_g": ("S_g", int), "s_f": ("S_F", int)}
+# optional parameters: field -> (JSON key, parser)
+PARAMS = {"k": ("k", config_int), "tau": ("tau", config_float),
+          "s_g": ("S_g", config_int), "s_f": ("S_F", config_int)}
 
 
 @dataclass(frozen=True)
@@ -65,16 +66,20 @@ class EstimatorSpec:
             if self.s_g is None or self.s_f is None or self.s_g < 1 or self.s_f < 1:
                 raise ConfigurationError("composite needs S_g >= 1 and S_F >= 1")
 
-    def contraction_alpha(self, dimension: int) -> float | None:
-        """Worst-case contraction constant, or None for non-compressors."""
+    def contraction_alpha(self, p: Problem) -> float | None:
+        """Worst-case contraction constant on p, or None for non-compressors.
+        Also the check that the spec runs on p: k <= d, or _check_composite."""
+        d = p.dimension
         if self.kind == "identity":
             return 1.0
         if self.kind == "top_k":
-            if self.k > dimension:
-                raise ConfigurationError(f"k={self.k} exceeds dimension {dimension}")
-            return self.k / dimension
+            if self.k > d:
+                raise ConfigurationError(f"k={self.k} exceeds dimension {d}")
+            return self.k / d
         if self.kind == "scaled_sign":
-            return 1.0 / dimension
+            return 1.0 / d
+        if self.kind == "composite":
+            _check_composite(p, self.s_g, self.s_f)
         return None
 
     def to_dict(self) -> dict:
@@ -87,7 +92,7 @@ class EstimatorSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorSpec":
         check_keys(d, ["kind"] + [key for key, _ in PARAMS.values()], "estimator")
-        params = {name: cast(d[key]) for name, (key, cast) in PARAMS.items() if key in d}
+        params = {name: parse(d[key], key) for name, (key, parse) in PARAMS.items() if key in d}
         return cls(kind=d.get("kind", "identity"), **params)
 
 
@@ -137,6 +142,16 @@ def clip(g: np.ndarray, tau: float) -> np.ndarray:
     return (tau / norm) * g
 
 
+def _check_composite(p: Problem, s_g: int, s_f: int) -> None:
+    """Raise unless p is composite and 1 <= S_g <= m_g, 1 <= S_F <= m_F."""
+    if not isinstance(p, CompositeProblem):
+        raise ConfigurationError(f"composite estimator cannot run on problem kind {p.kind!r}")
+    if not 1 <= s_g <= p.m_g:
+        raise ConfigurationError(f"S_g={s_g} out of range [1, {p.m_g}]")
+    if not 1 <= s_f <= p.m_F:
+        raise ConfigurationError(f"S_F={s_f} out of range [1, {p.m_F}]")
+
+
 def composite_estimate(
     p: CompositeProblem,
     i: int,
@@ -151,12 +166,7 @@ def composite_estimate(
     value and the inner Jacobian; an independent draw of size s_f selects
     the outer gradients.  Full batch sizes reproduce the exact gradient.
     """
-    if not isinstance(p, CompositeProblem):
-        raise ConfigurationError("composite estimator requires a composite problem")
-    if not 1 <= s_g <= p.m_g:
-        raise ConfigurationError(f"S_g={s_g} out of range [1, {p.m_g}]")
-    if not 1 <= s_f <= p.m_F:
-        raise ConfigurationError(f"S_F={s_f} out of range [1, {p.m_F}]")
+    _check_composite(p, s_g, s_f)
     idx_g = np.sort(rng.choice(p.m_g, size=s_g, replace=False))
     idx_f = np.sort(rng.choice(p.m_F, size=s_f, replace=False))
     return chained_gradient(p, i, x, idx_g, idx_f)
@@ -227,12 +237,13 @@ def measure_eta(
     noise: NoiseSpec | None = None,
     samples: int = 1000,
     rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
-    """Monte-Carlo (mean, stderr) of ||eta||^2 at a fixed iterate.
+) -> tuple[float, float, float]:
+    """Monte-Carlo (mean, stderr) of ||eta||^2 at a fixed iterate, and the
+    exact ||grad f(x)||^2.
 
     eta is the aggregate error: the pairwise-averaged worker estimates minus
     the exact full gradient at x.  The exact worker gradients are computed
-    once; every draw reuses them.
+    once; every draw reuses them, and so does the returned gradient norm.
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
@@ -248,4 +259,4 @@ def measure_eta(
         vals[s] = diff @ diff
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    return mean, stderr
+    return mean, stderr, float(exact @ exact)

@@ -48,6 +48,7 @@ from .engine import (
     write_run_csv,
 )
 from .errors import ConfigurationError, DataError
+from .problems import check_keys, config_int
 from .theory import TheoryReport
 
 __all__ = [
@@ -63,6 +64,7 @@ __all__ = [
 ]
 
 SEED_ENV = "BIASED_MOMENTUM_SEED"
+SWEEP_KEYS = ("base", "axis", "values", "trials", "threshold")
 PLATEAU_FRACTION = 0.1  # plateau = mean f over the last 10% of iterations
 
 
@@ -118,9 +120,7 @@ def load_config(path) -> RunConfig:
 
 def load_sweep(path) -> dict:
     doc = _load_json(path)
-    for key in ("base", "axis", "values"):
-        if key not in doc:
-            raise ConfigurationError(f"sweep spec missing required key '{key}'")
+    check_keys(doc, SWEEP_KEYS, "sweep spec", required=("base", "axis", "values"))
     doc["base"] = _apply_seed_env(doc["base"])
     return doc
 
@@ -185,7 +185,7 @@ def sweep_summary_rows(sweep_doc: dict):
     for value in sweep_doc["values"]:
         doc = set_by_path(sweep_doc["base"], sweep_doc["axis"], value)
         if "trials" in sweep_doc:
-            doc["trials"] = int(sweep_doc["trials"])
+            doc["trials"] = config_int(sweep_doc["trials"], "trials")
         cfg = RunConfig.from_dict(doc)
         stats = run_trials(cfg)
         threshold = resolve_threshold(sweep_doc.get("threshold"), stats)

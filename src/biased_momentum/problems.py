@@ -59,11 +59,40 @@ def as_param_vector(values, dimension: int | None = None) -> np.ndarray:
     return x
 
 
-def check_keys(d: dict, allowed, section: str) -> None:
-    """Reject keys of a config section that its schema does not define."""
+def check_keys(d: dict, allowed, section: str, required=()) -> None:
+    """Reject keys of a config section that its schema does not define, or lacks."""
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ConfigurationError(f"unknown {section} key(s) {unknown}; allowed: {sorted(allowed)}")
+    for key in required:
+        if key not in d:
+            raise ConfigurationError(f"{section} missing required key '{key}'")
+
+
+def config_int(value, name: str, minimum: int = 0) -> int:
+    """An integer config field >= minimum; 3.0 passes, NaN, inf, 2.5, true and "3" raise."""
+    whole = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def config_float(value, name: str) -> float:
+    """A finite number config field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def config_array(value, name: str, ndim: int) -> np.ndarray:
+    """A non-empty, finite float64 array with ndim axes from (nested) JSON lists."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != ndim or not arr.size or not np.all(np.isfinite(arr)):
+        raise ConfigurationError(f"{name} must be a {ndim}-D array of finite numbers, got {value!r}")
+    return arr
 
 
 class Problem:
@@ -172,7 +201,7 @@ class NoiseSpec:
         return cls(
             sigma2=float(d.get("sigma2", 0.0)),
             delta_offset=d.get("delta_offset", 0.0),
-            seed=int(d.get("seed", 0)),
+            seed=config_int(d.get("seed", 0), "seed"),
         )
 
 
@@ -335,7 +364,7 @@ class LogisticL2Problem(_LogisticLossProblem):
         return self.lam * x
 
 
-def _validate_classification_data(features, labels):
+def validate_classification_data(features, labels):
     """Checked per-worker (features, labels), the dimension and max row ||a||^2."""
     features = tuple(np.asarray(X, dtype=np.float64) for X in features)
     labels = tuple(np.asarray(b, dtype=np.float64) for b in labels)
@@ -358,7 +387,7 @@ def make_logistic_l2(features, labels, lam: float, source: dict | None = None) -
     """Logistic-regression instance; lam > 0 gives the PL certificate mu = lam."""
     if lam <= 0:
         raise ConfigurationError(f"lambda must be > 0, got {lam}")
-    features, labels, d, max_row_sq = _validate_classification_data(features, labels)
+    features, labels, d, max_row_sq = validate_classification_data(features, labels)
     return LogisticL2Problem(
         features=features,
         labels=labels,
@@ -404,7 +433,7 @@ class NonconvexRegProblem(_LogisticLossProblem):
 def make_nonconvex_reg(features, labels, lam_nc: float, source: dict | None = None) -> NonconvexRegProblem:
     if lam_nc <= 0:
         raise ConfigurationError(f"lambda_nc must be > 0, got {lam_nc}")
-    features, labels, d, max_row_sq = _validate_classification_data(features, labels)
+    features, labels, d, max_row_sq = validate_classification_data(features, labels)
     return NonconvexRegProblem(
         features=features,
         labels=labels,
@@ -452,10 +481,20 @@ def full_gradient(p: Problem, x: np.ndarray) -> np.ndarray:
 # JSON construction
 
 
+def classification_from_dict(spec: dict) -> tuple[tuple, tuple]:
+    """Synthetic (features, labels) from a problem's dimension, n_workers, m, seed."""
+    return make_synthetic_classification(
+        config_int(spec["dimension"], "dimension", minimum=1),
+        config_int(spec.get("n_workers", 1), "n_workers", minimum=1),
+        config_int(spec["m"], "m", minimum=1),
+        config_int(spec.get("seed", 0), "seed"),
+    )
+
+
 def problem_from_dict(spec: dict) -> Problem:
     """Build a problem from its JSON document.
 
-    Schema (kind selects the family):
+    Schema (kind selects the family; keys outside it are rejected):
       {"kind": "quadratic", "n_workers": 4, "seed": 7,
        "matrix": {"spectrum": [...]} | {"entries": [[...], ...]}}
       {"kind": "logistic_l2" | "nonconvex_reg_classification",
@@ -471,23 +510,25 @@ def problem_from_dict(spec: dict) -> Problem:
     kind = spec.get("kind")
     if kind is None:
         raise ConfigurationError("problem spec missing required key 'kind'")
-    n_workers = int(spec.get("n_workers", 1))
-    seed = int(spec.get("seed", 0))
 
     if kind == "quadratic":
+        check_keys(spec, ("kind", "n_workers", "seed", "matrix"), "quadratic spec")
+        n_workers = config_int(spec.get("n_workers", 1), "n_workers", minimum=1)
+        seed = config_int(spec.get("seed", 0), "seed")
         matrix = spec.get("matrix")
         if not isinstance(matrix, dict):
             raise ConfigurationError("quadratic spec needs a 'matrix' object")
+        check_keys(matrix, ("spectrum", "entries", "least_squares"), "matrix")
         if "spectrum" in matrix:
             return make_quadratic(
-                spectrum=matrix["spectrum"],
+                spectrum=config_array(matrix["spectrum"], "spectrum", 1),
                 n_workers=n_workers,
                 seed=seed,
                 source=spec,
             )
         if "entries" in matrix:
             return make_quadratic(
-                np.asarray(matrix["entries"], dtype=np.float64),
+                config_array(matrix["entries"], "entries", 2),
                 n_workers=n_workers,
                 seed=seed,
                 least_squares=bool(matrix.get("least_squares", False)),
@@ -496,15 +537,13 @@ def problem_from_dict(spec: dict) -> Problem:
         raise ConfigurationError("matrix spec needs 'spectrum' or 'entries'")
 
     if kind in ("logistic_l2", "nonconvex_reg_classification"):
-        for key in ("dimension", "m", "lambda"):
-            if key not in spec:
-                raise ConfigurationError(f"{kind} spec missing required key '{key}'")
-        features, labels = make_synthetic_classification(
-            int(spec["dimension"]), n_workers, int(spec["m"]), seed
-        )
+        check_keys(spec, ("kind", "dimension", "n_workers", "m", "seed", "lambda"), f"{kind} spec",
+                   required=("dimension", "m", "lambda"))
+        features, labels = classification_from_dict(spec)
+        lam = config_float(spec["lambda"], "lambda")
         if kind == "logistic_l2":
-            return make_logistic_l2(features, labels, float(spec["lambda"]), source=spec)
-        return make_nonconvex_reg(features, labels, float(spec["lambda"]), source=spec)
+            return make_logistic_l2(features, labels, lam, source=spec)
+        return make_nonconvex_reg(features, labels, lam, source=spec)
 
     if kind in ("maml", "composite_toy", "composite_finite_sum"):
         from . import composite

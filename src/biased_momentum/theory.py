@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
+from .composite import measure_composite_sigmas
 from .estimators import EstimatorSpec
 from .problems import NoiseSpec, Problem, as_param_vector, full_gradient
 from .rng import pairwise_mean
@@ -366,7 +367,7 @@ def build_theory_report(
     B1, B2, B3 = lemma1_constants(gamma, beta, L, A_used)
 
     sigma2_worker = d * noise.sigma2 + noise.offset_norm_sq(d)
-    alpha_c = estimator.contraction_alpha(d)
+    alpha_c = estimator.contraction_alpha(problem)
     delta2_het = delta_subopt = None
     composite_sigmas = None
 
@@ -384,10 +385,6 @@ def build_theory_report(
             delta_subopt = measure_suboptimality(problem, pilot)
             B_var, C_var = affine_constants_clip(sigma2_worker, L, delta_subopt, estimator.tau)
     elif estimator.kind == "composite":
-        from .composite import CompositeProblem, measure_composite_sigmas
-
-        if not isinstance(problem, CompositeProblem):
-            raise ConfigurationError("composite estimator needs a composite problem")
         composite_sigmas = measure_composite_sigmas(problem, pilot)
         sig_g2, sig_dg2, sig_F2 = composite_sigmas
         B_var, C_var, _ = affine_constants_composite(

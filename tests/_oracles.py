@@ -3,12 +3,14 @@
 These deliberately avoid the library code paths they are used to check:
 finite differences instead of analytic gradients, power iteration and the
 characteristic polynomial instead of eigvalsh, a hand-rolled SGD loop
-instead of the momentum engine.
+instead of the momentum engine, one sample at a time instead of the
+batched composite oracles.
 """
 
 from itertools import combinations
 
 import numpy as np
+from scipy.special import expit
 
 from biased_momentum.estimators import worker_estimate
 from biased_momentum.rng import pairwise_mean, worker_stream
@@ -80,8 +82,9 @@ def reference_sgd(problem, estimator, noise, gamma, iterations, x0, seed, trial=
 
 
 def reference_measure_eta(problem, x, spec, noise, samples, rng):
-    """(mean, stderr) of ||eta||^2 by the per-draw loop: every draw asks
-    each worker for a fresh estimate from its own gradient evaluation."""
+    """(mean, stderr) of ||eta||^2 by the per-draw loop, in which every draw
+    asks each worker for a fresh estimate from its own gradient evaluation,
+    and ||grad f(x)||^2."""
     x = np.asarray(x, dtype=np.float64)
     exact = pairwise_mean([problem.worker_grad(i, x) for i in range(problem.n_workers)])
     vals = np.empty(samples)
@@ -93,10 +96,51 @@ def reference_measure_eta(problem, x, spec, noise, samples, rng):
         diff = g - exact
         vals[s] = diff @ diff
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    return float(np.mean(vals)), stderr
+    return float(np.mean(vals)), stderr, float(exact @ exact)
 
 
 def enumerate_subset_means(values, size):
     """All subset means of the given size (exhaustive, for small m)."""
     return [np.mean([values[j] for j in combo], axis=0)
             for combo in combinations(range(len(values)), size)]
+
+
+def point_logistic(a, b):
+    """Closed-form value / gradient / Hessian-vector product of one sample loss.
+
+    loss(x) = log(1 + exp(-b <a, x>)); with s = sigmoid(-b <a, x>):
+    grad = -b s a and hess @ u = s (1 - s) <a, u> a.
+    """
+
+    def value(x):
+        return float(np.logaddexp(0.0, -b * (a @ x)))
+
+    def grad(x):
+        s = expit(-b * (a @ x))
+        return (-b * s) * a
+
+    def hess_vec(x, u):
+        s = expit(-b * (a @ x))
+        return (s * (1.0 - s) * (a @ u)) * a
+
+    return value, grad, hess_vec
+
+
+def reference_maml_rows(cp, i, x, z, u, idx):
+    """MAML oracles of worker i one sample at a time: inner values and
+    J^T u at x, dense J^T (column t is J^T e_t), outer values and gradients
+    at z, one row per index in idx."""
+    gamma, eye = cp.gamma_inner, np.eye(cp.dimension)
+    rows = [[] for _ in range(5)]
+    for j in idx:
+        value, grad, hess_vec = point_logistic(cp.features[i][j], float(cp.labels[i][j]))
+
+        def jac_t_vec(v):
+            return v - gamma * hess_vec(x, v)
+
+        rows[0].append(x - gamma * grad(x))
+        rows[1].append(jac_t_vec(u))
+        rows[2].append(np.stack([jac_t_vec(e) for e in eye], axis=1))
+        rows[3].append(value(z))
+        rows[4].append(grad(z))
+    return [np.array(r) for r in rows]

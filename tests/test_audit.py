@@ -281,6 +281,32 @@ def test_affine_detects_understated_bound():
     assert out.failed
 
 
+def test_affine_evaluates_each_worker_gradient_once_per_point(monkeypatch):
+    # the bound's ||grad f||^2 reuses the worker gradients measure_eta took
+    p = _pl_quadratic(n_workers=3)
+    cfg = RunConfig(problem=p, gamma=0.3, beta=0.5, iterations=10, seed=19,
+                    estimator=EstimatorSpec(kind="top_k", k=2),
+                    noise=NoiseSpec(sigma2=0.01))
+    pilot = run(cfg, 0)
+    points = pilot_points(pilot, 4)
+    report = _report_for(cfg, pilot)
+    expected = audit_affine_variance(p, points, cfg.estimator, cfg.noise, report,
+                                     draws=20, seed=5)
+    cls, calls = type(p), []
+    original = cls.worker_grad
+
+    def counting(self, i, x):
+        calls.append(i)
+        return original(self, i, x)
+
+    monkeypatch.setattr(cls, "worker_grad", counting)
+    got = audit_affine_variance(p, points, cfg.estimator, cfg.noise, report,
+                                draws=20, seed=5)
+    monkeypatch.undo()
+    assert sorted(calls) == sorted(list(range(p.n_workers)) * len(points))
+    assert got == expected
+
+
 # ---------------------------------------------------------------------------
 # gradient oracle
 

@@ -1,8 +1,10 @@
 """Composite finite sums: chained gradients, subset statistics, meta-learning."""
 
+from dataclasses import dataclass
+from itertools import combinations
+
 import numpy as np
 import pytest
-from itertools import combinations
 
 from biased_momentum import (
     ConfigurationError,
@@ -12,16 +14,11 @@ from biased_momentum import (
     make_toy_composite,
     measure_composite_sigmas,
 )
-from biased_momentum.composite import (
-    InnerComponent,
-    OuterComponent,
-    CompositeProblem,
-    composite_from_dict,
-)
+from biased_momentum.composite import CompositeProblem, composite_from_dict
 from biased_momentum.problems import make_synthetic_classification
 from biased_momentum.rng import substream
 
-from _oracles import enumerate_subset_means, fd_gradient
+from _oracles import enumerate_subset_means, fd_gradient, reference_maml_rows
 
 
 def _toy(n_workers=1):
@@ -49,7 +46,7 @@ def test_subset_enumeration_mean_is_exact():
     # mean with no floating error at all
     cp = _toy()
     x = np.array([1.0, 2.0])
-    values = [cp.inner[0][j].value(x) for j in range(cp.m_g)]
+    values = list(cp.inner_values(0, x, np.arange(cp.m_g)))
     full = np.mean(values, axis=0)
     for size in (1, 2, 3):
         means = enumerate_subset_means(values, size)
@@ -57,13 +54,13 @@ def test_subset_enumeration_mean_is_exact():
     # same statement for the inner Jacobian action and the outer gradient
     # at a fixed inner point
     u = np.array([1.0, -1.0])
-    jac_actions = [cp.inner[0][j].jac_t_vec(x, u) for j in range(cp.m_g)]
+    jac_actions = list(cp.inner_jac_t_vecs(0, x, np.arange(cp.m_g), u))
     np.testing.assert_array_equal(
         np.mean(enumerate_subset_means(jac_actions, 2), axis=0),
         np.mean(jac_actions, axis=0),
     )
     z = np.array([2.0, 1.0])
-    outer_grads = [cp.outer[0][j].grad(z) for j in range(cp.m_F)]
+    outer_grads = list(cp.outer_grads(0, z, np.arange(cp.m_F)))
     np.testing.assert_array_equal(
         np.mean(enumerate_subset_means(outer_grads, 2), axis=0),
         np.mean(outer_grads, axis=0),
@@ -81,7 +78,7 @@ def test_subset_enumeration_exact_on_m5_instance():
         outer_centers=tuple((float(i), 0.0) for i in range(5)),
     )
     x = np.array([2.0, -1.0])
-    values = [cp.inner[0][j].value(x) for j in range(5)]
+    values = list(cp.inner_values(0, x, np.arange(5)))
     for size in (1, 2, 3, 4, 5):
         means = enumerate_subset_means(values, size)
         np.testing.assert_array_equal(np.mean(means, axis=0), np.mean(values, axis=0))
@@ -155,11 +152,29 @@ def test_chain_bias_is_real_for_partial_batches():
 # meta-learning construction
 
 
+@pytest.mark.parametrize("d,m,gamma", [(1, 3, 0.3), (3, 4, 0.0), (5, 8, 0.1), (11, 6, 0.7)])
+def test_maml_oracles_match_per_sample_reference(d, m, gamma):
+    # each batched row rounds exactly like the sample evaluated on its own,
+    # whichever other samples share the call
+    cp = make_maml(*make_synthetic_classification(d, 2, m, seed=d), gamma)
+    rng = substream(58, 2, d)
+    for _ in range(20):
+        i = int(rng.integers(cp.n_workers))
+        idx = rng.permutation(m)[: int(rng.integers(1, m + 1))]
+        x, z, u = 2.0 * rng.standard_normal((3, d))
+        want = reference_maml_rows(cp, i, x, z, u, idx)
+        got = [cp.inner_values(i, x, idx), cp.inner_jac_t_vecs(i, x, idx, u),
+               cp.inner_jac_t(i, x, idx), cp.outer_values(i, z, idx), cp.outer_grads(i, z, idx)]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        np.testing.assert_allclose(got[2] @ u, got[1], rtol=0.0, atol=1e-12)
+
+
 def test_maml_zero_inner_step_reduces_to_finite_sum():
     feats, labels = make_synthetic_classification(4, 2, 5, seed=10)
     cp = make_maml(feats, labels, gamma_inner=0.0)
     x = substream(54, 2, 3).standard_normal(4)
-    plain = np.mean([cp.outer[0][j].grad(x) for j in range(cp.m_F)], axis=0)
+    plain = np.mean(cp.outer_grads(0, x, np.arange(cp.m_F)), axis=0)
     np.testing.assert_allclose(cp.worker_grad(0, x), plain, atol=1e-14)
     assert cp.ell_g == 1.0 and cp.L_g == 0.0
 
@@ -177,13 +192,13 @@ def test_maml_lipschitz_constants_hold_on_sampled_pairs():
     assert cp.ell_g == pytest.approx(1.0 + gamma * cp.L_base)
     assert cp.L_g == pytest.approx(2.0 * gamma * cp.L_base)
     rng = substream(55, 2, 4)
-    comp = cp.inner[0][0]
     a = feats[0][0]
     for _ in range(10_000):
         x = 3.0 * rng.standard_normal(3)
         y = 3.0 * rng.standard_normal(3)
         # value map: ||g(x) - g(y)|| <= ell_g ||x - y||
-        lhs = np.linalg.norm(comp.value(x) - comp.value(y))
+        gx, gy = cp.inner_values(0, x, [0])[0], cp.inner_values(0, y, [0])[0]
+        lhs = np.linalg.norm(gx - gy)
         assert lhs <= cp.ell_g * np.linalg.norm(x - y) * (1 + 1e-12)
         # Jacobian map: J(x) - J(y) = -gamma (s_x(1-s_x) - s_y(1-s_y)) a a^T,
         # whose spectral norm is gamma |ds| ||a||^2 <= L_g
@@ -211,19 +226,29 @@ def test_sigmas_zero_for_identical_components():
     assert s_g == 0.0 and s_dg == 0.0 and s_F == 0.0
 
 
+@dataclass(frozen=True, kw_only=True)
+class _ShiftedIdentity(CompositeProblem):
+    """g_j(x) = x + offsets[j] and one outer F(z) = ||z||^2."""
+
+    offsets: np.ndarray
+
+    def inner_values(self, i, x, idx):
+        return x + self.offsets[idx]
+
+    def inner_jac_t(self, i, x, idx):
+        return np.broadcast_to(np.eye(self.dimension), (len(idx),) + (self.dimension,) * 2)
+
+    def outer_grads(self, i, z, idx):
+        return np.broadcast_to(2.0 * z, (len(idx), z.size))
+
+
 def test_sigma_g_two_point_constant_shift():
     # two inner maps differing by a constant vector c: the uniform one-point
     # variance is exactly ||c/2||^2
     c = np.array([0.6, -0.8])
-
-    def shifted(offset):
-        return InnerComponent(value=lambda x, o=offset: x + o,
-                              jac_t_vec=lambda x, u: u)
-
-    outer = OuterComponent(value=lambda z: float(z @ z), grad=lambda z: 2.0 * z)
-    cp = CompositeProblem(
-        inner=((shifted(np.zeros(2)), shifted(c)),),
-        outer=((outer,),),
+    cp = _ShiftedIdentity(
+        offsets=np.stack([np.zeros(2), c]),
+        n_workers=1, m_g=2, m_F=1,
         dimension=2,
         inner_dimension=2,
         ell_g=1.0, L_g=0.0, ell_F=10.0, L_F=2.0,

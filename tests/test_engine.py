@@ -1,5 +1,6 @@
 """Momentum engine: update identities, SGD equivalence, determinism."""
 
+import copy
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from biased_momentum import (
     full_gradient,
     init_state,
     make_logistic_l2,
+    make_maml,
     make_nonconvex_reg,
     make_quadratic,
     run,
@@ -247,6 +249,14 @@ def test_config_rejects_composite_on_plain_problem():
                   estimator=EstimatorSpec(kind="composite", s_g=1, s_f=1))
 
 
+@pytest.mark.parametrize("s_g,s_f", [(5, 1), (1, 5)])
+def test_config_rejects_composite_batches_beyond_m(s_g, s_f):
+    p = make_maml(*make_synthetic_classification(3, 2, 4, seed=3), 0.1)
+    with pytest.raises(ConfigurationError, match="out of range"):
+        RunConfig(problem=p, gamma=0.1, beta=0.5, iterations=1,
+                  estimator=EstimatorSpec(kind="composite", s_g=s_g, s_f=s_f))
+
+
 def test_config_rejects_oversized_top_k():
     p = make_quadratic(np.eye(3))
     with pytest.raises(ConfigurationError):
@@ -293,6 +303,28 @@ def _config_doc(**overrides):
     return doc
 
 
+# problem sections of other kinds, in the shape of _config_doc's (d = 2)
+PROBLEM_DOCS = {
+    "logistic_l2": {"kind": "logistic_l2", "dimension": 2, "n_workers": 2, "m": 4,
+                    "seed": 1, "lambda": 0.1},
+    "maml": {"kind": "maml", "dimension": 2, "n_workers": 2, "m": 4, "seed": 1,
+             "gamma_inner": 0.1},
+    "composite_toy": {"kind": "composite_toy", "n_workers": 2},
+}
+
+
+def _section(doc, section):
+    """The config section to edit: the top level (None), a dotted path, or
+    the problem section after swapping in the PROBLEM_DOCS entry of that kind."""
+    if section in PROBLEM_DOCS:
+        doc["problem"] = copy.deepcopy(PROBLEM_DOCS[section])
+        return doc["problem"]
+    node = doc
+    for part in section.split(".") if section else ():
+        node = node[part]
+    return node
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -306,11 +338,30 @@ NAN, INF = float("nan"), float("inf")
     ("noise", "delta_offset", [0.0, INF]),
     ("estimator", "tau", INF),
     ("estimator", "tau", NAN),
+    (None, "iterations", NAN),
+    (None, "iterations", 2.5),
+    (None, "trials", INF),
+    (None, "seed", NAN),
+    ("noise", "seed", INF),
+    ("estimator", "k", NAN),
+    ("estimator", "S_g", INF),
+    ("estimator", "S_F", 1.5),
+    ("problem", "n_workers", NAN),
+    ("problem", "seed", 2.5),
+    ("problem.matrix", "spectrum", [1.0, NAN]),
+    ("problem", "matrix", {"entries": [[1.0, 0.0], [0.0]]}),
+    ("logistic_l2", "lambda", NAN),
+    ("logistic_l2", "m", INF),
+    ("maml", "gamma_inner", NAN),
+    ("maml", "dimension", NAN),
+    ("composite_toy", "inner_matrices", [[[1, 0], [0, 1]], [[2, 1], [0]]]),
+    ("composite_toy", "outer_coeffs", [1.0, NAN, 1.0]),
 ])
 def test_config_rejects_non_finite_values(section, key, value):
     doc = _config_doc()
+    target = _section(doc, section)
     assert RunConfig.from_dict(doc).to_dict() == doc
-    (doc if section is None else doc[section])[key] = value
+    target[key] = value
     # through JSON, as a config file would carry NaN / Infinity
     with pytest.raises(ConfigurationError):
         RunConfig.from_dict(json.loads(json.dumps(doc)))
@@ -318,10 +369,12 @@ def test_config_rejects_non_finite_values(section, key, value):
 
 @pytest.mark.parametrize("section,key", [
     (None, "trails"), ("noise", "sigma"), ("estimator", "topk"),
+    ("problem", "n_worker"), ("problem.matrix", "spectra"), ("logistic_l2", "gamma_inner"),
+    ("maml", "lambda"), ("composite_toy", "inner_matrix"),
 ])
 def test_config_rejects_unknown_keys(section, key):
     doc = _config_doc()
-    (doc if section is None else doc[section])[key] = 100
+    _section(doc, section)[key] = 100
     with pytest.raises(ConfigurationError, match=key):
         RunConfig.from_dict(doc)
 

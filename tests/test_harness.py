@@ -155,6 +155,16 @@ def test_sweep_missing_key(tmp_path, capsys):
     assert "values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("valuez", [0.2]), ("trials", float("nan")),
+                                       ("trials", 2.5)])
+def test_sweep_rejects_bad_spec(tmp_path, capsys, key, value):
+    doc = {"base": _minimal_config(), "axis": "gamma", "values": [0.1], key: value}
+    path = _write(tmp_path / "sweep.json", doc)
+    assert main(["sweep", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
