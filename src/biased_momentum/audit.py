@@ -374,12 +374,15 @@ def verify_config(
         audit_theorem_ncvx(stats, report),
         audit_theorem_pl(stats, report),
     ]
-    if any(res.diverged for res in stats.results):
+    diverged = [res for res in stats.results if res.diverged]
+    if diverged:
+        first = diverged[0]
         outcomes.append(
             AuditOutcome(
                 "divergence",
                 "failed",
-                note=f"{sum(r.diverged for r in stats.results)} of {cfg.trials} trials diverged",
+                note=f"{len(diverged)} of {cfg.trials} trials diverged; first: trial "
+                     f"{first.trial} at k={first.diverged_at}, {first.reason}",
             )
         )
     return report, outcomes, stats

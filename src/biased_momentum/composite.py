@@ -3,9 +3,10 @@ finite averages, the chained-gradient evaluation, and the meta-learning
 instantiation g_{i,j}(x) = x - gamma * grad of the per-sample loss.
 
 Components are held as arrays and every oracle evaluates an index array in
-one call.  For the meta-learning inner map the Jacobian is
-I - gamma * (loss Hessian); for per-sample logistic losses both its action
-on a vector and the dense matrix are closed form.
+one call; an index array with a leading batch axis evaluates one subset
+per row, at that row's own point.  For the meta-learning inner map the
+Jacobian is I - gamma * (loss Hessian); for per-sample logistic losses both
+its action on a vector and the dense matrix are closed form.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .problems import (
     config_int,
     validate_classification_data,
 )
+from .rng import row_dot
 
 __all__ = [
     "CompositeProblem",
@@ -55,8 +57,10 @@ class CompositeProblem(Problem):
     * ``outer_values(i, z, idx)``        F_{i,j}(z), shape (k,)
     * ``outer_grads(i, z, idx)``         grad F_{i,j}(z), shape (k, p)
 
-    Each row rounds exactly like the same component evaluated on its own,
-    so a subset average does not depend on how its rows were batched.
+    idx may also be a (B, k) batch of index sets, with u and z then one
+    (B, p) row per set; results gain the leading B axis.  Each row rounds
+    exactly like the same component evaluated on its own, so a subset
+    average does not depend on how its rows were batched.
 
     ``ell_g``/``L_g``/``ell_F``/``L_F`` are certified Lipschitz constants of
     the component maps and their gradients; the objective then has
@@ -90,9 +94,8 @@ class CompositeProblem(Problem):
 
 
 def _row_dots(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<A[r], v> for every row r, each rounded like the 1-D product A[r] @ v
-    (a matrix-vector product ``A @ v`` may round differently)."""
-    return (A[:, None, :] @ v)[:, 0]
+    """<A[..., r, :], v[..., :]> for every row r of A (v: one row per index set)."""
+    return row_dot(A, v[..., None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +104,7 @@ def _row_dots(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _validate_indices(idx, m: int, label: str) -> np.ndarray:
     idx = np.asarray(idx, dtype=np.intp)
-    if idx.size == 0:
+    if idx.ndim == 0 or idx.size == 0:
         raise ConfigurationError(f"empty {label} index set")
     if idx.min() < 0 or idx.max() >= m:
         raise ConfigurationError(f"{label} index out of range [0, {m})")
@@ -109,11 +112,11 @@ def _validate_indices(idx, m: int, label: str) -> np.ndarray:
 
 
 def inner_value(cp: CompositeProblem, i: int, x: np.ndarray, indices) -> np.ndarray:
-    """Average of the selected inner maps at x."""
+    """Average of the selected inner maps at x (one average per index set)."""
     cp._check_worker(i)
     idx = _validate_indices(indices, cp.m_g, "inner")
     x = as_param_vector(x, cp.dimension)
-    return np.mean(cp.inner_values(i, x, idx), axis=0)
+    return np.mean(cp.inner_values(i, x, idx), axis=-2)
 
 
 def chained_gradient(
@@ -124,13 +127,19 @@ def chained_gradient(
     The inner value and the inner Jacobian average over the same index set
     (one shared draw); the outer gradient averages over its own set and is
     evaluated at the subset inner value.  Full index sets reproduce the
-    exact worker gradient.
+    exact worker gradient.  (B, S_g) and (B, S_F) batches of index sets give
+    the (B, d) gradients of the B estimates, row for row equal to one call
+    per pair of sets.
     """
     x = as_param_vector(x, cp.dimension)
     idx_g = _validate_indices(indices_g, cp.m_g, "inner")
+    idx_f = _validate_indices(indices_F, cp.m_F, "outer")
+    if idx_g.shape[:-1] != idx_f.shape[:-1]:
+        raise ConfigurationError(
+            f"inner and outer index batches differ: {idx_g.shape[:-1]} vs {idx_f.shape[:-1]}")
     z = inner_value(cp, i, x, idx_g)
-    w = np.mean(cp.outer_grads(i, z, _validate_indices(indices_F, cp.m_F, "outer")), axis=0)
-    return np.mean(cp.inner_jac_t_vecs(i, x, idx_g, w), axis=0)
+    w = np.mean(cp.outer_grads(i, z, idx_f), axis=-2)
+    return np.mean(cp.inner_jac_t_vecs(i, x, idx_g, w), axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +166,17 @@ class MamlProblem(CompositeProblem):
 
     def inner_values(self, i, x, idx):
         A, b, s = self._sigmoids(i, x, idx)
-        return x - self.gamma_inner * ((-b * s)[:, None] * A)
+        return x - self.gamma_inner * ((-b * s)[..., None] * A)
 
     def inner_jac_t_vecs(self, i, x, idx, u):
         A, _, s = self._sigmoids(i, x, idx)
-        return u - self.gamma_inner * ((s * (1.0 - s) * _row_dots(A, u))[:, None] * A)
+        return u[..., None, :] - self.gamma_inner * (
+            (s * (1.0 - s) * _row_dots(A, u))[..., None] * A)
 
     def inner_jac_t(self, i, x, idx):
         A, _, s = self._sigmoids(i, x, idx)
-        scaled = (s * (1.0 - s))[:, None] * A
-        return np.eye(self.dimension) - self.gamma_inner * (A[:, :, None] * scaled[:, None, :])
+        scaled = (s * (1.0 - s))[..., None] * A
+        return np.eye(self.dimension) - self.gamma_inner * (A[..., :, None] * scaled[..., None, :])
 
     def outer_values(self, i, z, idx):
         A, b = self.features[i][idx], self.labels[i][idx]
@@ -174,7 +184,7 @@ class MamlProblem(CompositeProblem):
 
     def outer_grads(self, i, z, idx):
         A, b, s = self._sigmoids(i, z, idx)
-        return (-b * s)[:, None] * A
+        return (-b * s)[..., None] * A
 
 
 def make_maml(
@@ -245,16 +255,16 @@ class ToyCompositeProblem(CompositeProblem):
         return self.G[idx] @ x
 
     def inner_jac_t_vecs(self, i, x, idx, u):
-        return self.inner_jac_t(i, x, idx) @ u
+        return (self.inner_jac_t(i, x, idx) @ u[..., None, :, None])[..., 0]
 
     def inner_jac_t(self, i, x, idx):
-        return np.ascontiguousarray(self.G[idx].transpose(0, 2, 1))
+        return np.ascontiguousarray(np.swapaxes(self.G[idx], -1, -2))
 
     def outer_values(self, i, z, idx):
-        return self.coeffs[idx] * np.sum((z - self.centers[idx]) ** 4, axis=1)
+        return self.coeffs[idx] * np.sum((z[..., None, :] - self.centers[idx]) ** 4, axis=-1)
 
     def outer_grads(self, i, z, idx):
-        return (4.0 * self.coeffs[idx])[:, None] * (z - self.centers[idx]) ** 3
+        return (4.0 * self.coeffs[idx])[..., None] * (z[..., None, :] - self.centers[idx]) ** 3
 
 
 def make_toy_composite(

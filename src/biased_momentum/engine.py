@@ -32,6 +32,7 @@ from .problems import (
     Problem,
     as_param_vector,
     check_keys,
+    config_float,
     config_int,
     full_gradient,
     problem_from_dict,
@@ -67,7 +68,13 @@ CONFIG_KEYS = ("schema_version", "problem", "gamma", "beta", "iterations", "tria
 
 
 class DivergedError(RuntimeError):
-    """Internal signal: the trajectory left the finite/bounded region."""
+    """Internal signal: the trajectory left the finite/bounded region at
+    iteration k, for the stated reason."""
+
+    def __init__(self, k: int, reason: str):
+        super().__init__(f"{reason} at iteration {k}")
+        self.k = k
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -129,8 +136,8 @@ class RunConfig:
             )
         return cls(
             problem=problem_from_dict(d["problem"]),
-            gamma=float(d["gamma"]),
-            beta=float(d["beta"]),
+            gamma=config_float(d["gamma"], "gamma"),
+            beta=config_float(d["beta"], "beta"),
             iterations=config_int(d["iterations"], "iterations"),
             trials=config_int(d.get("trials", 1), "trials"),
             estimator=EstimatorSpec.from_dict(d.get("estimator", {})),
@@ -187,13 +194,23 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RunResult:
-    """One trial: per-iteration records, visited iterates, final state."""
+    """One trial: per-iteration records, visited iterates, final state.
+
+    A diverged trial stops at iteration ``diverged_at`` (no record for it);
+    ``reason`` says why: a non-finite iterate, a non-finite f, f above
+    DIVERGENCE_F_MAX, or a non-finite aggregate.
+    """
 
     records: tuple
     iterates: tuple  # x^0 .. x^K (one more than records unless diverged)
     final_state: MomentumState
-    diverged: bool
     trial: int
+    diverged_at: int | None = None
+    reason: str | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
 
 def init_state(cfg: RunConfig, trial: int = 0) -> MomentumState:
@@ -217,14 +234,18 @@ def step(
     """One server round; raises DivergedError when the iterate is unusable."""
     x, v_prev, k = state.x, state.v_prev, state.k
     fval = problem.f(x)
-    if not np.isfinite(fval) or fval > DIVERGENCE_F_MAX or not np.all(np.isfinite(x)):
-        raise DivergedError(f"objective {fval} at iteration {k}")
+    if not np.all(np.isfinite(x)):
+        raise DivergedError(k, "non-finite iterate")
+    if not np.isfinite(fval):
+        raise DivergedError(k, f"non-finite f ({fval})")
+    if fval > DIVERGENCE_F_MAX:
+        raise DivergedError(k, f"f = {fval:.6g} > {DIVERGENCE_F_MAX:g}")
     grads = [problem.worker_grad(i, x) for i in range(problem.n_workers)]
     grad = pairwise_mean(grads)
     rngs = [worker_stream(state.seed, state.trial, i, k) for i in range(problem.n_workers)]
-    g = aggregate(problem, x, grads, estimator, noise, rngs)
+    g = aggregate(problem, x, grads, estimator, noise, rngs)[0]
     if not np.all(np.isfinite(g)):
-        raise DivergedError(f"non-finite aggregate at iteration {k}")
+        raise DivergedError(k, "non-finite aggregate")
 
     eta = g - grad
     # beta = 1 must reproduce plain SGD bit-for-bit, so take v = g directly
@@ -256,14 +277,14 @@ def run(cfg: RunConfig, trial: int = 0) -> RunResult:
     lyap_A = cfg.lyapunov_A()
     records = []
     iterates = [state.x]
-    diverged = False
+    diverged_at = reason = None
     for _ in range(cfg.iterations):
         try:
             state, rec = step(
                 state, cfg.problem, cfg.estimator, cfg.noise, cfg.gamma, cfg.beta, lyap_A
             )
-        except DivergedError:
-            diverged = True
+        except DivergedError as exc:
+            diverged_at, reason = exc.k, exc.reason
             break
         records.append(rec)
         iterates.append(state.x)
@@ -271,8 +292,9 @@ def run(cfg: RunConfig, trial: int = 0) -> RunResult:
         records=tuple(records),
         iterates=tuple(iterates),
         final_state=state,
-        diverged=diverged,
         trial=trial,
+        diverged_at=diverged_at,
+        reason=reason,
     )
 
 

@@ -7,9 +7,12 @@ exact residual ||clip(g) - g|| = max(||g|| - tau, 0).  The composite
 estimator subsamples both layers of a composite problem and is biased even
 in expectation.
 
-``aggregate`` is the one path from exact worker gradients to the server's
-averaged estimate; the momentum engine, the Monte-Carlo error measurement
-and ``worker_estimate`` all go through it.
+The operators act on the last axis of a stack of vectors, each row
+rounding exactly as the operator applied to that row alone.  One path turns
+exact worker gradients into a (draws, workers, d) stack of transmissions:
+``aggregate`` reduces it over the worker axis for the momentum engine (one
+draw) and the Monte-Carlo error measurement (a block of draws), and
+``worker_estimate`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .composite import CompositeProblem, chained_gradient
 from .errors import ConfigurationError
 from .problems import NoiseSpec, Problem, as_param_vector, check_keys, config_float, config_int
-from .rng import pairwise_mean
+from .rng import pairwise_mean, row_dot
 
 __all__ = [
     "EstimatorSpec",
@@ -97,28 +100,29 @@ class EstimatorSpec:
 
 
 def top_k(g: np.ndarray, k: int) -> np.ndarray:
-    """Keep the k entries of largest magnitude, zero the rest.
+    """Keep the k entries of largest magnitude, zero the rest (per row of a
+    stack along the last axis).
 
     Ties break toward the lowest index (stable sort on -|g|), so the output
     is deterministic.
     """
     g = np.asarray(g, dtype=np.float64)
-    d = g.size
+    d = g.shape[-1]
     if not 1 <= k <= d:
         raise ConfigurationError(f"k={k} out of range [1, {d}]")
     if k == d:
         return g.copy()
-    order = np.argsort(-np.abs(g), kind="stable")
-    out = np.zeros_like(g)
-    keep = order[:k]
-    out[keep] = g[keep]
+    keep = np.argsort(-np.abs(g), axis=-1, kind="stable")[..., :k]
+    out = np.zeros(g.shape)
+    np.put_along_axis(out, keep, np.take_along_axis(g, keep, axis=-1), axis=-1)
     return out
 
 
 def scaled_sign(g: np.ndarray) -> np.ndarray:
-    """(||g||_1 / d) * sign(g), with sign(0) = 0 so the operator stays odd."""
+    """(||g||_1 / d) * sign(g), with sign(0) = 0 so the operator stays odd
+    (per row of a stack along the last axis)."""
     g = np.asarray(g, dtype=np.float64)
-    scale = np.sum(np.abs(g)) / g.size
+    scale = np.sum(np.abs(g), axis=-1, keepdims=True) / g.shape[-1]
     return scale * np.sign(g)
 
 
@@ -132,14 +136,14 @@ def scaled_sign_alpha(g: np.ndarray) -> float:
 
 
 def clip(g: np.ndarray, tau: float) -> np.ndarray:
-    """min(1, tau/||g||) * g: norm capped at tau, direction preserved."""
-    if not tau > 0:
-        raise ConfigurationError(f"tau must be > 0, got {tau}")
+    """min(1, tau/||g||) * g: norm capped at tau, direction preserved (per
+    row of a stack along the last axis)."""
+    if not (tau > 0 and math.isfinite(tau)):
+        raise ConfigurationError(f"tau must be finite and > 0, got {tau}")
     g = np.asarray(g, dtype=np.float64)
-    norm = float(np.linalg.norm(g))
-    if norm <= tau:
-        return g.copy()
-    return (tau / norm) * g
+    norm = np.sqrt(row_dot(g, g))
+    # rows with norm <= tau get tau / tau = 1.0 exactly, which keeps them bit for bit
+    return (tau / np.maximum(norm, tau))[..., None] * g
 
 
 def _check_composite(p: Problem, s_g: int, s_f: int) -> None:
@@ -166,14 +170,13 @@ def composite_estimate(
     value and the inner Jacobian; an independent draw of size s_f selects
     the outer gradients.  Full batch sizes reproduce the exact gradient.
     """
-    _check_composite(p, s_g, s_f)
-    idx_g = np.sort(rng.choice(p.m_g, size=s_g, replace=False))
-    idx_f = np.sort(rng.choice(p.m_F, size=s_f, replace=False))
-    return chained_gradient(p, i, x, idx_g, idx_f)
+    spec = EstimatorSpec(kind="composite", s_g=s_g, s_f=s_f)
+    return _transmissions(p, as_param_vector(x, p.dimension), [i], None, spec, None, rng, 1)[0, 0]
 
 
 def apply_estimator(spec: EstimatorSpec, raw: np.ndarray) -> np.ndarray:
-    """Transform one raw worker gradient according to the spec."""
+    """Transform raw worker gradients (one vector, or a stack of them along
+    the last axis) according to the spec."""
     if spec.kind == "identity":
         return np.asarray(raw, dtype=np.float64)
     if spec.kind == "top_k":
@@ -187,33 +190,71 @@ def apply_estimator(spec: EstimatorSpec, raw: np.ndarray) -> np.ndarray:
     )
 
 
-def _transmission(p: Problem, i: int, x: np.ndarray, grad_i, spec: EstimatorSpec,
-                  noise: NoiseSpec | None, rng) -> np.ndarray:
-    """What worker i sends, given its exact gradient grad_i at x.
+def _transmissions(p: Problem, x: np.ndarray, workers, grads, spec: EstimatorSpec,
+                   noise: NoiseSpec | None, rng, draws: int) -> np.ndarray:
+    """(draws, len(workers), d) stack of what the workers send at x.
+
+    Row b, column j is round b of worker ``workers[j]``, whose exact gradient
+    at x is ``grads[j]``.  ``rng`` is either one generator shared by every
+    worker, consumed in (draw, worker, coordinate) order, or a sequence
+    holding each worker's own generator, consumed in (draw, coordinate)
+    order; either way the stream is read as by one call per (draw, worker).
 
     For compressor/clip kinds the noise is injected before the operator,
-    matching the Top-K(grad + offset + gaussian) experimental pipeline; the
-    composite kind ignores grad_i, draws its index subsets first and then
-    adds any configured noise to the chained estimate.
+    matching the Top-K(grad + offset + gaussian) experimental pipeline.  The
+    composite kind ignores grads: each (draw, worker) draws its inner and
+    outer index sets and then its noise, one at a time, and the chained
+    estimates of each worker are evaluated in one batched call.
     """
+    n, d = len(workers), p.dimension
+    shared = rng is None or isinstance(rng, np.random.Generator)
+    streams = [rng] * n if shared else list(rng)
     if spec.kind == "composite":
-        g = composite_estimate(p, i, x, spec.s_g, spec.s_f, rng)
-        return g if noise is None else noise.perturb(g, rng)
-    g = grad_i if noise is None else noise.perturb(grad_i, rng)
-    return apply_estimator(spec, g)
+        _check_composite(p, spec.s_g, spec.s_f)
+        idx_g = np.empty((draws, n, spec.s_g), dtype=np.intp)
+        idx_f = np.empty((draws, n, spec.s_f), dtype=np.intp)
+        gauss = None if noise is None or noise.sigma2 == 0 else np.empty((draws, n, d))
+        for b in range(draws):
+            for j, stream in enumerate(streams):
+                idx_g[b, j] = stream.choice(p.m_g, size=spec.s_g, replace=False)
+                idx_f[b, j] = stream.choice(p.m_F, size=spec.s_f, replace=False)
+                if gauss is not None:
+                    gauss[b, j] = noise.draw(stream, d)
+        idx_g.sort(axis=-1)
+        idx_f.sort(axis=-1)
+        est = np.stack([chained_gradient(p, i, x, idx_g[:, j], idx_f[:, j])
+                        for j, i in enumerate(workers)], axis=1)
+        return est if noise is None else noise.perturb(est, gauss)
+    g = np.asarray(grads)
+    if noise is not None:
+        if shared:
+            gauss = noise.draw(rng, (draws, n, d))
+        elif noise.sigma2 > 0:
+            gauss = np.empty((draws, n, d))
+            for j, stream in enumerate(streams):
+                gauss[:, j] = noise.draw(stream, (draws, d))
+        else:
+            gauss = None
+        g = noise.perturb(g, gauss)
+    # without Gaussian noise every draw is the same (n, d) transmission;
+    # the C-ordered stack matters, as row reductions over a strided last axis
+    # round differently
+    stack = np.empty((draws, n, d))
+    stack[...] = apply_estimator(spec, g)
+    return stack
 
 
 def aggregate(p: Problem, x: np.ndarray, grads, spec: EstimatorSpec,
-              noise: NoiseSpec | None, rngs) -> np.ndarray:
-    """Pairwise-tree mean of the n worker transmissions at x.
+              noise: NoiseSpec | None, rng, draws: int = 1) -> np.ndarray:
+    """(draws, d): per round, the pairwise-tree mean of the n worker
+    transmissions at x.
 
-    ``grads[i]`` is the exact gradient of worker i at x and ``rngs[i]`` its
-    random stream; workers draw in ascending order, so one shared generator
-    may be passed for every worker.
+    ``grads[i]`` is the exact gradient of worker i at x.  ``rng`` is one
+    generator shared by every worker or the sequence of the n workers' own
+    generators (see _transmissions for the order the streams are read in).
     """
-    return pairwise_mean(
-        [_transmission(p, i, x, grads[i], spec, noise, rngs[i]) for i in range(p.n_workers)]
-    )
+    stack = _transmissions(p, x, range(p.n_workers), grads, spec, noise, rng, draws)
+    return pairwise_mean(stack.swapaxes(0, 1))
 
 
 def worker_estimate(
@@ -227,7 +268,12 @@ def worker_estimate(
     """What worker i transmits: estimator applied to its (noisy) gradient."""
     x = as_param_vector(x, p.dimension)
     grad_i = None if spec.kind == "composite" else p.worker_grad(i, x)
-    return _transmission(p, i, x, grad_i, spec, noise, rng)
+    return _transmissions(p, x, [i], [grad_i], spec, noise, rng, 1)[0, 0]
+
+
+# float64 elements that one block of measure_eta draws may hold per stack,
+# so the working set does not grow with samples x n x d
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def measure_eta(
@@ -244,6 +290,8 @@ def measure_eta(
     eta is the aggregate error: the pairwise-averaged worker estimates minus
     the exact full gradient at x.  The exact worker gradients are computed
     once; every draw reuses them, and so does the returned gradient norm.
+    Draws are evaluated a block at a time as (draws, workers, d) stacks and
+    read the stream exactly as one draw after another would.
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
@@ -252,11 +300,13 @@ def measure_eta(
         rng = np.random.default_rng(0 if noise is None else noise.seed)
     grads = [p.worker_grad(i, x) for i in range(p.n_workers)]
     exact = pairwise_mean(grads)
-    rngs = [rng] * p.n_workers
+    width = p.n_workers + (spec.s_g + spec.s_f if spec.kind == "composite" else 0)
+    block = max(1, _BLOCK_ELEMENTS // (width * p.dimension))
     vals = np.empty(samples)
-    for s in range(samples):
-        diff = aggregate(p, x, grads, spec, noise, rngs) - exact
-        vals[s] = diff @ diff
+    for start in range(0, samples, block):
+        stop = min(start + block, samples)
+        diff = aggregate(p, x, grads, spec, noise, rng, stop - start) - exact
+        vals[start:stop] = row_dot(diff, diff)
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return mean, stderr, float(exact @ exact)

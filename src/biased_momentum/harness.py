@@ -48,7 +48,7 @@ from .engine import (
     write_run_csv,
 )
 from .errors import ConfigurationError, DataError
-from .problems import check_keys, config_int
+from .problems import check_keys, config_float, config_int
 from .theory import TheoryReport
 
 __all__ = [
@@ -157,16 +157,28 @@ def iters_to_threshold(stats: TrialStats, threshold: float) -> int:
     return int(hits[0]) if hits.size else -1
 
 
-def resolve_threshold(spec: dict | None, stats: TrialStats) -> float:
-    spec = spec or {"kind": "fraction_of_initial", "value": 0.5}
-    kind, value = spec.get("kind"), float(spec.get("value", 0.5))
+THRESHOLD_KINDS = ("absolute", "fraction_of_initial")
+
+
+def parse_threshold(spec: dict | None) -> tuple[str, float]:
+    """(kind, value) of a sweep's threshold spec; the default is half the initial f."""
+    if spec is None:
+        return "fraction_of_initial", 0.5
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"threshold must be an object, got {spec!r}")
+    check_keys(spec, ("kind", "value"), "threshold", required=("kind", "value"))
+    if spec["kind"] not in THRESHOLD_KINDS:
+        raise ConfigurationError(f"unknown threshold kind {spec['kind']!r}")
+    return spec["kind"], config_float(spec["value"], "threshold value")
+
+
+def resolve_threshold(threshold: tuple[str, float], stats: TrialStats) -> float:
+    kind, value = threshold
     if kind == "absolute":
         return value
-    if kind == "fraction_of_initial":
-        if stats.k_max == 0:
-            return math.inf
-        return value * float(stats.mean["f"][0])
-    raise ConfigurationError(f"unknown threshold kind {kind!r}")
+    if stats.k_max == 0:
+        return math.inf
+    return value * float(stats.mean["f"][0])
 
 
 def summarize_point(stats: TrialStats, threshold: float) -> dict:
@@ -182,13 +194,14 @@ def summarize_point(stats: TrialStats, threshold: float) -> dict:
 
 def sweep_summary_rows(sweep_doc: dict):
     """Run every sweep point in order and yield (summary row, config, stats)."""
+    threshold_spec = parse_threshold(sweep_doc.get("threshold"))
     for value in sweep_doc["values"]:
         doc = set_by_path(sweep_doc["base"], sweep_doc["axis"], value)
         if "trials" in sweep_doc:
             doc["trials"] = config_int(sweep_doc["trials"], "trials")
         cfg = RunConfig.from_dict(doc)
         stats = run_trials(cfg)
-        threshold = resolve_threshold(sweep_doc.get("threshold"), stats)
+        threshold = resolve_threshold(threshold_spec, stats)
         yield {"axis_value": value, **summarize_point(stats, threshold)}, cfg, stats
 
 

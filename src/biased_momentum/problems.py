@@ -176,15 +176,27 @@ class NoiseSpec:
         v = self.offset_vector(dimension)
         return float(v @ v)
 
-    def perturb(self, g: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
-        """g plus the offset and one Gaussian draw from rng (g itself when null)."""
+    def draw(self, rng: np.random.Generator | None, shape) -> np.ndarray | None:
+        """Gaussian noise of the given shape from rng, or None (drawing
+        nothing) when sigma2 = 0.  One call of shape (B, d) consumes the
+        stream exactly like B calls of shape d."""
+        if self.sigma2 == 0:
+            return None
+        if rng is None:
+            raise ConfigurationError("sigma2 > 0 requires an rng stream")
+        return rng.normal(0.0, np.sqrt(self.sigma2), size=shape)
+
+    def perturb(self, g: np.ndarray, gaussian: np.ndarray | None) -> np.ndarray:
+        """g plus the offset and a draw() of this spec (g itself when null).
+
+        g may be one vector or a stack of them along the last axis, with
+        gaussian of the broadcast shape.
+        """
         if self.is_null:
             return g
-        pert = self.offset_vector(g.size)  # a fresh array
-        if self.sigma2 > 0:
-            if rng is None:
-                raise ConfigurationError("sigma2 > 0 requires an rng stream")
-            pert += rng.normal(0.0, np.sqrt(self.sigma2), size=g.size)
+        pert = self.offset_vector(g.shape[-1])
+        if gaussian is not None:
+            pert = pert + gaussian
         return g + pert
 
     def to_dict(self) -> dict:
@@ -199,7 +211,7 @@ class NoiseSpec:
     def from_dict(cls, d: dict) -> "NoiseSpec":
         check_keys(d, ("sigma2", "delta_offset", "seed"), "noise")
         return cls(
-            sigma2=float(d.get("sigma2", 0.0)),
+            sigma2=config_float(d.get("sigma2", 0.0), "sigma2"),
             delta_offset=d.get("delta_offset", 0.0),
             seed=config_int(d.get("seed", 0), "seed"),
         )
@@ -519,6 +531,9 @@ def problem_from_dict(spec: dict) -> Problem:
         if not isinstance(matrix, dict):
             raise ConfigurationError("quadratic spec needs a 'matrix' object")
         check_keys(matrix, ("spectrum", "entries", "least_squares"), "matrix")
+        least_squares = matrix.get("least_squares", False)
+        if not isinstance(least_squares, bool):
+            raise ConfigurationError(f"least_squares must be true or false, got {least_squares!r}")
         if "spectrum" in matrix:
             return make_quadratic(
                 spectrum=config_array(matrix["spectrum"], "spectrum", 1),
@@ -531,7 +546,7 @@ def problem_from_dict(spec: dict) -> Problem:
                 config_array(matrix["entries"], "entries", 2),
                 n_workers=n_workers,
                 seed=seed,
-                least_squares=bool(matrix.get("least_squares", False)),
+                least_squares=least_squares,
                 source=spec,
             )
         raise ConfigurationError("matrix spec needs 'spectrum' or 'entries'")

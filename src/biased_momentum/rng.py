@@ -69,3 +69,15 @@ def pairwise_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
 def pairwise_mean(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Mean over vectors using the pairwise summation tree."""
     return pairwise_sum(vectors) / len(vectors)
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a[..., :], b[..., :]> over the broadcast leading axes of a and b.
+
+    Each entry rounds exactly like the 1-D product ``a_row @ b_row`` of
+    contiguous rows (and the square root of a self-product like
+    ``np.linalg.norm``), whatever the batch shape, as long as the last axis
+    has unit stride; a batched matrix-vector product ``A @ v``, or rows with
+    a strided last axis, may round differently.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]

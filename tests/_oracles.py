@@ -4,7 +4,8 @@ These deliberately avoid the library code paths they are used to check:
 finite differences instead of analytic gradients, power iteration and the
 characteristic polynomial instead of eigvalsh, a hand-rolled SGD loop
 instead of the momentum engine, one sample at a time instead of the
-batched composite oracles.
+batched composite oracles, and one vector per worker per draw (with its own
+operators, noise and subsampling) instead of the batched estimator stacks.
 """
 
 from itertools import combinations
@@ -12,7 +13,7 @@ from itertools import combinations
 import numpy as np
 from scipy.special import expit
 
-from biased_momentum.estimators import worker_estimate
+from biased_momentum.composite import MamlProblem
 from biased_momentum.rng import pairwise_mean, worker_stream
 
 
@@ -61,18 +62,76 @@ def charpoly_extremes(G):
     return float(np.max(real)), float(np.min(real))
 
 
+def reference_top_k(g, k):
+    """Top-k of one vector: ranks by (-|g_j|, j), so ties keep the lower index."""
+    keep = sorted(range(g.size), key=lambda j: (-abs(g[j]), j))[:k]
+    out = np.zeros(g.size)
+    out[keep] = g[keep]
+    return out
+
+
+def reference_scaled_sign(g):
+    return (np.sum(np.abs(g)) / g.size) * np.sign(g)
+
+
+def reference_clip(g, tau):
+    norm = np.linalg.norm(g)
+    return g.copy() if norm <= tau else (tau / norm) * g
+
+
+def reference_noise(g, noise, rng):
+    """g + (offset + one N(0, sigma2) vector drawn from rng); g when null."""
+    if noise is None:
+        return g
+    offset = np.broadcast_to(np.asarray(noise.delta_offset, dtype=np.float64), g.shape)
+    if noise.sigma2 > 0:
+        return g + (offset + rng.normal(0.0, np.sqrt(noise.sigma2), size=g.size))
+    return g + offset if np.any(offset != 0.0) else g
+
+
+def reference_chained_gradient(cp, i, x, idx_g, idx_f):
+    """Subsampled chain-rule gradient, one component at a time: the closed
+    forms of point_logistic for MAML, the matrices G_j for the toy."""
+    if isinstance(cp, MamlProblem):
+        pts = [point_logistic(cp.features[i][j], float(cp.labels[i][j])) for j in range(cp.m_g)]
+        z = np.mean([x - cp.gamma_inner * pts[j][1](x) for j in idx_g], axis=0)
+        w = np.mean([pts[j][1](z) for j in idx_f], axis=0)
+        return np.mean([w - cp.gamma_inner * pts[j][2](x, w) for j in idx_g], axis=0)
+    z = np.mean([cp.G[j] @ x for j in idx_g], axis=0)
+    w = np.mean([4.0 * cp.coeffs[j] * (z - cp.centers[j]) ** 3 for j in idx_f], axis=0)
+    return np.mean([cp.G[j].T @ w for j in idx_g], axis=0)
+
+
+def reference_transmission(problem, i, x, spec, noise, rng):
+    """What worker i sends for one draw: noise then the operator, or (composite)
+    inner set, outer set, chained gradient, then noise."""
+    if spec.kind == "composite":
+        idx_g = np.sort(rng.choice(problem.m_g, size=spec.s_g, replace=False))
+        idx_f = np.sort(rng.choice(problem.m_F, size=spec.s_f, replace=False))
+        return reference_noise(reference_chained_gradient(problem, i, x, idx_g, idx_f), noise, rng)
+    g = reference_noise(problem.worker_grad(i, x), noise, rng)
+    if spec.kind == "top_k":
+        return reference_top_k(g, spec.k)
+    if spec.kind == "scaled_sign":
+        return reference_scaled_sign(g)
+    if spec.kind == "clip":
+        return reference_clip(g, spec.tau)
+    return g
+
+
 def reference_sgd(problem, estimator, noise, gamma, iterations, x0, seed, trial=0):
     """Plain parallel SGD, x <- x - gamma * mean_i(worker estimate).
 
-    Same worker substreams as the engine, independent update loop; the
-    beta=1 momentum trajectory must match this bit for bit.
+    Same worker substreams as the engine, independent update loop and
+    worker transmissions; the beta=1 momentum trajectory must match this bit
+    for bit.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     xs = [x.copy()]
     for k in range(iterations):
         gs = [
-            worker_estimate(problem, i, x, estimator, noise,
-                            worker_stream(seed, trial, i, k))
+            reference_transmission(problem, i, x, estimator, noise,
+                                   worker_stream(seed, trial, i, k))
             for i in range(problem.n_workers)
         ]
         g = pairwise_mean(gs)
@@ -83,14 +142,13 @@ def reference_sgd(problem, estimator, noise, gamma, iterations, x0, seed, trial=
 
 def reference_measure_eta(problem, x, spec, noise, samples, rng):
     """(mean, stderr) of ||eta||^2 by the per-draw loop, in which every draw
-    asks each worker for a fresh estimate from its own gradient evaluation,
-    and ||grad f(x)||^2."""
+    asks each worker in turn for a fresh transmission, and ||grad f(x)||^2."""
     x = np.asarray(x, dtype=np.float64)
     exact = pairwise_mean([problem.worker_grad(i, x) for i in range(problem.n_workers)])
     vals = np.empty(samples)
     for s in range(samples):
         g = pairwise_mean(
-            [worker_estimate(problem, i, x, spec, noise, rng)
+            [reference_transmission(problem, i, x, spec, noise, rng)
              for i in range(problem.n_workers)]
         )
         diff = g - exact

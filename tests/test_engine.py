@@ -155,6 +155,9 @@ def test_run_marks_divergence_without_nonfinite_rows():
     res = run(cfg)
     assert res.diverged
     assert len(res.records) < 200
+    # x doubles in norm each step, so f first exceeds the cap; that k has no record
+    assert res.diverged_at == len(res.records)
+    assert res.reason.startswith("f = ") and res.reason.endswith("> 1e+12")
     for rec in res.records:
         assert np.isfinite(rec.f) and np.isfinite(rec.eta_norm_sq)
 
@@ -356,6 +359,14 @@ NAN, INF = float("nan"), float("inf")
     ("maml", "dimension", NAN),
     ("composite_toy", "inner_matrices", [[[1, 0], [0, 1]], [[2, 1], [0]]]),
     ("composite_toy", "outer_coeffs", [1.0, NAN, 1.0]),
+    (None, "gamma", "fast"),
+    (None, "gamma", True),
+    (None, "beta", True),
+    (None, "beta", "0.5"),
+    ("noise", "sigma2", "0.1"),
+    ("noise", "sigma2", False),
+    ("problem.matrix", "least_squares", "false"),
+    ("problem.matrix", "least_squares", 0),
 ])
 def test_config_rejects_non_finite_values(section, key, value):
     doc = _config_doc()

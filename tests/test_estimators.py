@@ -19,6 +19,7 @@ from biased_momentum import (
     top_k,
     worker_estimate,
 )
+from biased_momentum import composite, estimators
 from biased_momentum.composite import make_maml
 from biased_momentum.problems import make_synthetic_classification
 from biased_momentum.rng import pairwise_mean, substream
@@ -247,24 +248,99 @@ def _quadratic_6():
     return make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), seed=4, n_workers=3)
 
 
+def _quadratic_7x5():
+    return make_quadratic(spectrum=np.linspace(0.5, 2.0, 7), seed=6, n_workers=5)
+
+
 def _maml_4():
     return make_maml(*make_synthetic_classification(4, 2, 6, seed=5), 0.1)
 
 
-@pytest.mark.parametrize("build,spec,noise", [
-    (_quadratic_6, EstimatorSpec(kind="top_k", k=2), NoiseSpec(sigma2=0.05, delta_offset=0.01)),
-    (_quadratic_6, EstimatorSpec(kind="scaled_sign"), NoiseSpec(sigma2=0.05, delta_offset=0.01)),
-    (_quadratic_6, EstimatorSpec(kind="clip", tau=0.5),
-     NoiseSpec(sigma2=0.05, delta_offset=[0.01, 0.0, -0.02, 0.0, 0.03, 0.0])),
-    (_maml_4, EstimatorSpec(kind="composite", s_g=2, s_f=3), NoiseSpec(sigma2=0.01)),
+def _toy_3():
+    return make_toy_composite(n_workers=3)
+
+
+def _block_draws(p, spec):
+    """Draws in one measure_eta block of p and spec."""
+    width = p.n_workers + (spec.s_g + spec.s_f if spec.kind == "composite" else 0)
+    return max(1, estimators._BLOCK_ELEMENTS // (width * p.dimension))
+
+
+NOISE_6 = NoiseSpec(sigma2=0.05, delta_offset=0.01)
+
+
+MAML_COMPOSITE = EstimatorSpec(kind="composite", s_g=2, s_f=3)
+
+
+@pytest.mark.parametrize("build,spec,noise,samples", [
+    # the first four keep the ids they had before `samples` was a parameter
+    pytest.param(_quadratic_6, EstimatorSpec(kind="top_k", k=2), NOISE_6, 200,
+                 id="_quadratic_6-spec0-noise0"),
+    pytest.param(_quadratic_6, EstimatorSpec(kind="scaled_sign"), NOISE_6, 200,
+                 id="_quadratic_6-spec1-noise1"),
+    pytest.param(_quadratic_6, EstimatorSpec(kind="clip", tau=0.5),
+                 NoiseSpec(sigma2=0.05, delta_offset=[0.01, 0.0, -0.02, 0.0, 0.03, 0.0]), 200,
+                 id="_quadratic_6-spec2-noise2"),
+    pytest.param(_maml_4, MAML_COMPOSITE, NoiseSpec(sigma2=0.01), 200, id="_maml_4-spec3-noise3"),
+    pytest.param(_quadratic_6, EstimatorSpec(), NoiseSpec(), 200, id="identity-null-noise"),
+    pytest.param(_quadratic_6, EstimatorSpec(kind="top_k", k=2), NoiseSpec(delta_offset=0.1), 200,
+                 id="top_k-offset-only"),
+    pytest.param(_quadratic_6, EstimatorSpec(kind="top_k", k=6), NOISE_6, 200, id="top_k-k=d"),
+    pytest.param(_quadratic_7x5, EstimatorSpec(kind="top_k", k=3), NOISE_6, 200,
+                 id="top_k-5-workers"),
+    pytest.param(_quadratic_7x5, EstimatorSpec(kind="clip", tau=0.5), None, 200,
+                 id="clip-5-workers-no-noise"),
+    pytest.param(_toy_3, EstimatorSpec(kind="composite", s_g=2, s_f=2), NoiseSpec(sigma2=0.01),
+                 200, id="toy-composite-noise"),
+    # three or more rows per subset: the subset mean depends on the row order
+    pytest.param(_maml_4, EstimatorSpec(kind="composite", s_g=4, s_f=5),
+                 NoiseSpec(delta_offset=0.01), 200, id="maml-composite-offset"),
+    pytest.param(_quadratic_6, EstimatorSpec(kind="top_k", k=2), NOISE_6, 1, id="top_k-1-draw"),
+    pytest.param(_maml_4, MAML_COMPOSITE, NoiseSpec(sigma2=0.01), 1, id="maml-1-draw"),
+    pytest.param(_quadratic_6, EstimatorSpec(kind="scaled_sign"), NOISE_6, 2,
+                 id="scaled_sign-2-draws"),
+    pytest.param(_maml_4, MAML_COMPOSITE, NoiseSpec(sigma2=0.01), 2, id="maml-2-draws"),
+    pytest.param(_quadratic_6, EstimatorSpec(kind="top_k", k=2), NOISE_6, "block+1",
+                 id="top_k-block+1-draws"),
+    pytest.param(_maml_4, MAML_COMPOSITE, NoiseSpec(sigma2=0.01), "block+1",
+                 id="maml-block+1-draws"),
 ])
-def test_measure_eta_matches_per_draw_reference(build, spec, noise):
+def test_measure_eta_matches_per_draw_reference(build, spec, noise, samples):
+    # the batched draws read the stream as the per-draw loop does, and
     # reusing the exact worker gradients across draws changes no bit
     p = build()
+    if samples == "block+1":
+        samples = _block_draws(p, spec) + 1
     x = substream(40, 2, 0).standard_normal(p.dimension)
-    got = measure_eta(p, x, spec, noise, samples=200, rng=substream(40, 2, 1))
-    want = reference_measure_eta(p, x, spec, noise, 200, substream(40, 2, 1))
+    got = measure_eta(p, x, spec, noise, samples=samples, rng=substream(40, 2, 1))
+    want = reference_measure_eta(p, x, spec, noise, samples, substream(40, 2, 1))
     assert got == want
+
+
+@pytest.mark.parametrize("build,spec,operator,modules,per_block,exact", [
+    pytest.param(_quadratic_6, EstimatorSpec(kind="top_k", k=2), "top_k", (estimators,), 1, 0,
+                 id="top_k"),
+    # the composite worker gradient is the chained gradient on full index sets
+    pytest.param(_maml_4, MAML_COMPOSITE, "chained_gradient", (estimators, composite), 2, 2,
+                 id="composite"),
+])
+def test_measure_eta_evaluates_each_block_once(monkeypatch, build, spec, operator, modules,
+                                               per_block, exact):
+    # one operator call per block of draws (per worker for the composite
+    # chained gradient, plus the n exact worker gradients), not one per draw
+    p, calls = build(), []
+    original = getattr(estimators, operator)
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, operator, counting)
+    x = substream(41, 2, 0).standard_normal(p.dimension)
+    measure_eta(p, x, spec, NoiseSpec(sigma2=0.01), samples=1000, rng=substream(41, 2, 1))
+    blocks = -(-1000 // _block_draws(p, spec))
+    assert len(calls) == blocks * per_block + exact
 
 
 # ---------------------------------------------------------------------------

@@ -155,8 +155,17 @@ def test_sweep_missing_key(tmp_path, capsys):
     assert "values" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key,value", [("valuez", [0.2]), ("trials", float("nan")),
-                                       ("trials", 2.5)])
+@pytest.mark.parametrize("key,value", [
+    ("valuez", [0.2]), ("trials", float("nan")), ("trials", 2.5),
+    ("threshold", {"kind": "absolute", "value": "0.1"}),
+    ("threshold", {"kind": "absolute", "value": float("nan")}),
+    ("threshold", {"kind": "absolute", "value": True}),
+    ("threshold", {"kind": "absolute"}),
+    ("threshold", {"value": 0.5}),
+    ("threshold", {"kind": "absolute", "value": 0.1, "valu": 0.2}),
+    ("threshold", {"kind": "median", "value": 0.5}),
+    ("threshold", 0.5),
+])
 def test_sweep_rejects_bad_spec(tmp_path, capsys, key, value):
     doc = {"base": _minimal_config(), "axis": "gamma", "values": [0.1], key: value}
     path = _write(tmp_path / "sweep.json", doc)
@@ -188,6 +197,17 @@ def test_verify_inadmissible_gamma_skips_theorems(tmp_path, capsys):
     assert "SKIP descent_inequality" in out
     assert "SKIP min_gradient_bound" in out
     assert "PASS gradient_oracle" in out
+
+
+def test_verify_names_first_diverged_trial(tmp_path, capsys):
+    # gamma = 10 is far above the step-size ceiling of this L = 2 quadratic
+    doc = _minimal_config(gamma=10.0, beta=1.0, iterations=50)
+    rc = main(["verify", _write(tmp_path / "cfg.json", doc)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    line = next(ln for ln in out.splitlines() if "divergence" in ln)
+    assert line.startswith("FAIL divergence (2 of 2 trials diverged; first: trial 0 at k=")
+    assert line.endswith("> 1e+12)")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Property tests: config round trips and batching-invariant pairwise means."""
+"""Property tests: config round trips, batching-invariant pairwise means and
+row-wise estimator operators with their contraction inequalities."""
 
 import dataclasses
 import json
@@ -8,8 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from biased_momentum import EstimatorSpec, NoiseSpec, RunConfig, problem_from_dict
+from biased_momentum import (
+    EstimatorSpec,
+    NoiseSpec,
+    RunConfig,
+    clip,
+    problem_from_dict,
+    scaled_sign,
+    top_k,
+)
 from biased_momentum.rng import pairwise_mean
+
+from _oracles import reference_clip, reference_scaled_sign, reference_top_k
 
 PROBLEM = problem_from_dict({"kind": "quadratic", "n_workers": 2, "seed": 1,
                              "matrix": {"spectrum": [0.5, 1.0, 1.5, 2.0]}})
@@ -79,3 +90,49 @@ def test_pairwise_mean_is_batching_invariant(stacked):
     np.testing.assert_array_equal(pairwise_mean(stacked), batched)
     for b in range(stacked.shape[1]):
         np.testing.assert_array_equal(batched[b], pairwise_mean([v[b] for v in vectors]))
+
+
+# (B, d) stacks of moderate magnitude, so squared norms stay finite
+stacks = st.integers(1, 6).flatmap(lambda b: st.integers(1, 12).flatmap(
+    lambda d: arrays(np.float64, (b, d),
+                     elements=st.floats(-1e6, 1e6, allow_subnormal=False))))
+
+
+def _sq(v):
+    return float(v @ v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(G=stacks, data=st.data())
+def test_top_k_rows(G, data):
+    d = G.shape[1]
+    k = data.draw(st.integers(1, d))
+    out = top_k(G, k)
+    for g, q in zip(G, out):
+        np.testing.assert_array_equal(q, top_k(g, k))
+        np.testing.assert_array_equal(q, reference_top_k(g, k))
+        # dropping the d - k smallest squares leaves at most their share
+        assert _sq(q - g) <= (1.0 - k / d) * _sq(g) * (1.0 + 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(G=stacks)
+def test_scaled_sign_rows(G):
+    d = G.shape[1]
+    out = scaled_sign(G)
+    for g, q in zip(G, out):
+        np.testing.assert_array_equal(q, scaled_sign(g))
+        np.testing.assert_array_equal(q, reference_scaled_sign(g))
+        assert _sq(q - g) <= (1.0 - 1.0 / d) * _sq(g) * (1.0 + 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(G=stacks, tau=st.floats(1e-3, 1e7))
+def test_clip_rows(G, tau):
+    out = clip(G, tau)
+    for g, q in zip(G, out):
+        np.testing.assert_array_equal(q, clip(g, tau))
+        np.testing.assert_array_equal(q, reference_clip(g, tau))
+        # the residual is exactly the excess norm, up to rounding of the norms
+        norm = np.linalg.norm(g)
+        assert abs(np.linalg.norm(q - g) - max(norm - tau, 0.0)) <= 1e-12 * max(norm, tau)
