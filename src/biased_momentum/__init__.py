@@ -47,9 +47,7 @@ from .estimators import (
     composite_estimate,
     measure_eta,
     scaled_sign,
-    scaled_sign_alpha,
     top_k,
-    worker_estimate,
 )
 from .problems import (
     NoiseSpec,

@@ -58,9 +58,10 @@ class CompositeProblem(Problem):
     * ``outer_grads(i, z, idx)``         grad F_{i,j}(z), shape (k, p)
 
     idx may also be a (B, k) batch of index sets, with u and z then one
-    (B, p) row per set; results gain the leading B axis.  Each row rounds
-    exactly like the same component evaluated on its own, so a subset
-    average does not depend on how its rows were batched.
+    (B, p) row per set and x one point or one (B, d) row per set; results
+    gain the leading B axis.  Each row rounds exactly like the same
+    component evaluated on its own, so a subset average does not depend on
+    how its rows were batched.
 
     ``ell_g``/``L_g``/``ell_F``/``L_F`` are certified Lipschitz constants of
     the component maps and their gradients; the objective then has
@@ -111,11 +112,21 @@ def _validate_indices(idx, m: int, label: str) -> np.ndarray:
     return idx
 
 
+def _points(cp: CompositeProblem, x) -> np.ndarray:
+    """x as one parameter vector, or a (B, d) stack of them (one per index set)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        return as_param_vector(x, cp.dimension)
+    if x.shape[1] != cp.dimension or not np.all(np.isfinite(x)):
+        raise ConfigurationError(f"need finite points of dimension {cp.dimension}, got {x.shape}")
+    return x
+
+
 def inner_value(cp: CompositeProblem, i: int, x: np.ndarray, indices) -> np.ndarray:
     """Average of the selected inner maps at x (one average per index set)."""
     cp._check_worker(i)
     idx = _validate_indices(indices, cp.m_g, "inner")
-    x = as_param_vector(x, cp.dimension)
+    x = _points(cp, x)
     return np.mean(cp.inner_values(i, x, idx), axis=-2)
 
 
@@ -129,9 +140,9 @@ def chained_gradient(
     evaluated at the subset inner value.  Full index sets reproduce the
     exact worker gradient.  (B, S_g) and (B, S_F) batches of index sets give
     the (B, d) gradients of the B estimates, row for row equal to one call
-    per pair of sets.
+    per pair of sets; x may then hold one point per pair.
     """
-    x = as_param_vector(x, cp.dimension)
+    x = _points(cp, x)
     idx_g = _validate_indices(indices_g, cp.m_g, "inner")
     idx_f = _validate_indices(indices_F, cp.m_F, "outer")
     if idx_g.shape[:-1] != idx_f.shape[:-1]:
@@ -166,7 +177,7 @@ class MamlProblem(CompositeProblem):
 
     def inner_values(self, i, x, idx):
         A, b, s = self._sigmoids(i, x, idx)
-        return x - self.gamma_inner * ((-b * s)[..., None] * A)
+        return x[..., None, :] - self.gamma_inner * ((-b * s)[..., None] * A)
 
     def inner_jac_t_vecs(self, i, x, idx, u):
         A, _, s = self._sigmoids(i, x, idx)
@@ -252,7 +263,7 @@ class ToyCompositeProblem(CompositeProblem):
     centers: np.ndarray  # (m_F, p) outer centers r_j
 
     def inner_values(self, i, x, idx):
-        return self.G[idx] @ x
+        return (self.G[idx] @ x[..., None, :, None])[..., 0]
 
     def inner_jac_t_vecs(self, i, x, idx, u):
         return (self.inner_jac_t(i, x, idx) @ u[..., None, :, None])[..., 0]

@@ -13,7 +13,11 @@ trajectory carries everything the inequality audits need.
 
 Trajectories are pure functions of (config, seed): worker randomness comes
 from per-(trial, worker, iteration) substreams, so trials can run in any
-order and reproduce identically.
+order and reproduce identically.  All trials of a run step together: the
+iterates and momentum buffers are (trials, d) stacks, the substream states
+of a block of iterations are computed in bulk (``rng.worker_states``), and
+a trial that diverges leaves the batch at its iteration while the others
+go on.  Every trial's trajectory equals the one it would have alone.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +38,13 @@ from .problems import (
     Problem,
     as_param_vector,
     check_keys,
+    config_array,
     config_float,
     config_int,
     full_gradient,
     problem_from_dict,
 )
-from .rng import STREAM_X0, pairwise_mean, substream, worker_stream
+from .rng import STREAM_X0, pairwise_mean, row_dot, seeded_streams, substream, worker_states
 from .theory import analysis_regime, lyapunov_weight
 
 __all__ = [
@@ -49,6 +56,7 @@ __all__ = [
     "init_state",
     "step",
     "run",
+    "run_batch",
     "run_trials",
     "stats_from_results",
     "stats_from_records",
@@ -59,22 +67,15 @@ __all__ = [
 ]
 
 DIVERGENCE_F_MAX = 1e12
+# worker stream states computed at a time, so memory does not grow with
+# iterations x trials x workers
+_BLOCK_STREAMS = 1 << 10
 
 CSV_FIELDS = ("f", "grad_norm_sq", "eta_norm_sq", "v_error_sq", "step_norm_sq", "phi")
 CSV_HEADER = "k,trial," + ",".join(CSV_FIELDS)
 SCHEMA_VERSION = 1
 CONFIG_KEYS = ("schema_version", "problem", "gamma", "beta", "iterations", "trials",
                "estimator", "noise", "v_init", "seed", "x0")
-
-
-class DivergedError(RuntimeError):
-    """Internal signal: the trajectory left the finite/bounded region at
-    iteration k, for the stated reason."""
-
-    def __init__(self, k: int, reason: str):
-        super().__init__(f"{reason} at iteration {k}")
-        self.k = k
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ class RunConfig:
             estimator=EstimatorSpec.from_dict(d.get("estimator", {})),
             noise=NoiseSpec.from_dict(d.get("noise", {})),
             v_init=d.get("v_init", "grad_at_x0"),
-            x0=d.get("x0"),
+            x0=None if d.get("x0") is None else tuple(config_array(d["x0"], "x0", 1).tolist()),
             seed=config_int(d.get("seed", 0), "seed"),
         )
 
@@ -172,17 +173,22 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class MomentumState:
-    """Iterate, momentum buffer v^{k-1}, counter and stream identity."""
+    """A batch of trials at iteration k: iterates and momentum buffers
+    v^{k-1} as (T, d) stacks, row t belonging to ``trials[t]``, and the
+    seed of their worker streams."""
 
     x: np.ndarray
     v_prev: np.ndarray
     k: int
-    trial: int
+    trials: tuple
     seed: int
 
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One iteration of one trial; ``step`` returns one whose fields (but
+    k) are (T,) arrays, one entry per trial of its batch."""
+
     k: int
     f: float
     grad_norm_sq: float
@@ -203,7 +209,7 @@ class RunResult:
 
     records: tuple
     iterates: tuple  # x^0 .. x^K (one more than records unless diverged)
-    final_state: MomentumState
+    final_state: MomentumState  # the trial's one-row state where it stopped
     trial: int
     diverged_at: int | None = None
     reason: str | None = None
@@ -213,13 +219,36 @@ class RunResult:
         return self.diverged_at is not None
 
 
-def init_state(cfg: RunConfig, trial: int = 0) -> MomentumState:
+def init_state(cfg: RunConfig, trials=(0,)) -> MomentumState:
     x0 = cfg.resolve_x0()
     if cfg.v_init == "grad_at_x0":
         v_prev = full_gradient(cfg.problem, x0)
     else:
         v_prev = np.zeros_like(x0)
-    return MomentumState(x=x0, v_prev=v_prev, k=0, trial=trial, seed=cfg.seed)
+    rows = (len(trials), 1)
+    return MomentumState(x=np.tile(x0, rows), v_prev=np.tile(v_prev, rows), k=0,
+                         trials=tuple(trials), seed=cfg.seed)
+
+
+def _reads_streams(estimator: EstimatorSpec, noise: NoiseSpec | None) -> bool:
+    """Whether a round draws from the worker streams (Gaussian noise or
+    composite subsampling)."""
+    return estimator.kind == "composite" or (noise is not None and noise.sigma2 > 0)
+
+
+def _unusable(x: np.ndarray, fval: np.ndarray) -> dict:
+    """{row: reason} for the iterates the engine must not step from."""
+    bad_x = ~np.all(np.isfinite(x), axis=1)
+    out = {}
+    for b in np.flatnonzero(bad_x | ~np.isfinite(fval) | (fval > DIVERGENCE_F_MAX)).tolist():
+        fb = float(fval[b])
+        if bad_x[b]:
+            out[b] = "non-finite iterate"
+        elif not math.isfinite(fb):
+            out[b] = f"non-finite f ({fb})"
+        else:
+            out[b] = f"f = {fb:.6g} > {DIVERGENCE_F_MAX:g}"
+    return out
 
 
 def step(
@@ -230,22 +259,45 @@ def step(
     gamma: float,
     beta: float,
     lyapunov_A: float | None = None,
-) -> tuple[MomentumState, IterationRecord]:
-    """One server round; raises DivergedError when the iterate is unusable."""
-    x, v_prev, k = state.x, state.v_prev, state.k
+    streams: dict | None = None,
+    generator: np.random.Generator | None = None,
+) -> tuple[MomentumState, IterationRecord, dict]:
+    """One server round of every trial in the batch.
+
+    Returns (next state, records, stopped).  A trial whose iterate is
+    unusable (non-finite, non-finite f, or f above DIVERGENCE_F_MAX) or
+    whose aggregate is non-finite leaves the batch: it has no record, is
+    missing from the next state, and ``stopped`` maps it to the reason.
+    ``records`` holds (T,) arrays over the trials that go on.  ``streams``
+    maps each trial to its n worker stream states at k (one
+    ``rng.worker_states`` row), computed here when not given; they are set
+    in turn on ``generator`` (a PCG64 one, made here when not given).  A
+    round that draws nothing (no Gaussian noise, non-composite estimator)
+    builds no state.
+    """
+    x, v_prev, k, trials = state.x, state.v_prev, state.k, state.trials
     fval = problem.f(x)
-    if not np.all(np.isfinite(x)):
-        raise DivergedError(k, "non-finite iterate")
-    if not np.isfinite(fval):
-        raise DivergedError(k, f"non-finite f ({fval})")
-    if fval > DIVERGENCE_F_MAX:
-        raise DivergedError(k, f"f = {fval:.6g} > {DIVERGENCE_F_MAX:g}")
-    grads = [problem.worker_grad(i, x) for i in range(problem.n_workers)]
-    grad = pairwise_mean(grads)
-    rngs = [worker_stream(state.seed, state.trial, i, k) for i in range(problem.n_workers)]
-    g = aggregate(problem, x, grads, estimator, noise, rngs)[0]
-    if not np.all(np.isfinite(g)):
-        raise DivergedError(k, "non-finite aggregate")
+    stopped = {}
+    bad = _unusable(x, fval)
+    if bad:
+        trials, x, v_prev, fval = _drop(bad, stopped, trials, x, v_prev, fval)
+        if not trials:
+            none = np.empty(0)
+            return (MomentumState(x, v_prev, k + 1, trials, state.seed),
+                    IterationRecord(k, *[none] * len(CSV_FIELDS)), stopped)
+    grads = problem.worker_grads(x)
+    grad = pairwise_mean(grads.swapaxes(0, 1))
+    rng = None
+    if _reads_streams(estimator, noise):
+        if streams is None:
+            streams = dict(zip(trials, worker_states(state.seed, trials, problem.n_workers, [k])[0]))
+        if generator is None:
+            generator = np.random.Generator(np.random.PCG64())
+        rng = seeded_streams(chain.from_iterable(streams[t] for t in trials), generator)
+    g = aggregate(problem, x, grads, estimator, noise, rng, len(trials))
+    bad = dict.fromkeys(np.flatnonzero(~np.all(np.isfinite(g), axis=1)).tolist(), "non-finite aggregate")
+    if bad:
+        trials, x, v_prev, fval, grad, g = _drop(bad, stopped, trials, x, v_prev, fval, grad, g)
 
     eta = g - grad
     # beta = 1 must reproduce plain SGD bit-for-bit, so take v = g directly
@@ -258,44 +310,90 @@ def step(
     f_star = problem.f_star if problem.f_star is not None else 0.0
     v_err = grad - v_prev
     dx = x_new - x
+    v_err_sq = row_dot(v_err, v_err)
     record = IterationRecord(
         k=k,
         f=fval,
-        grad_norm_sq=float(grad @ grad),
-        eta_norm_sq=float(eta @ eta),
-        v_error_sq=float(v_err @ v_err),
-        step_norm_sq=float(dx @ dx),
-        phi=(fval - f_star) + lyapunov_A * float(v_err @ v_err),
+        grad_norm_sq=row_dot(grad, grad),
+        eta_norm_sq=row_dot(eta, eta),
+        v_error_sq=v_err_sq,
+        step_norm_sq=row_dot(dx, dx),
+        phi=(fval - f_star) + lyapunov_A * v_err_sq,
     )
-    new_state = MomentumState(x=x_new, v_prev=v, k=k + 1, trial=state.trial, seed=state.seed)
-    return new_state, record
+    return MomentumState(x_new, v, k + 1, trials, state.seed), record, stopped
+
+
+def _drop(rows: dict, stopped: dict, trials: tuple, *arrays):
+    """Move the trials of the given {row: reason} into stopped; return the
+    other trials and the other rows of each array."""
+    stopped.update((trials[b], reason) for b, reason in rows.items())
+    keep = np.array([b not in rows for b in range(len(trials))])
+    return (tuple(t for t, kept in zip(trials, keep) if kept), *(a[keep] for a in arrays))
+
+
+def run_batch(cfg: RunConfig, trials) -> tuple:
+    """Run the given trials together, one batched ``step`` per iteration.
+
+    A diverged trial leaves the batch at its iteration and the others go
+    on; each RunResult equals the trial's trajectory on its own.  Worker
+    stream states are computed for a block of iterations at a time.
+    """
+    trials = tuple(trials)
+    p, K = cfg.problem, cfg.iterations
+    state = init_state(cfg, trials)
+    lyap_A = cfg.lyapunov_A()
+    row_of = {t: r for r, t in enumerate(trials)}
+    rows = slice(None)  # rows of the tables that the batch fills
+    iterates = np.empty((K + 1, len(trials), p.dimension))
+    iterates[0] = state.x
+    table = {name: np.empty((K, len(trials))) for name in CSV_FIELDS}
+    draws = _reads_streams(cfg.estimator, cfg.noise)
+    generator = np.random.Generator(np.random.PCG64())  # re-seated to each worker stream
+    block = max(1, _BLOCK_STREAMS // (len(trials) * p.n_workers))
+    ends = {}  # trial -> (diverged_at, reason, final one-row state)
+
+    def end(at, reason, st, t):
+        r = st.trials.index(t)
+        ends[t] = (at, reason, MomentumState(st.x[r:r + 1], st.v_prev[r:r + 1], st.k, (t,), st.seed))
+
+    for k in range(K):
+        if not state.trials:
+            break
+        if draws and k % block == 0:
+            streams = [dict(zip(state.trials, per_trial)) for per_trial in
+                       worker_states(cfg.seed, state.trials, p.n_workers, range(k, min(k + block, K)))]
+        nxt, rec, stopped = step(state, p, cfg.estimator, cfg.noise, cfg.gamma, cfg.beta, lyap_A,
+                                 streams[k % block] if draws else None, generator)
+        for t, reason in stopped.items():
+            end(k, reason, state, t)
+        if stopped:
+            rows = [row_of[t] for t in nxt.trials]
+        iterates[k + 1, rows] = nxt.x
+        for name in CSV_FIELDS:
+            table[name][k, rows] = getattr(rec, name)
+        state = nxt
+    for t in state.trials:
+        end(None, None, state, t)
+    results = []
+    for r, t in enumerate(trials):
+        diverged_at, reason, final = ends[t]
+        length = K if diverged_at is None else diverged_at
+        columns = [table[name][:length, r].tolist() for name in CSV_FIELDS]
+        results.append(RunResult(
+            records=tuple(map(IterationRecord, range(length), *columns)),
+            iterates=tuple(iterates[:length + 1, r]),
+            final_state=final,
+            trial=t,
+            diverged_at=diverged_at,
+            reason=reason,
+        ))
+    return tuple(results)
 
 
 def run(cfg: RunConfig, trial: int = 0) -> RunResult:
-    """Execute one trial; divergence is returned as a flag, not raised."""
-    state = init_state(cfg, trial)
-    lyap_A = cfg.lyapunov_A()
-    records = []
-    iterates = [state.x]
-    diverged_at = reason = None
-    for _ in range(cfg.iterations):
-        try:
-            state, rec = step(
-                state, cfg.problem, cfg.estimator, cfg.noise, cfg.gamma, cfg.beta, lyap_A
-            )
-        except DivergedError as exc:
-            diverged_at, reason = exc.k, exc.reason
-            break
-        records.append(rec)
-        iterates.append(state.x)
-    return RunResult(
-        records=tuple(records),
-        iterates=tuple(iterates),
-        final_state=state,
-        trial=trial,
-        diverged_at=diverged_at,
-        reason=reason,
-    )
+    """Execute one trial (a batch of one); divergence is returned as a flag,
+    not raised."""
+    return run_batch(cfg, (trial,))[0]
 
 
 @dataclass(frozen=True)
@@ -350,12 +448,15 @@ def stats_from_records(per_trial, results: tuple = ()) -> TrialStats:
     """
     per_trial = [tuple(recs) for recs in per_trial]
     k_max = max(map(len, per_trial), default=0)
+    values = np.full((len(CSV_FIELDS), len(per_trial), k_max), np.nan)
+    fields = attrgetter(*CSV_FIELDS)
+    for t, recs in enumerate(per_trial):
+        if recs:
+            values[:, t, : len(recs)] = np.array(list(map(fields, recs))).T
     table, mean, std, stderr = {}, {}, {}, {}
-    for name in CSV_FIELDS:
-        table[name] = np.full((len(per_trial), k_max), np.nan)
-        for t, recs in enumerate(per_trial):
-            table[name][t, : len(recs)] = [getattr(rec, name) for rec in recs]
-        _, mean[name], std[name], stderr[name] = per_k_stats(table[name])
+    for name, column in zip(CSV_FIELDS, values):
+        table[name] = column
+        _, mean[name], std[name], stderr[name] = per_k_stats(column)
     counts = np.sum(~np.isnan(table["f"]), axis=0)  # f is finite in every record
     return TrialStats(tuple(results), counts, mean, std, stderr, table)
 
@@ -367,8 +468,9 @@ def stats_from_results(results) -> TrialStats:
 
 
 def run_trials(cfg: RunConfig) -> TrialStats:
-    """Run all trials (ascending trial id) and aggregate order-independently."""
-    return stats_from_results(run(cfg, t) for t in range(cfg.trials))
+    """Run all trials (ascending trial id) as one batch and aggregate
+    order-independently."""
+    return stats_from_results(run_batch(cfg, range(cfg.trials)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ The operators act on the last axis of a stack of vectors, each row
 rounding exactly as the operator applied to that row alone.  One path turns
 exact worker gradients into a (draws, workers, d) stack of transmissions:
 ``aggregate`` reduces it over the worker axis for the momentum engine (one
-draw) and the Monte-Carlo error measurement (a block of draws), and
-``worker_estimate`` is its one-row case.
+draw per trial, each at its own iterate) and the Monte-Carlo error
+measurement (a block of draws at one point), and ``composite_estimate`` is
+its one-row case.
 """
 
 from __future__ import annotations
@@ -31,11 +32,9 @@ __all__ = [
     "EstimatorSpec",
     "top_k",
     "scaled_sign",
-    "scaled_sign_alpha",
     "clip",
     "composite_estimate",
     "apply_estimator",
-    "worker_estimate",
     "aggregate",
     "measure_eta",
 ]
@@ -126,15 +125,6 @@ def scaled_sign(g: np.ndarray) -> np.ndarray:
     return scale * np.sign(g)
 
 
-def scaled_sign_alpha(g: np.ndarray) -> float:
-    """Per-input contraction ||g||_1^2 / (d ||g||^2); worst case is 1/d."""
-    g = np.asarray(g, dtype=np.float64)
-    sq = float(g @ g)
-    if sq == 0.0:
-        return 1.0
-    return float(np.sum(np.abs(g))) ** 2 / (g.size * sq)
-
-
 def clip(g: np.ndarray, tau: float) -> np.ndarray:
     """min(1, tau/||g||) * g: norm capped at tau, direction preserved (per
     row of a stack along the last axis)."""
@@ -186,19 +176,21 @@ def apply_estimator(spec: EstimatorSpec, raw: np.ndarray) -> np.ndarray:
     if spec.kind == "clip":
         return clip(raw, spec.tau)
     raise ConfigurationError(
-        "composite estimator has no raw-vector form; use worker_estimate"
+        "composite estimator has no raw-vector form; use composite_estimate"
     )
 
 
 def _transmissions(p: Problem, x: np.ndarray, workers, grads, spec: EstimatorSpec,
                    noise: NoiseSpec | None, rng, draws: int) -> np.ndarray:
-    """(draws, len(workers), d) stack of what the workers send at x.
+    """(draws, len(workers), d) stack of what the workers send.
 
-    Row b, column j is round b of worker ``workers[j]``, whose exact gradient
-    at x is ``grads[j]``.  ``rng`` is either one generator shared by every
-    worker, consumed in (draw, worker, coordinate) order, or a sequence
-    holding each worker's own generator, consumed in (draw, coordinate)
-    order; either way the stream is read as by one call per (draw, worker).
+    Row b, column j is round b of worker ``workers[j]`` at x, or at x[b]
+    when x holds one (draws, d) row per round; its exact gradient there is
+    ``grads[j]`` (``grads[b, j]``).  ``rng`` is either one generator shared
+    by every worker, consumed in (draw, worker, coordinate) order, or an
+    iterable giving each (draw, worker) its own generator in (draw, worker)
+    order (see ``rng.seeded_streams``); either way the stream is read as by
+    one call per (draw, worker).
 
     For compressor/clip kinds the noise is injected before the operator,
     matching the Top-K(grad + offset + gaussian) experimental pipeline.  The
@@ -207,15 +199,15 @@ def _transmissions(p: Problem, x: np.ndarray, workers, grads, spec: EstimatorSpe
     estimates of each worker are evaluated in one batched call.
     """
     n, d = len(workers), p.dimension
-    shared = rng is None or isinstance(rng, np.random.Generator)
-    streams = [rng] * n if shared else list(rng)
     if spec.kind == "composite":
         _check_composite(p, spec.s_g, spec.s_f)
+        streams = None if rng is None or isinstance(rng, np.random.Generator) else iter(rng)
         idx_g = np.empty((draws, n, spec.s_g), dtype=np.intp)
         idx_f = np.empty((draws, n, spec.s_f), dtype=np.intp)
         gauss = None if noise is None or noise.sigma2 == 0 else np.empty((draws, n, d))
         for b in range(draws):
-            for j, stream in enumerate(streams):
+            for j in range(n):
+                stream = rng if streams is None else next(streams)
                 idx_g[b, j] = stream.choice(p.m_g, size=spec.s_g, replace=False)
                 idx_f[b, j] = stream.choice(p.m_F, size=spec.s_f, replace=False)
                 if gauss is not None:
@@ -227,15 +219,7 @@ def _transmissions(p: Problem, x: np.ndarray, workers, grads, spec: EstimatorSpe
         return est if noise is None else noise.perturb(est, gauss)
     g = np.asarray(grads)
     if noise is not None:
-        if shared:
-            gauss = noise.draw(rng, (draws, n, d))
-        elif noise.sigma2 > 0:
-            gauss = np.empty((draws, n, d))
-            for j, stream in enumerate(streams):
-                gauss[:, j] = noise.draw(stream, (draws, d))
-        else:
-            gauss = None
-        g = noise.perturb(g, gauss)
+        g = noise.perturb(g, noise.draw(rng, (draws, n, d)))
     # without Gaussian noise every draw is the same (n, d) transmission;
     # the C-ordered stack matters, as row reductions over a strided last axis
     # round differently
@@ -247,28 +231,15 @@ def _transmissions(p: Problem, x: np.ndarray, workers, grads, spec: EstimatorSpe
 def aggregate(p: Problem, x: np.ndarray, grads, spec: EstimatorSpec,
               noise: NoiseSpec | None, rng, draws: int = 1) -> np.ndarray:
     """(draws, d): per round, the pairwise-tree mean of the n worker
-    transmissions at x.
+    transmissions at x (or at x[b] for round b of a (draws, d) stack).
 
-    ``grads[i]`` is the exact gradient of worker i at x.  ``rng`` is one
-    generator shared by every worker or the sequence of the n workers' own
-    generators (see _transmissions for the order the streams are read in).
+    ``grads[i]`` (``grads[b, i]``) is the exact gradient of worker i there.
+    ``rng`` is one generator shared by every worker or an iterable giving
+    each (round, worker) its own generator (see _transmissions for the
+    order the streams are read in).
     """
     stack = _transmissions(p, x, range(p.n_workers), grads, spec, noise, rng, draws)
     return pairwise_mean(stack.swapaxes(0, 1))
-
-
-def worker_estimate(
-    p: Problem,
-    i: int,
-    x: np.ndarray,
-    spec: EstimatorSpec,
-    noise: NoiseSpec | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """What worker i transmits: estimator applied to its (noisy) gradient."""
-    x = as_param_vector(x, p.dimension)
-    grad_i = None if spec.kind == "composite" else p.worker_grad(i, x)
-    return _transmissions(p, x, [i], [grad_i], spec, noise, rng, 1)[0, 0]
 
 
 # float64 elements that one block of measure_eta draws may hold per stack,

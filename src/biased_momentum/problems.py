@@ -3,8 +3,11 @@
 Each problem instance is an immutable object exposing
 
 * ``f(x)``              -- the global objective (1/n) sum_i f_i(x), the
-  pairwise-tree mean of ``worker_value(i, x)`` unless a closed form exists,
+  pairwise-tree mean of ``worker_value(i, x)`` unless a closed form exists;
+  given a (T, d) stack of points it returns the (T,) values,
 * ``worker_grad(i, x)`` -- the exact local gradient grad f_i(x),
+* ``worker_grads(X)``   -- every worker's gradient at each row of a (T, d)
+  stack, shape (T, n, d), each row equal bit for bit to ``worker_grad``,
 * ``L``, ``mu``, ``f_star`` -- a certified gradient-Lipschitz constant, a
   PL constant (0.0 when no certificate is claimed) and the global lower
   bound (None when unknown).
@@ -27,7 +30,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigurationError, DataError
-from .rng import STREAM_DATA, pairwise_mean, substream
+from .rng import STREAM_DATA, pairwise_mean, row_dot, substream
 
 __all__ = [
     "Problem",
@@ -84,10 +87,18 @@ def config_float(value, name: str) -> float:
     return float(value)
 
 
+def _numbers_only(value) -> bool:
+    """True when every leaf of nested lists/tuples is an int or float, not a bool."""
+    if isinstance(value, (list, tuple)):
+        return all(_numbers_only(v) for v in value)
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def config_array(value, name: str, ndim: int) -> np.ndarray:
-    """A non-empty, finite float64 array with ndim axes from (nested) JSON lists."""
+    """A non-empty, finite float64 array with ndim axes from (nested) JSON lists
+    of numbers; a boolean or a string at any depth is rejected."""
     try:
-        arr = np.asarray(value, dtype=np.float64)
+        arr = np.asarray(value, dtype=np.float64) if _numbers_only(value) else None
     except (TypeError, ValueError):
         arr = None
     if arr is None or arr.ndim != ndim or not arr.size or not np.all(np.isfinite(arr)):
@@ -98,8 +109,9 @@ def config_array(value, name: str, ndim: int) -> np.ndarray:
 class Problem:
     """Base interface; concrete problems are frozen dataclasses.
 
-    ``f`` averages ``worker_value`` over the workers; a problem with a
-    closed-form objective overrides it.
+    ``f`` averages ``worker_value`` over the workers and ``worker_grads``
+    evaluates ``worker_grad`` row by row; a problem with a closed-form
+    objective or a stacked gradient form overrides them.
     """
 
     kind: str
@@ -109,12 +121,17 @@ class Problem:
     mu: float
     f_star: float | None
 
-    def f(self, x: np.ndarray) -> float:
+    def f(self, x: np.ndarray):
+        if np.ndim(x) == 2:
+            return np.array([self.f(row) for row in x])
         vals = [np.array([self.worker_value(i, x)]) for i in range(self.n_workers)]
         return float(pairwise_mean(vals)[0])
 
     def worker_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def worker_grads(self, x: np.ndarray) -> np.ndarray:
+        return np.array([[self.worker_grad(i, row) for i in range(self.n_workers)] for row in x])
 
     def _check_worker(self, i: int) -> None:
         if not 0 <= i < self.n_workers:
@@ -176,15 +193,27 @@ class NoiseSpec:
         v = self.offset_vector(dimension)
         return float(v @ v)
 
-    def draw(self, rng: np.random.Generator | None, shape) -> np.ndarray | None:
-        """Gaussian noise of the given shape from rng, or None (drawing
-        nothing) when sigma2 = 0.  One call of shape (B, d) consumes the
-        stream exactly like B calls of shape d."""
+    def draw(self, rng, shape) -> np.ndarray | None:
+        """Gaussian noise of the given shape, or None (drawing nothing) when
+        sigma2 = 0.
+
+        ``rng`` is one generator, read in C order (one call of shape (B, d)
+        consumes the stream exactly like B calls of shape d), or an iterable
+        giving one generator per length-d row, each read for its row alone.
+        Either way every value rounds as ``normal(0, sqrt(sigma2))`` does.
+        """
         if self.sigma2 == 0:
             return None
         if rng is None:
             raise ConfigurationError("sigma2 > 0 requires an rng stream")
-        return rng.normal(0.0, np.sqrt(self.sigma2), size=shape)
+        if isinstance(rng, np.random.Generator):
+            std = rng.standard_normal(size=shape)
+        else:
+            std = np.empty(shape)
+            for row, stream in zip(std.reshape(-1, std.shape[-1]), rng, strict=True):
+                stream.standard_normal(out=row)
+        # Generator.normal(loc, scale) computes loc + scale * z
+        return 0.0 + np.sqrt(self.sigma2) * std
 
     def perturb(self, g: np.ndarray, gaussian: np.ndarray | None) -> np.ndarray:
         """g plus the offset and a draw() of this spec (g itself when null).
@@ -210,9 +239,11 @@ class NoiseSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseSpec":
         check_keys(d, ("sigma2", "delta_offset", "seed"), "noise")
+        off = d.get("delta_offset", 0.0)
         return cls(
             sigma2=config_float(d.get("sigma2", 0.0), "sigma2"),
-            delta_offset=d.get("delta_offset", 0.0),
+            delta_offset=(tuple(config_array(off, "delta_offset", 1).tolist())
+                          if isinstance(off, list) else config_float(off, "delta_offset")),
             seed=config_int(d.get("seed", 0), "seed"),
         )
 
@@ -240,7 +271,10 @@ class QuadraticProblem(Problem):
     kind: str = "quadratic"
     source: dict | None = field(default=None, repr=False, compare=False)
 
-    def f(self, x: np.ndarray) -> float:
+    def f(self, x: np.ndarray):
+        if np.ndim(x) == 2:
+            r = (self.A[None] @ x[..., None])[..., 0]
+            return 0.5 * row_dot(r, r)
         r = self.A @ x
         return 0.5 * float(r @ r)
 
@@ -248,6 +282,14 @@ class QuadraticProblem(Problem):
         self._check_worker(i)
         Ai = self.blocks[i]
         return self.n_workers * (Ai.T @ (Ai @ x))
+
+    def worker_grads(self, x: np.ndarray) -> np.ndarray:
+        # stacked matrix-vector products round like the 1-D ones in worker_grad
+        # (a (T, d) @ A_i.T product does not); A_i.T stays a transposed view
+        out = np.empty((x.shape[0], self.n_workers, self.dimension))
+        for i, Ai in enumerate(self.blocks):
+            out[:, i] = self.n_workers * (Ai.T[None] @ (Ai[None] @ x[..., None]))[..., 0]
+        return out
 
 
 def make_quadratic(

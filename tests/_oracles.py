@@ -2,18 +2,26 @@
 
 These deliberately avoid the library code paths they are used to check:
 finite differences instead of analytic gradients, power iteration and the
-characteristic polynomial instead of eigvalsh, a hand-rolled SGD loop
-instead of the momentum engine, one sample at a time instead of the
+characteristic polynomial instead of eigvalsh, hand-rolled SGD and momentum
+loops (one trial, one fresh ``SeedSequence`` stream per worker and step)
+instead of the trial-batched engine, one sample at a time instead of the
 batched composite oracles, and one vector per worker per draw (with its own
 operators, noise and subsampling) instead of the batched estimator stacks.
+
+``worker_estimate`` is the exception: it is the library's own transmission
+path for one worker and one draw, kept here as a test accessor.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
 from scipy.special import expit
 
 from biased_momentum.composite import MamlProblem
+from biased_momentum.engine import DIVERGENCE_F_MAX
+from biased_momentum.estimators import _transmissions
+from biased_momentum.problems import as_param_vector
 from biased_momentum.rng import pairwise_mean, worker_stream
 
 
@@ -119,6 +127,23 @@ def reference_transmission(problem, i, x, spec, noise, rng):
     return g
 
 
+def scaled_sign_alpha(g):
+    """Per-input contraction ||g||_1^2 / (d ||g||^2) of scaled sign; worst case is 1/d."""
+    g = np.asarray(g, dtype=np.float64)
+    sq = float(g @ g)
+    if sq == 0.0:
+        return 1.0
+    return float(np.sum(np.abs(g))) ** 2 / (g.size * sq)
+
+
+def worker_estimate(p, i, x, spec, noise=None, rng=None):
+    """What worker i transmits (estimator applied to its noisy gradient), as
+    the one-worker, one-draw stack of the library's transmission path."""
+    x = as_param_vector(x, p.dimension)
+    grad_i = None if spec.kind == "composite" else p.worker_grad(i, x)
+    return _transmissions(p, x, [i], [grad_i], spec, noise, rng, 1)[0, 0]
+
+
 def reference_sgd(problem, estimator, noise, gamma, iterations, x0, seed, trial=0):
     """Plain parallel SGD, x <- x - gamma * mean_i(worker estimate).
 
@@ -138,6 +163,48 @@ def reference_sgd(problem, estimator, noise, gamma, iterations, x0, seed, trial=
         x = x - gamma * g
         xs.append(x.copy())
     return xs
+
+
+def reference_momentum(cfg, trial):
+    """One trial of the momentum engine, one step at a time.
+
+    Returns (records, iterates, diverged_at, reason) with each record the
+    tuple (k, f, grad_norm_sq, eta_norm_sq, v_error_sq, step_norm_sq, phi).
+    Worker streams come from ``worker_stream``, transmissions from
+    ``reference_transmission``; the divergence rules are the engine's.
+    """
+    p, beta, gamma = cfg.problem, cfg.beta, cfg.gamma
+    lyapunov_A = cfg.lyapunov_A()
+    f_star = p.f_star if p.f_star is not None else 0.0
+    x = cfg.resolve_x0()
+    v_prev = (pairwise_mean([p.worker_grad(i, x) for i in range(p.n_workers)])
+              if cfg.v_init == "grad_at_x0" else np.zeros_like(x))
+    records, iterates = [], [x]
+    for k in range(cfg.iterations):
+        fval = p.f(x)
+        if not np.all(np.isfinite(x)):
+            return records, iterates, k, "non-finite iterate"
+        if not math.isfinite(fval):
+            return records, iterates, k, f"non-finite f ({fval})"
+        if fval > DIVERGENCE_F_MAX:
+            return records, iterates, k, f"f = {fval:.6g} > {DIVERGENCE_F_MAX:g}"
+        grad = pairwise_mean([p.worker_grad(i, x) for i in range(p.n_workers)])
+        g = pairwise_mean([
+            reference_transmission(p, i, x, cfg.estimator, cfg.noise, worker_stream(cfg.seed, trial, i, k))
+            for i in range(p.n_workers)
+        ])
+        if not np.all(np.isfinite(g)):
+            return records, iterates, k, "non-finite aggregate"
+        eta = g - grad
+        v = g if beta == 1.0 else v_prev + beta * (g - v_prev)
+        x_new = x - gamma * v
+        v_err = grad - v_prev
+        dx = x_new - x
+        records.append((k, fval, float(grad @ grad), float(eta @ eta), float(v_err @ v_err),
+                        float(dx @ dx), (fval - f_star) + lyapunov_A * float(v_err @ v_err)))
+        x, v_prev = x_new, v
+        iterates.append(x)
+    return records, iterates, None, None
 
 
 def reference_measure_eta(problem, x, spec, noise, samples, rng):

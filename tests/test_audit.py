@@ -392,14 +392,15 @@ def test_verify_config_runs_each_trial_once(monkeypatch):
     p = _pl_quadratic()
     cfg = RunConfig(problem=p, gamma=0.09, beta=0.5, iterations=30, trials=3,
                     noise=NoiseSpec(sigma2=0.001), seed=18)
-    original, calls = engine.run, []
+    original, calls = engine.run_batch, []
 
-    def counting(c, trial=0):
-        calls.append(trial)
-        return original(c, trial)
+    def counting(c, trials):
+        trials = tuple(trials)
+        calls.extend(trials)
+        return original(c, trials)
 
     for module in (engine, audit):
-        if getattr(module, "run", None) is original:
-            monkeypatch.setattr(module, "run", counting)
+        if getattr(module, "run_batch", None) is original:
+            monkeypatch.setattr(module, "run_batch", counting)
     verify_config(cfg, eta_draws=20, eta_points=3)
     assert sorted(calls) == list(range(cfg.trials))

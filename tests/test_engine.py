@@ -1,6 +1,7 @@
 """Momentum engine: update identities, SGD equivalence, determinism."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -25,7 +26,7 @@ from biased_momentum import (
 from biased_momentum.engine import CSV_HEADER, read_run_csv
 from biased_momentum.problems import make_synthetic_classification
 
-from _oracles import reference_sgd
+from _oracles import reference_momentum, reference_sgd
 
 
 def _quad_cfg(**kw):
@@ -43,22 +44,22 @@ def _quad_cfg(**kw):
 def test_init_v_from_gradient_zeroes_initial_error():
     cfg = _quad_cfg(v_init="grad_at_x0")
     st = init_state(cfg)
-    np.testing.assert_array_equal(st.v_prev, full_gradient(cfg.problem, st.x))
+    np.testing.assert_array_equal(st.v_prev[0], full_gradient(cfg.problem, st.x[0]))
     assert st.k == 0
 
 
 def test_init_v_zero_at_origin_equivalent():
     cfg = _quad_cfg(v_init="zero", x0=tuple(np.zeros(10)))
     st = init_state(cfg)
-    np.testing.assert_array_equal(st.v_prev, np.zeros(10))
-    np.testing.assert_array_equal(st.v_prev, full_gradient(cfg.problem, st.x))
+    np.testing.assert_array_equal(st.v_prev[0], np.zeros(10))
+    np.testing.assert_array_equal(st.v_prev[0], full_gradient(cfg.problem, st.x[0]))
 
 
 def test_init_seeded_x0_reproducible_and_unit_norm():
     cfg = _quad_cfg(x0=None, seed=123)
     a, b = init_state(cfg), init_state(cfg)
-    np.testing.assert_array_equal(a.x, b.x)
-    assert np.linalg.norm(a.x) == pytest.approx(1.0)
+    np.testing.assert_array_equal(a.x[0], b.x[0])
+    assert np.linalg.norm(a.x[0]) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +69,11 @@ def test_init_seeded_x0_reproducible_and_unit_norm():
 def test_step_is_gradient_descent_for_beta_one():
     cfg = _quad_cfg()
     st = init_state(cfg)
-    st1, rec = step(st, cfg.problem, cfg.estimator, cfg.noise, 0.5, 1.0)
-    np.testing.assert_allclose(st1.x, [0.5] + [0.0] * 9)
-    st2, _ = step(st1, cfg.problem, cfg.estimator, cfg.noise, 0.5, 1.0)
-    np.testing.assert_allclose(st2.x, [0.25] + [0.0] * 9)
-    assert rec.f == pytest.approx(0.5)
+    st1, rec, _ = step(st, cfg.problem, cfg.estimator, cfg.noise, 0.5, 1.0)
+    np.testing.assert_allclose(st1.x[0], [0.5] + [0.0] * 9)
+    st2, _, _ = step(st1, cfg.problem, cfg.estimator, cfg.noise, 0.5, 1.0)
+    np.testing.assert_allclose(st2.x[0], [0.25] + [0.0] * 9)
+    assert rec.f[0] == pytest.approx(0.5)
     assert st1.k == st.k + 1
 
 
@@ -83,20 +84,20 @@ def test_step_identities_hold_bitwise():
     cfg = RunConfig(problem=p, gamma=0.1, beta=0.3, iterations=1,
                     noise=noise, seed=5)
     st = init_state(cfg)
-    st1, rec = step(st, p, cfg.estimator, noise, 0.1, 0.3)
+    st1, rec, _ = step(st, p, cfg.estimator, noise, 0.1, 0.3)
     # reconstruct the aggregate from the v recurrence, then check the
     # recorded identities: g = grad + eta, x' = x - gamma v, v update
-    g = st.v_prev + (st1.v_prev - st.v_prev) / 0.3
-    grad = full_gradient(p, st.x)
+    g = st.v_prev[0] + (st1.v_prev[0] - st.v_prev[0]) / 0.3
+    grad = full_gradient(p, st.x[0])
     eta = g - grad
-    assert float(eta @ eta) == pytest.approx(rec.eta_norm_sq, rel=1e-12)
-    np.testing.assert_array_equal(st1.x, st.x - 0.1 * st1.v_prev)
-    v_manual = st.v_prev + 0.3 * (g - st.v_prev)
-    np.testing.assert_allclose(st1.v_prev, v_manual, rtol=1e-12)
-    dx = st1.x - st.x
-    assert rec.step_norm_sq == pytest.approx(float(dx @ dx), rel=1e-12)
-    ve = grad - st.v_prev
-    assert rec.v_error_sq == pytest.approx(float(ve @ ve), rel=1e-12)
+    assert float(eta @ eta) == pytest.approx(rec.eta_norm_sq[0], rel=1e-12)
+    np.testing.assert_array_equal(st1.x[0], st.x[0] - 0.1 * st1.v_prev[0])
+    v_manual = st.v_prev[0] + 0.3 * (g - st.v_prev[0])
+    np.testing.assert_allclose(st1.v_prev[0], v_manual, rtol=1e-12)
+    dx = st1.x[0] - st.x[0]
+    assert rec.step_norm_sq[0] == pytest.approx(float(dx @ dx), rel=1e-12)
+    ve = grad - st.v_prev[0]
+    assert rec.v_error_sq[0] == pytest.approx(float(ve @ ve), rel=1e-12)
 
 
 def test_beta_zero_rejected():
@@ -192,6 +193,62 @@ def test_trials_monte_carlo_reproducibility():
     assert abs(stats.mean["grad_norm_sq"][k] - stats2.mean["grad_norm_sq"][k]) < 4 * max(se, 1e-12)
 
 
+def _reference_cases():
+    quad = make_quadratic(spectrum=np.linspace(0.5, 2.0, 10), n_workers=4, seed=2)
+    feats, labels = make_synthetic_classification(6, 3, 8, seed=1)
+    logistic = make_logistic_l2(feats, labels, lam=0.3)
+    maml = make_maml(*make_synthetic_classification(5, 2, 8, seed=4), 0.1)
+    top_k, clip = EstimatorSpec(kind="top_k", k=3), EstimatorSpec(kind="clip", tau=0.5)
+    noisy, offset = NoiseSpec(sigma2=0.02), NoiseSpec(sigma2=0.01, delta_offset=0.01)
+    cases = {
+        "quadratic-identity-exact": (quad, EstimatorSpec(), NoiseSpec(), 0.5, 0.3, {}),
+        "quadratic-top_k-noisy": (quad, top_k, offset, 0.5, 0.3, {}),
+        "quadratic-clip-noisy": (quad, clip, noisy, 0.3, 0.4, {}),
+        "quadratic-identity-sgd": (quad, EstimatorSpec(), noisy, 1.0, 0.3, {}),
+        "logistic-identity-noisy": (logistic, EstimatorSpec(), noisy, 0.5, 0.2, {"v_init": "zero"}),
+        "logistic-top_k-offset": (logistic, EstimatorSpec(kind="top_k", k=2),
+                                  NoiseSpec(delta_offset=0.01), 0.4, 0.2, {}),
+        "maml-composite-exact": (maml, EstimatorSpec(kind="composite", s_g=2, s_f=3),
+                                 NoiseSpec(), 0.5, 0.05, {}),
+        "maml-composite-noisy": (maml, EstimatorSpec(kind="composite", s_g=4, s_f=2),
+                                 noisy, 0.5, 0.05, {}),
+        # f passes 1e12 at k = 141, 143 and 141 in three of the trials; the other three finish
+        "quadratic-diverging": (quad, EstimatorSpec(), NoiseSpec(sigma2=0.5), 1.0, 1.05,
+                                {"iterations": 150, "trials": 6, "seed": 3}),
+        "quadratic-nonfinite-aggregate": (quad, EstimatorSpec(), NoiseSpec(delta_offset=1.5e308),
+                                          0.5, 0.3, {"trials": 2}),
+    }
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_run_trials_matches_reference_momentum(case):
+    problem, spec, noise, beta, gamma, extra = REFERENCE_CASES[case]
+    kw = dict(iterations=40, trials=3, seed=11)
+    kw.update(extra)
+    cfg = RunConfig(problem=problem, gamma=gamma, beta=beta, estimator=spec, noise=noise, **kw)
+    results = run_trials(cfg).results
+    assert [res.trial for res in results] == list(range(cfg.trials))
+    for res in results:
+        records, iterates, diverged_at, reason = reference_momentum(cfg, res.trial)
+        assert [dataclasses.astuple(rec) for rec in res.records] == records
+        assert len(res.iterates) == len(iterates)
+        for a, b in zip(res.iterates, iterates):
+            np.testing.assert_array_equal(a, b)
+        assert (res.diverged_at, res.reason) == (diverged_at, reason)
+        assert res.final_state.k == len(records)
+        np.testing.assert_array_equal(res.final_state.x[0], iterates[-1])
+    stops = {res.diverged_at for res in results}
+    if case == "quadratic-diverging":
+        assert None in stops and len(stops) > 2
+    if case == "quadratic-nonfinite-aggregate":
+        assert {res.reason for res in results} == {"non-finite aggregate"}
+
+
 # ---------------------------------------------------------------------------
 # CSV round trip
 
@@ -269,14 +326,15 @@ def test_config_rejects_oversized_top_k():
 
 def test_step_evaluates_each_worker_gradient_once(monkeypatch):
     # the exact full gradient is the pairwise mean of the same n evaluations
-    # that feed the worker estimates
+    # that feed the worker estimates (one batched call: each row's n workers)
     p = make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), n_workers=3, seed=2)
     cls, calls = type(p), []
-    original = cls.worker_grad
+    original = cls.worker_grads
 
-    def counting(self, i, x):
-        calls.append(i)
-        return original(self, i, x)
+    def counting(self, x):
+        for _ in x:
+            calls.extend(range(self.n_workers))
+        return original(self, x)
 
     for spec in (EstimatorSpec(), EstimatorSpec(kind="top_k", k=2),
                  EstimatorSpec(kind="clip", tau=0.5)):
@@ -284,7 +342,7 @@ def test_step_evaluates_each_worker_gradient_once(monkeypatch):
                         noise=NoiseSpec(sigma2=0.01, delta_offset=0.1), seed=5)
         state = init_state(cfg)
         expected = step(state, p, spec, cfg.noise, cfg.gamma, cfg.beta)
-        monkeypatch.setattr(cls, "worker_grad", counting)
+        monkeypatch.setattr(cls, "worker_grads", counting)
         calls.clear()
         got = step(state, p, spec, cfg.noise, cfg.gamma, cfg.beta)
         monkeypatch.undo()
@@ -367,6 +425,17 @@ NAN, INF = float("nan"), float("inf")
     ("noise", "sigma2", False),
     ("problem.matrix", "least_squares", "false"),
     ("problem.matrix", "least_squares", 0),
+    ("noise", "delta_offset", True),
+    ("noise", "delta_offset", [True, 0.0]),
+    ("noise", "delta_offset", "0.1"),
+    (None, "x0", ["a", 1.0]),
+    (None, "x0", [True, 0.5]),
+    (None, "x0", "1.0"),
+    ("problem.matrix", "spectrum", [True, 2.0]),
+    ("problem", "matrix", {"entries": [[1.0, 0.0], [0.0, True]]}),
+    ("problem", "matrix", {"entries": [[1.0, "0"], [0.0, 1.0]]}),
+    ("composite_toy", "outer_centers", [[0.0, 0.0], [1.0, False], [0.0, -1.0]]),
+    ("composite_toy", "inner_matrices", [[[1, 0], [0, 1]], [[2, 1], [0, True]], [[1, 1], [1, 0]]]),
 ])
 def test_config_rejects_non_finite_values(section, key, value):
     doc = _config_doc()

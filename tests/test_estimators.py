@@ -15,16 +15,14 @@ from biased_momentum import (
     make_toy_composite,
     measure_eta,
     scaled_sign,
-    scaled_sign_alpha,
     top_k,
-    worker_estimate,
 )
 from biased_momentum import composite, estimators
 from biased_momentum.composite import make_maml
 from biased_momentum.problems import make_synthetic_classification
 from biased_momentum.rng import pairwise_mean, substream
 
-from _oracles import reference_measure_eta
+from _oracles import reference_measure_eta, scaled_sign_alpha, worker_estimate
 
 
 # ---------------------------------------------------------------------------

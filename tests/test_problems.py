@@ -14,11 +14,10 @@ from biased_momentum import (
     make_quadratic,
     make_synthetic_classification,
     problem_from_dict,
-    worker_estimate,
 )
 from biased_momentum.rng import pairwise_mean, substream
 
-from _oracles import charpoly_extremes, fd_gradient, power_iteration_extremes
+from _oracles import charpoly_extremes, fd_gradient, power_iteration_extremes, worker_estimate
 
 
 # ---------------------------------------------------------------------------
