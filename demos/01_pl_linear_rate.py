@@ -34,6 +34,5 @@ for beta in (1.0, 0.5, 0.1):
     print(f"\nbeta={beta}  gamma_max_pl={gamma:.5f}  rate={1 - problem.mu * gamma / 2:.5f}")
     print(f"{'k':>5} {'phi_k':>12} {'envelope':>12}")
     for k in (0, 10, 50, 100, 199):
-        rec = result.records[k]
-        phi_k = rec.f + report.A_pl * rec.v_error_sq
+        phi_k = result.columns["f"][k] + report.A_pl * result.columns["v_error_sq"][k]
         print(f"{k:>5} {phi_k:>12.3e} {pl_rhs(k):>12.3e}")

@@ -27,7 +27,6 @@ from .composite import (
     measure_composite_sigmas,
 )
 from .engine import (
-    IterationRecord,
     MomentumState,
     RunConfig,
     RunResult,

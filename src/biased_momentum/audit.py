@@ -2,7 +2,9 @@
 
 Each check is a pure function of recorded trajectory data plus a
 TheoryReport, returning an AuditOutcome with the worst observed margin
-(negative margin = violation).  Inadmissible configurations are reported
+(negative margin = violation).  The trajectory checks read the columns of
+a run's (trial, k) table (``engine.TrialStats``), whether it comes from
+the engine or from a run CSV.  Inadmissible configurations are reported
 as skipped, never as passed:
 
 * descent check      -- the per-step Lyapunov inequality, on realized
@@ -23,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .composite import CompositeProblem
-from .engine import IterationRecord, RunConfig, RunResult, TrialStats, per_k_stats, run_trials
+from .engine import RunConfig, RunResult, TrialStats, per_k_stats, run_trials
 from .errors import ConfigurationError
 from .estimators import EstimatorSpec, measure_eta
 from .problems import NoiseSpec, Problem, as_param_vector, full_gradient
@@ -80,7 +82,7 @@ def _skip(name, note) -> AuditOutcome:
 
 
 def audit_descent(
-    results: Sequence[RunResult] | Sequence[Sequence[IterationRecord]],
+    stats: TrialStats,
     report: TheoryReport,
     rel_tol: float = 1e-9,
 ) -> AuditOutcome:
@@ -89,9 +91,12 @@ def audit_descent(
     phi_{k+1} <= (f_k - f*) - (gamma/2)||grad f_k||^2 + B1 ||grad f_k - v_{k-1}||^2
                  - B2 ||x_{k+1} - x_k||^2 + B3 ||eta_k||^2
 
-    with phi recomputed from the recorded fields using the report's A.
-    Skipped when f* is unknown or the configuration is outside the regime
-    where the inequality is established (B2 < 0 or gamma above its ceiling).
+    with phi recomputed from the recorded fields using the report's A, on
+    every pair (k, k+1) inside a trial's recorded length.  A NaN margin is
+    counted but cannot be the worst; the worst is the first minimum in
+    (trial, k) order.  Skipped when f* is unknown or the configuration is
+    outside the regime where the inequality is established (B2 < 0 or
+    gamma above its ceiling).
     """
     name = "descent_inequality"
     if report.f_star is None:
@@ -102,29 +107,27 @@ def audit_descent(
         return _skip(name, "gamma above the admissible ceiling")
     gamma, A = report.gamma, report.A_used
     B1, B2, B3 = report.B1, report.B2, report.B3
-    worst = np.inf
-    where = None
-    checked = 0
-    for res in results:
-        recs = res.records if isinstance(res, RunResult) else res
-        trial = res.trial if isinstance(res, RunResult) else 0
-        for a, b in zip(recs[:-1], recs[1:]):
-            f_gap = a.f - report.f_star
-            lhs = (b.f - report.f_star) + A * b.v_error_sq
-            rhs = (
-                f_gap
-                - 0.5 * gamma * a.grad_norm_sq
-                + B1 * a.v_error_sq
-                - B2 * a.step_norm_sq
-                + B3 * a.eta_norm_sq
-            )
-            scale = max(1.0, abs(lhs), abs(rhs))
-            margin = (rhs - lhs) / scale
-            checked += 1
-            if margin < worst:
-                worst, where = margin, f"trial {trial}, k={a.k}"
+    a = {name: column[:, :-1] for name, column in stats.table.items()}
+    b = {name: column[:, 1:] for name, column in stats.table.items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = (b["f"] - report.f_star) + A * b["v_error_sq"]
+        rhs = (
+            (a["f"] - report.f_star)
+            - 0.5 * gamma * a["grad_norm_sq"]
+            + B1 * a["v_error_sq"]
+            - B2 * a["step_norm_sq"]
+            + B3 * a["eta_norm_sq"]
+        )
+        margin = (rhs - lhs) / np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+    pairs = np.arange(stats.k_max - 1) < np.array(stats.lengths)[:, None] - 1
+    checked = int(pairs.sum())
     if checked == 0:
         return _skip(name, "no consecutive record pairs to check")
+    margin = np.where(pairs & ~np.isnan(margin), margin, np.inf)
+    r, k = np.unravel_index(np.argmin(margin), margin.shape)
+    worst, where = margin[r, k], f"trial {stats.trials[r]}, k={k}"
+    if not worst < np.inf:
+        where = None
     return _outcome(name, worst, where, rel_tol, note=f"{checked} steps checked")
 
 
@@ -325,11 +328,10 @@ def audit_figure2_qualitative(rows: Sequence[Mapping], axis_kind: str) -> AuditO
 
 def pilot_points(result: RunResult, max_points: int = 20) -> list:
     """Evenly spaced iterates of a trajectory, for premise measurement."""
-    xs = list(result.iterates)
-    if len(xs) <= max_points:
-        return xs
-    idx = np.linspace(0, len(xs) - 1, max_points).astype(int)
-    return [xs[i] for i in idx]
+    xs = result.iterates
+    if len(xs) > max_points:
+        xs = xs[np.linspace(0, len(xs) - 1, max_points).astype(int)]
+    return list(xs)
 
 
 def pilot_report(
@@ -370,7 +372,7 @@ def verify_config(
             cfg.problem, points, cfg.estimator, cfg.noise, report,
             draws=eta_draws, seed=cfg.seed,
         ),
-        audit_descent(stats.results, report),
+        audit_descent(stats, report),
         audit_theorem_ncvx(stats, report),
         audit_theorem_pl(stats, report),
     ]

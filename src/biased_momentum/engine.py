@@ -7,9 +7,15 @@ pairwise tree, blends them into the running estimate
     v_k = v_{k-1} + beta * (g_k - v_{k-1})
 
 and steps x_{k+1} = x_k - gamma * v_k.  beta = 1 turns the recursion into
-plain SGD.  Each iteration is logged with the realized error
-eta_k = g_k - grad f(x_k) and the Lyapunov value, so the recorded
-trajectory carries everything the inequality audits need.
+plain SGD.  Each iteration records the realized error eta_k = g_k -
+grad f(x_k) and the Lyapunov value, so the trajectory carries everything
+the inequality audits need.
+
+A trajectory has one form: a table of the CSV fields, each a C-ordered
+(trial, k) array with NaN past the iteration where a trial stopped.
+``run_batch`` fills it, ``TrialStats`` holds it with its per-k
+statistics, ``write_run_csv`` and ``read_run_csv`` carry it to text and
+back, and the audits read its columns.
 
 Trajectories are pure functions of (config, seed): worker randomness comes
 from per-(trial, worker, iteration) substreams, so trials can run in any
@@ -26,7 +32,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +55,6 @@ from .theory import analysis_regime, lyapunov_weight
 __all__ = [
     "RunConfig",
     "MomentumState",
-    "IterationRecord",
     "RunResult",
     "TrialStats",
     "init_state",
@@ -58,8 +62,6 @@ __all__ = [
     "run",
     "run_batch",
     "run_trials",
-    "stats_from_results",
-    "stats_from_records",
     "per_k_stats",
     "write_run_csv",
     "read_run_csv",
@@ -185,31 +187,18 @@ class MomentumState:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
-    """One iteration of one trial; ``step`` returns one whose fields (but
-    k) are (T,) arrays, one entry per trial of its batch."""
-
-    k: int
-    f: float
-    grad_norm_sq: float
-    eta_norm_sq: float
-    v_error_sq: float
-    step_norm_sq: float
-    phi: float
-
-
-@dataclass(frozen=True)
 class RunResult:
-    """One trial: per-iteration records, visited iterates, final state.
+    """One trial: its row of the run's table and its visited iterates.
 
-    A diverged trial stops at iteration ``diverged_at`` (no record for it);
-    ``reason`` says why: a non-finite iterate, a non-finite f, f above
-    DIVERGENCE_F_MAX, or a non-finite aggregate.
+    ``columns`` maps each CSV field to the trial's K_t recorded values, a
+    view of its table row.  A diverged trial stops at iteration
+    ``diverged_at`` = K_t (no values for it); ``reason`` says why: a
+    non-finite iterate, a non-finite f, f above DIVERGENCE_F_MAX, or a
+    non-finite aggregate.
     """
 
-    records: tuple
-    iterates: tuple  # x^0 .. x^K (one more than records unless diverged)
-    final_state: MomentumState  # the trial's one-row state where it stopped
+    columns: dict
+    iterates: np.ndarray  # (K_t + 1, d): x^0 .. x^{K_t}
     trial: int
     diverged_at: int | None = None
     reason: str | None = None
@@ -261,14 +250,15 @@ def step(
     lyapunov_A: float | None = None,
     streams: dict | None = None,
     generator: np.random.Generator | None = None,
-) -> tuple[MomentumState, IterationRecord, dict]:
+) -> tuple[MomentumState, dict, dict]:
     """One server round of every trial in the batch.
 
-    Returns (next state, records, stopped).  A trial whose iterate is
+    Returns (next state, fields, stopped).  A trial whose iterate is
     unusable (non-finite, non-finite f, or f above DIVERGENCE_F_MAX) or
-    whose aggregate is non-finite leaves the batch: it has no record, is
+    whose aggregate is non-finite leaves the batch: it has no values, is
     missing from the next state, and ``stopped`` maps it to the reason.
-    ``records`` holds (T,) arrays over the trials that go on.  ``streams``
+    ``fields`` maps each CSV field to a (T,) array over the trials that go
+    on.  ``streams``
     maps each trial to its n worker stream states at k (one
     ``rng.worker_states`` row), computed here when not given; they are set
     in turn on ``generator`` (a PCG64 one, made here when not given).  A
@@ -282,9 +272,8 @@ def step(
     if bad:
         trials, x, v_prev, fval = _drop(bad, stopped, trials, x, v_prev, fval)
         if not trials:
-            none = np.empty(0)
             return (MomentumState(x, v_prev, k + 1, trials, state.seed),
-                    IterationRecord(k, *[none] * len(CSV_FIELDS)), stopped)
+                    dict.fromkeys(CSV_FIELDS, np.empty(0)), stopped)
     grads = problem.worker_grads(x)
     grad = pairwise_mean(grads.swapaxes(0, 1))
     rng = None
@@ -311,16 +300,15 @@ def step(
     v_err = grad - v_prev
     dx = x_new - x
     v_err_sq = row_dot(v_err, v_err)
-    record = IterationRecord(
-        k=k,
-        f=fval,
-        grad_norm_sq=row_dot(grad, grad),
-        eta_norm_sq=row_dot(eta, eta),
-        v_error_sq=v_err_sq,
-        step_norm_sq=row_dot(dx, dx),
-        phi=(fval - f_star) + lyapunov_A * v_err_sq,
-    )
-    return MomentumState(x_new, v, k + 1, trials, state.seed), record, stopped
+    fields = {
+        "f": fval,
+        "grad_norm_sq": row_dot(grad, grad),
+        "eta_norm_sq": row_dot(eta, eta),
+        "v_error_sq": v_err_sq,
+        "step_norm_sq": row_dot(dx, dx),
+        "phi": (fval - f_star) + lyapunov_A * v_err_sq,
+    }
+    return MomentumState(x_new, v, k + 1, trials, state.seed), fields, stopped
 
 
 def _drop(rows: dict, stopped: dict, trials: tuple, *arrays):
@@ -331,12 +319,14 @@ def _drop(rows: dict, stopped: dict, trials: tuple, *arrays):
     return (tuple(t for t, kept in zip(trials, keep) if kept), *(a[keep] for a in arrays))
 
 
-def run_batch(cfg: RunConfig, trials) -> tuple:
+def run_batch(cfg: RunConfig, trials) -> "TrialStats":
     """Run the given trials together, one batched ``step`` per iteration.
 
-    A diverged trial leaves the batch at its iteration and the others go
-    on; each RunResult equals the trial's trajectory on its own.  Worker
-    stream states are computed for a block of iterations at a time.
+    Each step's field arrays go straight into the trials' rows of the
+    (trial, k) table.  A diverged trial leaves the batch at its iteration
+    and the others go on; each row equals the trial's trajectory on its
+    own.  Worker stream states are computed for a block of iterations at a
+    time.
     """
     trials = tuple(trials)
     p, K = cfg.problem, cfg.iterations
@@ -344,17 +334,13 @@ def run_batch(cfg: RunConfig, trials) -> tuple:
     lyap_A = cfg.lyapunov_A()
     row_of = {t: r for r, t in enumerate(trials)}
     rows = slice(None)  # rows of the tables that the batch fills
-    iterates = np.empty((K + 1, len(trials), p.dimension))
-    iterates[0] = state.x
-    table = {name: np.empty((K, len(trials))) for name in CSV_FIELDS}
+    iterates = np.empty((len(trials), K + 1, p.dimension))
+    iterates[:, 0] = state.x
+    table = {name: np.full((len(trials), K), np.nan) for name in CSV_FIELDS}
     draws = _reads_streams(cfg.estimator, cfg.noise)
     generator = np.random.Generator(np.random.PCG64())  # re-seated to each worker stream
     block = max(1, _BLOCK_STREAMS // (len(trials) * p.n_workers))
-    ends = {}  # trial -> (diverged_at, reason, final one-row state)
-
-    def end(at, reason, st, t):
-        r = st.trials.index(t)
-        ends[t] = (at, reason, MomentumState(st.x[r:r + 1], st.v_prev[r:r + 1], st.k, (t,), st.seed))
+    stops = {}  # trial -> (diverged_at, reason)
 
     for k in range(K):
         if not state.trials:
@@ -362,56 +348,62 @@ def run_batch(cfg: RunConfig, trials) -> tuple:
         if draws and k % block == 0:
             streams = [dict(zip(state.trials, per_trial)) for per_trial in
                        worker_states(cfg.seed, state.trials, p.n_workers, range(k, min(k + block, K)))]
-        nxt, rec, stopped = step(state, p, cfg.estimator, cfg.noise, cfg.gamma, cfg.beta, lyap_A,
-                                 streams[k % block] if draws else None, generator)
-        for t, reason in stopped.items():
-            end(k, reason, state, t)
+        state, fields, stopped = step(state, p, cfg.estimator, cfg.noise, cfg.gamma, cfg.beta,
+                                      lyap_A, streams[k % block] if draws else None, generator)
         if stopped:
-            rows = [row_of[t] for t in nxt.trials]
-        iterates[k + 1, rows] = nxt.x
-        for name in CSV_FIELDS:
-            table[name][k, rows] = getattr(rec, name)
-        state = nxt
-    for t in state.trials:
-        end(None, None, state, t)
-    results = []
-    for r, t in enumerate(trials):
-        diverged_at, reason, final = ends[t]
-        length = K if diverged_at is None else diverged_at
-        columns = [table[name][:length, r].tolist() for name in CSV_FIELDS]
-        results.append(RunResult(
-            records=tuple(map(IterationRecord, range(length), *columns)),
-            iterates=tuple(iterates[:length + 1, r]),
-            final_state=final,
-            trial=t,
-            diverged_at=diverged_at,
-            reason=reason,
-        ))
-    return tuple(results)
+            stops.update((t, (k, reason)) for t, reason in stopped.items())
+            rows = [row_of[t] for t in state.trials]
+        iterates[rows, k + 1] = state.x
+        for name, values in fields.items():
+            table[name][rows, k] = values
+    lengths = [stops.get(t, (K,))[0] for t in trials]
+    results = tuple(
+        RunResult({name: column[r, :n] for name, column in table.items()},
+                  iterates[r, :n + 1], t, *stops.get(t, (None, None)))
+        for r, (t, n) in enumerate(zip(trials, lengths))
+    )
+    return TrialStats.from_table(table, trials, lengths, results)
 
 
 def run(cfg: RunConfig, trial: int = 0) -> RunResult:
     """Execute one trial (a batch of one); divergence is returned as a flag,
     not raised."""
-    return run_batch(cfg, (trial,))[0]
+    return run_batch(cfg, (trial,)).results[0]
 
 
 @dataclass(frozen=True)
 class TrialStats:
-    """Per-iteration mean/std/stderr of every record field across trials.
+    """A run's trajectory table and its per-iteration statistics.
 
-    Arrays have length max-k; entries only average the trials that reached
-    that iteration (counts tracks how many).  ``table`` holds each field's
-    (trial, k) array, NaN where a trial stopped early; ``results`` are the
-    runs behind it (empty for records replayed from a CSV).
+    ``table`` maps each CSV field to a C-ordered (trial, k) array: row r
+    holds the ``lengths[r]`` values of trial ``trials[r]`` and NaN past
+    them, up to the longest trial.  mean/std/stderr are per k over the
+    trials that reached it (``counts`` of them).  ``results`` are the runs
+    behind the rows (empty for a table read from a CSV).
     """
 
-    results: tuple
+    trials: tuple
+    lengths: tuple
+    table: dict
     counts: np.ndarray
     mean: dict
     std: dict
     stderr: dict
-    table: dict
+    results: tuple = ()
+
+    @classmethod
+    def from_table(cls, table: dict, trials, lengths, results=()) -> "TrialStats":
+        """Trim a (trial, k) field table to its longest trial and reduce it
+        per k.  Deterministic and order-independent: every reduction runs
+        over the C-ordered table, never over a strided or transposed view."""
+        lengths = tuple(int(n) for n in lengths)
+        k_max = max(lengths, default=0)
+        table = {name: np.ascontiguousarray(table[name][:, :k_max]) for name in CSV_FIELDS}
+        mean, std, stderr = {}, {}, {}
+        for name, column in table.items():
+            _, mean[name], std[name], stderr[name] = per_k_stats(column)
+        counts = np.sum(np.arange(k_max) < np.array(lengths, dtype=int)[:, None], axis=0)
+        return cls(tuple(trials), lengths, table, counts, mean, std, stderr, tuple(results))
 
     @property
     def k_max(self) -> int:
@@ -440,65 +432,62 @@ def per_k_stats(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return counts, mean, std, stderr
 
 
-def stats_from_records(per_trial, results: tuple = ()) -> TrialStats:
-    """Aggregate per-trial record lists into per-k mean/std/stderr arrays.
-
-    Deterministic and order-independent: records land in a (trial, k) table
-    indexed by trial position before any reduction.
-    """
-    per_trial = [tuple(recs) for recs in per_trial]
-    k_max = max(map(len, per_trial), default=0)
-    values = np.full((len(CSV_FIELDS), len(per_trial), k_max), np.nan)
-    fields = attrgetter(*CSV_FIELDS)
-    for t, recs in enumerate(per_trial):
-        if recs:
-            values[:, t, : len(recs)] = np.array(list(map(fields, recs))).T
-    table, mean, std, stderr = {}, {}, {}, {}
-    for name, column in zip(CSV_FIELDS, values):
-        table[name] = column
-        _, mean[name], std[name], stderr[name] = per_k_stats(column)
-    counts = np.sum(~np.isnan(table["f"]), axis=0)  # f is finite in every record
-    return TrialStats(tuple(results), counts, mean, std, stderr, table)
-
-
-def stats_from_results(results) -> TrialStats:
-    """TrialStats of finished runs (records plus the RunResults behind them)."""
-    results = tuple(results)
-    return stats_from_records([res.records for res in results], results)
-
-
 def run_trials(cfg: RunConfig) -> TrialStats:
     """Run all trials (ascending trial id) as one batch and aggregate
     order-independently."""
-    return stats_from_results(run_batch(cfg, range(cfg.trials)))
+    return run_batch(cfg, range(cfg.trials))
 
 
 # ---------------------------------------------------------------------------
 # CSV emission (one row per iteration per trial; shortest round-trip floats)
 
 
-def write_run_csv(results, path) -> None:
+def write_run_csv(stats: TrialStats, path) -> None:
     lines = [CSV_HEADER]
-    for res in results:
-        for rec in res.records:
-            lines.append(
-                f"{rec.k},{res.trial},"
-                + ",".join(repr(float(getattr(rec, name))) for name in CSV_FIELDS)
-            )
+    for r, (trial, length) in enumerate(zip(stats.trials, stats.lengths)):
+        columns = [stats.table[name][r, :length].tolist() for name in CSV_FIELDS]
+        lines.extend(f"{k},{trial}," + ",".join(map(repr, values))
+                     for k, values in enumerate(zip(*columns)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_run_csv(path) -> list:
-    """Rebuild per-trial record lists from a run CSV (inverse of write_run_csv)."""
-    text = Path(path).read_text().strip().splitlines()
-    if not text or text[0] != CSV_HEADER:
+def read_run_csv(path, trials: int) -> TrialStats:
+    """The TrialStats of a run CSV of trials 0..trials-1 (inverse of
+    write_run_csv).
+
+    Each row lands in its (trial, k) cell, so row order does not matter.
+    A trial's k must be exactly 0..K_t-1, once each (a trial that stopped
+    at k=0 has no rows); anything else raises a ConfigurationError that
+    names the trial and k.
+    """
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
         raise ConfigurationError(f"unrecognized CSV header in {path}")
-    by_trial: dict[int, list[IterationRecord]] = {}
-    for line in text[1:]:
+    rows = {}  # (trial, k) -> values
+    for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != 2 + len(CSV_FIELDS):
-            raise ConfigurationError(f"malformed CSV row: {line!r}")
-        k, trial = int(parts[0]), int(parts[1])
-        vals = [float(v) for v in parts[2:]]
-        by_trial.setdefault(trial, []).append(IterationRecord(k, *vals))
-    return [by_trial[t] for t in sorted(by_trial)]
+        try:
+            if len(parts) != 2 + len(CSV_FIELDS):
+                raise ValueError
+            k, trial = int(parts[0]), int(parts[1])
+            values = [float(v) for v in parts[2:]]
+        except ValueError:
+            raise ConfigurationError(f"malformed CSV row: {line!r}") from None
+        if not (0 <= trial < trials and k >= 0):
+            raise ConfigurationError(f"{path}: row for trial {trial}, k={k}; the run has "
+                                     f"trials 0..{trials - 1} and k >= 0")
+        if (trial, k) in rows:
+            raise ConfigurationError(f"{path}: duplicate row for trial {trial}, k={k}")
+        rows[trial, k] = values
+    lengths = [0] * trials
+    for trial, _ in rows:
+        lengths[trial] += 1
+    for trial, k in rows:
+        if k >= lengths[trial]:
+            missing = next(j for j in range(k) if (trial, j) not in rows)
+            raise ConfigurationError(f"{path}: no row for trial {trial}, k={missing}")
+    table = np.full((len(CSV_FIELDS), trials, max(lengths, default=0)), np.nan)
+    if rows:
+        trial_of, k_of = zip(*rows)
+        table[:, trial_of, k_of] = np.array(list(rows.values())).T
+    return TrialStats.from_table(dict(zip(CSV_FIELDS, table)), range(trials), lengths)

@@ -39,14 +39,7 @@ from .audit import (
     pilot_report,
     verify_config,
 )
-from .engine import (
-    RunConfig,
-    TrialStats,
-    read_run_csv,
-    run_trials,
-    stats_from_records,
-    write_run_csv,
-)
+from .engine import RunConfig, TrialStats, read_run_csv, run_trials, write_run_csv
 from .errors import ConfigurationError, DataError
 from .problems import check_keys, config_float, config_int
 from .theory import TheoryReport
@@ -145,9 +138,10 @@ def set_by_path(doc: dict, dotted: str, value) -> dict:
 # summaries
 
 
-def plateau_of(records) -> float:
-    tail = max(1, math.ceil(len(records) * PLATEAU_FRACTION))
-    return float(np.mean([r.f for r in records[-tail:]]))
+def plateau_of(f: np.ndarray) -> float:
+    """Mean of a trial's f column over its last PLATEAU_FRACTION."""
+    tail = max(1, math.ceil(len(f) * PLATEAU_FRACTION))
+    return float(np.mean(f[-tail:]))
 
 
 def iters_to_threshold(stats: TrialStats, threshold: float) -> int:
@@ -182,8 +176,8 @@ def resolve_threshold(threshold: tuple[str, float], stats: TrialStats) -> float:
 
 
 def summarize_point(stats: TrialStats, threshold: float) -> dict:
-    healthy = [r for r in stats.results if not r.diverged and r.records]
-    plateaus = [plateau_of(r.records) for r in healthy]
+    plateaus = [plateau_of(r.columns["f"]) for r in stats.results
+                if not r.diverged and r.columns["f"].size]
     return {
         "final_plateau_mean": float(np.mean(plateaus)) if plateaus else math.nan,
         "final_plateau_std": float(np.std(plateaus)) if plateaus else math.nan,
@@ -213,7 +207,7 @@ def _write_run_artifacts(cfg: RunConfig, stats: TrialStats, out_dir: Path, versi
     """run.csv plus the run.json sidecar (config echo, theory report, flags)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     report, _ = pilot_report(cfg, stats)
-    write_run_csv(stats.results, out_dir / "run.csv")
+    write_run_csv(stats, out_dir / "run.csv")
     doc = {
         "schema_version": 1,
         "config": cfg.to_dict(),
@@ -331,11 +325,10 @@ def cli_report(args) -> int:
     if sidecar.get("theory") is None:
         raise ConfigurationError("sidecar carries no theory report")
     report = TheoryReport.from_dict(sidecar["theory"])
-    RunConfig.from_dict(sidecar["config"])  # validate the config echo
-    per_trial = read_run_csv(csv_path)
-    stats = stats_from_records(per_trial)
+    cfg = RunConfig.from_dict(sidecar["config"])  # validate the config echo
+    stats = read_run_csv(csv_path, cfg.trials)
     outcomes = [
-        audit_descent(per_trial, report),
+        audit_descent(stats, report),
         audit_theorem_ncvx(stats, report),
         audit_theorem_pl(stats, report),
     ]

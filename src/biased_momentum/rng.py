@@ -11,12 +11,13 @@ reproduce bit-identical draws.
 Stream namespaces (first key element):
 
 * ``STREAM_WORKER``  -- per-(trial, worker, iteration) gradient noise and
-  subset sampling inside the optimizer loop.  The engine does not build a
+  subset sampling inside the optimizer loop.  ``worker_states`` defines
+  them: worker w at iteration k of trial t draws from the stream with key
+  ``(STREAM_WORKER, t, w, k)``.  The engine does not build a
   ``SeedSequence`` per stream: ``worker_states`` computes the seeded PCG64
   states of a whole block of (iteration, trial, worker) keys at once, and
   ``seeded_streams`` sets them one at a time on a single generator that
   the caller reuses.
-  The streams are the same as ``worker_stream``'s, draw for draw.
 * ``STREAM_X0``      -- the initial-iterate draw for a run config.
 * ``STREAM_MEASURE`` -- Monte-Carlo measurement draws (variance probes).
 * ``STREAM_DATA``    -- synthetic dataset generation.
@@ -45,11 +46,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
         raise ValueError(f"substream key must be non-negative, got {parts}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=parts)
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def worker_stream(seed: int, trial: int, worker: int, k: int) -> np.random.Generator:
-    """Generator used by `worker` at iteration `k` of `trial`."""
-    return substream(seed, STREAM_WORKER, trial, worker, k)
 
 
 # numpy's SeedSequence hash (pool size 4) and the PCG64 seeding step
@@ -91,7 +87,8 @@ def _mix(x, y):
 
 
 def worker_states(seed: int, trials, workers: int, ks) -> list:
-    """PCG64 (state, inc) of ``worker_stream(seed, t, w, k)`` for every key.
+    """PCG64 (state, inc) of ``substream(seed, STREAM_WORKER, t, w, k)``
+    for every key.
 
     Returns nested lists indexed ``[k][t][w]`` over the given iterations,
     trials and the workers 0..workers-1.  The SeedSequence hash runs its

@@ -22,7 +22,13 @@ from biased_momentum.composite import MamlProblem
 from biased_momentum.engine import DIVERGENCE_F_MAX
 from biased_momentum.estimators import _transmissions
 from biased_momentum.problems import as_param_vector
-from biased_momentum.rng import pairwise_mean, worker_stream
+from biased_momentum.rng import STREAM_WORKER, pairwise_mean, substream
+
+
+def worker_stream(seed, trial, worker, k):
+    """The generator worker ``worker`` draws from at iteration ``k`` of
+    ``trial``, built from a fresh ``SeedSequence``."""
+    return substream(seed, STREAM_WORKER, trial, worker, k)
 
 
 def fd_gradient(f, x, h=None):

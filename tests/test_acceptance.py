@@ -83,10 +83,11 @@ def test_criterion_1_pl_linear_rate():
         )
         rate = 1.0 - p.mu * gamma / 2.0
         phi0 = report.phi0_pl
-        for rec in res.records:
-            phi_k = (rec.f - 0.0) + report.A_pl * rec.v_error_sq
-            envelope = rate**rec.k * phi0
-            assert phi_k <= envelope * (1.0 + 1e-9), (beta, rec.k)
+        f, v_error_sq = res.columns["f"], res.columns["v_error_sq"]
+        for k in range(len(f)):
+            phi_k = (f[k] - 0.0) + report.A_pl * v_error_sq[k]
+            envelope = rate**k * phi0
+            assert phi_k <= envelope * (1.0 + 1e-9), (beta, k)
     assert time.perf_counter() - start < 5.0
 
 
@@ -137,16 +138,17 @@ def test_criterion_3_descent_pathwise():
         x0=cfg.resolve_x0(), pilot_points=pilot,
     )
     assert report.B2 >= 0
-    out = audit_descent(stats.results, report, rel_tol=1e-9)
+    out = audit_descent(stats, report, rel_tol=1e-9)
     assert out.passed, out
     # direct re-statement of the per-step inequality, independent of audit
     A, B1, B2, B3 = report.A_used, report.B1, report.B2, report.B3
     for res in stats.results:
-        for a, b in zip(res.records[:-1], res.records[1:]):
-            lhs = b.f + A * b.v_error_sq
+        c = res.columns
+        for a, b in zip(range(len(c["f"]) - 1), range(1, len(c["f"]))):
+            lhs = c["f"][b] + A * c["v_error_sq"][b]
             rhs = (
-                a.f - 0.5 * gamma * a.grad_norm_sq + B1 * a.v_error_sq
-                - B2 * a.step_norm_sq + B3 * a.eta_norm_sq
+                c["f"][a] - 0.5 * gamma * c["grad_norm_sq"][a] + B1 * c["v_error_sq"][a]
+                - B2 * c["step_norm_sq"][a] + B3 * c["eta_norm_sq"][a]
             )
             assert lhs <= rhs + 1e-9 * max(1.0, abs(lhs), abs(rhs))
     assert time.perf_counter() - start < 5.0

@@ -49,7 +49,7 @@ def test_descent_classic_gd_case():
     cfg = RunConfig(problem=p, gamma=1 / (2 * p.L), beta=1.0, iterations=100, seed=2)
     stats = run_trials(cfg)
     report = _report_for(cfg)
-    out = audit_descent(stats.results, report)
+    out = audit_descent(stats, report)
     assert out.passed, out
     assert out.worst_margin > 0  # strict descent for exact gradients
 
@@ -64,7 +64,7 @@ def test_descent_with_topk_admissible():
     )
     stats = run_trials(cfg)
     report = _report_for(cfg)
-    out = audit_descent(stats.results, report)
+    out = audit_descent(stats, report)
     assert out.passed, out
 
 
@@ -73,10 +73,9 @@ def test_descent_detects_corrupted_record():
     cfg = RunConfig(problem=p, gamma=1 / (2 * p.L), beta=1.0, iterations=50, seed=2)
     stats = run_trials(cfg)
     report = _report_for(cfg)
-    recs = list(stats.results[0].records)
-    bad = dataclasses.replace(recs[10], f=recs[10].f * 5.0 + 1.0)
-    recs[10] = bad
-    out = audit_descent([recs], report)
+    table = {name: column.copy() for name, column in stats.table.items()}
+    table["f"][0, 10] = table["f"][0, 10] * 5.0 + 1.0
+    out = audit_descent(dataclasses.replace(stats, table=table), report)
     assert out.failed
 
 
@@ -85,7 +84,7 @@ def test_descent_skips_outside_regime():
     cfg = RunConfig(problem=p, gamma=0.5, beta=0.1, iterations=10, seed=2)
     report = _report_for(cfg)
     assert report.B2 < 0
-    out = audit_descent(run_trials(cfg).results, report)
+    out = audit_descent(run_trials(cfg), report)
     assert out.status == "skipped"
 
 
@@ -94,7 +93,7 @@ def test_descent_skips_without_f_star():
     p = make_logistic_l2(feats, labels, lam=0.5)
     gamma = stepsize_bounds(1.0, p.L, p.mu)[1]
     cfg = RunConfig(problem=p, gamma=gamma, beta=1.0, iterations=10)
-    out = audit_descent(run_trials(cfg).results, _report_for(cfg))
+    out = audit_descent(run_trials(cfg), _report_for(cfg))
     assert out.status == "skipped"
 
 
@@ -195,8 +194,9 @@ def test_theorem_pl_plateau_under_floor_with_bias():
     assert out.passed, out
     # late-stage mean phi sits at or below the bias floor
     tail = np.mean([
-        (rec.f - 0.0) + report.A_pl * rec.v_error_sq
-        for res in stats.results for rec in res.records[-100:]
+        (f - 0.0) + report.A_pl * v_error_sq
+        for res in stats.results
+        for f, v_error_sq in zip(res.columns["f"][-100:], res.columns["v_error_sq"][-100:])
     ])
     assert tail <= report.floor_pl
 

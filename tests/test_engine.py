@@ -1,7 +1,6 @@
 """Momentum engine: update identities, SGD equivalence, determinism."""
 
 import copy
-import dataclasses
 import json
 
 import numpy as np
@@ -23,7 +22,7 @@ from biased_momentum import (
     step,
     write_run_csv,
 )
-from biased_momentum.engine import CSV_HEADER, read_run_csv
+from biased_momentum.engine import CSV_FIELDS, CSV_HEADER, TrialStats, read_run_csv
 from biased_momentum.problems import make_synthetic_classification
 
 from _oracles import reference_momentum, reference_sgd
@@ -35,6 +34,12 @@ def _quad_cfg(**kw):
                     x0=tuple([1.0] + [0.0] * 9))
     defaults.update(kw)
     return RunConfig(**defaults)
+
+
+def _rows(res):
+    """A trial's recorded values as (k, f, grad_norm_sq, ...) tuples of floats."""
+    columns = [res.columns[name].tolist() for name in CSV_FIELDS]
+    return list(zip(range(len(columns[0])), *columns))
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +78,7 @@ def test_step_is_gradient_descent_for_beta_one():
     np.testing.assert_allclose(st1.x[0], [0.5] + [0.0] * 9)
     st2, _, _ = step(st1, cfg.problem, cfg.estimator, cfg.noise, 0.5, 1.0)
     np.testing.assert_allclose(st2.x[0], [0.25] + [0.0] * 9)
-    assert rec.f[0] == pytest.approx(0.5)
+    assert rec["f"][0] == pytest.approx(0.5)
     assert st1.k == st.k + 1
 
 
@@ -90,14 +95,14 @@ def test_step_identities_hold_bitwise():
     g = st.v_prev[0] + (st1.v_prev[0] - st.v_prev[0]) / 0.3
     grad = full_gradient(p, st.x[0])
     eta = g - grad
-    assert float(eta @ eta) == pytest.approx(rec.eta_norm_sq[0], rel=1e-12)
+    assert float(eta @ eta) == pytest.approx(rec["eta_norm_sq"][0], rel=1e-12)
     np.testing.assert_array_equal(st1.x[0], st.x[0] - 0.1 * st1.v_prev[0])
     v_manual = st.v_prev[0] + 0.3 * (g - st.v_prev[0])
     np.testing.assert_allclose(st1.v_prev[0], v_manual, rtol=1e-12)
     dx = st1.x[0] - st.x[0]
-    assert rec.step_norm_sq[0] == pytest.approx(float(dx @ dx), rel=1e-12)
+    assert rec["step_norm_sq"][0] == pytest.approx(float(dx @ dx), rel=1e-12)
     ve = grad - st.v_prev[0]
-    assert rec.v_error_sq[0] == pytest.approx(float(ve @ ve), rel=1e-12)
+    assert rec["v_error_sq"][0] == pytest.approx(float(ve @ ve), rel=1e-12)
 
 
 def test_beta_zero_rejected():
@@ -136,8 +141,8 @@ def test_beta_one_matches_reference_sgd(kind):
 def test_run_zero_iterations():
     cfg = _quad_cfg(iterations=0)
     res = run(cfg)
-    assert res.records == ()
-    np.testing.assert_array_equal(res.final_state.x, init_state(cfg).x)
+    assert _rows(res) == []
+    np.testing.assert_array_equal(res.iterates, init_state(cfg).x)
     assert not res.diverged
 
 
@@ -146,7 +151,7 @@ def test_run_is_deterministic():
     r1, r2 = run(cfg), run(cfg)
     for a, b in zip(r1.iterates, r2.iterates):
         np.testing.assert_array_equal(a, b)
-    assert r1.records == r2.records
+    assert _rows(r1) == _rows(r2)
 
 
 def test_run_marks_divergence_without_nonfinite_rows():
@@ -155,19 +160,18 @@ def test_run_marks_divergence_without_nonfinite_rows():
                     x0=(1.0, 1.0, 1.0, 1.0))
     res = run(cfg)
     assert res.diverged
-    assert len(res.records) < 200
+    assert len(res.columns["f"]) < 200
     # x doubles in norm each step, so f first exceeds the cap; that k has no record
-    assert res.diverged_at == len(res.records)
+    assert res.diverged_at == len(res.columns["f"])
     assert res.reason.startswith("f = ") and res.reason.endswith("> 1e+12")
-    for rec in res.records:
-        assert np.isfinite(rec.f) and np.isfinite(rec.eta_norm_sq)
+    assert np.all(np.isfinite(res.columns["f"])) and np.all(np.isfinite(res.columns["eta_norm_sq"]))
 
 
 def test_trials_single_equals_run_and_zero_std():
     cfg = _quad_cfg(trials=1, noise=NoiseSpec(sigma2=0.05), beta=0.5, seed=3)
     stats = run_trials(cfg)
     single = run(cfg, trial=0)
-    assert stats.results[0].records == single.records
+    assert _rows(stats.results[0]) == _rows(single)
     assert np.all(stats.std["f"] == 0.0)
 
 
@@ -235,13 +239,13 @@ def test_run_trials_matches_reference_momentum(case):
     assert [res.trial for res in results] == list(range(cfg.trials))
     for res in results:
         records, iterates, diverged_at, reason = reference_momentum(cfg, res.trial)
-        assert [dataclasses.astuple(rec) for rec in res.records] == records
+        assert _rows(res) == records
         assert len(res.iterates) == len(iterates)
         for a, b in zip(res.iterates, iterates):
             np.testing.assert_array_equal(a, b)
         assert (res.diverged_at, res.reason) == (diverged_at, reason)
-        assert res.final_state.k == len(records)
-        np.testing.assert_array_equal(res.final_state.x[0], iterates[-1])
+        assert len(res.columns["f"]) == len(records)
+        np.testing.assert_array_equal(res.iterates[-1], iterates[-1])
     stops = {res.diverged_at for res in results}
     if case == "quadratic-diverging":
         assert None in stops and len(stops) > 2
@@ -257,21 +261,48 @@ def test_csv_round_trip_and_header(tmp_path):
     cfg = _quad_cfg(trials=2, beta=0.5, noise=NoiseSpec(sigma2=0.01), iterations=7)
     stats = run_trials(cfg)
     path = tmp_path / "run.csv"
-    write_run_csv(stats.results, path)
+    write_run_csv(stats, path)
     text = path.read_text().splitlines()
     assert text[0] == CSV_HEADER
     assert len(text) == 1 + 2 * 7
-    per_trial = read_run_csv(path)
-    assert len(per_trial) == 2
-    for recs, res in zip(per_trial, stats.results):
-        assert tuple(recs) == res.records  # repr round-trips floats exactly
+    back = read_run_csv(path, cfg.trials)
+    assert len(back.trials) == 2
+    for name in CSV_FIELDS:  # repr round-trips floats exactly
+        np.testing.assert_array_equal(back.table[name], stats.table[name])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("seed", range(3))
+def test_csv_round_trip_of_ragged_table(tmp_path, seed):
+    # trials of different lengths, two of them without rows (one last), a
+    # table wider than its longest trial, values from 1e-300 to 1e300
+    lengths = (9, 0, 4, 9, 1, 0)
+    rng = np.random.default_rng(seed)
+    table = {}
+    for name in CSV_FIELDS:
+        table[name] = np.full((len(lengths), 12), np.nan)
+        for r, n in enumerate(lengths):
+            table[name][r, :n] = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    stats = TrialStats.from_table(table, range(len(lengths)), lengths)
+    assert stats.k_max == 9
+    path = tmp_path / "run.csv"
+    write_run_csv(stats, path)
+    back = read_run_csv(path, len(lengths))
+    assert (back.trials, back.lengths, back.results) == (stats.trials, stats.lengths, ())
+    pairs = [(back.counts, stats.counts)] + [
+        (getattr(back, part)[name], getattr(stats, part)[name])
+        for part in ("table", "mean", "std", "stderr") for name in CSV_FIELDS
+    ]
+    for got, want in pairs:  # bit for bit, NaN padding included
+        assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, True)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_csv_bytes_identical_across_runs(tmp_path):
     cfg = _quad_cfg(trials=3, beta=0.3, noise=NoiseSpec(sigma2=0.02), seed=21)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_run_csv(run_trials(cfg).results, a)
-    write_run_csv(run_trials(cfg).results, b)
+    write_run_csv(run_trials(cfg), a)
+    write_run_csv(run_trials(cfg), b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -294,7 +325,7 @@ def test_config_from_dict_and_echo():
     assert echo["problem"]["matrix"]["spectrum"] == [1.0, 2.0]
     cfg2 = RunConfig.from_dict(echo)
     r1, r2 = run(cfg), run(cfg2)
-    assert r1.records == r2.records
+    assert _rows(r1) == _rows(r2)
 
 
 def test_config_missing_key_named():

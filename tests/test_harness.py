@@ -243,6 +243,70 @@ def test_report_surfaces_corrupted_csv(tmp_path, capsys):
     assert "FAIL" in printed
 
 
+def test_report_names_the_descent_trial_verify_names(presets_dir, tmp_path, capsys):
+    # the worst descent step of this preset lies in trial 1
+    preset = str(presets_dir / "clip_quadratic.json")
+    assert main(["verify", preset]) == 0
+    verified = capsys.readouterr().out
+    assert main(["run", preset, "--out", str(tmp_path / "out")]) == 0
+    assert main(["report", str(tmp_path / "out")]) == 0
+    reported = capsys.readouterr().out
+
+    def descent(printed):
+        return next(ln for ln in printed.splitlines() if "descent_inequality" in ln)
+
+    assert " at trial 1, k=" in descent(verified)
+    assert descent(reported) == descent(verified)
+
+
+def _run_csv_lines(tmp_path):
+    """A 2-trial, 40-iteration run whose descent audit runs; its CSV lines."""
+    path = _write(tmp_path / "cfg.json", _minimal_config(iterations=40, gamma=0.08))
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 0
+    return out, (out / "run.csv").read_text().splitlines()
+
+
+def _with_row(lines, k, trial, fields):
+    return [f"{k},{trial}," + ",".join(fields)] + lines
+
+
+MALFORMED_ROWS = {  # rows (trial 0 at k=0..39, then trial 1) -> edited rows, error text
+    "dropped": (lambda rows: rows[:20] + rows[21:], "trial 0, k=20"),
+    "duplicated": (lambda rows: rows + [rows[47]], "trial 1, k=7"),
+    "negative-k": (lambda rows: _with_row(rows, -1, 0, rows[1].split(",")[2:]), "trial 0, k=-1"),
+    "trial-beyond-config": (lambda rows: _with_row(rows, 0, 2, rows[1].split(",")[2:]),
+                            "trial 2, k=0"),
+    "unparsable-value": (lambda rows: rows[:5] + [rows[5] + "x"] + rows[6:], "malformed"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_ROWS))
+def test_report_rejects_malformed_csv(tmp_path, capsys, case):
+    edit, named = MALFORMED_ROWS[case]
+    out, lines = _run_csv_lines(tmp_path)
+    header, rows = lines[0], lines[1:]
+    (out / "run.csv").write_text("\n".join([header] + edit(rows)) + "\n")
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+
+
+def test_report_ignores_row_order(tmp_path, capsys):
+    out, lines = _run_csv_lines(tmp_path)
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    original = capsys.readouterr().out
+    assert "PASS descent_inequality" in original
+    rows = lines[1:]
+    rows[3], rows[60] = rows[60], rows[3]
+    (out / "run.csv").write_text("\n".join([lines[0]] + rows[::-1]) + "\n")
+    assert main(["report", str(out)]) == 0
+    assert capsys.readouterr().out == original
+
+
 def test_report_sweep_dir(tmp_path, capsys):
     sweep_doc = {
         "base": _minimal_config(iterations=60, trials=1,

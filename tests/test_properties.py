@@ -5,7 +5,7 @@ import dataclasses
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -102,6 +102,13 @@ def _sq(v):
     return float(v @ v)
 
 
+def _scaled(g, q):
+    """g and q times the same power of two, which is exact, so that max|g|
+    lies in [0.5, 1) and no square in a contraction check turns subnormal."""
+    e = -np.frexp(np.max(np.abs(g)))[1]
+    return np.ldexp(g, e), np.ldexp(q, e)
+
+
 @settings(max_examples=200, deadline=None)
 @given(G=stacks, data=st.data())
 def test_top_k_rows(G, data):
@@ -112,17 +119,21 @@ def test_top_k_rows(G, data):
         np.testing.assert_array_equal(q, top_k(g, k))
         np.testing.assert_array_equal(q, reference_top_k(g, k))
         # dropping the d - k smallest squares leaves at most their share
+        g, q = _scaled(g, q)
         assert _sq(q - g) <= (1.0 - k / d) * _sq(g) * (1.0 + 1e-12)
 
 
 @settings(max_examples=200, deadline=None)
 @given(G=stacks)
+# unscaled, the squares of this row are subnormal and the check fails by rounding
+@example(G=np.array([[2.53792686e-158, 1.69661141e-212, 1.69661141e-212, 1.69661141e-212]]))
 def test_scaled_sign_rows(G):
     d = G.shape[1]
     out = scaled_sign(G)
     for g, q in zip(G, out):
         np.testing.assert_array_equal(q, scaled_sign(g))
         np.testing.assert_array_equal(q, reference_scaled_sign(g))
+        g, q = _scaled(g, q)
         assert _sq(q - g) <= (1.0 - 1.0 / d) * _sq(g) * (1.0 + 1e-12)
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from biased_momentum.rng import seeded_streams, worker_states, worker_stream
+from biased_momentum.rng import seeded_streams, worker_states
+
+from _oracles import worker_stream
 
 
 @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**40 + 17, 2**130 + 3])
