@@ -29,7 +29,7 @@ print(f"certified constants: ell_g={cp.ell_g:.3f}, L_g={cp.L_g:.3f}, "
       f"ell_F={cp.ell_F:.3f}, L_F={cp.L_F:.3f} -> L={cp.L:.3f}")
 
 x = substream(17, 9, 0).standard_normal(5)
-exact = cp.worker_grad(0, x)
+exact = cp.worker_grads(x)[0]
 rng = substream(17, 9, 1)
 full = composite_estimate(cp, 0, x, cp.m_g, cp.m_F, rng)
 print(f"\nfull-batch estimate error: {np.linalg.norm(full - exact):.2e}")

@@ -28,7 +28,7 @@ from .problems import (
     config_int,
     validate_classification_data,
 )
-from .rng import row_dot
+from .rng import pairwise_mean, row_dot
 
 __all__ = [
     "CompositeProblem",
@@ -59,9 +59,11 @@ class CompositeProblem(Problem):
 
     idx may also be a (B, k) batch of index sets, with u and z then one
     (B, p) row per set and x one point or one (B, d) row per set; results
-    gain the leading B axis.  Each row rounds exactly like the same
-    component evaluated on its own, so a subset average does not depend on
-    how its rows were batched.
+    gain the leading B axis.  ``inner_value`` and ``chained_gradient`` also
+    evaluate one index set at each point of a (..., d) stack x, which is how
+    ``f`` and ``worker_grads`` take the full sets.  Each row rounds exactly
+    like the same component evaluated on its own, so a subset average does
+    not depend on how its rows were batched.
 
     ``ell_g``/``L_g``/``ell_F``/``L_F`` are certified Lipschitz constants of
     the component maps and their gradients; the objective then has
@@ -86,12 +88,17 @@ class CompositeProblem(Problem):
     def L(self) -> float:
         return self.L_g * self.ell_F + self.ell_g**2 * self.L_F
 
-    def worker_value(self, i: int, x: np.ndarray) -> float:
-        z = inner_value(self, i, x, np.arange(self.m_g))
-        return float(np.mean(self.outer_values(i, z, np.arange(self.m_F))))
+    def f(self, x: np.ndarray):
+        all_g, all_F = np.arange(self.m_g), np.arange(self.m_F)
+        values = np.stack([
+            np.mean(self.outer_values(i, inner_value(self, i, x, all_g), all_F), axis=-1)
+            for i in range(self.n_workers)], axis=-1)
+        return pairwise_mean(values, axis=-1)
 
-    def worker_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        return chained_gradient(self, i, x, np.arange(self.m_g), np.arange(self.m_F))
+    def worker_grads(self, x: np.ndarray) -> np.ndarray:
+        all_g, all_F = np.arange(self.m_g), np.arange(self.m_F)
+        return np.stack([chained_gradient(self, i, x, all_g, all_F)
+                         for i in range(self.n_workers)], axis=-2)
 
 
 def _row_dots(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -113,11 +120,12 @@ def _validate_indices(idx, m: int, label: str) -> np.ndarray:
 
 
 def _points(cp: CompositeProblem, x) -> np.ndarray:
-    """x as one parameter vector, or a (B, d) stack of them (one per index set)."""
+    """x as one parameter vector, or a (..., d) stack of them (one per index
+    set, or sharing one)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
+    if x.ndim < 2:
         return as_param_vector(x, cp.dimension)
-    if x.shape[1] != cp.dimension or not np.all(np.isfinite(x)):
+    if x.shape[-1] != cp.dimension or not np.all(np.isfinite(x)):
         raise ConfigurationError(f"need finite points of dimension {cp.dimension}, got {x.shape}")
     return x
 

@@ -126,10 +126,6 @@ class RunConfig:
         g = substream(self.seed, STREAM_X0).standard_normal(self.problem.dimension)
         return g / np.linalg.norm(g)
 
-    def lyapunov_A(self) -> float:
-        """Weight used for the recorded phi column (PL weight when certified)."""
-        return lyapunov_weight(self.gamma, self.beta, analysis_regime(self.problem))
-
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         check_keys(d, CONFIG_KEYS, "config", required=("gamma", "beta", "iterations", "problem"))
@@ -247,7 +243,6 @@ def step(
     noise: NoiseSpec | None,
     gamma: float,
     beta: float,
-    lyapunov_A: float | None = None,
     streams: dict | None = None,
     generator: np.random.Generator | None = None,
 ) -> tuple[MomentumState, dict, dict]:
@@ -258,8 +253,9 @@ def step(
     whose aggregate is non-finite leaves the batch: it has no values, is
     missing from the next state, and ``stopped`` maps it to the reason.
     ``fields`` maps each CSV field to a (T,) array over the trials that go
-    on.  ``streams``
-    maps each trial to its n worker stream states at k (one
+    on; the phi column weighs the momentum error with the Lyapunov weight
+    of (gamma, beta) in the problem's analysis regime.  ``streams`` maps
+    each trial to its n worker stream states at k (one
     ``rng.worker_states`` row), computed here when not given; they are set
     in turn on ``generator`` (a PCG64 one, made here when not given).  A
     round that draws nothing (no Gaussian noise, non-composite estimator)
@@ -275,7 +271,7 @@ def step(
             return (MomentumState(x, v_prev, k + 1, trials, state.seed),
                     dict.fromkeys(CSV_FIELDS, np.empty(0)), stopped)
     grads = problem.worker_grads(x)
-    grad = pairwise_mean(grads.swapaxes(0, 1))
+    grad = pairwise_mean(grads, axis=-2)
     rng = None
     if _reads_streams(estimator, noise):
         if streams is None:
@@ -294,8 +290,7 @@ def step(
     v = g if beta == 1.0 else v_prev + beta * (g - v_prev)
     x_new = x - gamma * v
 
-    if lyapunov_A is None:
-        lyapunov_A = lyapunov_weight(gamma, beta, analysis_regime(problem))
+    lyapunov_A = lyapunov_weight(gamma, beta, analysis_regime(problem))
     f_star = problem.f_star if problem.f_star is not None else 0.0
     v_err = grad - v_prev
     dx = x_new - x
@@ -331,7 +326,6 @@ def run_batch(cfg: RunConfig, trials) -> "TrialStats":
     trials = tuple(trials)
     p, K = cfg.problem, cfg.iterations
     state = init_state(cfg, trials)
-    lyap_A = cfg.lyapunov_A()
     row_of = {t: r for r, t in enumerate(trials)}
     rows = slice(None)  # rows of the tables that the batch fills
     iterates = np.empty((len(trials), K + 1, p.dimension))
@@ -349,7 +343,7 @@ def run_batch(cfg: RunConfig, trials) -> "TrialStats":
             streams = [dict(zip(state.trials, per_trial)) for per_trial in
                        worker_states(cfg.seed, state.trials, p.n_workers, range(k, min(k + block, K)))]
         state, fields, stopped = step(state, p, cfg.estimator, cfg.noise, cfg.gamma, cfg.beta,
-                                      lyap_A, streams[k % block] if draws else None, generator)
+                                      streams[k % block] if draws else None, generator)
         if stopped:
             stops.update((t, (k, reason)) for t, reason in stopped.items())
             rows = [row_of[t] for t in state.trials]

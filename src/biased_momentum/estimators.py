@@ -239,7 +239,7 @@ def aggregate(p: Problem, x: np.ndarray, grads, spec: EstimatorSpec,
     order the streams are read in).
     """
     stack = _transmissions(p, x, range(p.n_workers), grads, spec, noise, rng, draws)
-    return pairwise_mean(stack.swapaxes(0, 1))
+    return pairwise_mean(stack, axis=-2)
 
 
 # float64 elements that one block of measure_eta draws may hold per stack,
@@ -269,8 +269,8 @@ def measure_eta(
     x = as_param_vector(x, p.dimension)
     if rng is None:
         rng = np.random.default_rng(0 if noise is None else noise.seed)
-    grads = [p.worker_grad(i, x) for i in range(p.n_workers)]
-    exact = pairwise_mean(grads)
+    grads = p.worker_grads(x)
+    exact = pairwise_mean(grads, axis=-2)
     width = p.n_workers + (spec.s_g + spec.s_f if spec.kind == "composite" else 0)
     block = max(1, _BLOCK_ELEMENTS // (width * p.dimension))
     vals = np.empty(samples)

@@ -304,13 +304,27 @@ def cli_verify(args) -> int:
     return 1 if any(o.failed for o in outcomes) else 0
 
 
+def _check_lengths(stats: TrialStats, diverged, iterations: int, csv_path) -> None:
+    """Each trial of a run CSV holds exactly ``iterations`` rows, or fewer when
+    run.json's ``diverged`` flags (one true/false per trial) mark it."""
+    if not (isinstance(diverged, list) and len(diverged) == len(stats.trials)
+            and all(isinstance(flag, bool) for flag in diverged)):
+        raise ConfigurationError(f"run.json 'diverged' needs one true/false per trial, "
+                                 f"got {diverged!r}")
+    for trial, length, flag in zip(stats.trials, stats.lengths, diverged):
+        if not (length < iterations if flag else length == iterations):
+            raise ConfigurationError(
+                f"{csv_path}: trial {trial} has {length} rows for {iterations} iterations, "
+                f"but run.json marks it {'' if flag else 'not '}diverged")
+
+
 def cli_report(args) -> int:
     run_dir = Path(args.dir)
     sidecar_path = run_dir / "run.json"
     csv_path = run_dir / "run.csv"
     sweep_path = run_dir / "sweep.json"
     if sweep_path.exists() and not csv_path.exists():
-        doc = json.loads(sweep_path.read_text())
+        doc = _load_json(sweep_path)
         axis = doc["spec"]["axis"]
         kind = {"noise.delta_offset": "delta", "noise.sigma2": "sigma2", "estimator.k": "top_k"}.get(axis)
         if kind is None:
@@ -321,12 +335,13 @@ def cli_report(args) -> int:
         return 1 if outcome.failed else 0
     if not sidecar_path.exists() or not csv_path.exists():
         raise ConfigurationError(f"no run artifacts (run.csv + run.json) in {run_dir}")
-    sidecar = json.loads(sidecar_path.read_text())
-    if sidecar.get("theory") is None:
+    sidecar = _load_json(sidecar_path)
+    if not isinstance(sidecar.get("theory"), dict):
         raise ConfigurationError("sidecar carries no theory report")
     report = TheoryReport.from_dict(sidecar["theory"])
     cfg = RunConfig.from_dict(sidecar["config"])  # validate the config echo
     stats = read_run_csv(csv_path, cfg.trials)
+    _check_lengths(stats, sidecar.get("diverged"), cfg.iterations, csv_path)
     outcomes = [
         audit_descent(stats, report),
         audit_theorem_ncvx(stats, report),

@@ -1,16 +1,19 @@
 """Objective suite with exact per-worker gradients and certified constants.
 
-Each problem instance is an immutable object exposing
+Each problem instance is an immutable object exposing two oracles, each
+taking one point x of shape (d,) or a stack of points of shape (..., d):
 
-* ``f(x)``              -- the global objective (1/n) sum_i f_i(x), the
-  pairwise-tree mean of ``worker_value(i, x)`` unless a closed form exists;
-  given a (T, d) stack of points it returns the (T,) values,
-* ``worker_grad(i, x)`` -- the exact local gradient grad f_i(x),
-* ``worker_grads(X)``   -- every worker's gradient at each row of a (T, d)
-  stack, shape (T, n, d), each row equal bit for bit to ``worker_grad``,
-* ``L``, ``mu``, ``f_star`` -- a certified gradient-Lipschitz constant, a
-  PL constant (0.0 when no certificate is claimed) and the global lower
-  bound (None when unknown).
+* ``f(x)``            -- the global objective (1/n) sum_i f_i(x), the
+  pairwise-tree mean over the workers unless a closed form exists; shape
+  (...), a float for one point,
+* ``worker_grads(x)`` -- every worker's exact local gradient grad f_i(x),
+  shape (..., n, d),
+
+and ``L``, ``mu``, ``f_star``: a certified gradient-Lipschitz constant, a
+PL constant (0.0 when no certificate is claimed) and the global lower
+bound (None when unknown).  Every row of a stack rounds bit for bit like
+the same point evaluated on its own: products with data matrices are
+stacked matrix-vector products, never one matrix-matrix product.
 
 Parameter vectors are plain 1-D float64 numpy arrays; ``as_param_vector``
 is the single validation gate (finite entries, correct dimension).
@@ -109,9 +112,9 @@ def config_array(value, name: str, ndim: int) -> np.ndarray:
 class Problem:
     """Base interface; concrete problems are frozen dataclasses.
 
-    ``f`` averages ``worker_value`` over the workers and ``worker_grads``
-    evaluates ``worker_grad`` row by row; a problem with a closed-form
-    objective or a stacked gradient form overrides them.
+    Each kind defines the stacked oracles ``f`` ((..., d) -> (...)) and
+    ``worker_grads`` ((..., d) -> (..., n, d)) described in the module
+    docstring.
     """
 
     kind: str
@@ -122,16 +125,10 @@ class Problem:
     f_star: float | None
 
     def f(self, x: np.ndarray):
-        if np.ndim(x) == 2:
-            return np.array([self.f(row) for row in x])
-        vals = [np.array([self.worker_value(i, x)]) for i in range(self.n_workers)]
-        return float(pairwise_mean(vals)[0])
-
-    def worker_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
-        return np.array([[self.worker_grad(i, row) for i in range(self.n_workers)] for row in x])
+        raise NotImplementedError
 
     def _check_worker(self, i: int) -> None:
         if not 0 <= i < self.n_workers:
@@ -272,23 +269,16 @@ class QuadraticProblem(Problem):
     source: dict | None = field(default=None, repr=False, compare=False)
 
     def f(self, x: np.ndarray):
-        if np.ndim(x) == 2:
-            r = (self.A[None] @ x[..., None])[..., 0]
-            return 0.5 * row_dot(r, r)
-        r = self.A @ x
-        return 0.5 * float(r @ r)
-
-    def worker_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        self._check_worker(i)
-        Ai = self.blocks[i]
-        return self.n_workers * (Ai.T @ (Ai @ x))
+        x = np.asarray(x, dtype=np.float64)
+        r = (self.A @ x[..., None])[..., 0]
+        return 0.5 * row_dot(r, r)
 
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
-        # stacked matrix-vector products round like the 1-D ones in worker_grad
-        # (a (T, d) @ A_i.T product does not); A_i.T stays a transposed view
-        out = np.empty((x.shape[0], self.n_workers, self.dimension))
+        # gradient n * A_i^T (A_i x) of worker i; A_i.T stays a transposed view
+        x = np.asarray(x, dtype=np.float64)
+        out = np.empty(x.shape[:-1] + (self.n_workers, self.dimension))
         for i, Ai in enumerate(self.blocks):
-            out[:, i] = self.n_workers * (Ai.T[None] @ (Ai[None] @ x[..., None]))[..., 0]
+            out[..., i, :] = self.n_workers * (Ai.T @ (Ai @ x[..., None]))[..., 0]
         return out
 
 
@@ -357,38 +347,40 @@ def make_quadratic(
 # l2-regularized logistic regression
 
 
-def _logistic_loss_and_coef(X: np.ndarray, b: np.ndarray, x: np.ndarray):
-    """Mean point loss and the per-point gradient coefficients.
+def _margins(F: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """z_j = b_j <a_j, x> for the rows a_j of F, at each point of x (..., d).
 
-    Point loss log(1 + exp(-b <a, x>)); its gradient is coef_j * a_j with
-    coef_j = -b_j * sigmoid(-b_j <a_j, x>).
+    The point loss is log(1 + exp(-z_j)); its gradient is coef_j * a_j with
+    coef_j = -b_j * sigmoid(-z_j).
     """
-    z = b * (X @ x)
-    loss = float(np.mean(np.logaddexp(0.0, -z)))
-    coef = -b * expit(-z)
-    return loss, coef
+    return b * (F @ x[..., None])[..., 0]
 
 
 class _LogisticLossProblem(Problem):
     """Mean logistic loss over worker i's dataset plus a regularizer.
 
     Subclasses hold ``features``/``labels`` and define the regularizer's
-    value ``_reg_value(x)`` and gradient ``_reg_grad(x)``.
+    value ``_reg_value(x)`` and gradient ``_reg_grad(x)`` on stacks of points.
     """
 
     features: tuple
     labels: tuple
 
-    def worker_value(self, i: int, x: np.ndarray) -> float:
-        self._check_worker(i)
-        loss, _ = _logistic_loss_and_coef(self.features[i], self.labels[i], x)
-        return loss + self._reg_value(x)
+    def f(self, x: np.ndarray):
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        reg = self._reg_value(x)
+        values = np.stack([np.mean(np.logaddexp(0.0, -_margins(F, b, x)), axis=-1) + reg
+                           for F, b in zip(self.features, self.labels)], axis=-1)
+        return pairwise_mean(values, axis=-1)
 
-    def worker_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        self._check_worker(i)
-        X, b = self.features[i], self.labels[i]
-        _, coef = _logistic_loss_and_coef(X, b, x)
-        return X.T @ coef / X.shape[0] + self._reg_grad(x)
+    def worker_grads(self, x: np.ndarray) -> np.ndarray:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        reg = self._reg_grad(x)
+        grads = []
+        for F, b in zip(self.features, self.labels):
+            coef = -b * expit(-_margins(F, b, x))
+            grads.append((F.T @ coef[..., None])[..., 0] / F.shape[0] + reg)
+        return np.stack(grads, axis=-2)
 
 
 @dataclass(frozen=True)
@@ -411,8 +403,8 @@ class LogisticL2Problem(_LogisticLossProblem):
     kind: str = "logistic_l2"
     source: dict | None = field(default=None, repr=False, compare=False)
 
-    def _reg_value(self, x: np.ndarray) -> float:
-        return 0.5 * self.lam * float(x @ x)
+    def _reg_value(self, x: np.ndarray) -> np.ndarray:
+        return 0.5 * self.lam * row_dot(x, x)
 
     def _reg_grad(self, x: np.ndarray) -> np.ndarray:
         return self.lam * x
@@ -477,8 +469,8 @@ class NonconvexRegProblem(_LogisticLossProblem):
     kind: str = "nonconvex_reg_classification"
     source: dict | None = field(default=None, repr=False, compare=False)
 
-    def _reg_value(self, x: np.ndarray) -> float:
-        return self.lam_nc * float(np.sum(x**2 / (1.0 + x**2)))
+    def _reg_value(self, x: np.ndarray) -> np.ndarray:
+        return self.lam_nc * np.sum(x**2 / (1.0 + x**2), axis=-1)
 
     def _reg_grad(self, x: np.ndarray) -> np.ndarray:
         return self.lam_nc * 2.0 * x / (1.0 + x**2) ** 2
@@ -527,8 +519,7 @@ def make_synthetic_classification(
 
 def full_gradient(p: Problem, x: np.ndarray) -> np.ndarray:
     """Exact (1/n) sum_i grad f_i(x), pairwise-tree reduced over ascending i."""
-    x = as_param_vector(x, p.dimension)
-    return pairwise_mean([p.worker_grad(i, x) for i in range(p.n_workers)])
+    return pairwise_mean(p.worker_grads(as_param_vector(x, p.dimension)), axis=-2)
 
 
 # ---------------------------------------------------------------------------

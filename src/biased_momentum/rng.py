@@ -25,7 +25,7 @@ Stream namespaces (first key element):
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -160,28 +160,20 @@ def seeded_streams(states, generator: np.random.Generator) -> Iterator[np.random
         yield generator
 
 
-def pairwise_sum(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum vectors with a fixed pairwise tree, independent of caller order.
+def pairwise_mean(values, axis: int = 0) -> np.ndarray:
+    """Mean over one axis of an array with a fixed pairwise tree.
 
-    Reduces [v0, v1, v2, v3, ...] as ((v0+v1)+(v2+v3))+... so the floating
-    point rounding pattern depends only on the list contents and length.
+    Reduces the entries [v0, v1, v2, v3, ...] along the axis as
+    ((v0+v1)+(v2+v3))+..., so the rounding of each result element depends
+    only on the entries it reduces and their count, not on the other axes.
     """
-    vs = [np.asarray(v) for v in vectors]
-    if not vs:
-        raise ValueError("pairwise_sum needs at least one vector")
-    while len(vs) > 1:
-        nxt = []
-        for i in range(0, len(vs) - 1, 2):
-            nxt.append(vs[i] + vs[i + 1])
-        if len(vs) % 2:
-            nxt.append(vs[-1])
-        vs = nxt
-    return vs[0]
-
-
-def pairwise_mean(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Mean over vectors using the pairwise summation tree."""
-    return pairwise_sum(vectors) / len(vectors)
+    a = np.moveaxis(np.asarray(values), axis, 0)
+    count = len(a)
+    while len(a) > 1:
+        even = len(a) - len(a) % 2
+        pairs = a[0:even:2] + a[1:even:2]
+        a = np.concatenate((pairs, a[even:])) if even < len(a) else pairs
+    return a[0] / count
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

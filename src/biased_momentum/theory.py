@@ -18,7 +18,7 @@ with a 1.1 safety factor) rather than postulated.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,8 +26,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .composite import measure_composite_sigmas
 from .estimators import EstimatorSpec
-from .problems import NoiseSpec, Problem, as_param_vector, full_gradient
-from .rng import pairwise_mean
+from .problems import NoiseSpec, Problem, as_param_vector, check_keys, full_gradient
+from .rng import pairwise_mean, row_dot
 
 __all__ = [
     "TheoryReport",
@@ -214,23 +214,21 @@ def theta0_value(gamma: float, beta: float, f0_gap: float, grad_v_err0_sq: float
 
 
 def measure_heterogeneity(p: Problem, points: Sequence[np.ndarray], safety: float = 1.1) -> float:
-    """Max over sampled iterates of max_i ||grad f_i(x) - grad f(x)||^2, x safety."""
-    worst = 0.0
-    for x in points:
-        x = as_param_vector(x, p.dimension)
-        grads = [p.worker_grad(i, x) for i in range(p.n_workers)]
-        g = pairwise_mean(grads)
-        for gi in grads:
-            diff = gi - g
-            worst = max(worst, float(diff @ diff))
-    return safety * worst
+    """Max over sampled iterates of max_i ||grad f_i(x) - grad f(x)||^2, x safety.
+
+    A NaN square (from an overflowed gradient) is left out of the max.
+    """
+    grads = p.worker_grads(np.array([as_param_vector(x, p.dimension) for x in points]))
+    diff = grads - pairwise_mean(grads, axis=-2)[..., None, :]
+    return safety * float(np.fmax.reduce(row_dot(diff, diff), axis=None, initial=0.0))
 
 
 def measure_suboptimality(p: Problem, points: Sequence[np.ndarray], safety: float = 1.1) -> float:
     """Max over sampled iterates of f(x) - f*, times the safety factor."""
     if p.f_star is None:
         raise ConfigurationError("suboptimality needs a known f*")
-    worst = max(p.f(as_param_vector(x, p.dimension)) - p.f_star for x in points)
+    stack = np.array([as_param_vector(x, p.dimension) for x in points])
+    worst = max((p.f(stack) - p.f_star).tolist())
     return safety * max(worst, 0.0)
 
 
@@ -286,6 +284,8 @@ class TheoryReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TheoryReport":
+        check_keys(d, [f.name for f in fields(cls)], "theory",
+                   required=[f.name for f in fields(cls) if f.default is MISSING])
         d = dict(d)
         if d.get("composite_sigmas") is not None:
             d["composite_sigmas"] = tuple(d["composite_sigmas"])

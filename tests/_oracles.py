@@ -5,8 +5,10 @@ finite differences instead of analytic gradients, power iteration and the
 characteristic polynomial instead of eigvalsh, hand-rolled SGD and momentum
 loops (one trial, one fresh ``SeedSequence`` stream per worker and step)
 instead of the trial-batched engine, one sample at a time instead of the
-batched composite oracles, and one vector per worker per draw (with its own
-operators, noise and subsampling) instead of the batched estimator stacks.
+batched composite oracles, one point and one worker at a time (closed
+forms, reduced with a list-walking pairwise tree) instead of the stacked
+problem oracles, and one vector per worker per draw (with its own operators,
+noise and subsampling) instead of the batched estimator stacks.
 
 ``worker_estimate`` is the exception: it is the library's own transmission
 path for one worker and one draw, kept here as a test accessor.
@@ -18,17 +20,77 @@ from itertools import combinations
 import numpy as np
 from scipy.special import expit
 
-from biased_momentum.composite import MamlProblem
+from biased_momentum.composite import MamlProblem, ToyCompositeProblem
 from biased_momentum.engine import DIVERGENCE_F_MAX
 from biased_momentum.estimators import _transmissions
-from biased_momentum.problems import as_param_vector
-from biased_momentum.rng import STREAM_WORKER, pairwise_mean, substream
+from biased_momentum.problems import LogisticL2Problem, QuadraticProblem, as_param_vector
+from biased_momentum.rng import STREAM_WORKER, substream
+from biased_momentum.theory import analysis_regime, lyapunov_weight
 
 
 def worker_stream(seed, trial, worker, k):
     """The generator worker ``worker`` draws from at iteration ``k`` of
     ``trial``, built from a fresh ``SeedSequence``."""
     return substream(seed, STREAM_WORKER, trial, worker, k)
+
+
+def reference_pairwise_mean(vectors):
+    """Mean of a list of vectors, summed as ((v0+v1)+(v2+v3))+... with an
+    odd one out carried to the next level."""
+    vs = [np.asarray(v) for v in vectors]
+    count = len(vs)
+    while len(vs) > 1:
+        nxt = [vs[j] + vs[j + 1] for j in range(0, len(vs) - 1, 2)]
+        if len(vs) % 2:
+            nxt.append(vs[-1])
+        vs = nxt
+    return vs[0] / count
+
+
+def reference_worker_value(p, i, x):
+    """f_i(x) of one worker at one point, by its closed form (not for the
+    quadratic, whose f has one)."""
+    if isinstance(p, MamlProblem):
+        pts = [point_logistic(p.features[i][j], float(p.labels[i][j])) for j in range(p.m_g)]
+        z = np.mean([x - p.gamma_inner * pt[1](x) for pt in pts], axis=0)
+        return float(np.mean([pt[0](z) for pt in pts]))
+    if isinstance(p, ToyCompositeProblem):
+        z = np.mean([G @ x for G in p.G], axis=0)
+        return float(np.mean([c * np.sum((z - r) ** 4) for c, r in zip(p.coeffs, p.centers)]))
+    z = p.labels[i] * (p.features[i] @ x)
+    loss = float(np.mean(np.logaddexp(0.0, -z)))
+    if isinstance(p, LogisticL2Problem):
+        return loss + 0.5 * p.lam * float(x @ x)
+    return loss + p.lam_nc * float(np.sum(x**2 / (1.0 + x**2)))
+
+
+def reference_f(p, x):
+    """f(x) at one point: 0.5 ||A x||^2 for the quadratic, else the
+    pairwise mean of the worker values."""
+    if isinstance(p, QuadraticProblem):
+        r = p.A @ x
+        return 0.5 * float(r @ r)
+    return float(reference_pairwise_mean([reference_worker_value(p, i, x)
+                                          for i in range(p.n_workers)]))
+
+
+def reference_worker_grad(p, i, x):
+    """grad f_i(x) of one worker at one point, by its closed form."""
+    if isinstance(p, QuadraticProblem):
+        Ai = p.blocks[i]
+        return p.n_workers * (Ai.T @ (Ai @ x))
+    if isinstance(p, (MamlProblem, ToyCompositeProblem)):
+        return reference_chained_gradient(p, i, x, range(p.m_g), range(p.m_F))
+    F, b = p.features[i], p.labels[i]
+    grad = F.T @ (-b * expit(-b * (F @ x))) / F.shape[0]
+    if isinstance(p, LogisticL2Problem):
+        return grad + p.lam * x
+    return grad + p.lam_nc * 2.0 * x / (1.0 + x**2) ** 2
+
+
+def reference_full_gradient(p, x):
+    """The pairwise mean of the worker gradients at one point."""
+    return reference_pairwise_mean([reference_worker_grad(p, i, x) for i in range(p.n_workers)])
 
 
 def fd_gradient(f, x, h=None):
@@ -123,7 +185,7 @@ def reference_transmission(problem, i, x, spec, noise, rng):
         idx_g = np.sort(rng.choice(problem.m_g, size=spec.s_g, replace=False))
         idx_f = np.sort(rng.choice(problem.m_F, size=spec.s_f, replace=False))
         return reference_noise(reference_chained_gradient(problem, i, x, idx_g, idx_f), noise, rng)
-    g = reference_noise(problem.worker_grad(i, x), noise, rng)
+    g = reference_noise(reference_worker_grad(problem, i, x), noise, rng)
     if spec.kind == "top_k":
         return reference_top_k(g, spec.k)
     if spec.kind == "scaled_sign":
@@ -146,7 +208,8 @@ def worker_estimate(p, i, x, spec, noise=None, rng=None):
     """What worker i transmits (estimator applied to its noisy gradient), as
     the one-worker, one-draw stack of the library's transmission path."""
     x = as_param_vector(x, p.dimension)
-    grad_i = None if spec.kind == "composite" else p.worker_grad(i, x)
+    p._check_worker(i)
+    grad_i = None if spec.kind == "composite" else reference_worker_grad(p, i, x)
     return _transmissions(p, x, [i], [grad_i], spec, noise, rng, 1)[0, 0]
 
 
@@ -165,7 +228,7 @@ def reference_sgd(problem, estimator, noise, gamma, iterations, x0, seed, trial=
                                    worker_stream(seed, trial, i, k))
             for i in range(problem.n_workers)
         ]
-        g = pairwise_mean(gs)
+        g = reference_pairwise_mean(gs)
         x = x - gamma * g
         xs.append(x.copy())
     return xs
@@ -180,22 +243,21 @@ def reference_momentum(cfg, trial):
     ``reference_transmission``; the divergence rules are the engine's.
     """
     p, beta, gamma = cfg.problem, cfg.beta, cfg.gamma
-    lyapunov_A = cfg.lyapunov_A()
+    lyapunov_A = lyapunov_weight(gamma, beta, analysis_regime(p))
     f_star = p.f_star if p.f_star is not None else 0.0
     x = cfg.resolve_x0()
-    v_prev = (pairwise_mean([p.worker_grad(i, x) for i in range(p.n_workers)])
-              if cfg.v_init == "grad_at_x0" else np.zeros_like(x))
+    v_prev = reference_full_gradient(p, x) if cfg.v_init == "grad_at_x0" else np.zeros_like(x)
     records, iterates = [], [x]
     for k in range(cfg.iterations):
-        fval = p.f(x)
         if not np.all(np.isfinite(x)):
             return records, iterates, k, "non-finite iterate"
+        fval = reference_f(p, x)
         if not math.isfinite(fval):
             return records, iterates, k, f"non-finite f ({fval})"
         if fval > DIVERGENCE_F_MAX:
             return records, iterates, k, f"f = {fval:.6g} > {DIVERGENCE_F_MAX:g}"
-        grad = pairwise_mean([p.worker_grad(i, x) for i in range(p.n_workers)])
-        g = pairwise_mean([
+        grad = reference_full_gradient(p, x)
+        g = reference_pairwise_mean([
             reference_transmission(p, i, x, cfg.estimator, cfg.noise, worker_stream(cfg.seed, trial, i, k))
             for i in range(p.n_workers)
         ])
@@ -217,10 +279,10 @@ def reference_measure_eta(problem, x, spec, noise, samples, rng):
     """(mean, stderr) of ||eta||^2 by the per-draw loop, in which every draw
     asks each worker in turn for a fresh transmission, and ||grad f(x)||^2."""
     x = np.asarray(x, dtype=np.float64)
-    exact = pairwise_mean([problem.worker_grad(i, x) for i in range(problem.n_workers)])
+    exact = reference_full_gradient(problem, x)
     vals = np.empty(samples)
     for s in range(samples):
-        g = pairwise_mean(
+        g = reference_pairwise_mean(
             [reference_transmission(problem, i, x, spec, noise, rng)
              for i in range(problem.n_workers)]
         )

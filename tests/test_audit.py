@@ -293,13 +293,14 @@ def test_affine_evaluates_each_worker_gradient_once_per_point(monkeypatch):
     expected = audit_affine_variance(p, points, cfg.estimator, cfg.noise, report,
                                      draws=20, seed=5)
     cls, calls = type(p), []
-    original = cls.worker_grad
+    original = cls.worker_grads
 
-    def counting(self, i, x):
-        calls.append(i)
-        return original(self, i, x)
+    def counting(self, x):
+        for _ in range(int(np.prod(np.shape(x)[:-1]))):
+            calls.extend(range(self.n_workers))
+        return original(self, x)
 
-    monkeypatch.setattr(cls, "worker_grad", counting)
+    monkeypatch.setattr(cls, "worker_grads", counting)
     got = audit_affine_variance(p, points, cfg.estimator, cfg.noise, report,
                                 draws=20, seed=5)
     monkeypatch.undo()

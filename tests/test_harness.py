@@ -271,22 +271,60 @@ def _with_row(lines, k, trial, fields):
     return [f"{k},{trial}," + ",".join(fields)] + lines
 
 
-MALFORMED_ROWS = {  # rows (trial 0 at k=0..39, then trial 1) -> edited rows, error text
-    "dropped": (lambda rows: rows[:20] + rows[21:], "trial 0, k=20"),
-    "duplicated": (lambda rows: rows + [rows[47]], "trial 1, k=7"),
-    "negative-k": (lambda rows: _with_row(rows, -1, 0, rows[1].split(",")[2:]), "trial 0, k=-1"),
-    "trial-beyond-config": (lambda rows: _with_row(rows, 0, 2, rows[1].split(",")[2:]),
+def _rows(edit):
+    """A run-directory edit through run.csv's data rows (the header stays)."""
+    def apply(out):
+        header, *rows = (out / "run.csv").read_text().splitlines()
+        (out / "run.csv").write_text("\n".join([header] + edit(rows)) + "\n")
+    return apply
+
+
+def _sidecar(edit):
+    """A run-directory edit of the run.json document."""
+    def apply(out):
+        doc = json.loads((out / "run.json").read_text())
+        edit(doc)
+        (out / "run.json").write_text(json.dumps(doc))
+    return apply
+
+
+def _truncated(name):
+    """A run-directory edit cutting run.json, or a sweep.json standing in for
+    run.csv, off halfway."""
+    def apply(out):
+        text = (out / "run.json").read_text()
+        if name == "sweep.json":
+            (out / "run.csv").unlink()
+        (out / name).write_text(text[: len(text) // 2])
+    return apply
+
+
+MALFORMED_ARTIFACTS = {  # rows (trial 0 at k=0..39, then trial 1) -> edited dir, error text
+    "dropped": (_rows(lambda rows: rows[:20] + rows[21:]), "trial 0, k=20"),
+    "duplicated": (_rows(lambda rows: rows + [rows[47]]), "trial 1, k=7"),
+    "negative-k": (_rows(lambda rows: _with_row(rows, -1, 0, rows[1].split(",")[2:])),
+                   "trial 0, k=-1"),
+    "trial-beyond-config": (_rows(lambda rows: _with_row(rows, 0, 2, rows[1].split(",")[2:])),
                             "trial 2, k=0"),
-    "unparsable-value": (lambda rows: rows[:5] + [rows[5] + "x"] + rows[6:], "malformed"),
+    "unparsable-value": (_rows(lambda rows: rows[:5] + [rows[5] + "x"] + rows[6:]), "malformed"),
+    "dropped-last-row": (_rows(lambda rows: rows[:39] + rows[40:]), "trial 0 has 39 rows"),
+    "diverged-but-complete": (_sidecar(lambda doc: doc["diverged"].__setitem__(1, True)),
+                              "trial 1 has 40 rows"),
+    "diverged-flags-short": (_sidecar(lambda doc: doc.update(diverged=[False])), "'diverged'"),
+    "truncated-run-json": (_truncated("run.json"), "run.json: invalid JSON"),
+    "truncated-sweep-json": (_truncated("sweep.json"), "sweep.json: invalid JSON"),
+    "theory-unknown-key": (_sidecar(lambda doc: doc["theory"].update(extra=1.0)),
+                           "unknown theory key(s) ['extra']"),
+    "theory-missing-key": (_sidecar(lambda doc: doc["theory"].pop("B2")),
+                           "theory missing required key 'B2'"),
 }
 
 
-@pytest.mark.parametrize("case", list(MALFORMED_ROWS))
+@pytest.mark.parametrize("case", list(MALFORMED_ARTIFACTS))
 def test_report_rejects_malformed_csv(tmp_path, capsys, case):
-    edit, named = MALFORMED_ROWS[case]
-    out, lines = _run_csv_lines(tmp_path)
-    header, rows = lines[0], lines[1:]
-    (out / "run.csv").write_text("\n".join([header] + edit(rows)) + "\n")
+    edit, named = MALFORMED_ARTIFACTS[case]
+    out, _ = _run_csv_lines(tmp_path)
+    edit(out)
     capsys.readouterr()
     assert main(["report", str(out)]) == 2
     captured = capsys.readouterr()

@@ -10,14 +10,24 @@ from biased_momentum import (
     NoiseSpec,
     full_gradient,
     make_logistic_l2,
+    make_maml,
     make_nonconvex_reg,
     make_quadratic,
     make_synthetic_classification,
+    make_toy_composite,
     problem_from_dict,
 )
-from biased_momentum.rng import pairwise_mean, substream
+from biased_momentum.rng import substream
 
-from _oracles import charpoly_extremes, fd_gradient, power_iteration_extremes, worker_estimate
+from _oracles import (
+    charpoly_extremes,
+    fd_gradient,
+    power_iteration_extremes,
+    reference_f,
+    reference_full_gradient,
+    reference_worker_grad,
+    worker_estimate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +105,7 @@ def test_logistic_zero_feature_gives_pure_regularizer():
     labels = (np.array([1.0]),)
     p = make_logistic_l2(feats, labels, lam=1.0)
     x = np.array([0.3, -0.2, 0.0, 1.0])
-    np.testing.assert_allclose(p.worker_grad(0, x), x)
+    np.testing.assert_allclose(p.worker_grads(x)[0], x)
 
 
 def test_logistic_value_at_origin_is_log2():
@@ -161,8 +171,43 @@ def test_full_gradient_equals_pairwise_worker_average_bitwise():
     feats, labels = make_synthetic_classification(6, 5, 7, seed=6)
     p = make_logistic_l2(feats, labels, lam=0.2)
     x = substream(6, 3, 4).standard_normal(6)
-    manual = pairwise_mean([p.worker_grad(i, x) for i in range(p.n_workers)])
+    manual = reference_full_gradient(p, x)
     np.testing.assert_array_equal(full_gradient(p, x), manual)
+
+
+def _oracle_problems():
+    """One problem of every kind, including least-squares and one-worker
+    quadratics and a logistic instance large enough that a matrix-matrix
+    product rounds differently from stacked matrix-vector products."""
+    ls_rows = substream(8, 3, 0).standard_normal((9, 4))
+    return {
+        "quadratic": make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), n_workers=3, seed=2),
+        "quadratic-n1": make_quadratic(spectrum=np.linspace(0.1, 1.0, 5), seed=3),
+        "least-squares": make_quadratic(ls_rows, n_workers=2, least_squares=True),
+        "logistic_l2": make_logistic_l2(*make_synthetic_classification(50, 2, 300, seed=7), 0.3),
+        "nonconvex_reg": make_nonconvex_reg(*make_synthetic_classification(7, 3, 11, seed=8), 0.6),
+        "maml": make_maml(*make_synthetic_classification(4, 3, 6, seed=9), 0.2),
+        "composite_toy": make_toy_composite(n_workers=2),
+    }
+
+
+def test_stacked_oracles_match_reference():
+    # every row of f / worker_grads rounds like the per-vector closed form,
+    # for stacks of one and three points and for one 1-D point
+    for kind, p in _oracle_problems().items():
+        rng = substream(12, 3, p.dimension)
+        for x in (rng.standard_normal((1, p.dimension)), rng.standard_normal((3, p.dimension)),
+                  rng.standard_normal(p.dimension)):
+            rows = np.reshape(x, (-1, p.dimension))
+            f, grads = p.f(x), p.worker_grads(x)
+            assert isinstance(f, float) if x.ndim == 1 else f.shape == x.shape[:-1], kind
+            assert grads.shape == x.shape[:-1] + (p.n_workers, p.dimension), kind
+            f, grads = np.reshape(f, -1), np.reshape(grads, (-1, p.n_workers, p.dimension))
+            for t, row in enumerate(rows):
+                assert f[t] == reference_f(p, row), (kind, t)
+                for i in range(p.n_workers):
+                    np.testing.assert_array_equal(grads[t, i], reference_worker_grad(p, i, row),
+                                                  err_msg=f"{kind} row {t} worker {i}")
 
 
 def test_full_gradient_zero_at_designed_stationary_point():
@@ -174,14 +219,14 @@ def test_worker_gradient_exact_when_noise_off():
     p = make_quadratic(np.eye(4), n_workers=2)
     x = np.array([1.0, -2.0, 0.5, 0.0])
     g = worker_estimate(p, 0, x, EstimatorSpec(), NoiseSpec(), rng=None)
-    np.testing.assert_array_equal(g, p.worker_grad(0, x))
+    np.testing.assert_array_equal(g, reference_worker_grad(p, 0, x))
 
 
 def test_worker_gradient_constant_offset_exact():
     p = make_quadratic(np.eye(4), n_workers=2)
     x = np.ones(4)
     g = worker_estimate(p, 1, x, EstimatorSpec(), NoiseSpec(delta_offset=0.25), rng=None)
-    np.testing.assert_allclose(g, p.worker_grad(1, x) + 0.25, rtol=0, atol=0)
+    np.testing.assert_allclose(g, reference_worker_grad(p, 1, x) + 0.25, rtol=0, atol=0)
 
 
 def test_worker_gradient_gaussian_mean():
@@ -195,7 +240,7 @@ def test_worker_gradient_gaussian_mean():
     for _ in range(n):
         acc += worker_estimate(p, 0, x, EstimatorSpec(), noise, rng)
     mean = acc / n
-    expected = p.worker_grad(0, x) + 0.1
+    expected = reference_worker_grad(p, 0, x) + 0.1
     tol = 4 * np.sqrt(0.04) / np.sqrt(n)
     assert np.all(np.abs(mean - expected) < tol)
 
@@ -222,7 +267,7 @@ def test_worker_gradient_vector_offset():
     g = worker_estimate(
         p, 0, x, EstimatorSpec(), NoiseSpec(delta_offset=[0.1, -0.3]), rng=None
     )
-    np.testing.assert_allclose(g, p.worker_grad(0, x) + np.array([0.1, -0.3]))
+    np.testing.assert_allclose(g, reference_worker_grad(p, 0, x) + np.array([0.1, -0.3]))
 
 
 # ---------------------------------------------------------------------------

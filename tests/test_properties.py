@@ -20,7 +20,7 @@ from biased_momentum import (
 )
 from biased_momentum.rng import pairwise_mean
 
-from _oracles import reference_clip, reference_scaled_sign, reference_top_k
+from _oracles import reference_clip, reference_pairwise_mean, reference_scaled_sign, reference_top_k
 
 PROBLEM = problem_from_dict({"kind": "quadratic", "n_workers": 2, "seed": 1,
                              "matrix": {"spectrum": [0.5, 1.0, 1.5, 2.0]}})
@@ -87,6 +87,7 @@ def test_run_config_round_trip(cfg):
 def test_pairwise_mean_is_batching_invariant(stacked):
     vectors = list(stacked)
     batched = pairwise_mean(vectors)
+    np.testing.assert_array_equal(batched, reference_pairwise_mean(vectors))
     np.testing.assert_array_equal(pairwise_mean(stacked), batched)
     for b in range(stacked.shape[1]):
         np.testing.assert_array_equal(batched[b], pairwise_mean([v[b] for v in vectors]))
