@@ -15,7 +15,7 @@ from biased_momentum import (
     RunConfig,
     build_theory_report,
     make_quadratic,
-    run,
+    run_trials,
     stepsize_bounds,
     theorem_bounds,
 )
@@ -30,9 +30,9 @@ for beta in (1.0, 0.5, 0.1):
         problem, gamma, beta, EstimatorSpec(), NoiseSpec(), x0=cfg.resolve_x0()
     )
     _, pl_rhs = theorem_bounds(report)
-    result = run(cfg)
+    table = run_trials(cfg).table
     print(f"\nbeta={beta}  gamma_max_pl={gamma:.5f}  rate={1 - problem.mu * gamma / 2:.5f}")
     print(f"{'k':>5} {'phi_k':>12} {'envelope':>12}")
     for k in (0, 10, 50, 100, 199):
-        phi_k = result.columns["f"][k] + report.A_pl * result.columns["v_error_sq"][k]
+        phi_k = table["f"][0, k] + report.A_pl * table["v_error_sq"][0, k]
         print(f"{k:>5} {phi_k:>12.3e} {pl_rhs(k):>12.3e}")

@@ -17,7 +17,7 @@ from biased_momentum import (
     clip,
     make_quadratic,
     measure_eta,
-    run,
+    run_trials,
 )
 from biased_momentum.audit import pilot_points
 from biased_momentum.rng import substream
@@ -34,8 +34,7 @@ for tau in (1.0, 2.0, 5.0):
     spec = EstimatorSpec(kind="clip", tau=tau)
     cfg = RunConfig(problem=problem, gamma=0.09, beta=0.5, iterations=150,
                     estimator=spec, noise=noise, seed=13)
-    pilot = run(cfg)
-    points = pilot_points(pilot, 10)
+    points = pilot_points(run_trials(cfg), 10)
     report = build_theory_report(
         problem, 0.09, 0.5, spec, noise, x0=cfg.resolve_x0(), pilot_points=points
     )

@@ -29,10 +29,8 @@ from .composite import (
 from .engine import (
     MomentumState,
     RunConfig,
-    RunResult,
     TrialStats,
     init_state,
-    run,
     run_trials,
     step,
     write_run_csv,
@@ -43,7 +41,6 @@ from .estimators import (
     aggregate,
     apply_estimator,
     clip,
-    composite_estimate,
     measure_eta,
     scaled_sign,
     top_k,

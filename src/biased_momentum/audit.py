@@ -4,8 +4,9 @@ Each check is a pure function of recorded trajectory data plus a
 TheoryReport, returning an AuditOutcome with the worst observed margin
 (negative margin = violation).  The trajectory checks read the columns of
 a run's (trial, k) table (``engine.TrialStats``), whether it comes from
-the engine or from a run CSV.  Inadmissible configurations are reported
-as skipped, never as passed:
+the engine or from a run CSV; the premise constants are measured along
+the iterates of its row 0, which only the engine's TrialStats holds.
+Inadmissible configurations are reported as skipped, never as passed:
 
 * descent check      -- the per-step Lyapunov inequality, on realized
   (pathwise) quantities,
@@ -25,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .composite import CompositeProblem
-from .engine import RunConfig, RunResult, TrialStats, per_k_stats, run_trials
+from .engine import RunConfig, TrialStats, per_k_stats, run_trials
 from .errors import ConfigurationError
 from .estimators import EstimatorSpec, measure_eta
 from .problems import NoiseSpec, Problem, as_param_vector, full_gradient
@@ -321,9 +322,10 @@ def audit_figure2_qualitative(rows: Sequence[Mapping], axis_kind: str) -> AuditO
 # full battery for one configuration
 
 
-def pilot_points(result: RunResult, max_points: int = 20) -> list:
-    """Evenly spaced iterates of a trajectory, for premise measurement."""
-    xs = result.iterates
+def pilot_points(stats: TrialStats, max_points: int = 20) -> list:
+    """Evenly spaced iterates of the trajectory in row 0 of a run's
+    TrialStats (x^0 .. x^{lengths[0]}), for premise measurement."""
+    xs = stats.iterates[0, :stats.lengths[0] + 1]
     if len(xs) > max_points:
         xs = xs[np.linspace(0, len(xs) - 1, max_points).astype(int)]
     return list(xs)
@@ -334,7 +336,7 @@ def pilot_report(
 ) -> tuple[TheoryReport, list]:
     """Theory report of cfg with the premise constants measured along trial 0
     of its runs; also returns those pilot points."""
-    points = pilot_points(stats.results[0], max_points)
+    points = pilot_points(stats, max_points)
     report = build_theory_report(
         cfg.problem,
         cfg.gamma,
@@ -371,15 +373,15 @@ def verify_config(
         audit_theorem_ncvx(stats, report),
         audit_theorem_pl(stats, report),
     ]
-    diverged = [res for res in stats.results if res.diverged]
+    diverged = [r for r, flag in enumerate(stats.diverged) if flag]
     if diverged:
-        first = diverged[0]
+        r = diverged[0]
         outcomes.append(
             AuditOutcome(
                 "divergence",
                 "failed",
                 note=f"{len(diverged)} of {cfg.trials} trials diverged; first: trial "
-                     f"{first.trial} at k={first.diverged_at}, {first.reason}",
+                     f"{stats.trials[r]} at k={stats.lengths[r]}, {stats.reasons[r]}",
             )
         )
     return report, outcomes, stats

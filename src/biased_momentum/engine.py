@@ -11,11 +11,12 @@ plain SGD.  Each iteration records the realized error eta_k = g_k -
 grad f(x_k) and the Lyapunov value, so the trajectory carries everything
 the inequality audits need.
 
-A trajectory has one form: a table of the CSV fields, each a C-ordered
-(trial, k) array with NaN past the iteration where a trial stopped.
-``run_batch`` fills it, ``TrialStats`` holds it with its per-k
-statistics, ``write_run_csv`` and ``read_run_csv`` carry it to text and
-back, and the audits read its columns.
+A run has one result: ``run_trials`` returns a ``TrialStats`` holding a
+table of the CSV fields, each a C-ordered (trial, k) array with NaN past
+the iteration where a trial stopped, its per-k statistics, and each
+trial's visited iterates and stop reason.  ``write_run_csv`` and
+``read_run_csv`` carry the table to text and back, and the audits read its
+columns.
 
 Trajectories are pure functions of (config, seed): worker randomness comes
 from per-(trial, worker, iteration) substreams, so trials can run in any
@@ -55,12 +56,9 @@ from .theory import analysis_regime, lyapunov_weight
 __all__ = [
     "RunConfig",
     "MomentumState",
-    "RunResult",
     "TrialStats",
     "init_state",
     "step",
-    "run",
-    "run_batch",
     "run_trials",
     "per_k_stats",
     "write_run_csv",
@@ -182,28 +180,6 @@ class MomentumState:
     seed: int
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """One trial: its row of the run's table and its visited iterates.
-
-    ``columns`` maps each CSV field to the trial's K_t recorded values, a
-    view of its table row.  A diverged trial stops at iteration
-    ``diverged_at`` = K_t (no values for it); ``reason`` says why: a
-    non-finite iterate, a non-finite f, f above DIVERGENCE_F_MAX, or a
-    non-finite aggregate.
-    """
-
-    columns: dict
-    iterates: np.ndarray  # (K_t + 1, d): x^0 .. x^{K_t}
-    trial: int
-    diverged_at: int | None = None
-    reason: str | None = None
-
-    @property
-    def diverged(self) -> bool:
-        return self.diverged_at is not None
-
-
 def init_state(cfg: RunConfig, trials=(0,)) -> MomentumState:
     x0 = cfg.resolve_x0()
     if cfg.v_init == "grad_at_x0":
@@ -314,66 +290,21 @@ def _drop(rows: dict, stopped: dict, trials: tuple, *arrays):
     return (tuple(t for t, kept in zip(trials, keep) if kept), *(a[keep] for a in arrays))
 
 
-def run_batch(cfg: RunConfig, trials) -> "TrialStats":
-    """Run the given trials together, one batched ``step`` per iteration.
-
-    Each step's field arrays go straight into the trials' rows of the
-    (trial, k) table.  A diverged trial leaves the batch at its iteration
-    and the others go on; each row equals the trial's trajectory on its
-    own.  Worker stream states are computed for a block of iterations at a
-    time.
-    """
-    trials = tuple(trials)
-    p, K = cfg.problem, cfg.iterations
-    state = init_state(cfg, trials)
-    row_of = {t: r for r, t in enumerate(trials)}
-    rows = slice(None)  # rows of the tables that the batch fills
-    iterates = np.empty((len(trials), K + 1, p.dimension))
-    iterates[:, 0] = state.x
-    table = {name: np.full((len(trials), K), np.nan) for name in CSV_FIELDS}
-    draws = _reads_streams(cfg.estimator, cfg.noise)
-    generator = np.random.Generator(np.random.PCG64())  # re-seated to each worker stream
-    block = max(1, _BLOCK_STREAMS // (len(trials) * p.n_workers))
-    stops = {}  # trial -> (diverged_at, reason)
-
-    for k in range(K):
-        if not state.trials:
-            break
-        if draws and k % block == 0:
-            streams = [dict(zip(state.trials, per_trial)) for per_trial in
-                       worker_states(cfg.seed, state.trials, p.n_workers, range(k, min(k + block, K)))]
-        state, fields, stopped = step(state, p, cfg.estimator, cfg.noise, cfg.gamma, cfg.beta,
-                                      streams[k % block] if draws else None, generator)
-        if stopped:
-            stops.update((t, (k, reason)) for t, reason in stopped.items())
-            rows = [row_of[t] for t in state.trials]
-        iterates[rows, k + 1] = state.x
-        for name, values in fields.items():
-            table[name][rows, k] = values
-    lengths = [stops.get(t, (K,))[0] for t in trials]
-    results = tuple(
-        RunResult({name: column[r, :n] for name, column in table.items()},
-                  iterates[r, :n + 1], t, *stops.get(t, (None, None)))
-        for r, (t, n) in enumerate(zip(trials, lengths))
-    )
-    return TrialStats.from_table(table, trials, lengths, results)
-
-
-def run(cfg: RunConfig, trial: int = 0) -> RunResult:
-    """Execute one trial (a batch of one); divergence is returned as a flag,
-    not raised."""
-    return run_batch(cfg, (trial,)).results[0]
-
-
 @dataclass(frozen=True)
 class TrialStats:
-    """A run's trajectory table and its per-iteration statistics.
+    """A run's trajectory table, its per-iteration statistics, and each
+    trial's iterates and stop reason.
 
     ``table`` maps each CSV field to a C-ordered (trial, k) array: row r
     holds the ``lengths[r]`` values of trial ``trials[r]`` and NaN past
     them, up to the longest trial.  mean/std/stderr are per k over the
-    trials that reached it (``counts`` of them).  ``results`` are the runs
-    behind the rows (empty for a table read from a CSV).
+    trials that reached it (``counts`` of them).  ``iterates`` is the
+    (trial, k_max + 1, d) array whose row r holds x^0 .. x^{lengths[r]}
+    and NaN past them.  ``reasons[r]`` says why trial ``trials[r]``
+    stopped at k = ``lengths[r]`` (no values for that k): a non-finite
+    iterate, a non-finite f, f above DIVERGENCE_F_MAX, or a non-finite
+    aggregate; it is None for a trial that ran to the end.  A table read
+    from a CSV has no iterates (None) and no reasons (empty).
     """
 
     trials: tuple
@@ -383,13 +314,15 @@ class TrialStats:
     mean: dict
     std: dict
     stderr: dict
-    results: tuple = ()
+    iterates: np.ndarray | None = None
+    reasons: tuple = ()
 
     @classmethod
-    def from_table(cls, table: dict, trials, lengths, results=()) -> "TrialStats":
-        """Trim a (trial, k) field table to its longest trial and reduce it
-        per k.  Deterministic and order-independent: every reduction runs
-        over the C-ordered table, never over a strided or transposed view."""
+    def from_table(cls, table: dict, trials, lengths, iterates=None, reasons=()) -> "TrialStats":
+        """Trim a (trial, k) field table, and the iterates, to the longest
+        trial and reduce the table per k.  Deterministic and
+        order-independent: every reduction runs over the C-ordered table,
+        never over a strided or transposed view."""
         lengths = tuple(int(n) for n in lengths)
         k_max = max(lengths, default=0)
         table = {name: np.ascontiguousarray(table[name][:, :k_max]) for name in CSV_FIELDS}
@@ -397,11 +330,19 @@ class TrialStats:
         for name, column in table.items():
             _, mean[name], std[name], stderr[name] = per_k_stats(column)
         counts = np.sum(np.arange(k_max) < np.array(lengths, dtype=int)[:, None], axis=0)
-        return cls(tuple(trials), lengths, table, counts, mean, std, stderr, tuple(results))
+        if iterates is not None:
+            iterates = iterates[:, :k_max + 1]
+        return cls(tuple(trials), lengths, table, counts, mean, std, stderr,
+                   iterates, tuple(reasons))
 
     @property
     def k_max(self) -> int:
         return len(self.counts)
+
+    @property
+    def diverged(self) -> tuple:
+        """Per row, whether the trial stopped before the end."""
+        return tuple(reason is not None for reason in self.reasons)
 
 
 def per_k_stats(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -427,9 +368,42 @@ def per_k_stats(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
 
 def run_trials(cfg: RunConfig) -> TrialStats:
-    """Run all trials (ascending trial id) as one batch and aggregate
-    order-independently."""
-    return run_batch(cfg, range(cfg.trials))
+    """Run all trials (ascending trial id) together, one batched ``step``
+    per iteration.
+
+    Each step's field arrays go straight into the trials' rows of the
+    (trial, k) table, and its iterates into the trials' rows of the
+    iterates.  A diverged trial leaves the batch at its iteration and the
+    others go on; each row equals the trial's trajectory on its own.
+    Worker stream states are computed for a block of iterations at a time.
+    """
+    p, K, T = cfg.problem, cfg.iterations, cfg.trials
+    state = init_state(cfg, range(T))
+    rows = slice(None)  # rows of the tables that the batch fills; row r is trial r
+    iterates = np.full((T, K + 1, p.dimension), np.nan)
+    iterates[:, 0] = state.x
+    table = {name: np.full((T, K), np.nan) for name in CSV_FIELDS}
+    draws = _reads_streams(cfg.estimator, cfg.noise)
+    generator = np.random.Generator(np.random.PCG64())  # re-seated to each worker stream
+    block = max(1, _BLOCK_STREAMS // (T * p.n_workers))
+    lengths, reasons = [K] * T, [None] * T
+
+    for k in range(K):
+        if not state.trials:
+            break
+        if draws and k % block == 0:
+            streams = [dict(zip(state.trials, per_trial)) for per_trial in
+                       worker_states(cfg.seed, state.trials, p.n_workers, range(k, min(k + block, K)))]
+        state, fields, stopped = step(state, p, cfg.estimator, cfg.noise, cfg.gamma, cfg.beta,
+                                      streams[k % block] if draws else None, generator)
+        if stopped:
+            for t, reason in stopped.items():
+                lengths[t], reasons[t] = k, reason
+            rows = list(state.trials)
+        iterates[rows, k + 1] = state.x
+        for name, values in fields.items():
+            table[name][rows, k] = values
+    return TrialStats.from_table(table, range(T), lengths, iterates, reasons)
 
 
 # ---------------------------------------------------------------------------

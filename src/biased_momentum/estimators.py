@@ -12,8 +12,7 @@ rounding exactly as the operator applied to that row alone.  One path turns
 exact worker gradients into a (draws, workers, d) stack of transmissions:
 ``aggregate`` reduces it over the worker axis for the momentum engine (one
 draw per trial, each at its own iterate) and the Monte-Carlo error
-measurement (a block of draws at one point), and ``composite_estimate`` is
-its one-row case.
+measurement (a block of draws at one point).
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "top_k",
     "scaled_sign",
     "clip",
-    "composite_estimate",
     "apply_estimator",
     "aggregate",
     "measure_eta",
@@ -146,24 +144,6 @@ def _check_composite(p: Problem, s_g: int, s_f: int) -> None:
         raise ConfigurationError(f"S_F={s_f} out of range [1, {p.m_F}]")
 
 
-def composite_estimate(
-    p: CompositeProblem,
-    i: int,
-    x: np.ndarray,
-    s_g: int,
-    s_f: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Doubly subsampled chained gradient of worker i.
-
-    One uniform without-replacement draw of size s_g serves both the inner
-    value and the inner Jacobian; an independent draw of size s_f selects
-    the outer gradients.  Full batch sizes reproduce the exact gradient.
-    """
-    spec = EstimatorSpec(kind="composite", s_g=s_g, s_f=s_f)
-    return _transmissions(p, as_param_vector(x, p.dimension), [i], None, spec, None, rng, 1)[0, 0]
-
-
 def apply_estimator(spec: EstimatorSpec, raw: np.ndarray) -> np.ndarray:
     """Transform raw worker gradients (one vector, or a stack of them along
     the last axis) according to the spec."""
@@ -175,9 +155,8 @@ def apply_estimator(spec: EstimatorSpec, raw: np.ndarray) -> np.ndarray:
         return scaled_sign(raw)
     if spec.kind == "clip":
         return clip(raw, spec.tau)
-    raise ConfigurationError(
-        "composite estimator has no raw-vector form; use composite_estimate"
-    )
+    raise ConfigurationError("composite estimator has no raw-vector form; aggregate "
+                             "subsamples the composite problem instead")
 
 
 def _transmissions(p: Problem, x: np.ndarray, workers, grads, spec: EstimatorSpec,

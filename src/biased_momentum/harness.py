@@ -59,6 +59,9 @@ __all__ = [
 SEED_ENV = "BIASED_MOMENTUM_SEED"
 SWEEP_KEYS = ("base", "axis", "values", "trials", "threshold")
 PLATEAU_FRACTION = 0.1  # plateau = mean f over the last 10% of iterations
+# sweep axes with a qualitative ordering check, and the row fields it reads
+ORDERING_AXES = {"noise.delta_offset": "delta", "noise.sigma2": "sigma2", "estimator.k": "top_k"}
+SWEEP_ROW_NUMBERS = ("axis_value", "final_plateau_mean", "iters_to_threshold", "diverged_count")
 
 
 def version_string() -> str:
@@ -176,13 +179,13 @@ def resolve_threshold(threshold: tuple[str, float], stats: TrialStats) -> float:
 
 
 def summarize_point(stats: TrialStats, threshold: float) -> dict:
-    plateaus = [plateau_of(r.columns["f"]) for r in stats.results
-                if not r.diverged and r.columns["f"].size]
+    plateaus = [plateau_of(stats.table["f"][r, :n]) for r, n in enumerate(stats.lengths)
+                if n and not stats.diverged[r]]
     return {
         "final_plateau_mean": float(np.mean(plateaus)) if plateaus else math.nan,
         "final_plateau_std": float(np.std(plateaus)) if plateaus else math.nan,
         "iters_to_threshold": iters_to_threshold(stats, threshold),
-        "diverged_count": sum(r.diverged for r in stats.results),
+        "diverged_count": sum(stats.diverged),
     }
 
 
@@ -212,7 +215,7 @@ def _write_run_artifacts(cfg: RunConfig, stats: TrialStats, out_dir: Path, versi
         "schema_version": 1,
         "config": cfg.to_dict(),
         "theory": report.to_dict(),
-        "diverged": [bool(r.diverged) for r in stats.results],
+        "diverged": list(stats.diverged),
         "version": version,
         "seed": cfg.seed,
     }
@@ -258,7 +261,7 @@ def cli_run(args) -> int:
     out_dir = Path(args.out)
     stats = run_trials(cfg)
     _write_run_artifacts(cfg, stats, out_dir, version_string())
-    n_div = sum(r.diverged for r in stats.results)
+    n_div = sum(stats.diverged)
     print(f"wrote {out_dir / 'run.csv'} ({cfg.trials} trials, {n_div} diverged)")
     return 0
 
@@ -318,19 +321,38 @@ def _check_lengths(stats: TrialStats, diverged, iterations: int, csv_path) -> No
                 f"but run.json marks it {'' if flag else 'not '}diverged")
 
 
+def _sweep_rows(doc: dict, path) -> tuple[str, list]:
+    """(axis, rows) of a sweep.json document: ``spec`` an object with a
+    string ``axis``, ``rows`` a list of objects, and for the axes with an
+    ordering check every row's SWEEP_ROW_NUMBERS JSON numbers (NaN
+    included, booleans not)."""
+    spec, rows = doc.get("spec"), doc.get("rows")
+    if not (isinstance(spec, dict) and isinstance(spec.get("axis"), str)):
+        raise ConfigurationError(f"{path}: 'spec' must be an object with a string 'axis'")
+    if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+        raise ConfigurationError(f"{path}: 'rows' must be a list of objects")
+    if spec["axis"] in ORDERING_AXES:
+        for j, row in enumerate(rows):
+            for key in SWEEP_ROW_NUMBERS:
+                value = row.get(key)
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ConfigurationError(f"{path}: row {j} {key!r} must be a number, "
+                                             f"got {value!r}")
+    return spec["axis"], rows
+
+
 def cli_report(args) -> int:
     run_dir = Path(args.dir)
     sidecar_path = run_dir / "run.json"
     csv_path = run_dir / "run.csv"
     sweep_path = run_dir / "sweep.json"
     if sweep_path.exists() and not csv_path.exists():
-        doc = _load_json(sweep_path)
-        axis = doc["spec"]["axis"]
-        kind = {"noise.delta_offset": "delta", "noise.sigma2": "sigma2", "estimator.k": "top_k"}.get(axis)
+        axis, rows = _sweep_rows(_load_json(sweep_path), sweep_path)
+        kind = ORDERING_AXES.get(axis)
         if kind is None:
             print(f"sweep axis {axis}: no qualitative ordering check defined")
             return 0
-        outcome = audit_figure2_qualitative(doc["rows"], kind)
+        outcome = audit_figure2_qualitative(rows, kind)
         print(format_outcomes([outcome]))
         return 1 if outcome.failed else 0
     if not sidecar_path.exists() or not csv_path.exists():
@@ -339,6 +361,8 @@ def cli_report(args) -> int:
     if not isinstance(sidecar.get("theory"), dict):
         raise ConfigurationError("sidecar carries no theory report")
     report = TheoryReport.from_dict(sidecar["theory"])
+    if not isinstance(sidecar.get("config"), dict):
+        raise ConfigurationError(f"{sidecar_path}: no 'config' object")
     cfg = RunConfig.from_dict(sidecar["config"])  # validate the config echo
     stats = read_run_csv(csv_path, cfg.trials)
     _check_lengths(stats, sidecar.get("diverged"), cfg.iterations, csv_path)

@@ -26,20 +26,23 @@ from biased_momentum import (
     make_quadratic,
     make_toy_composite,
     measure_eta,
-    run,
     run_trials,
     stepsize_bounds,
     theorem_bounds,
 )
 from biased_momentum.audit import pilot_points
 from biased_momentum.composite import chained_gradient
-from biased_momentum.estimators import composite_estimate
 from biased_momentum.harness import main, sweep_summary_rows
 from biased_momentum.problems import make_synthetic_classification
 from biased_momentum.rng import substream
 from biased_momentum.theory import lemma_stepsize_bound, measure_heterogeneity
 
-from _oracles import enumerate_subset_means, reference_worker_grad, reference_worker_value
+from _oracles import (
+    enumerate_subset_means,
+    reference_worker_grad,
+    reference_worker_value,
+    worker_estimate,
+)
 
 SPECTRUM_10 = np.linspace(0.5, 2.0, 10)
 
@@ -76,14 +79,14 @@ def test_criterion_1_pl_linear_rate():
     for beta in (0.5, 1.0):
         gamma = stepsize_bounds(beta, p.L, p.mu)[1]
         cfg = RunConfig(problem=p, gamma=gamma, beta=beta, iterations=2000, seed=1)
-        res = run(cfg)
-        assert not res.diverged
+        stats = run_trials(cfg)
+        assert not stats.diverged[0]
         report = build_theory_report(
             p, gamma, beta, cfg.estimator, cfg.noise, x0=cfg.resolve_x0()
         )
         rate = 1.0 - p.mu * gamma / 2.0
         phi0 = report.phi0_pl
-        f, v_error_sq = res.columns["f"], res.columns["v_error_sq"]
+        f, v_error_sq = stats.table["f"][0], stats.table["v_error_sq"][0]
         for k in range(len(f)):
             phi_k = (f[k] - 0.0) + report.A_pl * v_error_sq[k]
             envelope = rate**k * phi0
@@ -132,7 +135,7 @@ def test_criterion_3_descent_pathwise():
         noise=NoiseSpec(sigma2=0.001), seed=3,
     )
     stats = run_trials(cfg)
-    pilot = pilot_points(stats.results[0])
+    pilot = pilot_points(stats)
     report = build_theory_report(
         p, gamma, beta, cfg.estimator, cfg.noise,
         x0=cfg.resolve_x0(), pilot_points=pilot,
@@ -142,8 +145,8 @@ def test_criterion_3_descent_pathwise():
     assert out.passed, out
     # direct re-statement of the per-step inequality, independent of audit
     A, B1, B2, B3 = report.A_used, report.B1, report.B2, report.B3
-    for res in stats.results:
-        c = res.columns
+    for r, n in enumerate(stats.lengths):
+        c = {name: column[r, :n] for name, column in stats.table.items()}
         for a, b in zip(range(len(c["f"]) - 1), range(1, len(c["f"]))):
             lhs = c["f"][b] + A * c["v_error_sq"][b]
             rhs = (
@@ -162,8 +165,8 @@ def test_criterion_4_compression_variance_bound():
     noise = NoiseSpec(sigma2=0.01)
     cfg = RunConfig(problem=p, gamma=0.3, beta=0.1, iterations=100,
                     estimator=spec, noise=noise, seed=4)
-    pilot = run(cfg, 0)
-    assert not pilot.diverged
+    pilot = run_trials(cfg)
+    assert not pilot.diverged[0]
     points = pilot_points(pilot, 20)
     assert len(points) == 20
     report = build_theory_report(
@@ -197,7 +200,7 @@ def test_criterion_5_clip():
     noise = NoiseSpec(sigma2=0.01)
     cfg = RunConfig(problem=p, gamma=0.09, beta=0.5, iterations=100,
                     estimator=spec, noise=noise, seed=5)
-    pilot = run(cfg, 0)
+    pilot = run_trials(cfg)
     points = pilot_points(pilot, 20)
     report = build_theory_report(
         p, 0.09, 0.5, spec, noise, x0=cfg.resolve_x0(), pilot_points=points
@@ -223,7 +226,8 @@ def test_criterion_6_composite():
     rng = substream(6, 2, 0)
     for i in range(cp.n_workers):
         x = rng.standard_normal(3)
-        est = composite_estimate(cp, i, x, cp.m_g, cp.m_F, rng)
+        full_batch = EstimatorSpec(kind="composite", s_g=cp.m_g, s_f=cp.m_F)
+        est = worker_estimate(cp, i, x, full_batch, rng=rng)
         assert np.linalg.norm(est - reference_worker_grad(cp, i, x)) < 1e-12
     # certified inner-map constants over sampled pairs
     from scipy.special import expit
@@ -276,10 +280,10 @@ def test_criterion_8_beta_one_is_sgd():
         noise = NoiseSpec(sigma2=0.02, delta_offset=0.01)
         cfg = RunConfig(problem=p, gamma=0.05, beta=1.0, iterations=100,
                         noise=noise, seed=8)
-        res = run(cfg)
+        stats = run_trials(cfg)
         xs = reference_sgd(p, cfg.estimator, noise, 0.05, 100, cfg.resolve_x0(), seed=8)
-        assert len(res.iterates) == 101
-        for a, b in zip(res.iterates, xs):
+        assert len(stats.iterates[0]) == 101
+        for a, b in zip(stats.iterates[0], xs):
             np.testing.assert_array_equal(a, b)
 
 

@@ -18,7 +18,6 @@ from biased_momentum import (
     build_theory_report,
     make_logistic_l2,
     make_quadratic,
-    run,
     run_trials,
     stepsize_bounds,
 )
@@ -32,8 +31,13 @@ def _pl_quadratic(n_workers=2, spectrum=None, seed=1):
     return make_quadratic(spectrum=spectrum, seed=seed, n_workers=n_workers)
 
 
+def _trial0(cfg):
+    """Trial 0 of cfg, run on its own."""
+    return run_trials(dataclasses.replace(cfg, trials=1))
+
+
 def _report_for(cfg, pilot=None):
-    points = pilot_points(pilot or run(cfg, 0))
+    points = pilot_points(pilot or _trial0(cfg))
     return build_theory_report(
         cfg.problem, cfg.gamma, cfg.beta, cfg.estimator, cfg.noise,
         x0=cfg.resolve_x0(), v_init=cfg.v_init, pilot_points=points,
@@ -195,8 +199,8 @@ def test_theorem_pl_plateau_under_floor_with_bias():
     # late-stage mean phi sits at or below the bias floor
     tail = np.mean([
         (f - 0.0) + report.A_pl * v_error_sq
-        for res in stats.results
-        for f, v_error_sq in zip(res.columns["f"][-100:], res.columns["v_error_sq"][-100:])
+        for f_row, v_row, n in zip(stats.table["f"], stats.table["v_error_sq"], stats.lengths)
+        for f, v_error_sq in zip(f_row[:n][-100:], v_row[:n][-100:])
     ])
     assert tail <= report.floor_pl
 
@@ -228,7 +232,7 @@ def test_affine_identity_no_noise_trivial():
     p = _pl_quadratic()
     cfg = RunConfig(problem=p, gamma=0.1, beta=0.5, iterations=20, seed=10)
     report = _report_for(cfg)
-    points = pilot_points(run(cfg, 0))
+    points = pilot_points(_trial0(cfg))
     out = audit_affine_variance(p, points, cfg.estimator, cfg.noise, report,
                                 draws=10, seed=1)
     assert out.passed
@@ -241,7 +245,7 @@ def test_affine_topk_bound_respected():
         estimator=EstimatorSpec(kind="top_k", k=2),
         noise=NoiseSpec(sigma2=0.01, delta_offset=0.001),
     )
-    pilot = run(cfg, 0)
+    pilot = _trial0(cfg)
     points = pilot_points(pilot, 20)
     report = _report_for(cfg, pilot)
     out = audit_affine_variance(p, points, cfg.estimator, cfg.noise, report,
@@ -256,7 +260,7 @@ def test_affine_clip_bound_respected():
         estimator=EstimatorSpec(kind="clip", tau=1.0),
         noise=NoiseSpec(sigma2=0.01),
     )
-    pilot = run(cfg, 0)
+    pilot = _trial0(cfg)
     points = pilot_points(pilot, 20)
     report = _report_for(cfg, pilot)
     assert report.delta_subopt is not None
@@ -272,7 +276,7 @@ def test_affine_detects_understated_bound():
         estimator=EstimatorSpec(kind="top_k", k=2),
         noise=NoiseSpec(sigma2=0.05),
     )
-    pilot = run(cfg, 0)
+    pilot = _trial0(cfg)
     points = pilot_points(pilot, 10)
     report = _report_for(cfg, pilot)
     bad = dataclasses.replace(report, B_var=0.0, C_var=report.C_var * 1e-8)
@@ -287,7 +291,7 @@ def test_affine_evaluates_each_worker_gradient_once_per_point(monkeypatch):
     cfg = RunConfig(problem=p, gamma=0.3, beta=0.5, iterations=10, seed=19,
                     estimator=EstimatorSpec(kind="top_k", k=2),
                     noise=NoiseSpec(sigma2=0.01))
-    pilot = run(cfg, 0)
+    pilot = _trial0(cfg)
     points = pilot_points(pilot, 4)
     report = _report_for(cfg, pilot)
     expected = audit_affine_variance(p, points, cfg.estimator, cfg.noise, report,
@@ -393,15 +397,14 @@ def test_verify_config_runs_each_trial_once(monkeypatch):
     p = _pl_quadratic()
     cfg = RunConfig(problem=p, gamma=0.09, beta=0.5, iterations=30, trials=3,
                     noise=NoiseSpec(sigma2=0.001), seed=18)
-    original, calls = engine.run_batch, []
+    original, calls = engine.run_trials, []
 
-    def counting(c, trials):
-        trials = tuple(trials)
-        calls.extend(trials)
-        return original(c, trials)
+    def counting(c):
+        calls.extend(range(c.trials))
+        return original(c)
 
     for module in (engine, audit):
-        if getattr(module, "run_batch", None) is original:
-            monkeypatch.setattr(module, "run_batch", counting)
+        if getattr(module, "run_trials", None) is original:
+            monkeypatch.setattr(module, "run_trials", counting)
     verify_config(cfg, eta_draws=20, eta_points=3)
     assert sorted(calls) == list(range(cfg.trials))

@@ -1,6 +1,7 @@
 """Momentum engine: update identities, SGD equivalence, determinism."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -17,11 +18,11 @@ from biased_momentum import (
     make_maml,
     make_nonconvex_reg,
     make_quadratic,
-    run,
     run_trials,
     step,
     write_run_csv,
 )
+from biased_momentum.audit import pilot_points
 from biased_momentum.engine import CSV_FIELDS, CSV_HEADER, TrialStats, read_run_csv
 from biased_momentum.problems import make_synthetic_classification
 
@@ -36,10 +37,15 @@ def _quad_cfg(**kw):
     return RunConfig(**defaults)
 
 
-def _rows(res):
-    """A trial's recorded values as (k, f, grad_norm_sq, ...) tuples of floats."""
-    columns = [res.columns[name].tolist() for name in CSV_FIELDS]
+def _rows(stats, r=0):
+    """Row r's recorded values as (k, f, grad_norm_sq, ...) tuples of floats."""
+    columns = [stats.table[name][r, :stats.lengths[r]].tolist() for name in CSV_FIELDS]
     return list(zip(range(len(columns[0])), *columns))
+
+
+def _trial0(cfg):
+    """Trial 0 of cfg, run on its own."""
+    return run_trials(dataclasses.replace(cfg, trials=1))
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +133,10 @@ def test_beta_one_matches_reference_sgd(kind):
     noise = NoiseSpec(sigma2=0.02, delta_offset=0.01)
     cfg = RunConfig(problem=p, gamma=0.05, beta=1.0, iterations=50,
                     noise=noise, seed=77)
-    res = run(cfg)
+    stats = run_trials(cfg)
     xs = reference_sgd(p, cfg.estimator, noise, 0.05, 50, cfg.resolve_x0(), seed=77)
-    assert len(res.iterates) == len(xs)
-    for a, b in zip(res.iterates, xs):
+    assert len(stats.iterates[0]) == len(xs)
+    for a, b in zip(stats.iterates[0], xs):
         np.testing.assert_array_equal(a, b)
 
 
@@ -140,16 +146,16 @@ def test_beta_one_matches_reference_sgd(kind):
 
 def test_run_zero_iterations():
     cfg = _quad_cfg(iterations=0)
-    res = run(cfg)
-    assert _rows(res) == []
-    np.testing.assert_array_equal(res.iterates, init_state(cfg).x)
-    assert not res.diverged
+    stats = run_trials(cfg)
+    assert _rows(stats) == []
+    np.testing.assert_array_equal(stats.iterates[0], init_state(cfg).x)
+    assert not stats.diverged[0]
 
 
 def test_run_is_deterministic():
     cfg = _quad_cfg(noise=NoiseSpec(sigma2=0.1), beta=0.4, iterations=20, seed=9)
-    r1, r2 = run(cfg), run(cfg)
-    for a, b in zip(r1.iterates, r2.iterates):
+    r1, r2 = run_trials(cfg), run_trials(cfg)
+    for a, b in zip(r1.iterates[0], r2.iterates[0]):
         np.testing.assert_array_equal(a, b)
     assert _rows(r1) == _rows(r2)
 
@@ -158,20 +164,21 @@ def test_run_marks_divergence_without_nonfinite_rows():
     p = make_quadratic(np.eye(4))
     cfg = RunConfig(problem=p, gamma=3.0, beta=1.0, iterations=200,
                     x0=(1.0, 1.0, 1.0, 1.0))
-    res = run(cfg)
-    assert res.diverged
-    assert len(res.columns["f"]) < 200
+    stats = run_trials(cfg)
+    f, eta_norm_sq = stats.table["f"][0], stats.table["eta_norm_sq"][0]
+    assert stats.diverged[0]
+    assert len(f) < 200
     # x doubles in norm each step, so f first exceeds the cap; that k has no record
-    assert res.diverged_at == len(res.columns["f"])
-    assert res.reason.startswith("f = ") and res.reason.endswith("> 1e+12")
-    assert np.all(np.isfinite(res.columns["f"])) and np.all(np.isfinite(res.columns["eta_norm_sq"]))
+    assert stats.lengths[0] == len(f)
+    assert stats.reasons[0].startswith("f = ") and stats.reasons[0].endswith("> 1e+12")
+    assert np.all(np.isfinite(f)) and np.all(np.isfinite(eta_norm_sq))
 
 
 def test_trials_single_equals_run_and_zero_std():
     cfg = _quad_cfg(trials=1, noise=NoiseSpec(sigma2=0.05), beta=0.5, seed=3)
     stats = run_trials(cfg)
-    single = run(cfg, trial=0)
-    assert _rows(stats.results[0]) == _rows(single)
+    single = _trial0(cfg)
+    assert _rows(stats) == _rows(single)
     assert np.all(stats.std["f"] == 0.0)
 
 
@@ -235,22 +242,53 @@ def test_run_trials_matches_reference_momentum(case):
     kw = dict(iterations=40, trials=3, seed=11)
     kw.update(extra)
     cfg = RunConfig(problem=problem, gamma=gamma, beta=beta, estimator=spec, noise=noise, **kw)
-    results = run_trials(cfg).results
-    assert [res.trial for res in results] == list(range(cfg.trials))
-    for res in results:
-        records, iterates, diverged_at, reason = reference_momentum(cfg, res.trial)
-        assert _rows(res) == records
-        assert len(res.iterates) == len(iterates)
-        for a, b in zip(res.iterates, iterates):
+    stats = run_trials(cfg)
+    assert list(stats.trials) == list(range(cfg.trials))
+    for r, trial in enumerate(stats.trials):
+        records, iterates, diverged_at, reason = reference_momentum(cfg, trial)
+        n = stats.lengths[r]
+        assert _rows(stats, r) == records
+        assert len(stats.iterates[r, :n + 1]) == len(iterates)
+        for a, b in zip(stats.iterates[r, :n + 1], iterates):
             np.testing.assert_array_equal(a, b)
-        assert (res.diverged_at, res.reason) == (diverged_at, reason)
-        assert len(res.columns["f"]) == len(records)
-        np.testing.assert_array_equal(res.iterates[-1], iterates[-1])
-    stops = {res.diverged_at for res in results}
+        assert (n if stats.diverged[r] else None, stats.reasons[r]) == (diverged_at, reason)
+        assert np.count_nonzero(~np.isnan(stats.table["f"][r])) == len(records)
+        np.testing.assert_array_equal(stats.iterates[r, n], iterates[-1])
+    stops = {n if flag else None for n, flag in zip(stats.lengths, stats.diverged)}
     if case == "quadratic-diverging":
         assert None in stops and len(stops) > 2
     if case == "quadratic-nonfinite-aggregate":
-        assert {res.reason for res in results} == {"non-finite aggregate"}
+        assert set(stats.reasons) == {"non-finite aggregate"}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_trial_iterates_and_reasons_match_reference():
+    # rows of different lengths: the iterates past each trial's stop are NaN,
+    # and no row put first hands a NaN iterate to the premise measurement
+    problem, spec, noise, beta, gamma, extra = REFERENCE_CASES["quadratic-diverging"]
+    cfg = RunConfig(problem=problem, gamma=gamma, beta=beta, estimator=spec, noise=noise,
+                    **extra)
+    stats = run_trials(cfg)
+    assert stats.iterates.shape == (cfg.trials, stats.k_max + 1, problem.dimension)
+    assert len(set(stats.lengths)) > 1
+    for r, trial in enumerate(stats.trials):
+        _, iterates, diverged_at, reason = reference_momentum(cfg, trial)
+        n = stats.lengths[r]
+        assert stats.iterates[r, :n + 1].tobytes() == np.array(iterates).tobytes()
+        assert np.all(np.isnan(stats.iterates[r, n + 1:]))
+        assert stats.reasons[r] == reason
+        assert n == (cfg.iterations if diverged_at is None else diverged_at)
+        assert stats.diverged[r] == (diverged_at is not None)
+        alone = TrialStats.from_table({name: column[[r]] for name, column in stats.table.items()},
+                                      [trial], [n], stats.iterates[[r]], [reason])
+        assert alone.iterates.shape == (1, n + 1, problem.dimension)
+        order = [r] + [j for j in range(cfg.trials) if j != r]
+        first = TrialStats.from_table({name: column[order] for name, column in stats.table.items()},
+                                      order, [stats.lengths[j] for j in order],
+                                      stats.iterates[order], [stats.reasons[j] for j in order])
+        points = pilot_points(first)
+        assert not np.isnan(points).any()
+        assert points[-1].tobytes() == np.array(iterates[-1]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +305,7 @@ def test_csv_round_trip_and_header(tmp_path):
     assert len(text) == 1 + 2 * 7
     back = read_run_csv(path, cfg.trials)
     assert len(back.trials) == 2
+    assert back.iterates is None and back.reasons == ()
     for name in CSV_FIELDS:  # repr round-trips floats exactly
         np.testing.assert_array_equal(back.table[name], stats.table[name])
 
@@ -288,7 +327,8 @@ def test_csv_round_trip_of_ragged_table(tmp_path, seed):
     path = tmp_path / "run.csv"
     write_run_csv(stats, path)
     back = read_run_csv(path, len(lengths))
-    assert (back.trials, back.lengths, back.results) == (stats.trials, stats.lengths, ())
+    assert (back.trials, back.lengths, back.reasons) == (stats.trials, stats.lengths, ())
+    assert back.iterates is None
     pairs = [(back.counts, stats.counts)] + [
         (getattr(back, part)[name], getattr(stats, part)[name])
         for part in ("table", "mean", "std", "stderr") for name in CSV_FIELDS
@@ -324,7 +364,7 @@ def test_config_from_dict_and_echo():
     echo = cfg.to_dict()
     assert echo["problem"]["matrix"]["spectrum"] == [1.0, 2.0]
     cfg2 = RunConfig.from_dict(echo)
-    r1, r2 = run(cfg), run(cfg2)
+    r1, r2 = _trial0(cfg), _trial0(cfg2)
     assert _rows(r1) == _rows(r2)
 
 

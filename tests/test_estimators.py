@@ -9,7 +9,6 @@ from biased_momentum import (
     NoiseSpec,
     apply_estimator,
     clip,
-    composite_estimate,
     full_gradient,
     make_quadratic,
     make_toy_composite,
@@ -140,7 +139,8 @@ def test_composite_full_batch_is_exact():
     cp = _toy()
     x = np.array([0.3, -0.8])
     rng = substream(24, 2, 6)
-    est = composite_estimate(cp, 0, x, cp.m_g, cp.m_F, rng)
+    est = worker_estimate(cp, 0, x, EstimatorSpec(kind="composite", s_g=cp.m_g, s_f=cp.m_F),
+                          rng=rng)
     exact = reference_worker_grad(cp, 0, x)
     assert np.linalg.norm(est - exact) < 1e-12
 
@@ -162,9 +162,11 @@ def test_composite_batch_size_errors():
     cp = _toy()
     rng = substream(26, 2, 8)
     with pytest.raises(ConfigurationError):
-        composite_estimate(cp, 0, np.zeros(2), 0, 1, rng)
+        worker_estimate(cp, 0, np.zeros(2), EstimatorSpec(kind="composite", s_g=0, s_f=1),
+                        rng=rng)
     with pytest.raises(ConfigurationError):
-        composite_estimate(cp, 0, np.zeros(2), 1, 9, rng)
+        worker_estimate(cp, 0, np.zeros(2), EstimatorSpec(kind="composite", s_g=1, s_f=9),
+                        rng=rng)
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,22 @@ def _truncated(name):
     return apply
 
 
+def _sweep(doc):
+    """A run-directory edit turning it into a sweep directory holding doc as
+    sweep.json."""
+    def apply(out):
+        (out / "run.csv").unlink()
+        (out / "sweep.json").write_text(json.dumps(doc))
+    return apply
+
+
+def _sweep_row(**overrides):
+    row = {"axis_value": 0.01, "final_plateau_mean": float("nan"), "final_plateau_std": 0.0,
+           "iters_to_threshold": 3, "diverged_count": 0}
+    return dict(row, **overrides)
+
+
+SIGMA2_SPEC = {"axis": "noise.sigma2"}
 MALFORMED_ARTIFACTS = {  # rows (trial 0 at k=0..39, then trial 1) -> edited dir, error text
     "dropped": (_rows(lambda rows: rows[:20] + rows[21:]), "trial 0, k=20"),
     "duplicated": (_rows(lambda rows: rows + [rows[47]]), "trial 1, k=7"),
@@ -317,6 +333,15 @@ MALFORMED_ARTIFACTS = {  # rows (trial 0 at k=0..39, then trial 1) -> edited dir
                            "unknown theory key(s) ['extra']"),
     "theory-missing-key": (_sidecar(lambda doc: doc["theory"].pop("B2")),
                            "theory missing required key 'B2'"),
+    "sweep-no-spec": (_sweep({"rows": [], "version": "x"}), "'spec'"),
+    "sweep-no-rows": (_sweep({"spec": SIGMA2_SPEC, "version": "x"}), "'rows'"),
+    "sweep-spec-list": (_sweep({"spec": [SIGMA2_SPEC], "rows": []}), "'spec'"),
+    "sweep-row-no-plateau": (_sweep({"spec": SIGMA2_SPEC, "rows": [
+        _sweep_row(), {k: v for k, v in _sweep_row(axis_value=0.1).items()
+                       if k != "final_plateau_mean"}]}), "row 1 'final_plateau_mean'"),
+    "sweep-string-axis-value": (_sweep({"spec": SIGMA2_SPEC, "rows": [
+        _sweep_row(axis_value="a"), _sweep_row(axis_value=0.1)]}), "row 0 'axis_value'"),
+    "run-json-no-config": (_sidecar(lambda doc: doc.pop("config")), "'config'"),
 }
 
 
