@@ -27,10 +27,8 @@ from .composite import (
     measure_composite_sigmas,
 )
 from .engine import (
-    MomentumState,
     RunConfig,
     TrialStats,
-    init_state,
     run_trials,
     step,
     write_run_csv,

@@ -126,7 +126,7 @@ def audit_descent(
         return _skip(name, "no consecutive record pairs to check")
     margin = np.where(pairs & ~np.isnan(margin), margin, np.inf)
     r, k = np.unravel_index(np.argmin(margin), margin.shape)
-    worst, where = margin[r, k], f"trial {stats.trials[r]}, k={k}"
+    worst, where = margin[r, k], f"trial {r}, k={k}"
     if not worst < np.inf:
         where = None
     return _outcome(name, worst, where, rel_tol, note=f"{checked} steps checked")
@@ -198,7 +198,7 @@ def audit_theorem_pl(
         return _skip(name, "empty trajectory")
     # phi from raw fields, independent of the engine's recorded phi column
     phi = (stats.table["f"] - report.f_star) + report.A_pl * stats.table["v_error_sq"]
-    _, mean_phi, _, se = per_k_stats(phi)
+    mean_phi, _, se = per_k_stats(phi)
     k_max = stats.k_max
     _, pl_rhs = theorem_bounds(report)
     worst = np.inf
@@ -381,7 +381,7 @@ def verify_config(
                 "divergence",
                 "failed",
                 note=f"{len(diverged)} of {cfg.trials} trials diverged; first: trial "
-                     f"{stats.trials[r]} at k={stats.lengths[r]}, {stats.reasons[r]}",
+                     f"{r} at k={stats.lengths[r]}, {stats.reasons[r]}",
             )
         )
     return report, outcomes, stats

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigurationError
 from .problems import (
@@ -180,6 +179,8 @@ class MamlProblem(CompositeProblem):
 
     def _sigmoids(self, i: int, v: np.ndarray, idx: np.ndarray):
         """Rows a_j, labels b_j and s_j = sigmoid(-b_j <a_j, v>) for idx."""
+        from scipy.special import expit  # imported here: quadratic runs never load scipy
+
         A, b = self.features[i][idx], self.labels[i][idx]
         return A, b, expit(-b * _row_dots(A, v))
 

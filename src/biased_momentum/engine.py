@@ -14,17 +14,19 @@ the inequality audits need.
 A run has one result: ``run_trials`` returns a ``TrialStats`` holding a
 table of the CSV fields, each a C-ordered (trial, k) array with NaN past
 the iteration where a trial stopped, its per-k statistics, and each
-trial's visited iterates and stop reason.  ``write_run_csv`` and
-``read_run_csv`` carry the table to text and back, and the audits read its
-columns.
+trial's visited iterates and stop reason; row r is trial r.
+``write_run_csv`` and ``read_run_csv`` carry the table to text and back,
+and the audits read its columns.
 
 Trajectories are pure functions of (config, seed): worker randomness comes
 from per-(trial, worker, iteration) substreams, so trials can run in any
-order and reproduce identically.  All trials of a run step together: the
-iterates and momentum buffers are (trials, d) stacks, the substream states
-of a block of iterations are computed in bulk (``rng.worker_states``), and
-a trial that diverges leaves the batch at its iteration while the others
-go on.  Every trial's trajectory equals the one it would have alone.
+order and reproduce identically.  All trials of a run step together in one
+fixed-size batch: the iterates and momentum buffers are (trials, d)
+stacks, and the substream states of a block of iterations are computed in
+bulk (``rng.worker_states``).  A trial that diverges keeps its row, zeroed
+before any arithmetic touches it, and stops recording at its iteration
+while the others go on.  Every trial's trajectory equals the one it would
+have alone.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -55,9 +56,7 @@ from .theory import analysis_regime, lyapunov_weight
 
 __all__ = [
     "RunConfig",
-    "MomentumState",
     "TrialStats",
-    "init_state",
     "step",
     "run_trials",
     "per_k_stats",
@@ -167,98 +166,64 @@ class RunConfig:
         return d
 
 
-@dataclass(frozen=True)
-class MomentumState:
-    """A batch of trials at iteration k: iterates and momentum buffers
-    v^{k-1} as (T, d) stacks, row t belonging to ``trials[t]``, and the
-    seed of their worker streams."""
-
-    x: np.ndarray
-    v_prev: np.ndarray
-    k: int
-    trials: tuple
-    seed: int
-
-
-def init_state(cfg: RunConfig, trials=(0,)) -> MomentumState:
+def init_state(cfg: RunConfig, trials: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(x, v_prev): the (trials, d) stacks of start iterates and momentum
+    buffers v^{-1}, every row the same."""
     x0 = cfg.resolve_x0()
     if cfg.v_init == "grad_at_x0":
         v_prev = full_gradient(cfg.problem, x0)
     else:
         v_prev = np.zeros_like(x0)
-    rows = (len(trials), 1)
-    return MomentumState(x=np.tile(x0, rows), v_prev=np.tile(v_prev, rows), k=0,
-                         trials=tuple(trials), seed=cfg.seed)
+    return np.tile(x0, (trials, 1)), np.tile(v_prev, (trials, 1))
 
 
-def _reads_streams(estimator: EstimatorSpec, noise: NoiseSpec | None) -> bool:
-    """Whether a round draws from the worker streams (Gaussian noise or
-    composite subsampling)."""
-    return estimator.kind == "composite" or (noise is not None and noise.sigma2 > 0)
-
-
-def _unusable(x: np.ndarray, fval: np.ndarray) -> dict:
-    """{row: reason} for the iterates the engine must not step from."""
-    bad_x = ~np.all(np.isfinite(x), axis=1)
-    out = {}
-    for b in np.flatnonzero(bad_x | ~np.isfinite(fval) | (fval > DIVERGENCE_F_MAX)).tolist():
-        fb = float(fval[b])
-        if bad_x[b]:
-            out[b] = "non-finite iterate"
-        elif not math.isfinite(fb):
-            out[b] = f"non-finite f ({fb})"
-        else:
-            out[b] = f"f = {fb:.6g} > {DIVERGENCE_F_MAX:g}"
-    return out
+def _zero_rows(rows: dict, *arrays) -> tuple:
+    """The arrays with the given rows set to zero (copies, when there are rows)."""
+    if not rows:
+        return arrays
+    zero = np.isin(np.arange(len(arrays[0])), list(rows))[:, None]
+    return tuple(np.where(zero, 0.0, a) for a in arrays)
 
 
 def step(
-    state: MomentumState,
+    x: np.ndarray,
+    v_prev: np.ndarray,
     problem: Problem,
     estimator: EstimatorSpec,
     noise: NoiseSpec | None,
     gamma: float,
     beta: float,
-    streams: dict | None = None,
-    generator: np.random.Generator | None = None,
-) -> tuple[MomentumState, dict, dict]:
-    """One server round of every trial in the batch.
+    rng=None,
+) -> tuple[np.ndarray, np.ndarray, dict, dict]:
+    """One server round of every row of the (T, d) stacks x and v_prev.
 
-    Returns (next state, fields, stopped).  A trial whose iterate is
-    unusable (non-finite, non-finite f, or f above DIVERGENCE_F_MAX) or
-    whose aggregate is non-finite leaves the batch: it has no values, is
-    missing from the next state, and ``stopped`` maps it to the reason.
-    ``fields`` maps each CSV field to a (T,) array over the trials that go
-    on; the phi column weighs the momentum error with the Lyapunov weight
-    of (gamma, beta) in the problem's analysis regime.  ``streams`` maps
-    each trial to its n worker stream states at k (one
-    ``rng.worker_states`` row), computed here when not given; they are set
-    in turn on ``generator`` (a PCG64 one, made here when not given).  A
-    round that draws nothing (no Gaussian noise, non-composite estimator)
-    builds no state.
+    Returns (x_next, v_next, fields, stopped).  ``fields`` maps each CSV
+    field to a (T,) array; the phi column weighs the momentum error with
+    the Lyapunov weight of (gamma, beta) in the problem's analysis regime.
+    A row whose iterate is unusable (non-finite, non-finite f, or f above
+    DIVERGENCE_F_MAX) or whose aggregate is non-finite is in ``stopped``,
+    which maps it to the reason.  Its x and v_prev (and its aggregate) are
+    set to zero before any arithmetic touches them, so its non-finite
+    values raise and warn of nothing; its outputs mean nothing, and no
+    other row's bits depend on it.  ``rng`` is None (a round that draws nothing), one
+    generator shared by all rows, or an iterable giving each (row, worker)
+    its own generator in (row, worker) order (see ``aggregate``).
     """
-    x, v_prev, k, trials = state.x, state.v_prev, state.k, state.trials
+    stopped = dict.fromkeys(np.flatnonzero(~np.all(np.isfinite(x), axis=1)).tolist(),
+                            "non-finite iterate")
+    x, v_prev = _zero_rows(stopped, x, v_prev)  # composite problems reject non-finite points
     fval = problem.f(x)
-    stopped = {}
-    bad = _unusable(x, fval)
-    if bad:
-        trials, x, v_prev, fval = _drop(bad, stopped, trials, x, v_prev, fval)
-        if not trials:
-            return (MomentumState(x, v_prev, k + 1, trials, state.seed),
-                    dict.fromkeys(CSV_FIELDS, np.empty(0)), stopped)
+    for b in np.flatnonzero(~np.isfinite(fval) | (fval > DIVERGENCE_F_MAX)).tolist():
+        fb = float(fval[b])
+        stopped.setdefault(b, f"f = {fb:.6g} > {DIVERGENCE_F_MAX:g}" if math.isfinite(fb)
+                           else f"non-finite f ({fb})")
+    x, v_prev = _zero_rows(stopped, x, v_prev)
     grads = problem.worker_grads(x)
     grad = pairwise_mean(grads, axis=-2)
-    rng = None
-    if _reads_streams(estimator, noise):
-        if streams is None:
-            streams = dict(zip(trials, worker_states(state.seed, trials, problem.n_workers, [k])[0]))
-        if generator is None:
-            generator = np.random.Generator(np.random.PCG64())
-        rng = seeded_streams(chain.from_iterable(streams[t] for t in trials), generator)
-    g = aggregate(problem, x, grads, estimator, noise, rng, len(trials))
-    bad = dict.fromkeys(np.flatnonzero(~np.all(np.isfinite(g), axis=1)).tolist(), "non-finite aggregate")
-    if bad:
-        trials, x, v_prev, fval, grad, g = _drop(bad, stopped, trials, x, v_prev, fval, grad, g)
+    g = aggregate(problem, x, grads, estimator, noise, rng, len(x))
+    for b in np.flatnonzero(~np.all(np.isfinite(g), axis=1)).tolist():
+        stopped.setdefault(b, "non-finite aggregate")
+    x, v_prev, g = _zero_rows(stopped, x, v_prev, g)
 
     eta = g - grad
     # beta = 1 must reproduce plain SGD bit-for-bit, so take v = g directly
@@ -279,35 +244,26 @@ def step(
         "step_norm_sq": row_dot(dx, dx),
         "phi": (fval - f_star) + lyapunov_A * v_err_sq,
     }
-    return MomentumState(x_new, v, k + 1, trials, state.seed), fields, stopped
-
-
-def _drop(rows: dict, stopped: dict, trials: tuple, *arrays):
-    """Move the trials of the given {row: reason} into stopped; return the
-    other trials and the other rows of each array."""
-    stopped.update((trials[b], reason) for b, reason in rows.items())
-    keep = np.array([b not in rows for b in range(len(trials))])
-    return (tuple(t for t, kept in zip(trials, keep) if kept), *(a[keep] for a in arrays))
+    return x_new, v, fields, stopped
 
 
 @dataclass(frozen=True)
 class TrialStats:
     """A run's trajectory table, its per-iteration statistics, and each
-    trial's iterates and stop reason.
+    trial's iterates and stop reason; row r is trial r.
 
     ``table`` maps each CSV field to a C-ordered (trial, k) array: row r
-    holds the ``lengths[r]`` values of trial ``trials[r]`` and NaN past
-    them, up to the longest trial.  mean/std/stderr are per k over the
-    trials that reached it (``counts`` of them).  ``iterates`` is the
-    (trial, k_max + 1, d) array whose row r holds x^0 .. x^{lengths[r]}
-    and NaN past them.  ``reasons[r]`` says why trial ``trials[r]``
-    stopped at k = ``lengths[r]`` (no values for that k): a non-finite
-    iterate, a non-finite f, f above DIVERGENCE_F_MAX, or a non-finite
-    aggregate; it is None for a trial that ran to the end.  A table read
-    from a CSV has no iterates (None) and no reasons (empty).
+    holds the ``lengths[r]`` values of trial r and NaN past them, up to the
+    longest trial.  mean/std/stderr are per k over the trials that reached
+    it (``counts`` of them).  ``iterates`` is the (trial, k_max + 1, d)
+    array whose row r holds x^0 .. x^{lengths[r]} and NaN past them.
+    ``reasons[r]`` says why trial r stopped at k = ``lengths[r]`` (no
+    values for that k): a non-finite iterate, a non-finite f, f above
+    DIVERGENCE_F_MAX, or a non-finite aggregate; it is None for a trial
+    that ran to the end.  A table read from a CSV has no iterates (None)
+    and no reasons (empty).
     """
 
-    trials: tuple
     lengths: tuple
     table: dict
     counts: np.ndarray
@@ -318,7 +274,7 @@ class TrialStats:
     reasons: tuple = ()
 
     @classmethod
-    def from_table(cls, table: dict, trials, lengths, iterates=None, reasons=()) -> "TrialStats":
+    def from_table(cls, table: dict, lengths, iterates=None, reasons=()) -> "TrialStats":
         """Trim a (trial, k) field table, and the iterates, to the longest
         trial and reduce the table per k.  Deterministic and
         order-independent: every reduction runs over the C-ordered table,
@@ -328,12 +284,11 @@ class TrialStats:
         table = {name: np.ascontiguousarray(table[name][:, :k_max]) for name in CSV_FIELDS}
         mean, std, stderr = {}, {}, {}
         for name, column in table.items():
-            _, mean[name], std[name], stderr[name] = per_k_stats(column)
+            mean[name], std[name], stderr[name] = per_k_stats(column)
         counts = np.sum(np.arange(k_max) < np.array(lengths, dtype=int)[:, None], axis=0)
         if iterates is not None:
             iterates = iterates[:, :k_max + 1]
-        return cls(tuple(trials), lengths, table, counts, mean, std, stderr,
-                   iterates, tuple(reasons))
+        return cls(lengths, table, counts, mean, std, stderr, iterates, tuple(reasons))
 
     @property
     def k_max(self) -> int:
@@ -345,65 +300,68 @@ class TrialStats:
         return tuple(reason is not None for reason in self.reasons)
 
 
-def per_k_stats(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(counts, mean, std, stderr) per column of a (trial, k) table.
+def per_k_stats(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean, std, stderr) per column of a (trial, k) table.
 
     NaN marks an iteration the trial never reached and is left out of its
     column; stderr is the sample std over sqrt(count), 0 below two trials.
     """
     n_trials, k_max = table.shape
-    counts = np.sum(~np.isnan(table), axis=0).astype(int)
     if not k_max:
-        return counts, np.zeros(0), np.zeros(0), np.zeros(0)
+        return np.zeros(0), np.zeros(0), np.zeros(0)
     mean = np.nanmean(table, axis=0)
     std = np.nanstd(table, axis=0)
     if n_trials > 1:
+        counts = np.sum(~np.isnan(table), axis=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             sample_std = np.nanstd(table, axis=0, ddof=1)
         stderr = np.where(counts > 1, sample_std / np.sqrt(np.maximum(counts, 1)), 0.0)
     else:
         stderr = np.zeros(k_max)
-    return counts, mean, std, stderr
+    return mean, std, stderr
 
 
 def run_trials(cfg: RunConfig) -> TrialStats:
-    """Run all trials (ascending trial id) together, one batched ``step``
+    """Run all trials together, row r being trial r, one batched ``step``
     per iteration.
 
-    Each step's field arrays go straight into the trials' rows of the
-    (trial, k) table, and its iterates into the trials' rows of the
-    iterates.  A diverged trial leaves the batch at its iteration and the
-    others go on; each row equals the trial's trajectory on its own.
-    Worker stream states are computed for a block of iterations at a time.
+    The batch keeps all its rows to the end.  A trial that stops keeps its
+    row but stops recording: each step's iterates and field arrays go
+    straight into the (trial, k) rows of the trials still running.  Every
+    trial has its own worker streams, so each row equals the trial's
+    trajectory on its own.  Worker stream states are computed for a block
+    of iterations at a time.
     """
     p, K, T = cfg.problem, cfg.iterations, cfg.trials
-    state = init_state(cfg, range(T))
-    rows = slice(None)  # rows of the tables that the batch fills; row r is trial r
+    x, v_prev = init_state(cfg, T)
+    rows = slice(None)  # the rows of the trials still running
     iterates = np.full((T, K + 1, p.dimension), np.nan)
-    iterates[:, 0] = state.x
+    iterates[:, 0] = x
     table = {name: np.full((T, K), np.nan) for name in CSV_FIELDS}
-    draws = _reads_streams(cfg.estimator, cfg.noise)
+    draws = cfg.estimator.kind == "composite" or cfg.noise.sigma2 > 0
     generator = np.random.Generator(np.random.PCG64())  # re-seated to each worker stream
     block = max(1, _BLOCK_STREAMS // (T * p.n_workers))
     lengths, reasons = [K] * T, [None] * T
 
     for k in range(K):
-        if not state.trials:
-            break
         if draws and k % block == 0:
-            streams = [dict(zip(state.trials, per_trial)) for per_trial in
-                       worker_states(cfg.seed, state.trials, p.n_workers, range(k, min(k + block, K)))]
-        state, fields, stopped = step(state, p, cfg.estimator, cfg.noise, cfg.gamma, cfg.beta,
-                                      streams[k % block] if draws else None, generator)
+            states = worker_states(cfg.seed, range(T), p.n_workers, range(k, min(k + block, K)))
+        rng = seeded_streams(states[k % block], generator) if draws else None
+        x, v_prev, fields, stopped = step(x, v_prev, p, cfg.estimator, cfg.noise,
+                                          cfg.gamma, cfg.beta, rng)
+        # a stopped row steps on from zero, so only a running row's stop is news
+        stopped = {r: reason for r, reason in stopped.items() if reasons[r] is None}
         if stopped:
-            for t, reason in stopped.items():
-                lengths[t], reasons[t] = k, reason
-            rows = list(state.trials)
-        iterates[rows, k + 1] = state.x
+            for r, reason in stopped.items():
+                lengths[r], reasons[r] = k, reason
+            rows = [r for r, reason in enumerate(reasons) if reason is None]
+            if not rows:
+                break
+        iterates[rows, k + 1] = x[rows]
         for name, values in fields.items():
-            table[name][rows, k] = values
-    return TrialStats.from_table(table, range(T), lengths, iterates, reasons)
+            table[name][rows, k] = values[rows]
+    return TrialStats.from_table(table, lengths, iterates, reasons)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +370,8 @@ def run_trials(cfg: RunConfig) -> TrialStats:
 
 def write_run_csv(stats: TrialStats, path) -> None:
     lines = [CSV_HEADER]
-    for r, (trial, length) in enumerate(zip(stats.trials, stats.lengths)):
-        columns = [stats.table[name][r, :length].tolist() for name in CSV_FIELDS]
+    for trial, length in enumerate(stats.lengths):
+        columns = [stats.table[name][trial, :length].tolist() for name in CSV_FIELDS]
         lines.extend(f"{k},{trial}," + ",".join(map(repr, values))
                      for k, values in enumerate(zip(*columns)))
     Path(path).write_text("\n".join(lines) + "\n")
@@ -458,4 +416,4 @@ def read_run_csv(path, trials: int) -> TrialStats:
     if rows:
         trial_of, k_of = zip(*rows)
         table[:, trial_of, k_of] = np.array(list(rows.values())).T
-    return TrialStats.from_table(dict(zip(CSV_FIELDS, table)), range(trials), lengths)
+    return TrialStats.from_table(dict(zip(CSV_FIELDS, table)), lengths)

@@ -310,11 +310,11 @@ def cli_verify(args) -> int:
 def _check_lengths(stats: TrialStats, diverged, iterations: int, csv_path) -> None:
     """Each trial of a run CSV holds exactly ``iterations`` rows, or fewer when
     run.json's ``diverged`` flags (one true/false per trial) mark it."""
-    if not (isinstance(diverged, list) and len(diverged) == len(stats.trials)
+    if not (isinstance(diverged, list) and len(diverged) == len(stats.lengths)
             and all(isinstance(flag, bool) for flag in diverged)):
         raise ConfigurationError(f"run.json 'diverged' needs one true/false per trial, "
                                  f"got {diverged!r}")
-    for trial, length, flag in zip(stats.trials, stats.lengths, diverged):
+    for trial, (length, flag) in enumerate(zip(stats.lengths, diverged)):
         if not (length < iterations if flag else length == iterations):
             raise ConfigurationError(
                 f"{csv_path}: trial {trial} has {length} rows for {iterations} iterations, "

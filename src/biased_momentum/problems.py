@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigurationError, DataError
 from .rng import STREAM_DATA, pairwise_mean, row_dot, substream
@@ -374,6 +373,8 @@ class _LogisticLossProblem(Problem):
         return pairwise_mean(values, axis=-1)
 
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
+        from scipy.special import expit  # imported here: quadratic runs never load scipy
+
         x = np.ascontiguousarray(x, dtype=np.float64)
         reg = self._reg_grad(x)
         grads = []

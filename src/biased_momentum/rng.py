@@ -14,10 +14,10 @@ Stream namespaces (first key element):
   subset sampling inside the optimizer loop.  ``worker_states`` defines
   them: worker w at iteration k of trial t draws from the stream with key
   ``(STREAM_WORKER, t, w, k)``.  The engine does not build a
-  ``SeedSequence`` per stream: ``worker_states`` computes the seeded PCG64
-  states of a whole block of (iteration, trial, worker) keys at once, and
-  ``seeded_streams`` sets them one at a time on a single generator that
-  the caller reuses.
+  ``SeedSequence`` per stream: ``run_trials`` has ``worker_states``
+  compute the seeded PCG64 states of a whole block of (iteration, trial,
+  worker) keys at once, and ``seeded_streams`` set them one at a time on
+  a single generator that it reuses.
 * ``STREAM_X0``      -- the initial-iterate draw for a run config.
 * ``STREAM_MEASURE`` -- Monte-Carlo measurement draws (variance probes).
 * ``STREAM_DATA``    -- synthetic dataset generation.
@@ -90,13 +90,14 @@ def worker_states(seed: int, trials, workers: int, ks) -> list:
     """PCG64 (state, inc) of ``substream(seed, STREAM_WORKER, t, w, k)``
     for every key.
 
-    Returns nested lists indexed ``[k][t][w]`` over the given iterations,
-    trials and the workers 0..workers-1.  The SeedSequence hash runs its
-    multiplier sequence the same way for every key, so the part that
-    depends on the seed alone is hashed once on ints and the trial, worker
-    and iteration words on uint32 arrays of all keys at once; then each
-    stream's 128-bit LCG seeding step runs on Python ints.  Trials and
-    iterations must lie in [0, 2**32); the seed may be any non-negative int.
+    Returns one flat list per iteration of ks, holding the pairs of the
+    given trials and the workers 0..workers-1 in (trial, worker) order.
+    The SeedSequence hash runs its multiplier sequence the same way for
+    every key, so the part that depends on the seed alone is hashed once
+    on ints and the trial, worker and iteration words on uint32 arrays of
+    all keys at once; then each stream's 128-bit LCG seeding step runs on
+    Python ints.  Trials and iterations must lie in [0, 2**32); the seed
+    may be any non-negative int.
     """
     trials = np.asarray(trials, dtype=np.int64).reshape(-1)
     ks = np.asarray(ks, dtype=np.int64).reshape(-1)
@@ -141,8 +142,8 @@ def worker_states(seed: int, trials, workers: int, ks) -> list:
     for a, b, c, d in zip(sum_hi.tolist(), sum_lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
         inc = (c << 64) | d
         flat.append(((((a << 64) | b) * _PCG_MULT + inc) & _MASK128, inc))
-    per_trial = list(zip(*[iter(flat)] * workers))
-    return [per_trial[r * trials.size:(r + 1) * trials.size] for r in range(ks.size)]
+    per_k = trials.size * workers
+    return [flat[r * per_k:(r + 1) * per_k] for r in range(ks.size)]
 
 
 def seeded_streams(states, generator: np.random.Generator) -> Iterator[np.random.Generator]:

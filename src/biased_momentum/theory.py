@@ -398,6 +398,8 @@ def build_theory_report(
             estimator.s_g,
             L_g=problem.L_g,
         )
+        if not noise.is_null:  # the composite C covers subsampling error alone
+            C_var = None
     else:  # pragma: no cover - KINDS is closed
         raise ConfigurationError(f"unknown estimator kind {estimator.kind!r}")
 

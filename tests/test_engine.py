@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from biased_momentum import (
     NoiseSpec,
     RunConfig,
     full_gradient,
-    init_state,
     make_logistic_l2,
     make_maml,
     make_nonconvex_reg,
@@ -23,7 +23,7 @@ from biased_momentum import (
     write_run_csv,
 )
 from biased_momentum.audit import pilot_points
-from biased_momentum.engine import CSV_FIELDS, CSV_HEADER, TrialStats, read_run_csv
+from biased_momentum.engine import CSV_FIELDS, CSV_HEADER, TrialStats, init_state, read_run_csv
 from biased_momentum.problems import make_synthetic_classification
 
 from _oracles import reference_momentum, reference_sgd
@@ -54,23 +54,23 @@ def _trial0(cfg):
 
 def test_init_v_from_gradient_zeroes_initial_error():
     cfg = _quad_cfg(v_init="grad_at_x0")
-    st = init_state(cfg)
-    np.testing.assert_array_equal(st.v_prev[0], full_gradient(cfg.problem, st.x[0]))
-    assert st.k == 0
+    x, v_prev = init_state(cfg)
+    np.testing.assert_array_equal(v_prev[0], full_gradient(cfg.problem, x[0]))
+    assert x.shape == v_prev.shape == (1, 10)
 
 
 def test_init_v_zero_at_origin_equivalent():
     cfg = _quad_cfg(v_init="zero", x0=tuple(np.zeros(10)))
-    st = init_state(cfg)
-    np.testing.assert_array_equal(st.v_prev[0], np.zeros(10))
-    np.testing.assert_array_equal(st.v_prev[0], full_gradient(cfg.problem, st.x[0]))
+    x, v_prev = init_state(cfg)
+    np.testing.assert_array_equal(v_prev[0], np.zeros(10))
+    np.testing.assert_array_equal(v_prev[0], full_gradient(cfg.problem, x[0]))
 
 
 def test_init_seeded_x0_reproducible_and_unit_norm():
     cfg = _quad_cfg(x0=None, seed=123)
-    a, b = init_state(cfg), init_state(cfg)
-    np.testing.assert_array_equal(a.x[0], b.x[0])
-    assert np.linalg.norm(a.x[0]) == pytest.approx(1.0)
+    (a, _), (b, _) = init_state(cfg), init_state(cfg)
+    np.testing.assert_array_equal(a[0], b[0])
+    assert np.linalg.norm(a[0]) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +79,13 @@ def test_init_seeded_x0_reproducible_and_unit_norm():
 
 def test_step_is_gradient_descent_for_beta_one():
     cfg = _quad_cfg()
-    st = init_state(cfg)
-    st1, rec, _ = step(st, cfg.problem, cfg.estimator, cfg.noise, 0.5, 1.0)
-    np.testing.assert_allclose(st1.x[0], [0.5] + [0.0] * 9)
-    st2, _, _ = step(st1, cfg.problem, cfg.estimator, cfg.noise, 0.5, 1.0)
-    np.testing.assert_allclose(st2.x[0], [0.25] + [0.0] * 9)
+    x, v_prev = init_state(cfg)
+    x1, v1, rec, stopped = step(x, v_prev, cfg.problem, cfg.estimator, cfg.noise, 0.5, 1.0)
+    np.testing.assert_allclose(x1[0], [0.5] + [0.0] * 9)
+    x2, _, _, _ = step(x1, v1, cfg.problem, cfg.estimator, cfg.noise, 0.5, 1.0)
+    np.testing.assert_allclose(x2[0], [0.25] + [0.0] * 9)
     assert rec["f"][0] == pytest.approx(0.5)
-    assert st1.k == st.k + 1
+    assert stopped == {}
 
 
 def test_step_identities_hold_bitwise():
@@ -94,20 +94,20 @@ def test_step_identities_hold_bitwise():
     noise = NoiseSpec(sigma2=0.01)
     cfg = RunConfig(problem=p, gamma=0.1, beta=0.3, iterations=1,
                     noise=noise, seed=5)
-    st = init_state(cfg)
-    st1, rec, _ = step(st, p, cfg.estimator, noise, 0.1, 0.3)
+    x, v_prev = init_state(cfg)
+    x1, v1, rec, _ = step(x, v_prev, p, cfg.estimator, noise, 0.1, 0.3, np.random.default_rng(5))
     # reconstruct the aggregate from the v recurrence, then check the
     # recorded identities: g = grad + eta, x' = x - gamma v, v update
-    g = st.v_prev[0] + (st1.v_prev[0] - st.v_prev[0]) / 0.3
-    grad = full_gradient(p, st.x[0])
+    g = v_prev[0] + (v1[0] - v_prev[0]) / 0.3
+    grad = full_gradient(p, x[0])
     eta = g - grad
     assert float(eta @ eta) == pytest.approx(rec["eta_norm_sq"][0], rel=1e-12)
-    np.testing.assert_array_equal(st1.x[0], st.x[0] - 0.1 * st1.v_prev[0])
-    v_manual = st.v_prev[0] + 0.3 * (g - st.v_prev[0])
-    np.testing.assert_allclose(st1.v_prev[0], v_manual, rtol=1e-12)
-    dx = st1.x[0] - st.x[0]
+    np.testing.assert_array_equal(x1[0], x[0] - 0.1 * v1[0])
+    v_manual = v_prev[0] + 0.3 * (g - v_prev[0])
+    np.testing.assert_allclose(v1[0], v_manual, rtol=1e-12)
+    dx = x1[0] - x[0]
     assert rec["step_norm_sq"][0] == pytest.approx(float(dx @ dx), rel=1e-12)
-    ve = grad - st.v_prev[0]
+    ve = grad - v_prev[0]
     assert rec["v_error_sq"][0] == pytest.approx(float(ve @ ve), rel=1e-12)
 
 
@@ -148,7 +148,7 @@ def test_run_zero_iterations():
     cfg = _quad_cfg(iterations=0)
     stats = run_trials(cfg)
     assert _rows(stats) == []
-    np.testing.assert_array_equal(stats.iterates[0], init_state(cfg).x)
+    np.testing.assert_array_equal(stats.iterates[0], init_state(cfg)[0])
     assert not stats.diverged[0]
 
 
@@ -243,9 +243,9 @@ def test_run_trials_matches_reference_momentum(case):
     kw.update(extra)
     cfg = RunConfig(problem=problem, gamma=gamma, beta=beta, estimator=spec, noise=noise, **kw)
     stats = run_trials(cfg)
-    assert list(stats.trials) == list(range(cfg.trials))
-    for r, trial in enumerate(stats.trials):
-        records, iterates, diverged_at, reason = reference_momentum(cfg, trial)
+    assert len(stats.lengths) == len(stats.reasons) == cfg.trials
+    for r in range(cfg.trials):
+        records, iterates, diverged_at, reason = reference_momentum(cfg, r)
         n = stats.lengths[r]
         assert _rows(stats, r) == records
         assert len(stats.iterates[r, :n + 1]) == len(iterates)
@@ -271,8 +271,8 @@ def test_trial_iterates_and_reasons_match_reference():
     stats = run_trials(cfg)
     assert stats.iterates.shape == (cfg.trials, stats.k_max + 1, problem.dimension)
     assert len(set(stats.lengths)) > 1
-    for r, trial in enumerate(stats.trials):
-        _, iterates, diverged_at, reason = reference_momentum(cfg, trial)
+    for r in range(cfg.trials):
+        _, iterates, diverged_at, reason = reference_momentum(cfg, r)
         n = stats.lengths[r]
         assert stats.iterates[r, :n + 1].tobytes() == np.array(iterates).tobytes()
         assert np.all(np.isnan(stats.iterates[r, n + 1:]))
@@ -280,11 +280,11 @@ def test_trial_iterates_and_reasons_match_reference():
         assert n == (cfg.iterations if diverged_at is None else diverged_at)
         assert stats.diverged[r] == (diverged_at is not None)
         alone = TrialStats.from_table({name: column[[r]] for name, column in stats.table.items()},
-                                      [trial], [n], stats.iterates[[r]], [reason])
+                                      [n], stats.iterates[[r]], [reason])
         assert alone.iterates.shape == (1, n + 1, problem.dimension)
         order = [r] + [j for j in range(cfg.trials) if j != r]
         first = TrialStats.from_table({name: column[order] for name, column in stats.table.items()},
-                                      order, [stats.lengths[j] for j in order],
+                                      [stats.lengths[j] for j in order],
                                       stats.iterates[order], [stats.reasons[j] for j in order])
         points = pilot_points(first)
         assert not np.isnan(points).any()
@@ -304,7 +304,7 @@ def test_csv_round_trip_and_header(tmp_path):
     assert text[0] == CSV_HEADER
     assert len(text) == 1 + 2 * 7
     back = read_run_csv(path, cfg.trials)
-    assert len(back.trials) == 2
+    assert len(back.lengths) == 2
     assert back.iterates is None and back.reasons == ()
     for name in CSV_FIELDS:  # repr round-trips floats exactly
         np.testing.assert_array_equal(back.table[name], stats.table[name])
@@ -322,12 +322,12 @@ def test_csv_round_trip_of_ragged_table(tmp_path, seed):
         table[name] = np.full((len(lengths), 12), np.nan)
         for r, n in enumerate(lengths):
             table[name][r, :n] = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
-    stats = TrialStats.from_table(table, range(len(lengths)), lengths)
+    stats = TrialStats.from_table(table, lengths)
     assert stats.k_max == 9
     path = tmp_path / "run.csv"
     write_run_csv(stats, path)
     back = read_run_csv(path, len(lengths))
-    assert (back.trials, back.lengths, back.reasons) == (stats.trials, stats.lengths, ())
+    assert (back.lengths, back.reasons) == (stats.lengths, ())
     assert back.iterates is None
     pairs = [(back.counts, stats.counts)] + [
         (getattr(back, part)[name], getattr(stats, part)[name])
@@ -411,14 +411,49 @@ def test_step_evaluates_each_worker_gradient_once(monkeypatch):
                  EstimatorSpec(kind="clip", tau=0.5)):
         cfg = RunConfig(problem=p, gamma=0.1, beta=0.5, iterations=1, estimator=spec,
                         noise=NoiseSpec(sigma2=0.01, delta_offset=0.1), seed=5)
-        state = init_state(cfg)
-        expected = step(state, p, spec, cfg.noise, cfg.gamma, cfg.beta)
+        x, v_prev = init_state(cfg)
+        expected = step(x, v_prev, p, spec, cfg.noise, cfg.gamma, cfg.beta,
+                        np.random.default_rng(cfg.seed))
         monkeypatch.setattr(cls, "worker_grads", counting)
         calls.clear()
-        got = step(state, p, spec, cfg.noise, cfg.gamma, cfg.beta)
+        got = step(x, v_prev, p, spec, cfg.noise, cfg.gamma, cfg.beta,
+                   np.random.default_rng(cfg.seed))
         monkeypatch.undo()
         assert sorted(calls) == list(range(p.n_workers))
-        np.testing.assert_array_equal(got[0].x, expected[0].x)
+        np.testing.assert_array_equal(got[0], expected[0])
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "maml"])
+def test_step_keeps_a_non_finite_row_apart_from_the_others(kind):
+    # the row is zeroed before any arithmetic (composite points reject NaN),
+    # and every other row steps bit for bit as it would alone
+    if kind == "quadratic":
+        p = make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), n_workers=3, seed=2)
+        spec = EstimatorSpec(kind="top_k", k=2)
+    else:
+        p = make_maml(*make_synthetic_classification(5, 2, 8, seed=4), 0.1)
+        spec = EstimatorSpec(kind="composite", s_g=2, s_f=3)
+    noise = NoiseSpec(sigma2=0.01, delta_offset=0.01)
+    start = np.random.default_rng(1).standard_normal((2, 3, p.dimension))
+    x, v_prev = start[0], start[1]
+    x[1, 0], v_prev[1] = np.nan, np.inf
+
+    def streams(rows):
+        return [np.random.default_rng([r, w]) for r in rows for w in range(p.n_workers)]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x_next, v_next, fields, stopped = step(x, v_prev, p, spec, noise, 0.1, 0.5,
+                                               streams([0, 1, 2]))
+    assert stopped == {1: "non-finite iterate"}
+    for r in (0, 2):
+        x_alone, v_alone, fields_alone, stopped_alone = step(
+            x[[r]], v_prev[[r]], p, spec, noise, 0.1, 0.5, streams([r]))
+        assert stopped_alone == {}
+        assert x_next[r].tobytes() == x_alone[0].tobytes()
+        assert v_next[r].tobytes() == v_alone[0].tobytes()
+        for name in CSV_FIELDS:
+            assert fields[name][r].tobytes() == fields_alone[name][0].tobytes()
 
 
 def _config_doc(**overrides):

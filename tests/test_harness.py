@@ -1,6 +1,9 @@
 """CLI front end: config parsing, artifacts, sweeps, verify/report exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -185,6 +188,34 @@ def test_verify_preset_passes(presets_dir, capsys):
     assert "PASS gradient_oracle" in out
     assert "PASS pl_linear_rate" in out
     assert "FAIL" not in out
+
+
+def test_verify_quadratic_preset_never_imports_scipy(repo_root):
+    # scipy serves only the logistic and MAML sigmoids; importing it costs start-up
+    script = ("import sys, contextlib, io\n"
+              "import biased_momentum\n"
+              "from biased_momentum.harness import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    rc = main(['verify', {str(repo_root / 'presets' / 'pl_quadratic.json')!r}])\n"
+              "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    path = [str(repo_root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]
+
+
+def test_verify_composite_with_noise_claims_no_C(presets_dir, tmp_path, capsys):
+    # the composite error model bounds the subsampling error alone; with an
+    # offset of norm^2 20 on top, its C (about 5.7) would fail a sound run
+    doc = json.loads((presets_dir / "maml_composite.json").read_text())
+    doc["noise"]["delta_offset"] = 2.0
+    rc = main(["verify", _write(tmp_path / "cfg.json", doc)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "SKIP affine_variance_bound (C unavailable for this configuration)" in out
+    assert "FAIL" not in out and "PASS affine_variance_bound" not in out
 
 
 def test_verify_inadmissible_gamma_skips_theorems(tmp_path, capsys):

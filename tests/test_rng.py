@@ -16,9 +16,8 @@ def test_worker_states_match_seedsequence(seed):
     workers = 3
     states = worker_states(seed, trials, workers, ks)
     assert len(states) == len(ks)
-    for per_k, k in zip(states, ks):
-        assert len(per_k) == len(trials)
-        pairs = [pair for per_trial in per_k for pair in per_trial]
+    for pairs, k in zip(states, ks):
+        assert len(pairs) == len(trials) * workers
         keyed = [(t, w) for t in trials for w in range(workers)]
         for (t, w), got in zip(keyed, seeded_streams(pairs, np.random.default_rng()), strict=True):
             want = worker_stream(seed, t, w, k)
@@ -33,7 +32,7 @@ def test_worker_states_match_seedsequence(seed):
 
 def test_seeded_streams_restart_each_state():
     # a stream left mid-way (with a buffered 32-bit half) does not leak into the next
-    pairs = [pair for per_trial in worker_states(5, [0, 1], 2, [3])[0] for pair in per_trial]
+    pairs = worker_states(5, [0, 1], 2, [3])[0]
     generator = np.random.default_rng()
     first = [g.integers(0, 7, size=3).tolist() for g in seeded_streams(pairs, generator)]
     again = [g.integers(0, 7, size=3).tolist() for g in seeded_streams(pairs[::-1], generator)][::-1]
