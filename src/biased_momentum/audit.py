@@ -2,10 +2,12 @@
 
 Each check is a pure function of recorded trajectory data plus a
 TheoryReport, returning an AuditOutcome with the worst observed margin
-(negative margin = violation).  The trajectory checks read the columns of
-a run's (trial, k) table (``engine.TrialStats``), whether it comes from
-the engine or from a run CSV; the premise constants are measured along
-the iterates of its row 0, which only the engine's TrialStats holds.
+(negative margin = violation): the first NaN, which fails the check, or
+else the first minimum.  The trajectory checks (``record_audits``) read
+the columns of a run's (trial, k) table (``engine.TrialStats``), whether
+it comes from the engine or from a run CSV; the premise constants are
+measured along the iterates of its row 0, which only the engine's
+TrialStats holds.
 Inadmissible configurations are reported as skipped, never as passed:
 
 * descent check      -- the per-step Lyapunov inequality, on realized
@@ -44,6 +46,7 @@ __all__ = [
     "finite_difference_gradient",
     "pilot_points",
     "pilot_report",
+    "record_audits",
     "verify_config",
 ]
 
@@ -69,9 +72,12 @@ class AuditOutcome:
         return asdict(self)
 
 
-def _outcome(name, margin, location, tolerance, note=None) -> AuditOutcome:
-    status = "passed" if margin >= -tolerance else "failed"
-    return AuditOutcome(name, status, float(margin), location, tolerance, note)
+def _worst(name, margins, where, tolerance, note) -> AuditOutcome:
+    """Outcome of a check from its margins, in check order: the worst is the
+    first NaN, which fails, or else the first minimum, at ``where(index)``."""
+    i = int(np.argmin(margins))  # np.argmin picks the first NaN if there is one
+    status = "passed" if margins[i] >= -tolerance else "failed"
+    return AuditOutcome(name, status, float(margins[i]), where(i), tolerance, note)
 
 
 def _skip(name, note) -> AuditOutcome:
@@ -93,9 +99,9 @@ def audit_descent(
                  - B2 ||x_{k+1} - x_k||^2 + B3 ||eta_k||^2
 
     with phi recomputed from the recorded fields using the report's A, on
-    every pair (k, k+1) inside a trial's recorded length.  A NaN margin is
-    counted but cannot be the worst; the worst is the first minimum in
-    (trial, k) order.  Skipped when f* is unknown or the configuration is
+    every pair (k, k+1) inside a trial's recorded length, in (trial, k)
+    order: a NaN margin fails the check, and the worst is otherwise the
+    first minimum.  Skipped when f* is unknown or the configuration is
     outside the regime where the inequality is established (B2 < 0 or
     gamma above its ceiling).
     """
@@ -121,15 +127,11 @@ def audit_descent(
         )
         margin = (rhs - lhs) / np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
     pairs = np.arange(stats.k_max - 1) < np.array(stats.lengths)[:, None] - 1
-    checked = int(pairs.sum())
-    if checked == 0:
+    trial, k = np.nonzero(pairs)
+    if not trial.size:
         return _skip(name, "no consecutive record pairs to check")
-    margin = np.where(pairs & ~np.isnan(margin), margin, np.inf)
-    r, k = np.unravel_index(np.argmin(margin), margin.shape)
-    worst, where = margin[r, k], f"trial {r}, k={k}"
-    if not worst < np.inf:
-        where = None
-    return _outcome(name, worst, where, rel_tol, note=f"{checked} steps checked")
+    return _worst(name, margin[pairs], lambda i: f"trial {trial[i]}, k={k[i]}", rel_tol,
+                  f"{trial.size} steps checked")
 
 
 # ---------------------------------------------------------------------------
@@ -156,21 +158,16 @@ def audit_theorem_ncvx(
         return _skip(name, f"need at least {min_prefix} iterations")
     ncvx_rhs, _ = theorem_bounds(report)
     mean = stats.mean["grad_norm_sq"]
-    se = stats.stderr["grad_norm_sq"]
-    worst = np.inf
-    where = None
     run_min = np.minimum.accumulate(mean)
-    argmin = np.zeros(k_max, dtype=int)
-    for k in range(1, k_max):
-        argmin[k] = argmin[k - 1] if mean[argmin[k - 1]] <= mean[k] else k
-    for K in range(min_prefix, k_max + 1):
-        j = argmin[K - 1]
-        bound = ncvx_rhs(K) + stderr_mult * se[j]
-        scale = max(1.0, bound)
-        margin = (bound - run_min[K - 1]) / scale
-        if margin < worst:
-            worst, where = margin, f"prefix K={K} (min at k={j})"
-    return _outcome(name, worst, where, 0.0, note=f"prefixes {min_prefix}..{k_max}")
+    # first k of each running minimum: a later tie does not move it
+    new_min = np.r_[True, mean[1:] < run_min[:-1]]
+    argmin = np.maximum.accumulate(np.where(new_min, np.arange(k_max), 0))
+    K = np.arange(min_prefix, k_max + 1)
+    j = argmin[K - 1]
+    bound = ncvx_rhs(K) + stderr_mult * stats.stderr["grad_norm_sq"][j]
+    margin = (bound - run_min[K - 1]) / np.maximum(1.0, bound)
+    return _worst(name, margin, lambda i: f"prefix K={K[i]} (min at k={j[i]})", 0.0,
+                  f"prefixes {min_prefix}..{k_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +196,11 @@ def audit_theorem_pl(
     # phi from raw fields, independent of the engine's recorded phi column
     phi = (stats.table["f"] - report.f_star) + report.A_pl * stats.table["v_error_sq"]
     mean_phi, _, se = per_k_stats(phi)
-    k_max = stats.k_max
     _, pl_rhs = theorem_bounds(report)
-    worst = np.inf
-    where = None
-    for k in range(k_max):
-        bound = pl_rhs(k) + stderr_mult * se[k]
-        scale = max(bound, abs(mean_phi[k]), 1e-300)
-        margin = (bound - mean_phi[k]) / scale
-        if margin < worst:
-            worst, where = margin, f"k={k}"
-    return _outcome(name, worst, where, rel_tol, note=f"k=0..{k_max - 1}")
+    # pl_rhs per k keeps Python's float power: np.power differs from it in the last bit
+    bound = np.array([pl_rhs(k) for k in range(stats.k_max)]) + stderr_mult * se
+    margin = (bound - mean_phi) / np.maximum(np.maximum(bound, np.abs(mean_phi)), 1e-300)
+    return _worst(name, margin, lambda k: f"k={k}", rel_tol, f"k=0..{stats.k_max - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +223,14 @@ def audit_affine_variance(
         return _skip(name, "C unavailable for this configuration")
     if not points:
         return _skip(name, "no sample points")
-    worst = np.inf
-    where = None
+    margins = []
     for j, x in enumerate(points):
         rng = substream(seed, STREAM_MEASURE, 100 + j)
         mean, se, grad_sq = measure_eta(problem, x, spec, noise, samples=draws, rng=rng)
         bound = report.B_var * grad_sq + report.C_var
-        scale = max(1.0, bound)
-        margin = (bound - (mean + stderr_mult * se)) / scale
-        if margin < worst:
-            worst, where = margin, f"point {j}"
-    return _outcome(name, worst, where, 0.0, note=f"{len(points)} points x {draws} draws")
+        margins.append((bound - (mean + stderr_mult * se)) / max(1.0, bound))
+    return _worst(name, margins, lambda j: f"point {j}", 0.0,
+                  f"{len(points)} points x {draws} draws")
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +255,15 @@ def audit_gradients(
     name = "gradient_oracle"
     if rel_tol is None:
         rel_tol = 1e-4 if isinstance(problem, CompositeProblem) else 1e-5
-    worst = np.inf
-    where = None
+    margins = []
     for j in range(n_points):
         rng = substream(seed, STREAM_MEASURE, 200 + j)
         x = rng.standard_normal(problem.dimension)
         ga = full_gradient(problem, x)
         gn = finite_difference_gradient(problem, x)
         rel = float(np.linalg.norm(ga - gn)) / max(1.0, float(np.linalg.norm(gn)))
-        margin = rel_tol - rel
-        if margin < worst:
-            worst, where = margin, f"point {j}"
-    return _outcome(name, worst, where, 0.0, note=f"{n_points} points, tol {rel_tol}")
+        margins.append(rel_tol - rel)
+    return _worst(name, margins, lambda j: f"point {j}", 0.0, f"{n_points} points, tol {rel_tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +298,9 @@ def audit_figure2_qualitative(rows: Sequence[Mapping], axis_kind: str) -> AuditO
             return _skip(name, "threshold never reached at some sweep point")
         diffs = -np.diff(vals)  # expect iters nonincreasing
     j = int(np.argmin(diffs))
-    worst = float(diffs[j]) / max(1.0, abs(vals[j]))
     note = f"{len(usable)} points" + (f", {dropped} diverged excluded" if dropped else "")
-    return _outcome(name, worst, f"between points {j} and {j + 1}", 1e-9, note=note)
+    return _worst(name, [float(diffs[j]) / max(1.0, abs(vals[j]))],
+                  lambda _: f"between points {j} and {j + 1}", 1e-9, note)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +335,11 @@ def pilot_report(
     return report, points
 
 
+def record_audits(stats: TrialStats, report: TheoryReport) -> list[AuditOutcome]:
+    """The audits of a run's (trial, k) table: descent and both convergence bounds."""
+    return [check(stats, report) for check in (audit_descent, audit_theorem_ncvx, audit_theorem_pl)]
+
+
 def verify_config(
     cfg: RunConfig,
     eta_draws: int = 1000,
@@ -369,9 +359,7 @@ def verify_config(
             cfg.problem, points, cfg.estimator, cfg.noise, report,
             draws=eta_draws, seed=cfg.seed,
         ),
-        audit_descent(stats, report),
-        audit_theorem_ncvx(stats, report),
-        audit_theorem_pl(stats, report),
+        *record_audits(stats, report),
     ]
     diverged = [r for r, flag in enumerate(stats.diverged) if flag]
     if diverged:

@@ -306,19 +306,13 @@ def per_k_stats(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     NaN marks an iteration the trial never reached and is left out of its
     column; stderr is the sample std over sqrt(count), 0 below two trials.
     """
-    n_trials, k_max = table.shape
-    if not k_max:
-        return np.zeros(0), np.zeros(0), np.zeros(0)
-    mean = np.nanmean(table, axis=0)
-    std = np.nanstd(table, axis=0)
-    if n_trials > 1:
-        counts = np.sum(~np.isnan(table), axis=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            sample_std = np.nanstd(table, axis=0, ddof=1)
-        stderr = np.where(counts > 1, sample_std / np.sqrt(np.maximum(counts, 1)), 0.0)
-    else:
-        stderr = np.zeros(k_max)
+    with warnings.catch_warnings():  # an all-NaN column reduces to NaN, silently
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mean = np.nanmean(table, axis=0)
+        std = np.nanstd(table, axis=0)
+        sample_std = np.nanstd(table, axis=0, ddof=1)
+    counts = np.sum(~np.isnan(table), axis=0)
+    stderr = np.where(counts > 1, sample_std / np.sqrt(np.maximum(counts, 1)), 0.0)
     return mean, std, stderr
 
 

@@ -32,11 +32,9 @@ import numpy as np
 
 from .audit import (
     AuditOutcome,
-    audit_descent,
     audit_figure2_qualitative,
-    audit_theorem_ncvx,
-    audit_theorem_pl,
     pilot_report,
+    record_audits,
     verify_config,
 )
 from .engine import RunConfig, TrialStats, read_run_csv, run_trials, write_run_csv
@@ -117,6 +115,11 @@ def load_config(path) -> RunConfig:
 def load_sweep(path) -> dict:
     doc = _load_json(path)
     check_keys(doc, SWEEP_KEYS, "sweep spec", required=("base", "axis", "values"))
+    if not isinstance(doc["values"], list):
+        raise ConfigurationError(f"sweep 'values' must be a list, got {doc['values']!r}")
+    for j, value in enumerate(doc["values"]):
+        if isinstance(value, (list, dict)):
+            raise ConfigurationError(f"sweep 'values'[{j}] must be a single value, got {value!r}")
     doc["base"] = _apply_seed_env(doc["base"])
     return doc
 
@@ -252,6 +255,15 @@ def format_outcomes(outcomes: list[AuditOutcome]) -> str:
     return "\n".join(lines)
 
 
+def _print_audits(report: TheoryReport, outcomes: list[AuditOutcome]) -> int:
+    """Print the theory table and the outcomes; exit code 1 on any failure."""
+    print("theory report")
+    print(format_theory_table(report))
+    print()
+    print(format_outcomes(outcomes))
+    return 1 if any(o.failed for o in outcomes) else 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -300,11 +312,7 @@ def cli_sweep(args) -> int:
 def cli_verify(args) -> int:
     cfg = load_config(args.config)
     report, outcomes, _stats = verify_config(cfg)
-    print("theory report")
-    print(format_theory_table(report))
-    print()
-    print(format_outcomes(outcomes))
-    return 1 if any(o.failed for o in outcomes) else 0
+    return _print_audits(report, outcomes)
 
 
 def _check_lengths(stats: TrialStats, diverged, iterations: int, csv_path) -> None:
@@ -366,16 +374,7 @@ def cli_report(args) -> int:
     cfg = RunConfig.from_dict(sidecar["config"])  # validate the config echo
     stats = read_run_csv(csv_path, cfg.trials)
     _check_lengths(stats, sidecar.get("diverged"), cfg.iterations, csv_path)
-    outcomes = [
-        audit_descent(stats, report),
-        audit_theorem_ncvx(stats, report),
-        audit_theorem_pl(stats, report),
-    ]
-    print("theory report")
-    print(format_theory_table(report))
-    print()
-    print(format_outcomes(outcomes))
-    return 1 if any(o.failed for o in outcomes) else 0
+    return _print_audits(report, record_audits(stats, report))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -284,18 +284,34 @@ class TheoryReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TheoryReport":
+        """The report of a to_dict document; each value must fit its field."""
         check_keys(d, [f.name for f in fields(cls)], "theory",
                    required=[f.name for f in fields(cls) if f.default is MISSING])
+        for f in fields(cls):
+            if not _fits(d.get(f.name), f.type):
+                raise ConfigurationError(f"theory {f.name!r} must be {f.type}, "
+                                         f"got {d.get(f.name)!r}")
         d = dict(d)
         if d.get("composite_sigmas") is not None:
             d["composite_sigmas"] = tuple(d["composite_sigmas"])
         return cls(**d)
 
 
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value fits a TheoryReport annotation; a number is not a
+    boolean, and the tuple is a list of three numbers."""
+    kinds = annotation.split(" | ")
+    if value is None or isinstance(value, (bool, str)):
+        return ("None" if value is None else type(value).__name__) in kinds
+    if isinstance(value, list):
+        return "tuple" in kinds and len(value) == 3 and all(_fits(v, "float") for v in value)
+    return "float" in kinds and isinstance(value, (int, float))
+
+
 def theorem_bounds(report: TheoryReport) -> tuple[Callable, Callable | None]:
     """Right-hand-side curves of the two convergence guarantees.
 
-    ncvx_rhs(K) = theta0/K + 4(1 - beta^2/2) C       (min-gradient bound)
+    ncvx_rhs(K) = theta0/K + 4(1 - beta^2/2) C       (min-gradient bound; K int or array)
     pl_rhs(K)   = (1 - mu gamma/2)^K phi0 + (2/mu)(2 - beta/2 - beta^2) C
 
     Computable pieces are used as-is; a curve is None when its inputs
@@ -306,8 +322,8 @@ def theorem_bounds(report: TheoryReport) -> tuple[Callable, Callable | None]:
     if report.theta0 is not None and report.floor_ncvx is not None:
         theta0, floor = report.theta0, report.floor_ncvx
 
-        def ncvx_rhs(K: int, _t=theta0, _f=floor) -> float:
-            if K < 1:
+        def ncvx_rhs(K, _t=theta0, _f=floor):
+            if np.any(np.asarray(K) < 1):
                 raise ConfigurationError("K must be >= 1")
             return _t / K + _f
 

@@ -23,6 +23,7 @@ from biased_momentum import (
 )
 from biased_momentum.audit import pilot_points, verify_config
 from biased_momentum.composite import make_maml
+from biased_momentum.engine import TrialStats
 from biased_momentum.problems import make_synthetic_classification
 
 
@@ -81,6 +82,20 @@ def test_descent_detects_corrupted_record():
     table["f"][0, 10] = table["f"][0, 10] * 5.0 + 1.0
     out = audit_descent(dataclasses.replace(stats, table=table), report)
     assert out.failed
+
+
+def test_descent_tie_names_the_lower_trial():
+    # trials 0 and 1 share the worst margin, at k=19 and k=4; (trial, k) order
+    p = _pl_quadratic()
+    cfg = RunConfig(problem=p, gamma=1 / (2 * p.L), beta=1.0, iterations=30, trials=2, seed=2)
+    stats = run_trials(cfg)
+    report = dataclasses.replace(_report_for(cfg), f_star=0.0)
+    table = {name: np.zeros_like(column) for name, column in stats.table.items()}
+    table["f"][:] = 1.0
+    table["f"][0, 20] = table["f"][1, 5] = 2.0
+    out = audit_descent(dataclasses.replace(stats, table=table), report)
+    assert out.failed and out.worst_margin == -0.5
+    assert out.location == "trial 0, k=19"
 
 
 def test_descent_skips_outside_regime():
@@ -156,6 +171,21 @@ def test_theorem_ncvx_detects_corruption():
     report = dataclasses.replace(report, theta0=report.theta0 * 1e-6)
     out = audit_theorem_ncvx(stats, report)
     assert out.failed
+
+
+def test_theorem_ncvx_location_names_first_k_of_tied_minimum():
+    # with theta0 = floor = 0 the worst prefix is the first one checked; its
+    # location names the first k at which the running minimum was reached
+    p = _pl_quadratic()
+    cfg = RunConfig(problem=p, gamma=stepsize_bounds(0.5, p.L)[0], beta=0.5, iterations=7,
+                    seed=4)
+    stats = run_trials(cfg)
+    mean = np.array([[3.0, 1.0, 2.0, 1.0, 0.5, 0.5, 4.0]])
+    stats = TrialStats.from_table(dict(stats.table, grad_norm_sq=mean), stats.lengths)
+    report = dataclasses.replace(_report_for(cfg), theta0=0.0, floor_ncvx=0.0)
+    locations = [audit_theorem_ncvx(stats, report, min_prefix=K).location for K in range(1, 8)]
+    assert locations == [f"prefix K={K} (min at k={j})"
+                         for K, j in zip(range(1, 8), [0, 1, 1, 1, 4, 4, 4])]
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +315,15 @@ def test_affine_detects_understated_bound():
     assert out.failed
 
 
+def test_affine_fails_on_nan_bound():
+    p = _pl_quadratic()
+    cfg = RunConfig(problem=p, gamma=0.1, beta=0.5, iterations=20, seed=10)
+    report = dataclasses.replace(_report_for(cfg), C_var=float("nan"))
+    out = audit_affine_variance(p, pilot_points(_trial0(cfg)), cfg.estimator, cfg.noise,
+                                report, draws=10, seed=1)
+    assert out.failed and np.isnan(out.worst_margin) and out.location == "point 0"
+
+
 def test_affine_evaluates_each_worker_gradient_once_per_point(monkeypatch):
     # the bound's ||grad f||^2 reuses the worker gradients measure_eta took
     p = _pl_quadratic(n_workers=3)
@@ -332,6 +371,14 @@ def test_gradient_audit_detects_wrong_gradient():
     p = _pl_quadratic()
     broken = dataclasses.replace(p, blocks=tuple(2.0 * b for b in p.blocks))
     assert audit_gradients(broken, n_points=5, seed=4).failed
+
+
+def test_gradient_audit_fails_on_nan_oracle(monkeypatch):
+    p = _pl_quadratic()
+    original = type(p).worker_grads
+    monkeypatch.setattr(type(p), "worker_grads", lambda self, x: original(self, x) * np.nan)
+    out = audit_gradients(p, n_points=5, seed=4)
+    assert out.failed and np.isnan(out.worst_margin) and out.location == "point 0"
 
 
 # ---------------------------------------------------------------------------

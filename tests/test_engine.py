@@ -23,7 +23,9 @@ from biased_momentum import (
     write_run_csv,
 )
 from biased_momentum.audit import pilot_points
-from biased_momentum.engine import CSV_FIELDS, CSV_HEADER, TrialStats, init_state, read_run_csv
+from biased_momentum.engine import (
+    CSV_FIELDS, CSV_HEADER, TrialStats, init_state, per_k_stats, read_run_csv,
+)
 from biased_momentum.problems import make_synthetic_classification
 
 from _oracles import reference_momentum, reference_sgd
@@ -344,6 +346,17 @@ def test_csv_bytes_identical_across_runs(tmp_path):
     write_run_csv(run_trials(cfg), a)
     write_run_csv(run_trials(cfg), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("n_trials", [1, 3])
+def test_per_k_stats_reduces_an_all_nan_column_quietly(n_trials):
+    table = np.ones((n_trials, 3))
+    table[:, 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, std, stderr = per_k_stats(table)
+    assert np.isnan(mean[1]) and np.isnan(std[1])
+    assert list(mean[[0, 2]]) == [1.0, 1.0] and list(stderr) == [0.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,9 @@ def test_sweep_missing_key(tmp_path, capsys):
     ("threshold", {"kind": "absolute", "value": 0.1, "valu": 0.2}),
     ("threshold", {"kind": "median", "value": 0.5}),
     ("threshold", 0.5),
+    ("values", [[0.1, 0.2]]),
+    ("values", [{"gamma": 0.1}]),
+    ("values", 0.1),
 ])
 def test_sweep_rejects_bad_spec(tmp_path, capsys, key, value):
     doc = {"base": _minimal_config(), "axis": "gamma", "values": [0.1], key: value}
@@ -373,6 +376,14 @@ MALFORMED_ARTIFACTS = {  # rows (trial 0 at k=0..39, then trial 1) -> edited dir
     "sweep-string-axis-value": (_sweep({"spec": SIGMA2_SPEC, "rows": [
         _sweep_row(axis_value="a"), _sweep_row(axis_value=0.1)]}), "row 0 'axis_value'"),
     "run-json-no-config": (_sidecar(lambda doc: doc.pop("config")), "'config'"),
+    "theory-string-number": (_sidecar(lambda doc: doc["theory"].update(B2="big")), "'B2'"),
+    "theory-string-flag": (_sidecar(lambda doc: doc["theory"].update(gamma_ok="yes")),
+                           "'gamma_ok'"),
+    "theory-flag-number": (_sidecar(lambda doc: doc["theory"].update(L=True)), "'L'"),
+    "theory-null-number": (_sidecar(lambda doc: doc["theory"].update(gamma=None)), "'gamma'"),
+    "theory-number-string": (_sidecar(lambda doc: doc["theory"].update(regime=1)), "'regime'"),
+    "theory-two-sigmas": (_sidecar(lambda doc: doc["theory"].update(composite_sigmas=[1, 2])),
+                          "'composite_sigmas'"),
 }
 
 
@@ -399,6 +410,34 @@ def test_report_ignores_row_order(tmp_path, capsys):
     (out / "run.csv").write_text("\n".join([lines[0]] + rows[::-1]) + "\n")
     assert main(["report", str(out)]) == 0
     assert capsys.readouterr().out == original
+
+
+def _with_nan(row, first, count):
+    """A run.csv data row with `count` value fields from field `first` on set to nan."""
+    fields = row.split(",")
+    fields[first:first + count] = ["nan"] * count
+    return ",".join(fields)
+
+
+def test_report_fails_on_a_nan_value(tmp_path, capsys):
+    # f of trial 0 at k=10 is nan: the descent pair (k=9, k=10) is the first NaN margin
+    out, _ = _run_csv_lines(tmp_path)
+    _rows(lambda rows: [_with_nan(row, 2, 1) if row.startswith("10,0,") else row
+                        for row in rows])(out)
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "FAIL descent_inequality worst_margin=nan at trial 0, k=9 " in printed
+
+
+def test_report_never_passes_an_all_nan_run(tmp_path, capsys):
+    out, _ = _run_csv_lines(tmp_path)
+    _rows(lambda rows: [_with_nan(row, 2, 6) for row in rows])(out)
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert printed.count("FAIL ") == 3
+    assert "PASS" not in printed and "worst_margin=inf" not in printed
 
 
 def test_report_sweep_dir(tmp_path, capsys):
