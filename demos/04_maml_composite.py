@@ -38,7 +38,7 @@ def subsampled_estimate(s_g, s_f):
     drawn uniformly without replacement."""
     idx_g = np.sort(rng.choice(cp.m_g, size=s_g, replace=False))
     idx_f = np.sort(rng.choice(cp.m_F, size=s_f, replace=False))
-    return chained_gradient(cp, 0, x, idx_g, idx_f)
+    return chained_gradient(cp, x, idx_g, idx_f)[0]
 
 
 full = subsampled_estimate(cp.m_g, cp.m_F)

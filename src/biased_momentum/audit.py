@@ -159,8 +159,9 @@ def audit_theorem_ncvx(
     ncvx_rhs, _ = theorem_bounds(report)
     mean = stats.mean["grad_norm_sq"]
     run_min = np.minimum.accumulate(mean)
-    # first k of each running minimum: a later tie does not move it
-    new_min = np.r_[True, mean[1:] < run_min[:-1]]
+    # first k of each running minimum: a later tie does not move it, and the
+    # first NaN is one (the running minimum keeps it; ~(nan >= m) is True)
+    new_min = np.r_[True, ~(mean[1:] >= run_min[:-1]) & ~np.isnan(run_min[:-1])]
     argmin = np.maximum.accumulate(np.where(new_min, np.arange(k_max), 0))
     K = np.arange(min_prefix, k_max + 1)
     j = argmin[K - 1]
@@ -195,7 +196,7 @@ def audit_theorem_pl(
         return _skip(name, "empty trajectory")
     # phi from raw fields, independent of the engine's recorded phi column
     phi = (stats.table["f"] - report.f_star) + report.A_pl * stats.table["v_error_sq"]
-    mean_phi, _, se = per_k_stats(phi)
+    mean_phi, _, se = per_k_stats(phi, stats.lengths)
     _, pl_rhs = theorem_bounds(report)
     # pl_rhs per k keeps Python's float power: np.power differs from it in the last bit
     bound = np.array([pl_rhs(k) for k in range(stats.k_max)]) + stderr_mult * se

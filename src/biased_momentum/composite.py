@@ -2,15 +2,16 @@
 finite averages, the chained-gradient evaluation, and the meta-learning
 instantiation g_{i,j}(x) = x - gamma * grad of the per-sample loss.
 
-Components are held as arrays and every oracle evaluates an index array in
-one call; an index array with a leading batch axis evaluates one subset
-per row, at that row's own point.  For the meta-learning inner map the
-Jacobian is I - gamma * (loss Hessian); for per-sample logistic losses both
-its action on a vector and the dense matrix are closed form.
+Every worker's components are held as arrays with a worker axis, and each
+oracle evaluates one index set per worker in one call (one block of sets
+per row of any leading batch axes, at that row's point).  For the
+meta-learning inner map the Jacobian is I - gamma * (loss Hessian); for
+per-sample logistic losses its action and its dense matrix are closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -46,23 +47,23 @@ __all__ = [
 class CompositeProblem(Problem):
     """Two-level finite sum f_i(x) = (1/m_F) sum_j F_{i,j}((1/m_g) sum_l g_{i,l}(x)).
 
-    Subclasses hold the components as arrays and define the batched
-    oracles below; row r of each result belongs to component idx[r] of
-    worker i, and k = len(idx):
+    Subclasses hold every worker's components as arrays and define the
+    oracles below, each evaluating all n workers in one call: ``idx`` is a
+    (..., n, k) block of one index set per worker (a (k,) set is every
+    worker's), ``x`` one point or a (..., d) stack all workers share, and
+    ``z``, ``u`` one (..., n, p) row per worker.  Row r of worker i belongs
+    to its component j = idx[..., i, r]:
 
-    * ``inner_values(i, x, idx)``        g_{i,j}(x), shape (k, p)
-    * ``inner_jac_t_vecs(i, x, idx, u)`` J_{i,j}(x)^T u, shape (k, d)
-    * ``inner_jac_t(i, x, idx)``         dense J_{i,j}(x)^T, shape (k, d, p)
-    * ``outer_values(i, z, idx)``        F_{i,j}(z), shape (k,)
-    * ``outer_grads(i, z, idx)``         grad F_{i,j}(z), shape (k, p)
+    * ``inner_values(x, idx)``        g_{i,j}(x), shape (..., n, k, p)
+    * ``inner_jac_t_vecs(x, idx, u)`` J_{i,j}(x)^T u_i, shape (..., n, k, d)
+    * ``inner_jac_t(x, idx)``         dense J_{i,j}(x)^T, shape (..., n, k, d, p)
+    * ``outer_values(z, idx)``        F_{i,j}(z_i), shape (..., n, k)
+    * ``outer_grads(z, idx)``         grad F_{i,j}(z_i), shape (..., n, k, p)
 
-    idx may also be a (B, k) batch of index sets, with u and z then one
-    (B, p) row per set and x one point or one (B, d) row per set; results
-    gain the leading B axis.  ``inner_value`` and ``chained_gradient`` also
-    evaluate one index set at each point of a (..., d) stack x, which is how
-    ``f`` and ``worker_grads`` take the full sets.  Each row rounds exactly
-    like the same component evaluated on its own, so a subset average does
-    not depend on how its rows were batched.
+    ``inner_value`` and ``chained_gradient`` average them over the sets;
+    ``f`` and ``worker_grads`` are those on the full sets.  Each row rounds
+    exactly like the same component evaluated on its own, so a subset
+    average does not depend on how its rows were batched.
 
     ``ell_g``/``L_g``/``ell_F``/``L_F`` are certified Lipschitz constants of
     the component maps and their gradients; the objective then has
@@ -88,16 +89,15 @@ class CompositeProblem(Problem):
         return self.L_g * self.ell_F + self.ell_g**2 * self.L_F
 
     def f(self, x: np.ndarray):
-        all_g, all_F = np.arange(self.m_g), np.arange(self.m_F)
-        values = np.stack([
-            np.mean(self.outer_values(i, inner_value(self, i, x, all_g), all_F), axis=-1)
-            for i in range(self.n_workers)], axis=-1)
-        return pairwise_mean(values, axis=-1)
+        z = inner_value(self, x, np.arange(self.m_g))
+        return pairwise_mean(np.mean(self.outer_values(z, np.arange(self.m_F)), axis=-1), axis=-1)
 
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
-        all_g, all_F = np.arange(self.m_g), np.arange(self.m_F)
-        return np.stack([chained_gradient(self, i, x, all_g, all_F)
-                         for i in range(self.n_workers)], axis=-2)
+        return chained_gradient(self, x, np.arange(self.m_g), np.arange(self.m_F))
+
+    def _sets(self, idx: np.ndarray) -> np.ndarray:
+        """idx as a (..., n, k) block: a (k,) set becomes every worker's set."""
+        return idx if idx.ndim > 1 else np.broadcast_to(idx, (self.n_workers, idx.size))
 
 
 def _row_dots(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -109,18 +109,20 @@ def _row_dots(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 # subset evaluation (Eq.-style chained estimator pieces)
 
 
-def _validate_indices(idx, m: int, label: str) -> np.ndarray:
+def _validate_indices(cp: CompositeProblem, idx, m: int, label: str) -> np.ndarray:
     idx = np.asarray(idx, dtype=np.intp)
     if idx.ndim == 0 or idx.size == 0:
         raise ConfigurationError(f"empty {label} index set")
+    if idx.ndim > 1 and idx.shape[-2] != cp.n_workers:
+        raise ConfigurationError(f"{label} index block needs {cp.n_workers} worker rows")
     if idx.min() < 0 or idx.max() >= m:
         raise ConfigurationError(f"{label} index out of range [0, {m})")
     return idx
 
 
 def _points(cp: CompositeProblem, x) -> np.ndarray:
-    """x as one parameter vector, or a (..., d) stack of them (one per index
-    set, or sharing one)."""
+    """x as one parameter vector, or a (..., d) stack of them (one per block
+    of index sets, or sharing one)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2:
         return as_param_vector(x, cp.dimension)
@@ -129,35 +131,31 @@ def _points(cp: CompositeProblem, x) -> np.ndarray:
     return x
 
 
-def inner_value(cp: CompositeProblem, i: int, x: np.ndarray, indices) -> np.ndarray:
-    """Average of the selected inner maps at x (one average per index set)."""
-    cp._check_worker(i)
-    idx = _validate_indices(indices, cp.m_g, "inner")
-    x = _points(cp, x)
-    return np.mean(cp.inner_values(i, x, idx), axis=-2)
+def inner_value(cp: CompositeProblem, x: np.ndarray, indices) -> np.ndarray:
+    """Each worker's average of its selected inner maps at x, (..., n, p)."""
+    idx = _validate_indices(cp, indices, cp.m_g, "inner")
+    return np.mean(cp.inner_values(_points(cp, x), idx), axis=-2)
 
 
-def chained_gradient(
-    cp: CompositeProblem, i: int, x: np.ndarray, indices_g, indices_F
-) -> np.ndarray:
-    """Subsampled chain-rule gradient of F_i(g_i(x)).
+def chained_gradient(cp: CompositeProblem, x: np.ndarray, indices_g, indices_F) -> np.ndarray:
+    """Subsampled chain-rule gradient of every worker's F_i(g_i(x)), (..., n, d).
 
     The inner value and the inner Jacobian average over the same index set
     (one shared draw); the outer gradient averages over its own set and is
     evaluated at the subset inner value.  Full index sets reproduce the
-    exact worker gradient.  (B, S_g) and (B, S_F) batches of index sets give
-    the (B, d) gradients of the B estimates, row for row equal to one call
-    per pair of sets; x may then hold one point per pair.
+    exact worker gradients.  (..., n, S_g) and (..., n, S_F) blocks of index
+    sets give the gradients of one estimate per worker and batch row, each
+    equal to one call per pair of sets; x may then hold one point per row.
     """
     x = _points(cp, x)
-    idx_g = _validate_indices(indices_g, cp.m_g, "inner")
-    idx_f = _validate_indices(indices_F, cp.m_F, "outer")
+    idx_g = _validate_indices(cp, indices_g, cp.m_g, "inner")
+    idx_f = _validate_indices(cp, indices_F, cp.m_F, "outer")
     if idx_g.shape[:-1] != idx_f.shape[:-1]:
         raise ConfigurationError(
             f"inner and outer index batches differ: {idx_g.shape[:-1]} vs {idx_f.shape[:-1]}")
-    z = inner_value(cp, i, x, idx_g)
-    w = np.mean(cp.outer_grads(i, z, idx_f), axis=-2)
-    return np.mean(cp.inner_jac_t_vecs(i, x, idx_g, w), axis=-2)
+    z = inner_value(cp, x, idx_g)
+    w = np.mean(cp.outer_grads(z, idx_f), axis=-2)
+    return np.mean(cp.inner_jac_t_vecs(x, idx_g, w), axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -170,40 +168,47 @@ class MamlProblem(CompositeProblem):
     the sample loss log(1 + exp(-b <a, x>)) has gradient -b s a and
     Hessian s (1 - s) a a^T, for the rows a, b of features[i], labels[i]."""
 
-    features: tuple  # per-worker (m, d) arrays
-    labels: tuple  # per-worker (m,) arrays with entries in {-1, +1}
+    features: np.ndarray  # (n, m, d): worker i holds rows features[i]
+    labels: np.ndarray  # (n, m) with entries in {-1, +1}
     gamma_inner: float
     ell_base: float
     L_base: float
     kind: str = "maml"
 
-    def _sigmoids(self, i: int, v: np.ndarray, idx: np.ndarray):
-        """Rows a_j, labels b_j and s_j = sigmoid(-b_j <a_j, v>) for idx."""
+    def _rows(self, idx: np.ndarray):
+        """Each worker's rows a_j and labels b_j for its set in idx."""
+        workers = np.arange(self.n_workers)[:, None]
+        return self.features[workers, idx], self.labels[workers, idx]
+
+    def _sigmoids(self, v: np.ndarray, idx: np.ndarray):
+        """Rows a_j, labels b_j and s_j = sigmoid(-b_j <a_j, v_i>) for idx,
+        at one (..., n, d) point v_i per worker."""
         from scipy.special import expit  # imported here: quadratic runs never load scipy
 
-        A, b = self.features[i][idx], self.labels[i][idx]
+        A, b = self._rows(idx)
         return A, b, expit(-b * _row_dots(A, v))
 
-    def inner_values(self, i, x, idx):
-        A, b, s = self._sigmoids(i, x, idx)
+    def inner_values(self, x, idx):
+        x = x[..., None, :]
+        A, b, s = self._sigmoids(x, idx)
         return x[..., None, :] - self.gamma_inner * ((-b * s)[..., None] * A)
 
-    def inner_jac_t_vecs(self, i, x, idx, u):
-        A, _, s = self._sigmoids(i, x, idx)
+    def inner_jac_t_vecs(self, x, idx, u):
+        A, _, s = self._sigmoids(x[..., None, :], idx)
         return u[..., None, :] - self.gamma_inner * (
             (s * (1.0 - s) * _row_dots(A, u))[..., None] * A)
 
-    def inner_jac_t(self, i, x, idx):
-        A, _, s = self._sigmoids(i, x, idx)
+    def inner_jac_t(self, x, idx):
+        A, _, s = self._sigmoids(x[..., None, :], idx)
         scaled = (s * (1.0 - s))[..., None] * A
         return np.eye(self.dimension) - self.gamma_inner * (A[..., :, None] * scaled[..., None, :])
 
-    def outer_values(self, i, z, idx):
-        A, b = self.features[i][idx], self.labels[i][idx]
+    def outer_values(self, z, idx):
+        A, b = self._rows(idx)
         return np.logaddexp(0.0, -b * _row_dots(A, z))
 
-    def outer_grads(self, i, z, idx):
-        A, b, s = self._sigmoids(i, z, idx)
+    def outer_grads(self, z, idx):
+        A, b, s = self._sigmoids(z, idx)
         return (-b * s)[..., None] * A
 
 
@@ -235,8 +240,8 @@ def make_maml(
         n_workers=len(features),
         dimension=d,
         inner_dimension=d,
-        m_g=features[0].shape[0],
-        m_F=features[0].shape[0],
+        m_g=features.shape[1],
+        m_F=features.shape[1],
         ell_g=1.0 + gamma_inner * L_base,
         L_g=2.0 * gamma_inner * L_base,
         ell_F=ell_base,
@@ -271,19 +276,19 @@ class ToyCompositeProblem(CompositeProblem):
     coeffs: np.ndarray  # (m_F,) outer coefficients c_j
     centers: np.ndarray  # (m_F, p) outer centers r_j
 
-    def inner_values(self, i, x, idx):
-        return (self.G[idx] @ x[..., None, :, None])[..., 0]
+    def inner_values(self, x, idx):
+        return (self.G[self._sets(idx)] @ x[..., None, None, :, None])[..., 0]
 
-    def inner_jac_t_vecs(self, i, x, idx, u):
-        return (self.inner_jac_t(i, x, idx) @ u[..., None, :, None])[..., 0]
+    def inner_jac_t_vecs(self, x, idx, u):
+        return (self.inner_jac_t(x, idx) @ u[..., None, :, None])[..., 0]
 
-    def inner_jac_t(self, i, x, idx):
-        return np.ascontiguousarray(np.swapaxes(self.G[idx], -1, -2))
+    def inner_jac_t(self, x, idx):
+        return np.ascontiguousarray(np.swapaxes(self.G[self._sets(idx)], -1, -2))
 
-    def outer_values(self, i, z, idx):
+    def outer_values(self, z, idx):
         return self.coeffs[idx] * np.sum((z[..., None, :] - self.centers[idx]) ** 4, axis=-1)
 
-    def outer_grads(self, i, z, idx):
+    def outer_grads(self, z, idx):
         return (4.0 * self.coeffs[idx])[..., None] * (z[..., None, :] - self.centers[idx]) ** 3
 
 
@@ -322,7 +327,7 @@ def make_toy_composite(
         m_F=coeffs.size,
         ell_g=ell_g,
         L_g=0.0,
-        ell_F=c_max * 4.0 * np.sqrt(p) * z_max**3,
+        ell_F=c_max * 4.0 * math.sqrt(p) * z_max**3,
         L_F=c_max * 12.0 * z_max**2,
         source=source,
     )
@@ -380,7 +385,7 @@ def measure_composite_sigmas(
     returned values are the max over (point, worker) times a safety factor.
     Jacobian deviations are measured in the Frobenius norm (an upper bound
     on the spectral norm, so the error-model constant stays valid) on the
-    closed-form dense Jacobians.
+    closed-form dense Jacobians, each oracle called once per point.
     """
     if not points:
         raise ConfigurationError("need at least one sample point")
@@ -388,12 +393,12 @@ def measure_composite_sigmas(
     all_g, all_F = np.arange(cp.m_g), np.arange(cp.m_F)
     for x in points:
         x = as_param_vector(x, cp.dimension)
-        for i in range(cp.n_workers):
-            g_vals = cp.inner_values(i, x, all_g)
-            sig_g2 = max(sig_g2, _anchored_variance(g_vals))
-            sig_dg2 = max(sig_dg2, _anchored_variance(cp.inner_jac_t(i, x, all_g)))
-            # outer gradients evaluated where the estimator may land: at the
-            # full inner mean and at each single-component inner value
-            for z in (np.mean(g_vals, axis=0), *g_vals):
-                sig_F2 = max(sig_F2, _anchored_variance(cp.outer_grads(i, z, all_F)))
+        g_vals = cp.inner_values(x, all_g)
+        # outer gradients evaluated where the estimator may land: at the
+        # full inner mean and at each single-component inner value
+        z = np.concatenate((np.mean(g_vals, axis=-2)[None], np.swapaxes(g_vals, 0, 1)))
+        outer = np.swapaxes(cp.outer_grads(z, all_F), 0, 1)  # (worker, z, component, p)
+        sig_g2 = max(sig_g2, *map(_anchored_variance, g_vals))
+        sig_dg2 = max(sig_dg2, *map(_anchored_variance, cp.inner_jac_t(x, all_g)))
+        sig_F2 = max(sig_F2, *(_anchored_variance(grads) for row in outer for grads in row))
     return safety * sig_g2, safety * sig_dg2, safety * sig_F2

@@ -32,7 +32,6 @@ have alone.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -284,7 +283,7 @@ class TrialStats:
         table = {name: np.ascontiguousarray(table[name][:, :k_max]) for name in CSV_FIELDS}
         mean, std, stderr = {}, {}, {}
         for name, column in table.items():
-            mean[name], std[name], stderr[name] = per_k_stats(column)
+            mean[name], std[name], stderr[name] = per_k_stats(column, lengths)
         counts = np.sum(np.arange(k_max) < np.array(lengths, dtype=int)[:, None], axis=0)
         if iterates is not None:
             iterates = iterates[:, :k_max + 1]
@@ -300,19 +299,19 @@ class TrialStats:
         return tuple(reason is not None for reason in self.reasons)
 
 
-def per_k_stats(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mean, std, stderr) per column of a (trial, k) table.
-
-    NaN marks an iteration the trial never reached and is left out of its
-    column; stderr is the sample std over sqrt(count), 0 below two trials.
+def per_k_stats(table: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean, std, stderr) per column k of a (trial, k) table over the trials
+    r with k < lengths[r]: a cell past its trial's length is left out, and a
+    NaN inside one makes its column NaN.  stderr is the sample std over
+    sqrt(count), 0 below two trials.
     """
-    with warnings.catch_warnings():  # an all-NaN column reduces to NaN, silently
-        warnings.simplefilter("ignore", RuntimeWarning)
-        mean = np.nanmean(table, axis=0)
-        std = np.nanstd(table, axis=0)
-        sample_std = np.nanstd(table, axis=0, ddof=1)
-    counts = np.sum(~np.isnan(table), axis=0)
-    stderr = np.where(counts > 1, sample_std / np.sqrt(np.maximum(counts, 1)), 0.0)
+    inside = np.arange(table.shape[1]) < np.asarray(lengths)[:, None]
+    counts = np.sum(inside, axis=0)
+    with np.errstate(all="ignore"):  # empty or NaN columns, inf - inf, overflow
+        mean = np.sum(np.where(inside, table, 0.0), axis=0) / counts
+        sq = np.sum(np.where(inside, table - mean, 0.0) ** 2, axis=0)
+        std = np.sqrt(sq / counts)
+        stderr = np.where(counts > 1, np.sqrt(sq / (counts - 1)) / np.sqrt(counts), 0.0)
     return mean, std, stderr
 
 

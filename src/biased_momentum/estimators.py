@@ -12,7 +12,8 @@ rounding exactly as the operator applied to that row alone.  One path turns
 exact worker gradients into a (draws, workers, d) stack of transmissions:
 ``aggregate`` reduces it over the worker axis for the momentum engine (one
 draw per trial, each at its own iterate) and the Monte-Carlo error
-measurement (a block of draws at one point).
+measurement (a block of draws at one point).  The composite kind evaluates
+its whole (draws, workers) block of index sets in one chained-gradient call.
 """
 
 from __future__ import annotations
@@ -159,13 +160,13 @@ def apply_estimator(spec: EstimatorSpec, raw: np.ndarray) -> np.ndarray:
                              "subsamples the composite problem instead")
 
 
-def _transmissions(p: Problem, x: np.ndarray, workers, grads, spec: EstimatorSpec,
+def _transmissions(p: Problem, x: np.ndarray, grads, spec: EstimatorSpec,
                    noise: NoiseSpec | None, rng, draws: int) -> np.ndarray:
-    """(draws, len(workers), d) stack of what the workers send.
+    """(draws, n, d) stack of what the workers send.
 
-    Row b, column j is round b of worker ``workers[j]`` at x, or at x[b]
-    when x holds one (draws, d) row per round; its exact gradient there is
-    ``grads[j]`` (``grads[b, j]``).  ``rng`` is either one generator shared
+    Row b, column i is round b of worker i at x, or at x[b] when x holds
+    one (draws, d) row per round; its exact gradient there is ``grads[i]``
+    (``grads[b, i]``).  ``rng`` is either one generator shared
     by every worker, consumed in (draw, worker, coordinate) order, or an
     iterable giving each (draw, worker) its own generator in (draw, worker)
     order (see ``rng.seeded_streams``); either way the stream is read as by
@@ -175,9 +176,9 @@ def _transmissions(p: Problem, x: np.ndarray, workers, grads, spec: EstimatorSpe
     matching the Top-K(grad + offset + gaussian) experimental pipeline.  The
     composite kind ignores grads: each (draw, worker) draws its inner and
     outer index sets and then its noise, one at a time, and the chained
-    estimates of each worker are evaluated in one batched call.
+    estimates of the whole (draws, n) block are evaluated in one call.
     """
-    n, d = len(workers), p.dimension
+    n, d = p.n_workers, p.dimension
     if spec.kind == "composite":
         _check_composite(p, spec.s_g, spec.s_f)
         streams = None if rng is None or isinstance(rng, np.random.Generator) else iter(rng)
@@ -193,8 +194,7 @@ def _transmissions(p: Problem, x: np.ndarray, workers, grads, spec: EstimatorSpe
                     gauss[b, j] = noise.draw(stream, d)
         idx_g.sort(axis=-1)
         idx_f.sort(axis=-1)
-        est = np.stack([chained_gradient(p, i, x, idx_g[:, j], idx_f[:, j])
-                        for j, i in enumerate(workers)], axis=1)
+        est = chained_gradient(p, x, idx_g, idx_f)
         return est if noise is None else noise.perturb(est, gauss)
     g = np.asarray(grads)
     if noise is not None:
@@ -217,7 +217,7 @@ def aggregate(p: Problem, x: np.ndarray, grads, spec: EstimatorSpec,
     each (round, worker) its own generator (see _transmissions for the
     order the streams are read in).
     """
-    stack = _transmissions(p, x, range(p.n_workers), grads, spec, noise, rng, draws)
+    stack = _transmissions(p, x, grads, spec, noise, rng, draws)
     return pairwise_mean(stack, axis=-2)
 
 

@@ -19,9 +19,11 @@ Parameter vectors are plain 1-D float64 numpy arrays; ``as_param_vector``
 is the single validation gate (finite entries, correct dimension).
 
 Worker decompositions are genuine: the quadratic splits the rows of A into
-per-worker blocks, regression problems hold disjoint local datasets.  The
-exact full gradient is always the pairwise-tree average of the exact
-worker gradients, so aggregation identities hold bit-for-bit.
+per-worker blocks, regression problems hold disjoint local datasets as one
+(n, m, d) array whose leading axis is the worker, so their oracles take no
+worker index and evaluate every worker in one expression.  The exact full
+gradient is always the pairwise-tree average of the exact worker
+gradients, so aggregation identities hold bit-for-bit.
 """
 
 from __future__ import annotations
@@ -128,12 +130,6 @@ class Problem:
 
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _check_worker(self, i: int) -> None:
-        if not 0 <= i < self.n_workers:
-            raise ConfigurationError(
-                f"worker index {i} out of range for {self.n_workers} workers"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +254,7 @@ class QuadraticProblem(Problem):
     """
 
     A: np.ndarray
-    blocks: tuple  # per-worker row submatrices of A
+    blocks: tuple  # per-worker row submatrices of A (ragged, see worker_grads)
     n_workers: int
     dimension: int
     L: float
@@ -273,7 +269,9 @@ class QuadraticProblem(Problem):
         return 0.5 * row_dot(r, r)
 
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
-        # gradient n * A_i^T (A_i x) of worker i; A_i.T stays a transposed view
+        # gradient n * A_i^T (A_i x) of worker i; A_i.T stays a transposed view.
+        # One block at a time: np.array_split blocks can differ in height (d=10,
+        # n=4 gives 3, 3, 2, 2 rows), so there is no (n, r, d) stack to batch
         x = np.asarray(x, dtype=np.float64)
         out = np.empty(x.shape[:-1] + (self.n_workers, self.dimension))
         for i, Ai in enumerate(self.blocks):
@@ -346,42 +344,35 @@ def make_quadratic(
 # l2-regularized logistic regression
 
 
-def _margins(F: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """z_j = b_j <a_j, x> for the rows a_j of F, at each point of x (..., d).
-
-    The point loss is log(1 + exp(-z_j)); its gradient is coef_j * a_j with
-    coef_j = -b_j * sigmoid(-z_j).
-    """
-    return b * (F @ x[..., None])[..., 0]
-
-
 class _LogisticLossProblem(Problem):
-    """Mean logistic loss over worker i's dataset plus a regularizer.
+    """Mean logistic loss over each worker's dataset plus a regularizer.
 
-    Subclasses hold ``features``/``labels`` and define the regularizer's
-    value ``_reg_value(x)`` and gradient ``_reg_grad(x)`` on stacks of points.
+    Subclasses hold the (n, m, d) ``features`` and (n, m) ``labels`` and
+    define the regularizer's value ``_reg_value(x)`` and gradient
+    ``_reg_grad(x)`` on stacks of points.  With z_ij = b_ij <a_ij, x> the
+    point loss is log(1 + exp(-z_ij)), and its gradient coef_ij * a_ij has
+    coef_ij = -b_ij * sigmoid(-z_ij).
     """
 
-    features: tuple
-    labels: tuple
+    features: np.ndarray
+    labels: np.ndarray
+
+    def _margins(self, x: np.ndarray) -> np.ndarray:
+        """z_ij of every worker i and sample j at each point of x: (..., n, m)."""
+        return self.labels * (self.features @ x[..., None, :, None])[..., 0]
 
     def f(self, x: np.ndarray):
         x = np.ascontiguousarray(x, dtype=np.float64)
-        reg = self._reg_value(x)
-        values = np.stack([np.mean(np.logaddexp(0.0, -_margins(F, b, x)), axis=-1) + reg
-                           for F, b in zip(self.features, self.labels)], axis=-1)
-        return pairwise_mean(values, axis=-1)
+        values = np.mean(np.logaddexp(0.0, -self._margins(x)), axis=-1)
+        return pairwise_mean(values + self._reg_value(x)[..., None], axis=-1)
 
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
         from scipy.special import expit  # imported here: quadratic runs never load scipy
 
         x = np.ascontiguousarray(x, dtype=np.float64)
-        reg = self._reg_grad(x)
-        grads = []
-        for F, b in zip(self.features, self.labels):
-            coef = -b * expit(-_margins(F, b, x))
-            grads.append((F.T @ coef[..., None])[..., 0] / F.shape[0] + reg)
-        return np.stack(grads, axis=-2)
+        coef = -self.labels * expit(-self._margins(x))
+        loss = (np.swapaxes(self.features, -1, -2) @ coef[..., None])[..., 0] / coef.shape[-1]
+        return loss + self._reg_grad(x)[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -393,8 +384,8 @@ class LogisticL2Problem(_LogisticLossProblem):
     at most 1/4, so each worker Hessian is below that bound globally).
     """
 
-    features: tuple  # per-worker (m, d) arrays
-    labels: tuple  # per-worker (m,) arrays with entries in {-1, +1}
+    features: np.ndarray  # (n, m, d): worker i holds rows features[i]
+    labels: np.ndarray  # (n, m) with entries in {-1, +1}
     lam: float
     n_workers: int
     dimension: int
@@ -412,22 +403,18 @@ class LogisticL2Problem(_LogisticLossProblem):
 
 
 def validate_classification_data(features, labels):
-    """Checked per-worker (features, labels), the dimension and max row ||a||^2."""
-    features = tuple(np.asarray(X, dtype=np.float64) for X in features)
-    labels = tuple(np.asarray(b, dtype=np.float64) for b in labels)
-    if len(features) != len(labels) or not features:
-        raise DataError("need matching, non-empty feature/label lists per worker")
-    d = features[0].shape[1]
-    m = features[0].shape[0]
-    for X, b in zip(features, labels):
-        if X.ndim != 2 or X.shape[1] != d or X.shape[0] != m:
-            raise DataError("all workers must hold m x d feature matrices")
-        if b.shape != (m,):
-            raise DataError("labels must be length-m per worker")
-        if not np.all(np.isin(b, (-1.0, 1.0))):
-            raise DataError("labels must lie in {-1, +1}")
-    max_row_sq = max(float(np.max(np.sum(X**2, axis=1))) for X in features)
-    return features, labels, d, max_row_sq
+    """Checked per-worker data stacked on a worker axis: the (n, m, d)
+    features, the (n, m) labels, the dimension d and max row ||a||^2."""
+    try:
+        features = np.asarray(features, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.float64)
+    except ValueError:  # ragged: the workers' arrays differ in shape
+        features = labels = np.empty(0)
+    if features.ndim != 3 or not features.size or labels.shape != features.shape[:2]:
+        raise DataError("need one non-empty m x d feature matrix and m labels per worker")
+    if not np.all(np.isin(labels, (-1.0, 1.0))):
+        raise DataError("labels must lie in {-1, +1}")
+    return features, labels, features.shape[2], float(np.max(np.sum(features**2, axis=-1)))
 
 
 def make_logistic_l2(features, labels, lam: float, source: dict | None = None) -> LogisticL2Problem:
@@ -459,8 +446,8 @@ class NonconvexRegProblem(_LogisticLossProblem):
     so it adds 2*lam_nc to the certified L.  No PL certificate (mu = 0).
     """
 
-    features: tuple
-    labels: tuple
+    features: np.ndarray
+    labels: np.ndarray
     lam_nc: float
     n_workers: int
     dimension: int

@@ -10,8 +10,9 @@ forms, reduced with a list-walking pairwise tree) instead of the stacked
 problem oracles, and one vector per worker per draw (with its own operators,
 noise and subsampling) instead of the batched estimator stacks.
 
-``worker_estimate`` is the exception: it is the library's own transmission
-path for one worker and one draw, kept here as a test accessor.
+``worker_estimate`` is the exception: it is row i of the library's own
+one-draw transmission stack, in which worker i reads the given stream,
+kept here as a test accessor.
 """
 
 import math
@@ -22,6 +23,7 @@ from scipy.special import expit
 
 from biased_momentum.composite import MamlProblem, ToyCompositeProblem
 from biased_momentum.engine import DIVERGENCE_F_MAX
+from biased_momentum.errors import ConfigurationError
 from biased_momentum.estimators import _transmissions
 from biased_momentum.problems import LogisticL2Problem, QuadraticProblem, as_param_vector
 from biased_momentum.rng import STREAM_WORKER, substream
@@ -206,11 +208,18 @@ def scaled_sign_alpha(g):
 
 def worker_estimate(p, i, x, spec, noise=None, rng=None):
     """What worker i transmits (estimator applied to its noisy gradient), as
-    the one-worker, one-draw stack of the library's transmission path."""
+    row i of a one-draw stack of the library's transmission path, in which
+    worker i reads ``rng`` and every other worker one throwaway stream."""
     x = as_param_vector(x, p.dimension)
-    p._check_worker(i)
-    grad_i = None if spec.kind == "composite" else reference_worker_grad(p, i, x)
-    return _transmissions(p, x, [i], [grad_i], spec, noise, rng, 1)[0, 0]
+    if not 0 <= i < p.n_workers:
+        raise ConfigurationError(f"worker index {i} out of range for {p.n_workers} workers")
+    grads = np.zeros((p.n_workers, p.dimension))
+    if spec.kind != "composite":
+        grads[i] = reference_worker_grad(p, i, x)
+    if rng is not None and p.n_workers > 1:
+        idle = np.random.default_rng(0)
+        rng = [rng if j == i else idle for j in range(p.n_workers)]
+    return _transmissions(p, x, grads, spec, noise, rng, 1)[0, i]
 
 
 def reference_sgd(problem, estimator, noise, gamma, iterations, x0, seed, trial=0):

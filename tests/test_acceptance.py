@@ -240,7 +240,7 @@ def test_criterion_6_composite():
         y = 2.0 * pair_rng.standard_normal(3)
         i = int(pair_rng.integers(cp.n_workers))
         j = int(pair_rng.integers(cp.m_g))
-        gx, gy = cp.inner_values(i, x, [j])[0], cp.inner_values(i, y, [j])[0]
+        gx, gy = cp.inner_values(x, np.array([j]))[i, 0], cp.inner_values(y, np.array([j]))[i, 0]
         assert np.linalg.norm(gx - gy) <= (
             cp.ell_g * np.linalg.norm(x - y) * (1 + 1e-12)
         )
@@ -329,7 +329,7 @@ def test_criterion_10_oracle_suite():
         cp = make_toy_composite(inner_matrices=mats, outer_coeffs=(1.0,) * m,
                                 outer_centers=tuple((float(i), 0.0) for i in range(m)))
         x = np.array([1.0, 2.0])
-        values = list(cp.inner_values(0, x, np.arange(m)))
+        values = list(cp.inner_values(x, np.arange(m))[0])
         for size in range(1, m + 1):
             means = enumerate_subset_means(values, size)
             np.testing.assert_array_equal(np.mean(means, axis=0),
@@ -353,6 +353,6 @@ def test_toy_composite_full_chain_matches_fd():
 
     for _ in range(10):
         x = rng.uniform(-1.0, 1.0, size=2)
-        ga = chained_gradient(cp, 0, x, range(cp.m_g), range(cp.m_F))
+        ga = chained_gradient(cp, x, range(cp.m_g), range(cp.m_F))[0]
         gn = fd_gradient(lambda y: reference_worker_value(cp, 0, y), x)
         assert np.linalg.norm(ga - gn) <= 1e-4 * max(1.0, np.linalg.norm(gn))

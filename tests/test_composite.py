@@ -38,13 +38,13 @@ def _toy(n_workers=1):
 def test_inner_value_full_and_singleton():
     cp = _toy()
     x = np.array([1.0, 2.0])
-    full = inner_value(cp, 0, x, range(cp.m_g))
+    full = inner_value(cp, x, range(cp.m_g))[0]
     mats = [np.array(G, dtype=float) for G in
             (((1, 0), (0, 1)), ((2, 1), (0, 1)), ((1, 1), (1, 0)))]
     np.testing.assert_array_equal(full, np.mean([G @ x for G in mats], axis=0))
-    np.testing.assert_array_equal(inner_value(cp, 0, x, [1]), mats[1] @ x)
+    np.testing.assert_array_equal(inner_value(cp, x, [1])[0], mats[1] @ x)
     with pytest.raises(ConfigurationError):
-        inner_value(cp, 0, x, [])
+        inner_value(cp, x, [])
 
 
 def test_subset_enumeration_mean_is_exact():
@@ -52,7 +52,7 @@ def test_subset_enumeration_mean_is_exact():
     # mean with no floating error at all
     cp = _toy()
     x = np.array([1.0, 2.0])
-    values = list(cp.inner_values(0, x, np.arange(cp.m_g)))
+    values = list(cp.inner_values(x, np.arange(cp.m_g))[0])
     full = np.mean(values, axis=0)
     for size in (1, 2, 3):
         means = enumerate_subset_means(values, size)
@@ -60,13 +60,13 @@ def test_subset_enumeration_mean_is_exact():
     # same statement for the inner Jacobian action and the outer gradient
     # at a fixed inner point
     u = np.array([1.0, -1.0])
-    jac_actions = list(cp.inner_jac_t_vecs(0, x, np.arange(cp.m_g), u))
+    jac_actions = list(cp.inner_jac_t_vecs(x, np.arange(cp.m_g), u[None])[0])
     np.testing.assert_array_equal(
         np.mean(enumerate_subset_means(jac_actions, 2), axis=0),
         np.mean(jac_actions, axis=0),
     )
     z = np.array([2.0, 1.0])
-    outer_grads = list(cp.outer_grads(0, z, np.arange(cp.m_F)))
+    outer_grads = list(cp.outer_grads(z[None], np.arange(cp.m_F))[0])
     np.testing.assert_array_equal(
         np.mean(enumerate_subset_means(outer_grads, 2), axis=0),
         np.mean(outer_grads, axis=0),
@@ -84,7 +84,7 @@ def test_subset_enumeration_exact_on_m5_instance():
         outer_centers=tuple((float(i), 0.0) for i in range(5)),
     )
     x = np.array([2.0, -1.0])
-    values = list(cp.inner_values(0, x, np.arange(5)))
+    values = list(cp.inner_values(x, np.arange(5))[0])
     for size in (1, 2, 3, 4, 5):
         means = enumerate_subset_means(values, size)
         np.testing.assert_array_equal(np.mean(means, axis=0), np.mean(values, axis=0))
@@ -107,7 +107,7 @@ def test_toy_closed_form_gradient():
     z = Gbar @ x
     w = np.mean([4.0 * c * (z - r) ** 3 for c, r in zip(coeffs, centers)], axis=0)
     closed = Gbar.T @ w
-    chained = chained_gradient(cp, 0, x, range(3), range(3))
+    chained = chained_gradient(cp, x, range(3), range(3))[0]
     assert np.linalg.norm(chained - closed) < 1e-12
 
 
@@ -135,7 +135,7 @@ def test_maml_gradient_matches_finite_differences():
 def test_chained_gradient_index_errors():
     cp = _toy()
     with pytest.raises(ConfigurationError):
-        chained_gradient(cp, 0, np.zeros(2), [0, 7], [0])
+        chained_gradient(cp, np.zeros(2), [0, 7], [0])
 
 
 def test_chain_bias_is_real_for_partial_batches():
@@ -148,10 +148,41 @@ def test_chain_bias_is_real_for_partial_batches():
     count = 0
     for idx_g in combinations(range(cp.m_g), 1):
         for idx_f in combinations(range(cp.m_F), cp.m_F):
-            est_mean += chained_gradient(cp, 0, x, list(idx_g), list(idx_f))
+            est_mean += chained_gradient(cp, x, list(idx_g), list(idx_f))[0]
             count += 1
     est_mean /= count
     assert np.linalg.norm(est_mean - exact) > 1e-3
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: make_maml(*make_synthetic_classification(4, 3, 6, seed=14), 0.2),
+                 id="maml"),
+    pytest.param(lambda: make_toy_composite(n_workers=2), id="toy"),
+])
+@pytest.mark.parametrize("shared_x", [True, False], ids=["shared-x", "x-per-row"])
+def test_worker_axis_block_matches_one_call_per_worker(build, shared_x):
+    # a (B, n, k) block of different per-worker index sets gives, bit for
+    # bit, worker i's row of one call on that worker's sets alone
+    cp, B = build(), 5
+    rng = substream(59, 2, int(shared_x))
+
+    def block(m):
+        return np.array([[rng.choice(m, size=2, replace=False) for _ in range(cp.n_workers)]
+                         for _ in range(B)])
+
+    idx_g, idx_f = block(cp.m_g), block(cp.m_F)
+    x = rng.standard_normal(cp.dimension if shared_x else (B, cp.dimension))
+    inner = cp.inner_values(x, idx_g)
+    chained = chained_gradient(cp, x, idx_g, idx_f)
+    assert chained.shape == (B, cp.n_workers, cp.dimension)
+    for b in range(B):
+        xb = x if shared_x else x[b]
+        for i in range(cp.n_workers):
+            np.testing.assert_array_equal(inner[b, i], cp.inner_values(xb, idx_g[b, i])[i])
+            np.testing.assert_array_equal(
+                chained[b, i], chained_gradient(cp, xb, idx_g[b, i], idx_f[b, i])[i])
+    with pytest.raises(ConfigurationError, match="worker rows"):
+        chained_gradient(cp, x, idx_g[:, :1], idx_f[:, :1])
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +200,11 @@ def test_maml_oracles_match_per_sample_reference(d, m, gamma):
         idx = rng.permutation(m)[: int(rng.integers(1, m + 1))]
         x, z, u = 2.0 * rng.standard_normal((3, d))
         want = reference_maml_rows(cp, i, x, z, u, idx)
-        got = [cp.inner_values(i, x, idx), cp.inner_jac_t_vecs(i, x, idx, u),
-               cp.inner_jac_t(i, x, idx), cp.outer_values(i, z, idx), cp.outer_grads(i, z, idx)]
+        # idx is every worker's set; z and u are every worker's row
+        zs, us = (np.broadcast_to(v, (cp.n_workers, d)) for v in (z, u))
+        got = [cp.inner_values(x, idx)[i], cp.inner_jac_t_vecs(x, idx, us)[i],
+               cp.inner_jac_t(x, idx)[i], cp.outer_values(zs, idx)[i],
+               cp.outer_grads(zs, idx)[i]]
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
         np.testing.assert_allclose(got[2] @ u, got[1], rtol=0.0, atol=1e-12)
@@ -180,7 +214,8 @@ def test_maml_zero_inner_step_reduces_to_finite_sum():
     feats, labels = make_synthetic_classification(4, 2, 5, seed=10)
     cp = make_maml(feats, labels, gamma_inner=0.0)
     x = substream(54, 2, 3).standard_normal(4)
-    plain = np.mean(cp.outer_grads(0, x, np.arange(cp.m_F)), axis=0)
+    plain = np.mean(cp.outer_grads(np.broadcast_to(x, (cp.n_workers, 4)), np.arange(cp.m_F))[0],
+                    axis=0)
     np.testing.assert_allclose(cp.worker_grads(x)[0], plain, atol=1e-14)
     assert cp.ell_g == 1.0 and cp.L_g == 0.0
 
@@ -203,7 +238,7 @@ def test_maml_lipschitz_constants_hold_on_sampled_pairs():
         x = 3.0 * rng.standard_normal(3)
         y = 3.0 * rng.standard_normal(3)
         # value map: ||g(x) - g(y)|| <= ell_g ||x - y||
-        gx, gy = cp.inner_values(0, x, [0])[0], cp.inner_values(0, y, [0])[0]
+        gx, gy = cp.inner_values(x, np.array([0]))[0, 0], cp.inner_values(y, np.array([0]))[0, 0]
         lhs = np.linalg.norm(gx - gy)
         assert lhs <= cp.ell_g * np.linalg.norm(x - y) * (1 + 1e-12)
         # Jacobian map: J(x) - J(y) = -gamma (s_x(1-s_x) - s_y(1-s_y)) a a^T,
@@ -238,14 +273,14 @@ class _ShiftedIdentity(CompositeProblem):
 
     offsets: np.ndarray
 
-    def inner_values(self, i, x, idx):
-        return x + self.offsets[idx]
+    def inner_values(self, x, idx):
+        return x[..., None, None, :] + self.offsets[self._sets(idx)]
 
-    def inner_jac_t(self, i, x, idx):
-        return np.broadcast_to(np.eye(self.dimension), (len(idx),) + (self.dimension,) * 2)
+    def inner_jac_t(self, x, idx):
+        return np.broadcast_to(np.eye(self.dimension), self._sets(idx).shape + (self.dimension,) * 2)
 
-    def outer_grads(self, i, z, idx):
-        return np.broadcast_to(2.0 * z, (len(idx), z.size))
+    def outer_grads(self, z, idx):
+        return np.broadcast_to(2.0 * z[..., None, :], z.shape[:-1] + (idx.shape[-1], z.shape[-1]))
 
 
 def test_sigma_g_two_point_constant_shift():

@@ -350,13 +350,29 @@ def test_csv_bytes_identical_across_runs(tmp_path):
 
 @pytest.mark.parametrize("n_trials", [1, 3])
 def test_per_k_stats_reduces_an_all_nan_column_quietly(n_trials):
-    table = np.ones((n_trials, 3))
+    # column 1 is nan inside every trial's length, column 3 past all of them,
+    # and the inf of column 2 makes an inf - inf deviation
+    table = np.ones((n_trials, 4))
     table[:, 1] = np.nan
+    table[0, 2] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mean, std, stderr = per_k_stats(table)
+        mean, std, stderr = per_k_stats(table, [3] * n_trials)
     assert np.isnan(mean[1]) and np.isnan(std[1])
-    assert list(mean[[0, 2]]) == [1.0, 1.0] and list(stderr) == [0.0, 0.0, 0.0]
+    assert list(mean[[0, 2]]) == [1.0, np.inf] and np.isnan(std[2]) and np.isnan(mean[3])
+    want = [0.0] * 4 if n_trials == 1 else [0.0, np.nan, np.nan, 0.0]
+    np.testing.assert_array_equal(stderr, want)
+
+
+def test_per_k_stats_counts_a_trial_only_inside_its_length():
+    # a nan inside a trial's length makes its column nan; any cell past the
+    # length, nan or not, is left out
+    table = np.array([[1.0, np.nan, 5.0, 7.0],
+                      [3.0, 4.0, 9.0, np.nan]])
+    mean, std, stderr = per_k_stats(table, [2, 3])
+    np.testing.assert_array_equal(mean, [2.0, np.nan, 9.0, np.nan])
+    np.testing.assert_array_equal(std, [1.0, np.nan, 0.0, np.nan])
+    np.testing.assert_array_equal(stderr, [1.0, np.nan, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -153,8 +153,8 @@ def test_composite_maml_zero_inner_step_is_plain_subsampling():
     x = np.array([0.2, -0.1, 0.5])
     # identity inner maps: the chained estimate is just the subset-mean of
     # the per-sample loss gradients at x
-    est = chained_gradient(cp, 0, x, [0, 1, 2, 3], [1, 3])
-    expected = np.mean(cp.outer_grads(0, x, np.array([1, 3])), axis=0)
+    est = chained_gradient(cp, x, [0, 1, 2, 3], [1, 3])[0]
+    expected = np.mean(cp.outer_grads(x[None], np.array([1, 3]))[0], axis=0)
     np.testing.assert_allclose(est, expected, atol=1e-12)
 
 
@@ -326,13 +326,13 @@ def test_measure_eta_matches_per_draw_reference(build, spec, noise, samples):
     pytest.param(_quadratic_6, EstimatorSpec(kind="top_k", k=2), "top_k", (estimators,), 1, 0,
                  id="top_k"),
     # the composite worker gradient is the chained gradient on full index sets
-    pytest.param(_maml_4, MAML_COMPOSITE, "chained_gradient", (estimators, composite), 2, 2,
+    pytest.param(_maml_4, MAML_COMPOSITE, "chained_gradient", (estimators, composite), 1, 1,
                  id="composite"),
 ])
 def test_measure_eta_evaluates_each_block_once(monkeypatch, build, spec, operator, modules,
                                                per_block, exact):
-    # one operator call per block of draws (per worker for the composite
-    # chained gradient, plus the n exact worker gradients), not one per draw
+    # one operator call per block of draws (for the composite chained
+    # gradient, plus one for the exact worker gradients), not one per draw
     p, calls = build(), []
     original = getattr(estimators, operator)
 

@@ -117,6 +117,18 @@ def test_run_twice_byte_identical(tmp_path):
     assert (out1 / "run.json").read_bytes() == (out2 / "run.json").read_bytes()
 
 
+def test_run_sweep_and_report_a_toy_composite(tmp_path, capsys):
+    # the toy's certified constants are plain floats, so run.json serializes
+    doc = _minimal_config(problem={"kind": "composite_toy", "n_workers": 2}, gamma=1e-5,
+                          estimator={"kind": "composite", "S_g": 2, "S_F": 2})
+    path = _write(tmp_path / "cfg.json", doc)
+    sweep = _write(tmp_path / "sweep.json", {"base": doc, "axis": "beta", "values": [0.5, 1.0]})
+    assert main(["run", path, "--out", str(tmp_path / "run")]) == 0
+    assert main(["report", str(tmp_path / "run")]) == 0
+    assert main(["sweep", sweep, "--out", str(tmp_path / "sweep")]) == 0
+    assert main(["report", str(tmp_path / "sweep")]) == 0
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -428,6 +440,29 @@ def test_report_fails_on_a_nan_value(tmp_path, capsys):
     assert main(["report", str(out)]) == 1
     printed = capsys.readouterr().out
     assert "FAIL descent_inequality worst_margin=nan at trial 0, k=9 " in printed
+
+
+@pytest.mark.parametrize("k,prefix", [(0, 10), (10, 11)])
+def test_report_fails_the_min_gradient_bound_on_a_nan_gradient(tmp_path, capsys, k, prefix):
+    # grad_norm_sq of trial 0 is nan at k: its trial mean is nan, and the
+    # first prefix holding it names that k
+    out, _ = _run_csv_lines(tmp_path)
+    _rows(lambda rows: [_with_nan(row, 3, 1) if row.startswith(f"{k},0,") else row
+                        for row in rows])(out)
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert f"FAIL min_gradient_bound worst_margin=nan at prefix K={prefix} (min at k={k}) " in printed
+
+
+def test_report_fails_the_linear_rate_on_a_nan_value(tmp_path, capsys):
+    # f of trial 0 at k=10 is nan, so the trial-mean phi at k=10 is nan
+    out, _ = _run_csv_lines(tmp_path)
+    _rows(lambda rows: [_with_nan(row, 2, 1) if row.startswith("10,0,") else row
+                        for row in rows])(out)
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 1
+    assert "FAIL pl_linear_rate worst_margin=nan at k=10 " in capsys.readouterr().out
 
 
 def test_report_never_passes_an_all_nan_run(tmp_path, capsys):

@@ -30,7 +30,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-SINGLE_RUN = ("pl_quadratic", "topk_quadratic", "clip_quadratic", "maml_composite")
+SINGLE_RUN = ("pl_quadratic", "topk_quadratic", "clip_quadratic", "maml_composite", "logistic_l2",
+              "nonconvex_reg", "composite_toy")
 SWEEPS = ("fig2_K", "fig2_delta", "fig2_sigma", "beta_grid", "gamma_grid", "clip_tau")
 SIDECARS = ("run.json", "sweep.json")
 
