@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimators import EstimatorSpec, aggregate
+from .estimators import EstimatorSpec, _draw_block, aggregate
 from .problems import (
     NoiseSpec,
     Problem,
@@ -189,24 +189,24 @@ def step(
     v_prev: np.ndarray,
     problem: Problem,
     estimator: EstimatorSpec,
-    noise: NoiseSpec | None,
     gamma: float,
     beta: float,
-    rng=None,
-) -> tuple[np.ndarray, np.ndarray, dict, dict]:
+    pert: np.ndarray | None = None,
+    subsets=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """One server round of every row of the (T, d) stacks x and v_prev.
 
-    Returns (x_next, v_next, fields, stopped).  ``fields`` maps each CSV
-    field to a (T,) array; the phi column weighs the momentum error with
-    the Lyapunov weight of (gamma, beta) in the problem's analysis regime.
-    A row whose iterate is unusable (non-finite, non-finite f, or f above
+    ``pert`` and ``subsets`` are the round's drawn worker noise and
+    composite index sets, one per (row, worker) (see
+    ``estimators.aggregate``).  Returns (x_next, v_next, fields, stopped):
+    ``fields`` is the (5, T) array of the first five CSV fields (f and the
+    four squared norms); phi follows from f and v_error_sq.  A row whose
+    iterate is unusable (non-finite, non-finite f, or f above
     DIVERGENCE_F_MAX) or whose aggregate is non-finite is in ``stopped``,
     which maps it to the reason.  Its x and v_prev (and its aggregate) are
     set to zero before any arithmetic touches them, so its non-finite
     values raise and warn of nothing; its outputs mean nothing, and no
-    other row's bits depend on it.  ``rng`` is None (a round that draws nothing), one
-    generator shared by all rows, or an iterable giving each (row, worker)
-    its own generator in (row, worker) order (see ``aggregate``).
+    other row's bits depend on it.
     """
     stopped = dict.fromkeys(np.flatnonzero(~np.all(np.isfinite(x), axis=1)).tolist(),
                             "non-finite iterate")
@@ -219,30 +219,19 @@ def step(
     x, v_prev = _zero_rows(stopped, x, v_prev)
     grads = problem.worker_grads(x)
     grad = pairwise_mean(grads, axis=-2)
-    g = aggregate(problem, x, grads, estimator, noise, rng, len(x))
+    g = aggregate(problem, x, grads, estimator, pert, subsets)
     for b in np.flatnonzero(~np.all(np.isfinite(g), axis=1)).tolist():
         stopped.setdefault(b, "non-finite aggregate")
     x, v_prev, g = _zero_rows(stopped, x, v_prev, g)
 
-    eta = g - grad
     # beta = 1 must reproduce plain SGD bit-for-bit, so take v = g directly
     # instead of the algebraically equal v_prev + 1.0 * (g - v_prev)
     v = g if beta == 1.0 else v_prev + beta * (g - v_prev)
     x_new = x - gamma * v
-
-    lyapunov_A = lyapunov_weight(gamma, beta, analysis_regime(problem))
-    f_star = problem.f_star if problem.f_star is not None else 0.0
-    v_err = grad - v_prev
-    dx = x_new - x
-    v_err_sq = row_dot(v_err, v_err)
-    fields = {
-        "f": fval,
-        "grad_norm_sq": row_dot(grad, grad),
-        "eta_norm_sq": row_dot(eta, eta),
-        "v_error_sq": v_err_sq,
-        "step_norm_sq": row_dot(dx, dx),
-        "phi": (fval - f_star) + lyapunov_A * v_err_sq,
-    }
+    # grad, eta, the momentum error and the step, each row squared at once
+    vectors = np.stack((grad, g - grad, grad - v_prev, x_new - x))
+    fields = np.empty((5, len(x)))
+    fields[0], fields[1:] = fval, row_dot(vectors, vectors)
     return x_new, v, fields, stopped
 
 
@@ -320,41 +309,58 @@ def run_trials(cfg: RunConfig) -> TrialStats:
     per iteration.
 
     The batch keeps all its rows to the end.  A trial that stops keeps its
-    row but stops recording: each step's iterates and field arrays go
-    straight into the (trial, k) rows of the trials still running.  Every
-    trial has its own worker streams, so each row equals the trial's
-    trajectory on its own.  Worker stream states are computed for a block
-    of iterations at a time.
+    row but stops recording: its iterates and fields from that iteration on
+    are NaN.  Every trial has its own worker streams, so each row equals the
+    trial's trajectory on its own.  The worker randomness of a block of
+    iterations is drawn before the block runs, and phi is computed for the
+    whole record at the end.
     """
     p, K, T = cfg.problem, cfg.iterations, cfg.trials
     x, v_prev = init_state(cfg, T)
-    rows = slice(None)  # the rows of the trials still running
-    iterates = np.full((T, K + 1, p.dimension), np.nan)
+    iterates = np.empty((T, K + 1, p.dimension))
     iterates[:, 0] = x
-    table = {name: np.full((T, K), np.nan) for name in CSV_FIELDS}
-    draws = cfg.estimator.kind == "composite" or cfg.noise.sigma2 > 0
-    generator = np.random.Generator(np.random.PCG64())  # re-seated to each worker stream
+    record = np.empty((K, len(CSV_FIELDS), T))
     block = max(1, _BLOCK_STREAMS // (T * p.n_workers))
-    lengths, reasons = [K] * T, [None] * T
+    lengths, reasons = np.full(T, K), [None] * T
 
     for k in range(K):
-        if draws and k % block == 0:
-            states = worker_states(cfg.seed, range(T), p.n_workers, range(k, min(k + block, K)))
-        rng = seeded_streams(states[k % block], generator) if draws else None
-        x, v_prev, fields, stopped = step(x, v_prev, p, cfg.estimator, cfg.noise,
-                                          cfg.gamma, cfg.beta, rng)
-        # a stopped row steps on from zero, so only a running row's stop is news
-        stopped = {r: reason for r, reason in stopped.items() if reasons[r] is None}
-        if stopped:
-            for r, reason in stopped.items():
+        if k % block == 0:
+            pert, subsets = _worker_draws(cfg, k, min(k + block, K))
+        j = k % block
+        x, v_prev, record[k, :5], stopped = step(
+            x, v_prev, p, cfg.estimator, cfg.gamma, cfg.beta, None if pert is None else pert[j],
+            None if subsets is None else (subsets[0][j], subsets[1][j]))
+        for r, reason in stopped.items():
+            if reasons[r] is None:  # a stopped row steps on from zero
                 lengths[r], reasons[r] = k, reason
-            rows = [r for r, reason in enumerate(reasons) if reason is None]
-            if not rows:
-                break
-        iterates[rows, k + 1] = x[rows]
-        for name, values in fields.items():
-            table[name][rows, k] = values[rows]
-    return TrialStats.from_table(table, lengths, iterates, reasons)
+        if None not in reasons:
+            break
+        iterates[:, k + 1] = x
+    # a trial records nothing from the iteration it stopped at
+    np.moveaxis(record, 1, 0)[:, np.arange(K)[:, None] >= lengths] = np.nan
+    iterates[np.arange(K + 1) > lengths[:, None]] = np.nan
+    f_star = p.f_star if p.f_star is not None else 0.0
+    lyapunov_A = lyapunov_weight(cfg.gamma, cfg.beta, analysis_regime(p))
+    record[:, 5] = (record[:, 0] - f_star) + lyapunov_A * record[:, 3]
+    return TrialStats.from_table(dict(zip(CSV_FIELDS, record.transpose(1, 2, 0))),
+                                 lengths, iterates, reasons)
+
+
+def _worker_draws(cfg: RunConfig, start: int, stop: int):
+    """(pert, subsets) of iterations start..stop-1: the (b, T, n, d) noise
+    block, or None when the noise is null, and the composite (inner, outer)
+    (b, T, n, S) index blocks, or None.  Worker w at iteration k of trial t
+    draws from the stream keyed (STREAM_WORKER, t, w, k)."""
+    p, T, noise = cfg.problem, cfg.trials, cfg.noise
+    d, shape = p.dimension, (stop - start, T, p.n_workers)
+    std, subsets = None, None
+    if cfg.estimator.kind == "composite" or noise.sigma2 > 0:
+        states = worker_states(cfg.seed, range(T), p.n_workers, range(start, stop))
+        generator = np.random.Generator(np.random.PCG64())  # re-seated to each worker stream
+        streams = seeded_streams((s for per_k in states for s in per_k), generator)
+        std, subsets = _draw_block(streams, shape, p, cfg.estimator, noise)
+    pert = noise.draw(std, d)
+    return (None if pert is None else np.broadcast_to(pert, shape + (d,))), subsets
 
 
 # ---------------------------------------------------------------------------

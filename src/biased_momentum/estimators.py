@@ -161,64 +161,65 @@ def apply_estimator(spec: EstimatorSpec, raw: np.ndarray) -> np.ndarray:
 
 
 def _transmissions(p: Problem, x: np.ndarray, grads, spec: EstimatorSpec,
-                   noise: NoiseSpec | None, rng, draws: int) -> np.ndarray:
-    """(draws, n, d) stack of what the workers send.
+                   pert: np.ndarray | None, subsets=None) -> np.ndarray:
+    """(..., n, d) stack of what the workers send.
 
     Row b, column i is round b of worker i at x, or at x[b] when x holds
     one (draws, d) row per round; its exact gradient there is ``grads[i]``
-    (``grads[b, i]``).  ``rng`` is either one generator shared
-    by every worker, consumed in (draw, worker, coordinate) order, or an
-    iterable giving each (draw, worker) its own generator in (draw, worker)
-    order (see ``rng.seeded_streams``); either way the stream is read as by
-    one call per (draw, worker).
+    (``grads[b, i]``).  ``pert`` is the rounds' drawn noise
+    (``NoiseSpec.draw``; None when the noise is null), and ``subsets`` the
+    composite kind's (inner, outer) blocks of one sorted index set per
+    round and worker.
 
     For compressor/clip kinds the noise is injected before the operator,
     matching the Top-K(grad + offset + gaussian) experimental pipeline.  The
-    composite kind ignores grads: each (draw, worker) draws its inner and
-    outer index sets and then its noise, one at a time, and the chained
-    estimates of the whole (draws, n) block are evaluated in one call.
+    composite kind ignores grads: the chained estimates of the whole block
+    of index sets are evaluated in one call, then perturbed.
     """
-    n, d = p.n_workers, p.dimension
     if spec.kind == "composite":
-        _check_composite(p, spec.s_g, spec.s_f)
-        streams = None if rng is None or isinstance(rng, np.random.Generator) else iter(rng)
-        idx_g = np.empty((draws, n, spec.s_g), dtype=np.intp)
-        idx_f = np.empty((draws, n, spec.s_f), dtype=np.intp)
-        gauss = None if noise is None or noise.sigma2 == 0 else np.empty((draws, n, d))
-        for b in range(draws):
-            for j in range(n):
-                stream = rng if streams is None else next(streams)
-                idx_g[b, j] = stream.choice(p.m_g, size=spec.s_g, replace=False)
-                idx_f[b, j] = stream.choice(p.m_F, size=spec.s_f, replace=False)
-                if gauss is not None:
-                    gauss[b, j] = noise.draw(stream, d)
-        idx_g.sort(axis=-1)
-        idx_f.sort(axis=-1)
-        est = chained_gradient(p, x, idx_g, idx_f)
-        return est if noise is None else noise.perturb(est, gauss)
+        est = chained_gradient(p, x, *subsets)
+        return est if pert is None else est + pert
     g = np.asarray(grads)
-    if noise is not None:
-        g = noise.perturb(g, noise.draw(rng, (draws, n, d)))
-    # without Gaussian noise every draw is the same (n, d) transmission;
-    # the C-ordered stack matters, as row reductions over a strided last axis
-    # round differently
-    stack = np.empty((draws, n, d))
-    stack[...] = apply_estimator(spec, g)
-    return stack
+    return apply_estimator(spec, g if pert is None else g + pert)
 
 
 def aggregate(p: Problem, x: np.ndarray, grads, spec: EstimatorSpec,
-              noise: NoiseSpec | None, rng, draws: int = 1) -> np.ndarray:
-    """(draws, d): per round, the pairwise-tree mean of the n worker
+              pert: np.ndarray | None, subsets=None) -> np.ndarray:
+    """(..., d): per round, the pairwise-tree mean of the n worker
     transmissions at x (or at x[b] for round b of a (draws, d) stack).
 
-    ``grads[i]`` (``grads[b, i]``) is the exact gradient of worker i there.
-    ``rng`` is one generator shared by every worker or an iterable giving
-    each (round, worker) its own generator (see _transmissions for the
-    order the streams are read in).
+    ``grads[i]`` (``grads[b, i]``) is the exact gradient of worker i there;
+    ``pert`` and ``subsets`` are the rounds' drawn noise and index sets
+    (see _transmissions).
     """
-    stack = _transmissions(p, x, grads, spec, noise, rng, draws)
-    return pairwise_mean(stack, axis=-2)
+    return pairwise_mean(_transmissions(p, x, grads, spec, pert, subsets), axis=-2)
+
+
+def _draw_block(streams, shape: tuple, p: Problem, spec: EstimatorSpec, noise: NoiseSpec | None):
+    """(standard normals, subsets) of a (..., n) block of rounds: each
+    (round, worker) in C order takes the next generator of ``streams`` and
+    draws its inner set, its outer set, then its d normals.  The normals
+    are None without Gaussian noise, the subsets None unless composite."""
+    gaussian = noise is not None and noise.sigma2 > 0
+    std = np.empty(shape + (p.dimension,)) if gaussian else None
+    if spec.kind != "composite":
+        if gaussian and isinstance(streams, np.random.Generator):
+            return streams.standard_normal(std.shape), None
+        for r in np.ndindex(shape if gaussian else (0,)):
+            next(streams).standard_normal(out=std[r])
+        return std, None
+    _check_composite(p, spec.s_g, spec.s_f)
+    idx_g = np.empty(shape + (spec.s_g,), dtype=np.intp)
+    idx_f = np.empty(shape + (spec.s_f,), dtype=np.intp)
+    for r in np.ndindex(shape):
+        stream = streams if isinstance(streams, np.random.Generator) else next(streams)
+        idx_g[r] = stream.choice(p.m_g, size=spec.s_g, replace=False)
+        idx_f[r] = stream.choice(p.m_F, size=spec.s_f, replace=False)
+        if gaussian:
+            stream.standard_normal(out=std[r])
+    idx_g.sort(axis=-1)
+    idx_f.sort(axis=-1)
+    return std, (idx_g, idx_f)
 
 
 # float64 elements that one block of measure_eta draws may hold per stack,
@@ -245,18 +246,20 @@ def measure_eta(
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
-    x = as_param_vector(x, p.dimension)
+    x, d = as_param_vector(x, p.dimension), p.dimension
     if rng is None:
         rng = np.random.default_rng(0 if noise is None else noise.seed)
     grads = p.worker_grads(x)
     exact = pairwise_mean(grads, axis=-2)
     width = p.n_workers + (spec.s_g + spec.s_f if spec.kind == "composite" else 0)
-    block = max(1, _BLOCK_ELEMENTS // (width * p.dimension))
+    block = max(1, _BLOCK_ELEMENTS // (width * d))
     vals = np.empty(samples)
     for start in range(0, samples, block):
         stop = min(start + block, samples)
-        diff = aggregate(p, x, grads, spec, noise, rng, stop - start) - exact
-        vals[start:stop] = row_dot(diff, diff)
+        std, subsets = _draw_block(rng, (stop - start, p.n_workers), p, spec, noise)
+        pert = None if noise is None else noise.draw(std, d)
+        diff = aggregate(p, x, grads, spec, pert, subsets) - exact
+        vals[start:stop] = row_dot(diff, diff)  # one row for all when nothing is drawn
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return mean, stderr, float(exact @ exact)

@@ -185,40 +185,22 @@ class NoiseSpec:
         v = self.offset_vector(dimension)
         return float(v @ v)
 
-    def draw(self, rng, shape) -> np.ndarray | None:
-        """Gaussian noise of the given shape, or None (drawing nothing) when
-        sigma2 = 0.
-
-        ``rng`` is one generator, read in C order (one call of shape (B, d)
-        consumes the stream exactly like B calls of shape d), or an iterable
-        giving one generator per length-d row, each read for its row alone.
-        Either way every value rounds as ``normal(0, sqrt(sigma2))`` does.
-        """
-        if self.sigma2 == 0:
-            return None
-        if rng is None:
-            raise ConfigurationError("sigma2 > 0 requires an rng stream")
-        if isinstance(rng, np.random.Generator):
-            std = rng.standard_normal(size=shape)
-        else:
-            std = np.empty(shape)
-            for row, stream in zip(std.reshape(-1, std.shape[-1]), rng, strict=True):
-                stream.standard_normal(out=row)
-        # Generator.normal(loc, scale) computes loc + scale * z
-        return 0.0 + np.sqrt(self.sigma2) * std
-
-    def perturb(self, g: np.ndarray, gaussian: np.ndarray | None) -> np.ndarray:
-        """g plus the offset and a draw() of this spec (g itself when null).
-
-        g may be one vector or a stack of them along the last axis, with
-        gaussian of the broadcast shape.
+    def draw(self, standard: np.ndarray | None, dimension: int) -> np.ndarray | None:
+        """The perturbation added to worker gradients of the given dimension:
+        the offset vector plus sqrt(sigma2) times the standard normals
+        ``standard`` (a (..., d) block, None when sigma2 = 0), or None when
+        the spec is null.  Each value rounds as ``normal(0, sqrt(sigma2))``
+        plus the offset does.
         """
         if self.is_null:
-            return g
-        pert = self.offset_vector(g.shape[-1])
-        if gaussian is not None:
-            pert = pert + gaussian
-        return g + pert
+            return None
+        pert = self.offset_vector(dimension)
+        if self.sigma2 > 0:
+            if standard is None:
+                raise ConfigurationError("sigma2 > 0 requires a block of standard normals")
+            # Generator.normal(loc, scale) computes loc + scale * z
+            pert = pert + (0.0 + np.sqrt(self.sigma2) * standard)
+        return pert
 
     def to_dict(self) -> dict:
         off = self.delta_offset

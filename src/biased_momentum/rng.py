@@ -168,13 +168,14 @@ def pairwise_mean(values, axis: int = 0) -> np.ndarray:
     ((v0+v1)+(v2+v3))+..., so the rounding of each result element depends
     only on the entries it reduces and their count, not on the other axes.
     """
-    a = np.moveaxis(np.asarray(values), axis, 0)
-    count = len(a)
-    while len(a) > 1:
-        even = len(a) - len(a) % 2
-        pairs = a[0:even:2] + a[1:even:2]
-        a = np.concatenate((pairs, a[even:])) if even < len(a) else pairs
-    return a[0] / count
+    a = np.asarray(values)
+    head = (slice(None),) * (axis % a.ndim)
+    level = [a[head + (j,)] for j in range(a.shape[axis])]
+    count = len(level)
+    while len(level) > 1:
+        odd = level[-1:] if len(level) % 2 else []
+        level = [level[j] + level[j + 1] for j in range(0, len(level) - 1, 2)] + odd
+    return level[0] / count
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

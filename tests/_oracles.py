@@ -24,7 +24,7 @@ from scipy.special import expit
 from biased_momentum.composite import MamlProblem, ToyCompositeProblem
 from biased_momentum.engine import DIVERGENCE_F_MAX
 from biased_momentum.errors import ConfigurationError
-from biased_momentum.estimators import _transmissions
+from biased_momentum.estimators import _draw_block, _transmissions
 from biased_momentum.problems import LogisticL2Problem, QuadraticProblem, as_param_vector
 from biased_momentum.rng import STREAM_WORKER, substream
 from biased_momentum.theory import analysis_regime, lyapunov_weight
@@ -213,13 +213,14 @@ def worker_estimate(p, i, x, spec, noise=None, rng=None):
     x = as_param_vector(x, p.dimension)
     if not 0 <= i < p.n_workers:
         raise ConfigurationError(f"worker index {i} out of range for {p.n_workers} workers")
-    grads = np.zeros((p.n_workers, p.dimension))
+    grads = np.zeros((1, p.n_workers, p.dimension))
     if spec.kind != "composite":
-        grads[i] = reference_worker_grad(p, i, x)
-    if rng is not None and p.n_workers > 1:
-        idle = np.random.default_rng(0)
-        rng = [rng if j == i else idle for j in range(p.n_workers)]
-    return _transmissions(p, x, grads, spec, noise, rng, 1)[0, i]
+        grads[0, i] = reference_worker_grad(p, i, x)
+    idle = np.random.default_rng(0)
+    streams = iter([rng if j == i else idle for j in range(p.n_workers)])
+    std, subsets = _draw_block(streams, (1, p.n_workers), p, spec, noise)
+    pert = None if noise is None else noise.draw(std, p.dimension)
+    return _transmissions(p, x, grads, spec, pert, subsets)[0, i]
 
 
 def reference_sgd(problem, estimator, noise, gamma, iterations, x0, seed, trial=0):

@@ -26,6 +26,7 @@ from biased_momentum.audit import pilot_points
 from biased_momentum.engine import (
     CSV_FIELDS, CSV_HEADER, TrialStats, init_state, per_k_stats, read_run_csv,
 )
+from biased_momentum.estimators import _draw_block
 from biased_momentum.problems import make_synthetic_classification
 
 from _oracles import reference_momentum, reference_sgd
@@ -48,6 +49,14 @@ def _rows(stats, r=0):
 def _trial0(cfg):
     """Trial 0 of cfg, run on its own."""
     return run_trials(dataclasses.replace(cfg, trials=1))
+
+
+def _draws(p, spec, noise, streams):
+    """(pert, subsets) of one step's rows, row r's worker w reading
+    streams[r * n + w]."""
+    shape = (len(streams) // p.n_workers, p.n_workers)
+    std, subsets = _draw_block(iter(streams), shape, p, spec, noise)
+    return noise.draw(std, p.dimension), subsets
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +91,11 @@ def test_init_seeded_x0_reproducible_and_unit_norm():
 def test_step_is_gradient_descent_for_beta_one():
     cfg = _quad_cfg()
     x, v_prev = init_state(cfg)
-    x1, v1, rec, stopped = step(x, v_prev, cfg.problem, cfg.estimator, cfg.noise, 0.5, 1.0)
+    x1, v1, rec, stopped = step(x, v_prev, cfg.problem, cfg.estimator, 0.5, 1.0)
     np.testing.assert_allclose(x1[0], [0.5] + [0.0] * 9)
-    x2, _, _, _ = step(x1, v1, cfg.problem, cfg.estimator, cfg.noise, 0.5, 1.0)
+    x2, _, _, _ = step(x1, v1, cfg.problem, cfg.estimator, 0.5, 1.0)
     np.testing.assert_allclose(x2[0], [0.25] + [0.0] * 9)
-    assert rec["f"][0] == pytest.approx(0.5)
+    assert rec[CSV_FIELDS.index("f")][0] == pytest.approx(0.5)
     assert stopped == {}
 
 
@@ -97,7 +106,9 @@ def test_step_identities_hold_bitwise():
     cfg = RunConfig(problem=p, gamma=0.1, beta=0.3, iterations=1,
                     noise=noise, seed=5)
     x, v_prev = init_state(cfg)
-    x1, v1, rec, _ = step(x, v_prev, p, cfg.estimator, noise, 0.1, 0.3, np.random.default_rng(5))
+    x1, v1, rec, _ = step(x, v_prev, p, cfg.estimator, 0.1, 0.3,
+                          *_draws(p, cfg.estimator, noise, [np.random.default_rng(5)] * p.n_workers))
+    rec = dict(zip(CSV_FIELDS, rec))
     # reconstruct the aggregate from the v recurrence, then check the
     # recorded identities: g = grad + eta, x' = x - gamma v, v update
     g = v_prev[0] + (v1[0] - v_prev[0]) / 0.3
@@ -441,12 +452,11 @@ def test_step_evaluates_each_worker_gradient_once(monkeypatch):
         cfg = RunConfig(problem=p, gamma=0.1, beta=0.5, iterations=1, estimator=spec,
                         noise=NoiseSpec(sigma2=0.01, delta_offset=0.1), seed=5)
         x, v_prev = init_state(cfg)
-        expected = step(x, v_prev, p, spec, cfg.noise, cfg.gamma, cfg.beta,
-                        np.random.default_rng(cfg.seed))
+        draws = _draws(p, spec, cfg.noise, [np.random.default_rng(cfg.seed)] * p.n_workers)
+        expected = step(x, v_prev, p, spec, cfg.gamma, cfg.beta, *draws)
         monkeypatch.setattr(cls, "worker_grads", counting)
         calls.clear()
-        got = step(x, v_prev, p, spec, cfg.noise, cfg.gamma, cfg.beta,
-                   np.random.default_rng(cfg.seed))
+        got = step(x, v_prev, p, spec, cfg.gamma, cfg.beta, *draws)
         monkeypatch.undo()
         assert sorted(calls) == list(range(p.n_workers))
         np.testing.assert_array_equal(got[0], expected[0])
@@ -467,22 +477,22 @@ def test_step_keeps_a_non_finite_row_apart_from_the_others(kind):
     x, v_prev = start[0], start[1]
     x[1, 0], v_prev[1] = np.nan, np.inf
 
-    def streams(rows):
-        return [np.random.default_rng([r, w]) for r in rows for w in range(p.n_workers)]
+    def draws(rows):
+        return _draws(p, spec, noise, [np.random.default_rng([r, w])
+                                       for r in rows for w in range(p.n_workers)])
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x_next, v_next, fields, stopped = step(x, v_prev, p, spec, noise, 0.1, 0.5,
-                                               streams([0, 1, 2]))
+        x_next, v_next, fields, stopped = step(x, v_prev, p, spec, 0.1, 0.5, *draws([0, 1, 2]))
     assert stopped == {1: "non-finite iterate"}
     for r in (0, 2):
         x_alone, v_alone, fields_alone, stopped_alone = step(
-            x[[r]], v_prev[[r]], p, spec, noise, 0.1, 0.5, streams([r]))
+            x[[r]], v_prev[[r]], p, spec, 0.1, 0.5, *draws([r]))
         assert stopped_alone == {}
         assert x_next[r].tobytes() == x_alone[0].tobytes()
         assert v_next[r].tobytes() == v_alone[0].tobytes()
-        for name in CSV_FIELDS:
-            assert fields[name][r].tobytes() == fields_alone[name][0].tobytes()
+        for field, field_alone in zip(fields, fields_alone):
+            assert field[r].tobytes() == field_alone[0].tobytes()
 
 
 def _config_doc(**overrides):
