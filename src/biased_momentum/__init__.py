@@ -71,4 +71,4 @@ from .theory import (
     theta0_value,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

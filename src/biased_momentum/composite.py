@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .problems import (
     Problem,
+    _sigmoid,
     as_param_vector,
     check_keys,
     classification_from_dict,
@@ -183,10 +184,8 @@ class MamlProblem(CompositeProblem):
     def _sigmoids(self, v: np.ndarray, idx: np.ndarray):
         """Rows a_j, labels b_j and s_j = sigmoid(-b_j <a_j, v_i>) for idx,
         at one (..., n, d) point v_i per worker."""
-        from scipy.special import expit  # imported here: quadratic runs never load scipy
-
         A, b = self._rows(idx)
-        return A, b, expit(-b * _row_dots(A, v))
+        return A, b, _sigmoid(-b * _row_dots(A, v))
 
     def inner_values(self, x, idx):
         x = x[..., None, :]

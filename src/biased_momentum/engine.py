@@ -19,14 +19,14 @@ trial's visited iterates and stop reason; row r is trial r.
 and the audits read its columns.
 
 Trajectories are pure functions of (config, seed): worker randomness comes
-from per-(trial, worker, iteration) substreams, so trials can run in any
-order and reproduce identically.  All trials of a run step together in one
-fixed-size batch: the iterates and momentum buffers are (trials, d)
-stacks, and the substream states of a block of iterations are computed in
-bulk (``rng.worker_states``).  A trial that diverges keeps its row, zeroed
-before any arithmetic touches it, and stops recording at its iteration
-while the others go on.  Every trial's trajectory equals the one it would
-have alone.
+from per-(trial, worker) substreams, one row per iteration, so trials can
+run in any order and reproduce identically.  All trials of a run step
+together in one fixed-size batch: the iterates and momentum buffers are
+(trials, d) stacks, and the worker noise and subset keys of a block of
+iterations are drawn in bulk before the block runs.  A trial that diverges
+keeps its row, zeroed before any arithmetic touches it, and stops
+recording at its iteration while the others go on.  Every trial's
+trajectory equals the one it would have alone.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimators import EstimatorSpec, _draw_block, aggregate
+from .estimators import _BLOCK_ELEMENTS, EstimatorSpec, aggregate
 from .problems import (
     NoiseSpec,
     Problem,
@@ -50,7 +50,7 @@ from .problems import (
     full_gradient,
     problem_from_dict,
 )
-from .rng import STREAM_X0, pairwise_mean, row_dot, seeded_streams, substream, worker_states
+from .rng import STREAM_SUBSET, STREAM_WORKER, STREAM_X0, pairwise_mean, row_dot, substream
 from .theory import analysis_regime, lyapunov_weight
 
 __all__ = [
@@ -65,9 +65,6 @@ __all__ = [
 ]
 
 DIVERGENCE_F_MAX = 1e12
-# worker stream states computed at a time, so memory does not grow with
-# iterations x trials x workers
-_BLOCK_STREAMS = 1 << 10
 
 CSV_FIELDS = ("f", "grad_norm_sq", "eta_norm_sq", "v_error_sq", "step_norm_sq", "phi")
 CSV_HEADER = "k,trial," + ",".join(CSV_FIELDS)
@@ -320,16 +317,11 @@ def run_trials(cfg: RunConfig) -> TrialStats:
     iterates = np.empty((T, K + 1, p.dimension))
     iterates[:, 0] = x
     record = np.empty((K, len(CSV_FIELDS), T))
-    block = max(1, _BLOCK_STREAMS // (T * p.n_workers))
     lengths, reasons = np.full(T, K), [None] * T
 
-    for k in range(K):
-        if k % block == 0:
-            pert, subsets = _worker_draws(cfg, k, min(k + block, K))
-        j = k % block
-        x, v_prev, record[k, :5], stopped = step(
-            x, v_prev, p, cfg.estimator, cfg.gamma, cfg.beta, None if pert is None else pert[j],
-            None if subsets is None else (subsets[0][j], subsets[1][j]))
+    for k, (pert, subsets) in zip(range(K), _worker_draws(cfg)):
+        x, v_prev, record[k, :5], stopped = step(x, v_prev, p, cfg.estimator, cfg.gamma,
+                                                 cfg.beta, pert, subsets)
         for r, reason in stopped.items():
             if reasons[r] is None:  # a stopped row steps on from zero
                 lengths[r], reasons[r] = k, reason
@@ -346,21 +338,40 @@ def run_trials(cfg: RunConfig) -> TrialStats:
                                  lengths, iterates, reasons)
 
 
-def _worker_draws(cfg: RunConfig, start: int, stop: int):
-    """(pert, subsets) of iterations start..stop-1: the (b, T, n, d) noise
-    block, or None when the noise is null, and the composite (inner, outer)
-    (b, T, n, S) index blocks, or None.  Worker w at iteration k of trial t
-    draws from the stream keyed (STREAM_WORKER, t, w, k)."""
-    p, T, noise = cfg.problem, cfg.trials, cfg.noise
-    d, shape = p.dimension, (stop - start, T, p.n_workers)
-    std, subsets = None, None
-    if cfg.estimator.kind == "composite" or noise.sigma2 > 0:
-        states = worker_states(cfg.seed, range(T), p.n_workers, range(start, stop))
-        generator = np.random.Generator(np.random.PCG64())  # re-seated to each worker stream
-        streams = seeded_streams((s for per_k in states for s in per_k), generator)
-        std, subsets = _draw_block(streams, shape, p, cfg.estimator, noise)
-    pert = noise.draw(std, d)
-    return (None if pert is None else np.broadcast_to(pert, shape + (d,))), subsets
+def _worker_draws(cfg: RunConfig):
+    """Yield each iteration's (pert, subsets) for ``step``: the (T, n, d)
+    worker noise (the offset vector alone without Gaussian noise, None when
+    the noise is null) and the composite (inner, outer) (T, n, S) index
+    blocks (None for other kinds).
+
+    Worker w of trial t reads row k of its Gaussian noise from the stream
+    keyed (STREAM_WORKER, t, w) and row k of its subset keys from the one
+    keyed (STREAM_SUBSET, t, w).  A block of iterations is drawn at a time,
+    within the _BLOCK_ELEMENTS budget; each stream is read in C order, so
+    the block size changes no value.
+    """
+    p, spec, noise, K = cfg.problem, cfg.estimator, cfg.noise, cfg.iterations
+    workers = [(t, w) for t in range(cfg.trials) for w in range(p.n_workers)]
+    d, m = p.dimension, p.m_g + p.m_F if spec.kind == "composite" else 0
+
+    def rows(gens, method, count, width):
+        """(T, n, count, width): the next count rows of every stream."""
+        out = np.empty((len(workers), count, width))
+        for gen, block in zip(gens, out):
+            getattr(gen, method)(out=block)
+        return out.reshape(cfg.trials, p.n_workers, count, width)
+
+    normal = [substream(cfg.seed, STREAM_WORKER, t, w) for t, w in workers] if noise.sigma2 else []
+    uniform = [substream(cfg.seed, STREAM_SUBSET, t, w) for t, w in workers] if m else []
+    width = (d if normal else 0) + m
+    block = max(1, _BLOCK_ELEMENTS // (len(workers) * max(width, 1)))
+    for start in range(0, K, block):
+        count = min(block, K - start)
+        pert = noise.draw(rows(normal, "standard_normal", count, d) if normal else None, d)
+        subsets = spec.subsets(p, rows(uniform, "random", count, m)) if m else None
+        for j in range(count):  # iteration j's (T, n, ...) views
+            yield (pert[:, :, j] if normal else pert,
+                   None if subsets is None else (subsets[0][:, :, j], subsets[1][:, :, j]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ exact worker gradients into a (draws, workers, d) stack of transmissions:
 draw per trial, each at its own iterate) and the Monte-Carlo error
 measurement (a block of draws at one point).  The composite kind evaluates
 its whole (draws, workers) block of index sets in one chained-gradient call.
+The path takes its randomness already drawn: the noise as a perturbation
+block (``NoiseSpec.draw``) and the index sets as picked by uniform keys
+(``EstimatorSpec.subsets``); only ``measure_eta`` holds a generator, from
+which it draws each block.
 """
 
 from __future__ import annotations
@@ -82,6 +86,23 @@ class EstimatorSpec:
         if self.kind == "composite":
             _check_composite(p, self.s_g, self.s_f)
         return None
+
+    def subsets(self, p: Problem, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The composite kind's (inner, outer) index blocks picked by a
+        (..., m_g + m_F) block of uniform keys, one set per key row.
+
+        The inner set is the first S_g entries of the argsort of the first
+        m_g keys, sorted; the outer set is taken the same way from the last
+        m_F keys.  Each set is a uniform draw without replacement.  The
+        argsort costs a sort of all m keys per set, against O(S) for a
+        partial draw; every preset has m <= 8.
+        """
+        _check_composite(p, self.s_g, self.s_f)
+
+        def first(k, size):
+            return np.sort(np.argsort(k, axis=-1, kind="stable")[..., :size], axis=-1)
+
+        return first(keys[..., :p.m_g], self.s_g), first(keys[..., p.m_g:], self.s_f)
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
@@ -195,35 +216,9 @@ def aggregate(p: Problem, x: np.ndarray, grads, spec: EstimatorSpec,
     return pairwise_mean(_transmissions(p, x, grads, spec, pert, subsets), axis=-2)
 
 
-def _draw_block(streams, shape: tuple, p: Problem, spec: EstimatorSpec, noise: NoiseSpec | None):
-    """(standard normals, subsets) of a (..., n) block of rounds: each
-    (round, worker) in C order takes the next generator of ``streams`` and
-    draws its inner set, its outer set, then its d normals.  The normals
-    are None without Gaussian noise, the subsets None unless composite."""
-    gaussian = noise is not None and noise.sigma2 > 0
-    std = np.empty(shape + (p.dimension,)) if gaussian else None
-    if spec.kind != "composite":
-        if gaussian and isinstance(streams, np.random.Generator):
-            return streams.standard_normal(std.shape), None
-        for r in np.ndindex(shape if gaussian else (0,)):
-            next(streams).standard_normal(out=std[r])
-        return std, None
-    _check_composite(p, spec.s_g, spec.s_f)
-    idx_g = np.empty(shape + (spec.s_g,), dtype=np.intp)
-    idx_f = np.empty(shape + (spec.s_f,), dtype=np.intp)
-    for r in np.ndindex(shape):
-        stream = streams if isinstance(streams, np.random.Generator) else next(streams)
-        idx_g[r] = stream.choice(p.m_g, size=spec.s_g, replace=False)
-        idx_f[r] = stream.choice(p.m_F, size=spec.s_f, replace=False)
-        if gaussian:
-            stream.standard_normal(out=std[r])
-    idx_g.sort(axis=-1)
-    idx_f.sort(axis=-1)
-    return std, (idx_g, idx_f)
-
-
-# float64 elements that one block of measure_eta draws may hold per stack,
-# so the working set does not grow with samples x n x d
+# float64 elements that one block of drawn worker randomness may hold (per
+# stack, for measure_eta), so the working set does not grow with the number
+# of draws, trials, workers or iterations
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -241,25 +236,28 @@ def measure_eta(
     eta is the aggregate error: the pairwise-averaged worker estimates minus
     the exact full gradient at x.  The exact worker gradients are computed
     once; every draw reuses them, and so does the returned gradient norm.
-    Draws are evaluated a block at a time as (draws, workers, d) stacks and
-    read the stream exactly as one draw after another would.
+    Draws are evaluated a block of B at a time as (B, workers, d) stacks:
+    each block reads its (B, n, m_g + m_F) composite subset keys from
+    ``rng``, then its (B, n, d) standard normals.
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
-    x, d = as_param_vector(x, p.dimension), p.dimension
+    spec.contraction_alpha(p)  # raises unless the spec runs on p
+    x, d, n = as_param_vector(x, p.dimension), p.dimension, p.n_workers
+    noise = NoiseSpec() if noise is None else noise
     if rng is None:
-        rng = np.random.default_rng(0 if noise is None else noise.seed)
+        rng = np.random.default_rng(noise.seed)
     grads = p.worker_grads(x)
     exact = pairwise_mean(grads, axis=-2)
-    width = p.n_workers + (spec.s_g + spec.s_f if spec.kind == "composite" else 0)
-    block = max(1, _BLOCK_ELEMENTS // (width * d))
+    key_width = p.m_g + p.m_F if spec.kind == "composite" else 0
+    block = max(1, _BLOCK_ELEMENTS // ((n + key_width) * d))
     vals = np.empty(samples)
     for start in range(0, samples, block):
-        stop = min(start + block, samples)
-        std, subsets = _draw_block(rng, (stop - start, p.n_workers), p, spec, noise)
-        pert = None if noise is None else noise.draw(std, d)
+        draws = min(block, samples - start)
+        subsets = spec.subsets(p, rng.random((draws, n, key_width))) if key_width else None
+        pert = noise.draw(rng.standard_normal((draws, n, d)) if noise.sigma2 > 0 else None, d)
         diff = aggregate(p, x, grads, spec, pert, subsets) - exact
-        vals[start:stop] = row_dot(diff, diff)  # one row for all when nothing is drawn
+        vals[start:start + draws] = row_dot(diff, diff)  # one row for all when nothing is drawn
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return mean, stderr, float(exact @ exact)

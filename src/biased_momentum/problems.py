@@ -66,6 +66,13 @@ def as_param_vector(values, dimension: int | None = None) -> np.ndarray:
     return x
 
 
+def _sigmoid(t):
+    """1 / (1 + exp(-t)), elementwise and free of overflow warnings: with
+    e = exp(-|t|) it is 1 / (1 + e) where t >= 0 and e / (1 + e) elsewhere."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def check_keys(d: dict, allowed, section: str, required=()) -> None:
     """Reject keys of a config section that its schema does not define, or lacks."""
     unknown = sorted(set(d) - set(allowed))
@@ -188,19 +195,20 @@ class NoiseSpec:
     def draw(self, standard: np.ndarray | None, dimension: int) -> np.ndarray | None:
         """The perturbation added to worker gradients of the given dimension:
         the offset vector plus sqrt(sigma2) times the standard normals
-        ``standard`` (a (..., d) block, None when sigma2 = 0), or None when
-        the spec is null.  Each value rounds as ``normal(0, sqrt(sigma2))``
-        plus the offset does.
+        ``standard`` (a float64 (..., d) block, None when sigma2 = 0), or None
+        when the spec is null.  Each value rounds as ``normal(0,
+        sqrt(sigma2))`` plus the offset does.  The block is scaled in place
+        and returned, so a large draw needs no second buffer.
         """
         if self.is_null:
             return None
-        pert = self.offset_vector(dimension)
-        if self.sigma2 > 0:
-            if standard is None:
-                raise ConfigurationError("sigma2 > 0 requires a block of standard normals")
-            # Generator.normal(loc, scale) computes loc + scale * z
-            pert = pert + (0.0 + np.sqrt(self.sigma2) * standard)
-        return pert
+        offset = self.offset_vector(dimension)
+        if self.sigma2 == 0:
+            return offset
+        standard *= np.sqrt(self.sigma2)
+        standard += 0.0  # Generator.normal(loc, scale) computes loc + scale * z
+        standard += offset
+        return standard
 
     def to_dict(self) -> dict:
         off = self.delta_offset
@@ -349,10 +357,8 @@ class _LogisticLossProblem(Problem):
         return pairwise_mean(values + self._reg_value(x)[..., None], axis=-1)
 
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
-        from scipy.special import expit  # imported here: quadratic runs never load scipy
-
         x = np.ascontiguousarray(x, dtype=np.float64)
-        coef = -self.labels * expit(-self._margins(x))
+        coef = -self.labels * _sigmoid(-self._margins(x))
         loss = (np.swapaxes(self.features, -1, -2) @ coef[..., None])[..., 0] / coef.shape[-1]
         return loss + self._reg_grad(x)[..., None, :]
 

@@ -3,37 +3,46 @@
 These deliberately avoid the library code paths they are used to check:
 finite differences instead of analytic gradients, power iteration and the
 characteristic polynomial instead of eigvalsh, hand-rolled SGD and momentum
-loops (one trial, one fresh ``SeedSequence`` stream per worker and step)
-instead of the trial-batched engine, one sample at a time instead of the
-batched composite oracles, one point and one worker at a time (closed
-forms, reduced with a list-walking pairwise tree) instead of the stacked
-problem oracles, and one vector per worker per draw (with its own operators,
-noise and subsampling) instead of the batched estimator stacks.
+loops (one trial, each worker reading its own fresh ``SeedSequence``
+streams one iteration at a time) instead of the trial-batched engine, one
+sample at a time instead of the batched composite oracles, one point and
+one worker at a time (closed forms, reduced with a list-walking pairwise
+tree) instead of the stacked problem oracles, and one vector per worker
+per draw (with its own operators, noise and subsampling) instead of the
+batched estimator stacks.
 
 ``worker_estimate`` is the exception: it is row i of the library's own
 one-draw transmission stack, in which worker i reads the given stream,
 kept here as a test accessor.
+
+The closed forms use the library's ``_sigmoid``, so the reference loops
+round as the library does; test_problems checks it against its formula.
 """
 
 import math
 from itertools import combinations
 
 import numpy as np
-from scipy.special import expit
 
 from biased_momentum.composite import MamlProblem, ToyCompositeProblem
 from biased_momentum.engine import DIVERGENCE_F_MAX
 from biased_momentum.errors import ConfigurationError
-from biased_momentum.estimators import _draw_block, _transmissions
-from biased_momentum.problems import LogisticL2Problem, QuadraticProblem, as_param_vector
-from biased_momentum.rng import STREAM_WORKER, substream
+from biased_momentum.estimators import _transmissions
+from biased_momentum.problems import LogisticL2Problem, QuadraticProblem, _sigmoid, as_param_vector
+from biased_momentum.rng import STREAM_SUBSET, STREAM_WORKER, substream
 from biased_momentum.theory import analysis_regime, lyapunov_weight
 
 
-def worker_stream(seed, trial, worker, k):
-    """The generator worker ``worker`` draws from at iteration ``k`` of
-    ``trial``, built from a fresh ``SeedSequence``."""
-    return substream(seed, STREAM_WORKER, trial, worker, k)
+def worker_stream(seed, trial, worker):
+    """The generator worker ``worker`` of ``trial`` draws its Gaussian noise
+    from, one d-vector per iteration, built from a fresh ``SeedSequence``."""
+    return substream(seed, STREAM_WORKER, trial, worker)
+
+
+def subset_stream(seed, trial, worker):
+    """The generator worker ``worker`` of ``trial`` draws its composite
+    subset keys from, m_g + m_F uniforms per iteration."""
+    return substream(seed, STREAM_SUBSET, trial, worker)
 
 
 def reference_pairwise_mean(vectors):
@@ -84,7 +93,7 @@ def reference_worker_grad(p, i, x):
     if isinstance(p, (MamlProblem, ToyCompositeProblem)):
         return reference_chained_gradient(p, i, x, range(p.m_g), range(p.m_F))
     F, b = p.features[i], p.labels[i]
-    grad = F.T @ (-b * expit(-b * (F @ x))) / F.shape[0]
+    grad = F.T @ (-b * _sigmoid(-b * (F @ x))) / F.shape[0]
     if isinstance(p, LogisticL2Problem):
         return grad + p.lam * x
     return grad + p.lam_nc * 2.0 * x / (1.0 + x**2) ** 2
@@ -180,12 +189,19 @@ def reference_chained_gradient(cp, i, x, idx_g, idx_f):
     return np.mean([cp.G[j].T @ w for j in idx_g], axis=0)
 
 
-def reference_transmission(problem, i, x, spec, noise, rng):
-    """What worker i sends for one draw: noise then the operator, or (composite)
-    inner set, outer set, chained gradient, then noise."""
+def reference_subset(keys, size):
+    """The indices of the ``size`` smallest keys, in increasing order (ties
+    keep the lower index)."""
+    return sorted(sorted(range(len(keys)), key=lambda j: keys[j])[:size])
+
+
+def reference_transmission(problem, i, x, spec, noise, rng, keys=None):
+    """What worker i sends for one draw: noise (read from rng) then the
+    operator, or (composite) the inner and outer sets picked by the m_g + m_F
+    uniform keys, the chained gradient, then noise."""
     if spec.kind == "composite":
-        idx_g = np.sort(rng.choice(problem.m_g, size=spec.s_g, replace=False))
-        idx_f = np.sort(rng.choice(problem.m_F, size=spec.s_f, replace=False))
+        idx_g = reference_subset(keys[:problem.m_g], spec.s_g)
+        idx_f = reference_subset(keys[problem.m_g:], spec.s_f)
         return reference_noise(reference_chained_gradient(problem, i, x, idx_g, idx_f), noise, rng)
     g = reference_noise(reference_worker_grad(problem, i, x), noise, rng)
     if spec.kind == "top_k":
@@ -213,14 +229,33 @@ def worker_estimate(p, i, x, spec, noise=None, rng=None):
     x = as_param_vector(x, p.dimension)
     if not 0 <= i < p.n_workers:
         raise ConfigurationError(f"worker index {i} out of range for {p.n_workers} workers")
-    grads = np.zeros((1, p.n_workers, p.dimension))
-    if spec.kind != "composite":
+    spec.contraction_alpha(p)  # raises unless the spec runs on p
+    n, d = p.n_workers, p.dimension
+    grads, subsets, std = np.zeros((1, n, d)), None, np.zeros((1, n, d))
+    if spec.kind == "composite":
+        keys = np.zeros((1, n, p.m_g + p.m_F))
+        keys[0, i] = rng.random(p.m_g + p.m_F)
+        subsets = spec.subsets(p, keys)
+    else:
         grads[0, i] = reference_worker_grad(p, i, x)
-    idle = np.random.default_rng(0)
-    streams = iter([rng if j == i else idle for j in range(p.n_workers)])
-    std, subsets = _draw_block(streams, (1, p.n_workers), p, spec, noise)
-    pert = None if noise is None else noise.draw(std, p.dimension)
+    if noise is not None and noise.sigma2 > 0:
+        std[0, i] = rng.standard_normal(d)
+    pert = None if noise is None else noise.draw(std, d)
     return _transmissions(p, x, grads, spec, pert, subsets)[0, i]
+
+
+class WorkerDraws:
+    """One trial's worker streams, read one iteration at a time."""
+
+    def __init__(self, problem, spec, seed, trial):
+        workers = range(problem.n_workers)
+        self.noise = [worker_stream(seed, trial, i) for i in workers]
+        self.keys = [subset_stream(seed, trial, i) for i in workers]
+        self.width = problem.m_g + problem.m_F if spec.kind == "composite" else 0
+
+    def next(self, i):
+        """(noise stream, subset keys) of worker i's next iteration."""
+        return self.noise[i], self.keys[i].random(self.width) if self.width else None
 
 
 def reference_sgd(problem, estimator, noise, gamma, iterations, x0, seed, trial=0):
@@ -232,12 +267,10 @@ def reference_sgd(problem, estimator, noise, gamma, iterations, x0, seed, trial=
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     xs = [x.copy()]
-    for k in range(iterations):
-        gs = [
-            reference_transmission(problem, i, x, estimator, noise,
-                                   worker_stream(seed, trial, i, k))
-            for i in range(problem.n_workers)
-        ]
+    draws = WorkerDraws(problem, estimator, seed, trial)
+    for _ in range(iterations):
+        gs = [reference_transmission(problem, i, x, estimator, noise, *draws.next(i))
+              for i in range(problem.n_workers)]
         g = reference_pairwise_mean(gs)
         x = x - gamma * g
         xs.append(x.copy())
@@ -249,8 +282,9 @@ def reference_momentum(cfg, trial):
 
     Returns (records, iterates, diverged_at, reason) with each record the
     tuple (k, f, grad_norm_sq, eta_norm_sq, v_error_sq, step_norm_sq, phi).
-    Worker streams come from ``worker_stream``, transmissions from
-    ``reference_transmission``; the divergence rules are the engine's.
+    Worker streams come from ``worker_stream`` and ``subset_stream``,
+    transmissions from ``reference_transmission``; the divergence rules are
+    the engine's.
     """
     p, beta, gamma = cfg.problem, cfg.beta, cfg.gamma
     lyapunov_A = lyapunov_weight(gamma, beta, analysis_regime(p))
@@ -258,6 +292,7 @@ def reference_momentum(cfg, trial):
     x = cfg.resolve_x0()
     v_prev = reference_full_gradient(p, x) if cfg.v_init == "grad_at_x0" else np.zeros_like(x)
     records, iterates = [], [x]
+    draws = WorkerDraws(p, cfg.estimator, cfg.seed, trial)
     for k in range(cfg.iterations):
         if not np.all(np.isfinite(x)):
             return records, iterates, k, "non-finite iterate"
@@ -268,7 +303,7 @@ def reference_momentum(cfg, trial):
             return records, iterates, k, f"f = {fval:.6g} > {DIVERGENCE_F_MAX:g}"
         grad = reference_full_gradient(p, x)
         g = reference_pairwise_mean([
-            reference_transmission(p, i, x, cfg.estimator, cfg.noise, worker_stream(cfg.seed, trial, i, k))
+            reference_transmission(p, i, x, cfg.estimator, cfg.noise, *draws.next(i))
             for i in range(p.n_workers)
         ])
         if not np.all(np.isfinite(g)):
@@ -285,15 +320,20 @@ def reference_momentum(cfg, trial):
     return records, iterates, None, None
 
 
-def reference_measure_eta(problem, x, spec, noise, samples, rng):
+def reference_measure_eta(problem, x, spec, noise, samples, rng, block):
     """(mean, stderr) of ||eta||^2 by the per-draw loop, in which every draw
-    asks each worker in turn for a fresh transmission, and ||grad f(x)||^2."""
+    asks each worker in turn for a fresh transmission, and ||grad f(x)||^2.
+    A composite block of ``block`` draws first reads all its subset keys."""
     x = np.asarray(x, dtype=np.float64)
     exact = reference_full_gradient(problem, x)
     vals = np.empty(samples)
     for s in range(samples):
+        if spec.kind == "composite" and s % block == 0:
+            keys = rng.random((min(block, samples - s), problem.n_workers,
+                               problem.m_g + problem.m_F))
         g = reference_pairwise_mean(
-            [reference_transmission(problem, i, x, spec, noise, rng)
+            [reference_transmission(problem, i, x, spec, noise, rng,
+                                    keys[s % block, i] if spec.kind == "composite" else None)
              for i in range(problem.n_workers)]
         )
         diff = g - exact
@@ -319,11 +359,11 @@ def point_logistic(a, b):
         return float(np.logaddexp(0.0, -b * (a @ x)))
 
     def grad(x):
-        s = expit(-b * (a @ x))
+        s = _sigmoid(-b * (a @ x))
         return (-b * s) * a
 
     def hess_vec(x, u):
-        s = expit(-b * (a @ x))
+        s = _sigmoid(-b * (a @ x))
         return (s * (1.0 - s) * (a @ u)) * a
 
     return value, grad, hess_vec

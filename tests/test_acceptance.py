@@ -33,7 +33,7 @@ from biased_momentum import (
 from biased_momentum.audit import pilot_points
 from biased_momentum.composite import chained_gradient
 from biased_momentum.harness import main, sweep_summary_rows
-from biased_momentum.problems import make_synthetic_classification
+from biased_momentum.problems import _sigmoid, make_synthetic_classification
 from biased_momentum.rng import substream
 from biased_momentum.theory import lemma_stepsize_bound, measure_heterogeneity
 
@@ -230,8 +230,6 @@ def test_criterion_6_composite():
         est = worker_estimate(cp, i, x, full_batch, rng=rng)
         assert np.linalg.norm(est - reference_worker_grad(cp, i, x)) < 1e-12
     # certified inner-map constants over sampled pairs
-    from scipy.special import expit
-
     assert cp.ell_g == pytest.approx(1 + gamma_inner * cp.L_base)
     assert cp.L_g == pytest.approx(2 * gamma_inner * cp.L_base)
     pair_rng = substream(6, 2, 1)
@@ -245,7 +243,7 @@ def test_criterion_6_composite():
             cp.ell_g * np.linalg.norm(x - y) * (1 + 1e-12)
         )
         a, b = feats[i][j], float(labels[i][j])
-        sx, sy = expit(-b * (a @ x)), expit(-b * (a @ y))
+        sx, sy = _sigmoid(-b * (a @ x)), _sigmoid(-b * (a @ y))
         jac_diff_norm = gamma_inner * abs(sx * (1 - sx) - sy * (1 - sy)) * float(a @ a)
         assert jac_diff_norm <= cp.L_g * (1 + 1e-12)
     assert time.perf_counter() - start < 30.0

@@ -15,7 +15,7 @@ from biased_momentum import (
     measure_composite_sigmas,
 )
 from biased_momentum.composite import CompositeProblem, composite_from_dict
-from biased_momentum.problems import make_synthetic_classification
+from biased_momentum.problems import _sigmoid, make_synthetic_classification
 from biased_momentum.rng import substream
 
 from _oracles import (
@@ -243,11 +243,9 @@ def test_maml_lipschitz_constants_hold_on_sampled_pairs():
         assert lhs <= cp.ell_g * np.linalg.norm(x - y) * (1 + 1e-12)
         # Jacobian map: J(x) - J(y) = -gamma (s_x(1-s_x) - s_y(1-s_y)) a a^T,
         # whose spectral norm is gamma |ds| ||a||^2 <= L_g
-        from scipy.special import expit
-
         b = float(labels[0][0])
-        sx = expit(-b * (a @ x))
-        sy = expit(-b * (a @ y))
+        sx = _sigmoid(-b * (a @ x))
+        sy = _sigmoid(-b * (a @ y))
         op_norm = gamma * abs(sx * (1 - sx) - sy * (1 - sy)) * float(a @ a)
         assert op_norm <= cp.L_g * (1 + 1e-12)
 

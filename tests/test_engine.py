@@ -22,11 +22,11 @@ from biased_momentum import (
     step,
     write_run_csv,
 )
+from biased_momentum import engine
 from biased_momentum.audit import pilot_points
 from biased_momentum.engine import (
     CSV_FIELDS, CSV_HEADER, TrialStats, init_state, per_k_stats, read_run_csv,
 )
-from biased_momentum.estimators import _draw_block
 from biased_momentum.problems import make_synthetic_classification
 
 from _oracles import reference_momentum, reference_sgd
@@ -52,11 +52,13 @@ def _trial0(cfg):
 
 
 def _draws(p, spec, noise, streams):
-    """(pert, subsets) of one step's rows, row r's worker w reading
-    streams[r * n + w]."""
+    """(pert, subsets) of one step's rows, row r's worker w reading its
+    subset keys and its standard normals from streams[r * n + w]."""
     shape = (len(streams) // p.n_workers, p.n_workers)
-    std, subsets = _draw_block(iter(streams), shape, p, spec, noise)
-    return noise.draw(std, p.dimension), subsets
+    width = p.m_g + p.m_F if spec.kind == "composite" else 0
+    keys = np.array([s.random(width) for s in streams]).reshape(shape + (width,))
+    std = np.array([s.standard_normal(p.dimension) for s in streams]).reshape(shape + (-1,))
+    return noise.draw(std, p.dimension), spec.subsets(p, keys) if width else None
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +108,8 @@ def test_step_identities_hold_bitwise():
     cfg = RunConfig(problem=p, gamma=0.1, beta=0.3, iterations=1,
                     noise=noise, seed=5)
     x, v_prev = init_state(cfg)
-    x1, v1, rec, _ = step(x, v_prev, p, cfg.estimator, 0.1, 0.3,
-                          *_draws(p, cfg.estimator, noise, [np.random.default_rng(5)] * p.n_workers))
+    draws = _draws(p, cfg.estimator, noise, [np.random.default_rng(5)] * p.n_workers)
+    x1, v1, rec, _ = step(x, v_prev, p, cfg.estimator, 0.1, 0.3, *draws)
     rec = dict(zip(CSV_FIELDS, rec))
     # reconstruct the aggregate from the v recurrence, then check the
     # recorded identities: g = grad + eta, x' = x - gamma v, v update
@@ -215,6 +217,48 @@ def test_trials_monte_carlo_reproducibility():
     k = 55
     se = stats.stderr["grad_norm_sq"][k] + stats2.stderr["grad_norm_sq"][k]
     assert abs(stats.mean["grad_norm_sq"][k] - stats2.mean["grad_norm_sq"][k]) < 4 * max(se, 1e-12)
+
+
+def _noisy_cases():
+    quad = make_quadratic(spectrum=np.linspace(0.5, 2.0, 10), n_workers=4, seed=2)
+    maml = make_maml(*make_synthetic_classification(5, 2, 8, seed=4), 0.1)
+    noise = NoiseSpec(sigma2=0.02, delta_offset=0.01)
+    return {
+        "top_k-quadratic": RunConfig(problem=quad, gamma=0.3, beta=0.5, iterations=30, trials=3,
+                                     estimator=EstimatorSpec(kind="top_k", k=3), noise=noise,
+                                     seed=21),
+        "maml-composite": RunConfig(problem=maml, gamma=0.05, beta=0.5, iterations=30, trials=3,
+                                    estimator=EstimatorSpec(kind="composite", s_g=2, s_f=3),
+                                    noise=noise, seed=21),
+    }
+
+
+def _assert_same_rows(stats, other, rows):
+    for name in CSV_FIELDS:
+        assert stats.table[name][rows].tobytes() == other.table[name].tobytes()
+    assert stats.iterates[rows].tobytes() == other.iterates.tobytes()
+    assert [stats.lengths[r] for r in rows] == list(other.lengths)
+
+
+@pytest.mark.parametrize("case", list(_noisy_cases()))
+@pytest.mark.parametrize("iterations_per_block", [1, 7])
+def test_block_size_changes_no_value(monkeypatch, case, iterations_per_block):
+    # each worker stream is read a row per iteration in C order, so drawing
+    # fewer iterations at a time reads the same values
+    cfg = _noisy_cases()[case]
+    p = cfg.problem
+    width = p.dimension + (p.m_g + p.m_F if cfg.estimator.kind == "composite" else 0)
+    default = run_trials(cfg)
+    monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", iterations_per_block * cfg.trials
+                        * p.n_workers * width)
+    _assert_same_rows(run_trials(cfg), default, list(range(cfg.trials)))
+
+
+@pytest.mark.parametrize("case", list(_noisy_cases()))
+def test_trial_count_changes_no_trial(case):
+    # trial t reads only its own (trial, worker) streams
+    cfg = _noisy_cases()[case]
+    _assert_same_rows(run_trials(cfg), run_trials(dataclasses.replace(cfg, trials=2)), [0, 1])
 
 
 def _reference_cases():

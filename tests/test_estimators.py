@@ -267,7 +267,7 @@ def _toy_3():
 
 def _block_draws(p, spec):
     """Draws in one measure_eta block of p and spec."""
-    width = p.n_workers + (spec.s_g + spec.s_f if spec.kind == "composite" else 0)
+    width = p.n_workers + (p.m_g + p.m_F if spec.kind == "composite" else 0)
     return max(1, estimators._BLOCK_ELEMENTS // (width * p.dimension))
 
 
@@ -318,7 +318,8 @@ def test_measure_eta_matches_per_draw_reference(build, spec, noise, samples):
         samples = _block_draws(p, spec) + 1
     x = substream(40, 2, 0).standard_normal(p.dimension)
     got = measure_eta(p, x, spec, noise, samples=samples, rng=substream(40, 2, 1))
-    want = reference_measure_eta(p, x, spec, noise, samples, substream(40, 2, 1))
+    want = reference_measure_eta(p, x, spec, noise, samples, substream(40, 2, 1),
+                                 _block_draws(p, spec))
     assert got == want
 
 

@@ -221,6 +221,25 @@ def test_verify_quadratic_preset_never_imports_scipy(repo_root):
     assert proc.stdout.split() == ["0", "[]"]
 
 
+def test_sigmoid_presets_never_import_scipy(repo_root, tmp_path):
+    # the logistic and MAML sigmoids are numpy's; scipy is a test-only dependency
+    presets = repo_root / "presets"
+    calls = [["verify", str(presets / f"{name}.json")]
+             for name in ("maml_composite", "logistic_l2", "nonconvex_reg")]
+    calls.append(["run", str(presets / "composite_toy.json"), "--out", str(tmp_path / "out")])
+    script = ("import sys, contextlib, io\n"
+              "from biased_momentum.harness import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    rcs = [main(argv) for argv in {calls!r}]\n"
+              "print(rcs, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    path = [str(repo_root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0] []"
+
+
 def test_verify_composite_with_noise_claims_no_C(presets_dir, tmp_path, capsys):
     # the composite error model bounds the subsampling error alone; with an
     # offset of norm^2 20 on top, its C (about 5.7) would fail a sound run
@@ -290,7 +309,7 @@ def test_report_surfaces_corrupted_csv(tmp_path, capsys):
 
 
 def test_report_names_the_descent_trial_verify_names(presets_dir, tmp_path, capsys):
-    # the worst descent step of this preset lies in trial 1
+    # the worst descent step of this preset lies in trial 2
     preset = str(presets_dir / "clip_quadratic.json")
     assert main(["verify", preset]) == 0
     verified = capsys.readouterr().out
@@ -301,7 +320,7 @@ def test_report_names_the_descent_trial_verify_names(presets_dir, tmp_path, caps
     def descent(printed):
         return next(ln for ln in printed.splitlines() if "descent_inequality" in ln)
 
-    assert " at trial 1, k=" in descent(verified)
+    assert " at trial 2, k=" in descent(verified)
     assert descent(reported) == descent(verified)
 
 

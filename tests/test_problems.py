@@ -1,5 +1,7 @@
 """Problem suite: gradients, certificates, worker decomposition, noise model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from biased_momentum import (
     make_toy_composite,
     problem_from_dict,
 )
+from biased_momentum.problems import _sigmoid
 from biased_momentum.rng import substream
 
 from _oracles import (
@@ -165,6 +168,18 @@ def test_nonconvex_reg_gradient_matches_finite_differences():
 
 # ---------------------------------------------------------------------------
 # aggregation + noise
+
+
+def test_sigmoid_is_warning_free_bounded_and_odd_about_one_half():
+    # filterwarnings = "error" turns any overflow or invalid-value warning into a failure
+    t = np.array([-np.inf, -1000.0, 0.0, 1000.0, np.inf])
+    s = _sigmoid(t)
+    assert np.all((0.0 <= s) & (s <= 1.0))
+    np.testing.assert_array_equal(_sigmoid(-t), 1.0 - s)
+    np.testing.assert_array_equal(s, [0.0, 0.0, 0.5, 1.0, 1.0])
+    grid = np.linspace(-30.0, 30.0, 6001)
+    want = np.array([1.0 / (1.0 + math.exp(-v)) for v in grid])
+    np.testing.assert_allclose(_sigmoid(grid), want, rtol=1e-15, atol=0.0)
 
 
 def test_full_gradient_equals_pairwise_worker_average_bitwise():

@@ -1,46 +1,36 @@
-"""Worker streams: bulk-seeded states equal SeedSequence-built generators."""
+"""Worker streams: one Gaussian and one subset-key stream per (trial, worker)."""
 
 import numpy as np
 import pytest
 
-from biased_momentum.rng import seeded_streams, worker_states
+from biased_momentum import EstimatorSpec, NoiseSpec, RunConfig, make_maml, make_quadratic
+from biased_momentum.engine import _worker_draws
+from biased_momentum.problems import make_synthetic_classification
+from biased_momentum.rng import STREAM_SUBSET, STREAM_WORKER, substream
 
-from _oracles import worker_stream
-
-
-@pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**40 + 17, 2**130 + 3])
-def test_worker_states_match_seedsequence(seed):
-    keys = np.random.default_rng(seed % 2**32)
-    trials = keys.integers(0, 2**32, size=3).tolist() + [0, 2**32 - 1]
-    ks = keys.integers(0, 2**32, size=2).tolist() + [0, 1]
-    workers = 3
-    states = worker_states(seed, trials, workers, ks)
-    assert len(states) == len(ks)
-    for pairs, k in zip(states, ks):
-        assert len(pairs) == len(trials) * workers
-        keyed = [(t, w) for t in trials for w in range(workers)]
-        for (t, w), got in zip(keyed, seeded_streams(pairs, np.random.default_rng()), strict=True):
-            want = worker_stream(seed, t, w, k)
-            assert got.bit_generator.state == want.bit_generator.state
-            # normal, choice (32-bit buffered draws) and integers, in one stream
-            np.testing.assert_array_equal(got.normal(0.0, 0.3, size=5), want.normal(0.0, 0.3, size=5))
-            np.testing.assert_array_equal(got.choice(11, size=4, replace=False),
-                                          want.choice(11, size=4, replace=False))
-            np.testing.assert_array_equal(got.integers(0, 1000, size=7), want.integers(0, 1000, size=7))
-            np.testing.assert_array_equal(got.standard_normal(3), want.standard_normal(3))
+from _oracles import reference_subset
 
 
-def test_seeded_streams_restart_each_state():
-    # a stream left mid-way (with a buffered 32-bit half) does not leak into the next
-    pairs = worker_states(5, [0, 1], 2, [3])[0]
-    generator = np.random.default_rng()
-    first = [g.integers(0, 7, size=3).tolist() for g in seeded_streams(pairs, generator)]
-    again = [g.integers(0, 7, size=3).tolist() for g in seeded_streams(pairs[::-1], generator)][::-1]
-    assert first == again
-
-
-def test_worker_states_reject_keys_outside_uint32():
-    with pytest.raises(ValueError):
-        worker_states(0, [2**32], 1, [0])
-    with pytest.raises(ValueError):
-        worker_states(0, [0], 1, [-1])
+@pytest.mark.parametrize("kind", ["quadratic", "maml"])
+def test_worker_noise_and_keys_are_rows_of_one_stream_per_trial_and_worker(kind):
+    if kind == "quadratic":
+        p, spec = make_quadratic(np.eye(6), n_workers=3), EstimatorSpec(kind="top_k", k=2)
+    else:
+        p = make_maml(*make_synthetic_classification(4, 2, 6, seed=5), 0.1)
+        spec = EstimatorSpec(kind="composite", s_g=2, s_f=3)
+    sigma2, seed, K, T = 0.3, 2**40 + 17, 9, 3
+    cfg = RunConfig(problem=p, gamma=0.1, beta=0.5, iterations=K, trials=T, estimator=spec,
+                    noise=NoiseSpec(sigma2=sigma2), seed=seed)
+    draws = list(_worker_draws(cfg))
+    assert len(draws) == K
+    pert = np.stack([step_pert for step_pert, _ in draws])
+    assert pert.shape == (K, T, p.n_workers, p.dimension)
+    for t in range(T):
+        for w in range(p.n_workers):
+            noise = substream(seed, STREAM_WORKER, t, w).standard_normal((K, p.dimension))
+            assert pert[:, t, w].tobytes() == (0.0 + np.sqrt(sigma2) * noise).tobytes()
+            if kind == "maml":
+                keys = substream(seed, STREAM_SUBSET, t, w).random((K, p.m_g + p.m_F))
+                for k, (_, (idx_g, idx_f)) in enumerate(draws):
+                    assert idx_g[t, w].tolist() == reference_subset(keys[k, :p.m_g], 2)
+                    assert idx_f[t, w].tolist() == reference_subset(keys[k, p.m_g:], 3)
