@@ -90,11 +90,20 @@ class CompositeProblem(Problem):
         return self.L_g * self.ell_F + self.ell_g**2 * self.L_F
 
     def f(self, x: np.ndarray):
-        z = inner_value(self, x, np.arange(self.m_g))
-        return pairwise_mean(np.mean(self.outer_values(z, np.arange(self.m_F)), axis=-1), axis=-1)
+        return self._outer_mean(inner_value(self, x, np.arange(self.m_g)))
 
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
         return chained_gradient(self, x, np.arange(self.m_g), np.arange(self.m_F))
+
+    def f_and_worker_grads(self, x: np.ndarray) -> tuple:
+        """(f(x), worker_grads(x)) from one evaluation of the full-set inner value."""
+        x, all_g, all_F = _points(self, x), np.arange(self.m_g), np.arange(self.m_F)
+        z = inner_value(self, x, all_g)
+        return self._outer_mean(z), _chain(self, x, z, all_g, all_F)
+
+    def _outer_mean(self, z: np.ndarray):
+        """f from every worker's full-set inner value z."""
+        return pairwise_mean(np.mean(self.outer_values(z, np.arange(self.m_F)), axis=-1), axis=-1)
 
     def _sets(self, idx: np.ndarray) -> np.ndarray:
         """idx as a (..., n, k) block: a (k,) set becomes every worker's set."""
@@ -154,7 +163,11 @@ def chained_gradient(cp: CompositeProblem, x: np.ndarray, indices_g, indices_F) 
     if idx_g.shape[:-1] != idx_f.shape[:-1]:
         raise ConfigurationError(
             f"inner and outer index batches differ: {idx_g.shape[:-1]} vs {idx_f.shape[:-1]}")
-    z = inner_value(cp, x, idx_g)
+    return _chain(cp, x, inner_value(cp, x, idx_g), idx_g, idx_f)
+
+
+def _chain(cp: CompositeProblem, x: np.ndarray, z: np.ndarray, idx_g, idx_f) -> np.ndarray:
+    """The chained gradients at x from the subset inner value z on idx_g."""
     w = np.mean(cp.outer_grads(z, idx_f), axis=-2)
     return np.mean(cp.inner_jac_t_vecs(x, idx_g, w), axis=-2)
 

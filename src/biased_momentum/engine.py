@@ -181,6 +181,11 @@ def _zero_rows(rows: dict, *arrays) -> tuple:
     return tuple(np.where(zero, 0.0, a) for a in arrays)
 
 
+def _failing_rows(ok: np.ndarray) -> list:
+    """The rows of a (T, ...) bool stack holding a False (one scalar check when none does)."""
+    return [] if ok.all() else np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1)).tolist()
+
+
 def step(
     x: np.ndarray,
     v_prev: np.ndarray,
@@ -204,20 +209,25 @@ def step(
     set to zero before any arithmetic touches them, so its non-finite
     values raise and warn of nothing; its outputs mean nothing, and no
     other row's bits depend on it.
+
+    Each check looks for rows only when a scalar check of the whole stack
+    fails.  f and the worker gradients are evaluated together (a composite
+    problem shares its inner value), and again at the zeroed stack when
+    the f check stops a row.
     """
-    stopped = dict.fromkeys(np.flatnonzero(~np.all(np.isfinite(x), axis=1)).tolist(),
-                            "non-finite iterate")
+    stopped = dict.fromkeys(_failing_rows(np.isfinite(x)), "non-finite iterate")
     x, v_prev = _zero_rows(stopped, x, v_prev)  # composite problems reject non-finite points
-    fval = problem.f(x)
-    for b in np.flatnonzero(~np.isfinite(fval) | (fval > DIVERGENCE_F_MAX)).tolist():
+    fval, grads = problem.f_and_worker_grads(x)
+    f_rows = _failing_rows(np.isfinite(fval) & (fval <= DIVERGENCE_F_MAX))
+    for b in f_rows:
         fb = float(fval[b])
         stopped.setdefault(b, f"f = {fb:.6g} > {DIVERGENCE_F_MAX:g}" if math.isfinite(fb)
                            else f"non-finite f ({fb})")
-    x, v_prev = _zero_rows(stopped, x, v_prev)
-    grads = problem.worker_grads(x)
-    grad = pairwise_mean(grads, axis=-2)
+    if f_rows:
+        x, v_prev = _zero_rows(stopped, x, v_prev)
+        grads = problem.worker_grads(x)
     g = aggregate(problem, x, grads, estimator, pert, subsets)
-    for b in np.flatnonzero(~np.all(np.isfinite(g), axis=1)).tolist():
+    for b in _failing_rows(np.isfinite(g)):
         stopped.setdefault(b, "non-finite aggregate")
     x, v_prev, g = _zero_rows(stopped, x, v_prev, g)
 
@@ -226,7 +236,11 @@ def step(
     v = g if beta == 1.0 else v_prev + beta * (g - v_prev)
     x_new = x - gamma * v
     # grad, eta, the momentum error and the step, each row squared at once
-    vectors = np.stack((grad, g - grad, grad - v_prev, x_new - x))
+    vectors = np.empty((4,) + x.shape)
+    grad = vectors[0] = pairwise_mean(grads, axis=-2)
+    np.subtract(g, grad, out=vectors[1])
+    np.subtract(grad, v_prev, out=vectors[2])
+    np.subtract(x_new, x, out=vectors[3])
     fields = np.empty((5, len(x)))
     fields[0], fields[1:] = fval, row_dot(vectors, vectors)
     return x_new, v, fields, stopped

@@ -131,10 +131,12 @@ def top_k(g: np.ndarray, k: int) -> np.ndarray:
         raise ConfigurationError(f"k={k} out of range [1, {d}]")
     if k == d:
         return g.copy()
-    keep = np.argsort(-np.abs(g), axis=-1, kind="stable")[..., :k]
-    out = np.zeros(g.shape)
-    np.put_along_axis(out, keep, np.take_along_axis(g, keep, axis=-1), axis=-1)
-    return out
+    rows = g.reshape(-1, d)
+    keep = np.argsort(-np.abs(rows), axis=-1, kind="stable")[:, :k]
+    at = (np.arange(len(rows))[:, None], keep)
+    out = np.zeros(rows.shape)
+    out[at] = rows[at]
+    return out.reshape(g.shape)
 
 
 def scaled_sign(g: np.ndarray) -> np.ndarray:

@@ -25,11 +25,11 @@ import math
 import os
 import subprocess
 import sys
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .audit import (
     AuditOutcome,
     audit_figure2_qualitative,
@@ -63,10 +63,9 @@ SWEEP_ROW_NUMBERS = ("axis_value", "final_plateau_mean", "iters_to_threshold", "
 
 
 def version_string() -> str:
-    try:
-        base = metadata.version("biased-momentum")
-    except metadata.PackageNotFoundError:
-        base = "0.0.0"
+    """``__version__`` (so a source tree off PYTHONPATH names it too) and
+    the ``git describe`` of its checkout, when there is one."""
+    base = __version__
     try:
         desc = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

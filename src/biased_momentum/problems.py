@@ -28,8 +28,10 @@ gradients, so aggregation identities hold bit-for-bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -137,6 +139,10 @@ class Problem:
 
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def f_and_worker_grads(self, x: np.ndarray) -> tuple:
+        """(f(x), worker_grads(x)); kinds whose two oracles share work override it."""
+        return self.f(x), self.worker_grads(x)
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +264,23 @@ class QuadraticProblem(Problem):
         r = (self.A @ x[..., None])[..., 0]
         return 0.5 * row_dot(r, r)
 
+    @cached_property
+    def _height_groups(self) -> tuple:
+        """(slice of workers, (w, h, d) stack of their blocks) per run of one block height."""
+        runs = [np.stack(list(run)) for _, run in itertools.groupby(self.blocks, key=len)]
+        ends = np.cumsum([len(run) for run in runs]).tolist()
+        return tuple((slice(end - len(run), end), run) for end, run in zip(ends, runs))
+
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
         # gradient n * A_i^T (A_i x) of worker i; A_i.T stays a transposed view.
-        # One block at a time: np.array_split blocks can differ in height (d=10,
-        # n=4 gives 3, 3, 2, 2 rows), so there is no (n, r, d) stack to batch
-        x = np.asarray(x, dtype=np.float64)
-        out = np.empty(x.shape[:-1] + (self.n_workers, self.dimension))
-        for i, Ai in enumerate(self.blocks):
-            out[..., i, :] = self.n_workers * (Ai.T @ (Ai @ x[..., None]))[..., 0]
+        # np.array_split blocks take at most two heights (d=10, n=4 gives 3, 3,
+        # 2, 2 rows), so one stacked product pair per height: each block's
+        # matrix-vector products run as they would alone.  Zero-padding to one
+        # (n, r_max, d) stack would change the products' rounding.
+        x = np.asarray(x, dtype=np.float64)[..., None, :, None]
+        out = np.empty(x.shape[:-3] + (self.n_workers, self.dimension))
+        for workers, S in self._height_groups:
+            out[..., workers, :] = self.n_workers * (np.swapaxes(S, -1, -2) @ (S @ x))[..., 0]
         return out
 
 

@@ -12,6 +12,7 @@ from biased_momentum import (
     ConfigurationError,
     EstimatorSpec,
     NoiseSpec,
+    QuadraticProblem,
     RunConfig,
     full_gradient,
     make_logistic_l2,
@@ -508,8 +509,9 @@ def test_step_evaluates_each_worker_gradient_once(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["quadratic", "maml"])
 def test_step_keeps_a_non_finite_row_apart_from_the_others(kind):
-    # the row is zeroed before any arithmetic (composite points reject NaN),
-    # and every other row steps bit for bit as it would alone
+    # the rows are zeroed before any arithmetic (composite points reject NaN),
+    # and every other row steps bit for bit as it would alone: row 1 has a
+    # non-finite iterate, row 3 a finite one whose f exceeds DIVERGENCE_F_MAX
     if kind == "quadratic":
         p = make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), n_workers=3, seed=2)
         spec = EstimatorSpec(kind="top_k", k=2)
@@ -517,9 +519,10 @@ def test_step_keeps_a_non_finite_row_apart_from_the_others(kind):
         p = make_maml(*make_synthetic_classification(5, 2, 8, seed=4), 0.1)
         spec = EstimatorSpec(kind="composite", s_g=2, s_f=3)
     noise = NoiseSpec(sigma2=0.01, delta_offset=0.01)
-    start = np.random.default_rng(1).standard_normal((2, 3, p.dimension))
+    start = np.random.default_rng(1).standard_normal((2, 4, p.dimension))
     x, v_prev = start[0], start[1]
     x[1, 0], v_prev[1] = np.nan, np.inf
+    x[3] *= 1e14
 
     def draws(rows):
         return _draws(p, spec, noise, [np.random.default_rng([r, w])
@@ -527,8 +530,14 @@ def test_step_keeps_a_non_finite_row_apart_from_the_others(kind):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x_next, v_next, fields, stopped = step(x, v_prev, p, spec, 0.1, 0.5, *draws([0, 1, 2]))
-    assert stopped == {1: "non-finite iterate"}
+        x_next, v_next, fields, stopped = step(x, v_prev, p, spec, 0.1, 0.5,
+                                               *draws([0, 1, 2, 3]))
+    assert list(stopped) == [1, 3]
+    assert stopped[1] == "non-finite iterate"
+    assert stopped[3] == f"f = {float(p.f(x[3])):.6g} > {engine.DIVERGENCE_F_MAX:g}"
+    assert not x_next[[1, 3]].any() and not v_next[[1, 3]].any()
+    grad0 = full_gradient(p, np.zeros(p.dimension))  # stopped rows step from the origin
+    assert fields[1, 1] == fields[1, 3] == grad0 @ grad0
     for r in (0, 2):
         x_alone, v_alone, fields_alone, stopped_alone = step(
             x[[r]], v_prev[[r]], p, spec, 0.1, 0.5, *draws([r]))
@@ -537,6 +546,31 @@ def test_step_keeps_a_non_finite_row_apart_from_the_others(kind):
         assert v_next[r].tobytes() == v_alone[0].tobytes()
         for field, field_alone in zip(fields, fields_alone):
             assert field[r].tobytes() == field_alone[0].tobytes()
+
+
+class _UnboundedQuadratic(QuadraticProblem):
+    """A quadratic whose f is -inf wherever x_0 < -1."""
+
+    def f(self, x):
+        return np.where(x[..., 0] < -1.0, -np.inf, super().f(x))
+
+
+def test_step_stops_a_row_whose_f_is_minus_infinity():
+    # -inf is below DIVERGENCE_F_MAX but not finite, so the row stops
+    q = make_quadratic(spectrum=np.linspace(0.5, 2.0, 4), n_workers=2, seed=3)
+    p = _UnboundedQuadratic(q.A, q.blocks, q.n_workers, q.dimension, q.L, q.mu)
+    x = np.random.default_rng(2).standard_normal((3, 4))
+    x[:, 0] = (0.5, -2.0, 0.25)
+    v_prev = np.ones((3, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x_next, v_next, fields, stopped = step(x, v_prev, p, EstimatorSpec(), 0.1, 0.5)
+    assert stopped == {1: "non-finite f (-inf)"}
+    assert not x_next[1].any() and not v_next[1].any()
+    for r in (0, 2):
+        x_alone, v_alone, _, _ = step(x[[r]], v_prev[[r]], p, EstimatorSpec(), 0.1, 0.5)
+        assert x_next[r].tobytes() == x_alone[0].tobytes()
+        assert v_next[r].tobytes() == v_alone[0].tobytes()
 
 
 def _config_doc(**overrides):

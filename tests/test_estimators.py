@@ -23,6 +23,7 @@ from biased_momentum.rng import pairwise_mean, substream
 
 from _oracles import (
     reference_measure_eta,
+    reference_top_k,
     reference_worker_grad,
     scaled_sign_alpha,
     worker_estimate,
@@ -59,6 +60,20 @@ def test_top_k_range_errors():
         top_k(np.ones(3), 0)
     with pytest.raises(ConfigurationError):
         top_k(np.ones(3), 4)
+
+
+@pytest.mark.parametrize("shape", [(7,), (4, 7), (2, 3, 7)])
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_top_k_stacks_match_reference_row_by_row(shape, k):
+    # integer entries tie often, and the zeros carry both signs
+    rng = substream(22, 2, len(shape), k)
+    g = rng.integers(-2, 3, shape).astype(float)
+    g[g == 0] = np.copysign(0.0, rng.standard_normal(shape))[g == 0]
+    for stack in (g, g[..., ::-1]):  # a contiguous stack and a reversed view
+        out = top_k(stack, k)
+        assert out.shape == shape
+        for q, row in zip(out.reshape(-1, 7), stack.reshape(-1, 7)):
+            assert q.tobytes() == reference_top_k(row, k).tobytes()
 
 
 def test_top_k_contraction_random():

@@ -2,11 +2,13 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+import biased_momentum
 from biased_momentum.harness import (
     SEED_ENV,
     load_config,
@@ -206,7 +208,7 @@ def test_verify_preset_passes(presets_dir, capsys):
 
 
 def test_verify_quadratic_preset_never_imports_scipy(repo_root):
-    # scipy serves only the logistic and MAML sigmoids; importing it costs start-up
+    # no module of the package imports scipy (a test-only dependency); importing it costs start-up
     script = ("import sys, contextlib, io\n"
               "import biased_momentum\n"
               "from biased_momentum.harness import main\n"
@@ -219,6 +221,26 @@ def test_verify_quadratic_preset_never_imports_scipy(repo_root):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "[]"]
+
+
+def test_run_from_source_tree_records_package_version(repo_root, tmp_path):
+    # an uninstalled checkout on PYTHONPATH names its own version, not 0.0.0
+    config = _write(tmp_path / "cfg.json", _minimal_config())
+    path = [str(repo_root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-m", "biased_momentum.harness", "run", config,
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    version = json.loads((tmp_path / "out" / "run.json").read_text())["version"]
+    assert version.split()[:2] == ["biased-momentum", biased_momentum.__version__]
+
+
+def test_pyproject_version_is_package_version(repo_root):
+    text = (repo_root / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    version = re.search(r'^version = "([^"]+)"$', project, re.M).group(1)
+    assert version == biased_momentum.__version__
 
 
 def test_sigmoid_presets_never_import_scipy(repo_root, tmp_path):

@@ -225,6 +225,23 @@ def test_stacked_oracles_match_reference():
                                                   err_msg=f"{kind} row {t} worker {i}")
 
 
+@pytest.mark.parametrize("d,n", [(10, 3), (7, 4), (11, 8), (5, 3), (8, 4)])
+def test_quadratic_worker_grads_of_uneven_blocks_match_reference(d, n):
+    # blocks of one height are evaluated as one stack; each row and worker
+    # still rounds bit for bit like its own A_i^T (A_i x)
+    p = make_quadratic(spectrum=np.linspace(0.5, 2.0, d), n_workers=n, seed=d + n)
+    assert len({len(b) for b in p.blocks}) == (1 if d % n == 0 else 2)
+    rng = substream(13, 3, d, n)
+    for shape in ((d,), (5, d), (2, 3, d)):
+        x = rng.standard_normal(shape)
+        grads = p.worker_grads(x)
+        assert grads.shape == shape[:-1] + (n, d)
+        for row in np.ndindex(shape[:-1]):
+            for i in range(n):
+                want = reference_worker_grad(p, i, x[row])
+                assert grads[row + (i,)].tobytes() == want.tobytes(), (shape, row, i)
+
+
 def test_full_gradient_zero_at_designed_stationary_point():
     p = make_quadratic(np.eye(4), n_workers=2)
     np.testing.assert_array_equal(full_gradient(p, np.zeros(4)), np.zeros(4))

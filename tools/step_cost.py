@@ -1,0 +1,63 @@
+#!/usr/bin/env python3
+"""Print the best-of cost, in microseconds, of one engine round and of the
+oracles it calls: ``PYTHONPATH=src python3 tools/step_cost.py [--repeat R]``.
+
+Shapes: the topk_quadratic, clip_quadratic and maml_composite presets, and
+"traj", pl_quadratic with 4 workers, 4 trials and sigma2 = 0.01 (the
+traj_small_d benchmark shape), each at its start stack and first round of
+draws; ``measure_eta`` takes verify's 1000 draws at x0.  A figure is the
+best of R loops of about 20 ms, divided by the loop's length.
+"""
+
+import argparse
+import json
+import timeit
+from pathlib import Path
+
+from biased_momentum.engine import RunConfig, _worker_draws, init_state, step
+from biased_momentum.estimators import aggregate, measure_eta
+from biased_momentum.rng import STREAM_MEASURE, substream
+
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
+SHAPES = {"traj": "pl_quadratic", "topk": "topk_quadratic", "clip": "clip_quadratic",
+          "maml": "maml_composite"}
+COLUMNS = ("step", "f", "worker_grads", "aggregate", "measure_eta")
+
+
+def config(name: str) -> RunConfig:
+    doc = json.loads((PRESETS / f"{SHAPES[name]}.json").read_text())
+    if name == "traj":
+        doc["problem"]["n_workers"], doc["trials"], doc["noise"]["sigma2"] = 4, 4, 0.01
+    return RunConfig.from_dict(doc)
+
+
+def best_us(call, repeat: int) -> float:
+    timer = timeit.Timer(call)
+    number = max(1, int(0.02 / min(timer.repeat(3, 1))))
+    return min(timer.repeat(repeat, number)) / number * 1e6
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=7)
+    repeat = parser.parse_args().repeat
+    print("shape " + " ".join(f"{c:>12}" for c in COLUMNS) + "   (best-of us)")
+    for name in SHAPES:
+        cfg = config(name)
+        p, spec, noise = cfg.problem, cfg.estimator, cfg.noise
+        x, v = init_state(cfg, cfg.trials)
+        pert, subsets = next(_worker_draws(cfg))
+        grads = p.worker_grads(x)
+        calls = {
+            "step": lambda: step(x, v, p, spec, cfg.gamma, cfg.beta, pert, subsets),
+            "f": lambda: p.f(x),
+            "worker_grads": lambda: p.worker_grads(x),
+            "aggregate": lambda: aggregate(p, x, grads, spec, pert, subsets),
+            "measure_eta": lambda: measure_eta(p, x[0], spec, noise, samples=1000,
+                                               rng=substream(0, STREAM_MEASURE, 100)),
+        }
+        print(f"{name:<5} " + " ".join(f"{best_us(calls[c], repeat):12.1f}" for c in COLUMNS))
+
+
+if __name__ == "__main__":
+    main()
