@@ -31,8 +31,8 @@ from .composite import CompositeProblem
 from .engine import RunConfig, TrialStats, per_k_stats, run_trials
 from .errors import ConfigurationError
 from .estimators import EstimatorSpec, measure_eta
-from .problems import NoiseSpec, Problem, as_param_vector, full_gradient
-from .rng import STREAM_MEASURE, substream
+from .problems import NoiseSpec, Problem, as_point_stack, as_points, full_gradient
+from .rng import STREAM_MEASURE, row_dot, substream
 from .theory import TheoryReport, build_theory_report, theorem_bounds
 
 __all__ = [
@@ -222,7 +222,7 @@ def audit_affine_variance(
     name = "affine_variance_bound"
     if report.C_var is None:
         return _skip(name, "C unavailable for this configuration")
-    if not points:
+    if len(points) == 0:
         return _skip(name, "no sample points")
     margins = []
     for j, x in enumerate(points):
@@ -239,10 +239,12 @@ def audit_affine_variance(
 
 
 def finite_difference_gradient(problem: Problem, x: np.ndarray) -> np.ndarray:
-    """Central differences with step 1e-6 * max(1, ||x||) per coordinate."""
-    x = as_param_vector(x, problem.dimension)
-    h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
-    steps = h * np.eye(x.size)
+    """Central differences with step 1e-6 * max(1, ||x||) per coordinate, at
+    one point or at each point of a (..., d) stack (one pair of f calls)."""
+    x = as_points(x, problem.dimension)
+    h = 1e-6 * np.maximum(1.0, np.sqrt(row_dot(x, x)))[..., None]
+    steps = h[..., None] * np.eye(problem.dimension)
+    x = x[..., None, :]
     return (problem.f(x + steps) - problem.f(x - steps)) / (2.0 * h)
 
 
@@ -252,19 +254,19 @@ def audit_gradients(
     seed: int = 0,
     rel_tol: float | None = None,
 ) -> AuditOutcome:
-    """Analytic full gradient vs finite differences at seeded random points."""
+    """Analytic full gradient vs finite differences at seeded random points
+    (point j from its own stream), both evaluated on the stack of points."""
     name = "gradient_oracle"
     if rel_tol is None:
         rel_tol = 1e-4 if isinstance(problem, CompositeProblem) else 1e-5
-    margins = []
-    for j in range(n_points):
-        rng = substream(seed, STREAM_MEASURE, 200 + j)
-        x = rng.standard_normal(problem.dimension)
-        ga = full_gradient(problem, x)
-        gn = finite_difference_gradient(problem, x)
-        rel = float(np.linalg.norm(ga - gn)) / max(1.0, float(np.linalg.norm(gn)))
-        margins.append(rel_tol - rel)
-    return _worst(name, margins, lambda j: f"point {j}", 0.0, f"{n_points} points, tol {rel_tol}")
+    d = problem.dimension
+    x = as_point_stack([substream(seed, STREAM_MEASURE, 200 + j).standard_normal(d)
+                        for j in range(n_points)], d)
+    gn = finite_difference_gradient(problem, x)
+    err = full_gradient(problem, x) - gn
+    rel = np.sqrt(row_dot(err, err)) / np.maximum(1.0, np.sqrt(row_dot(gn, gn)))
+    return _worst(name, rel_tol - rel, lambda j: f"point {j}", 0.0,
+                  f"{n_points} points, tol {rel_tol}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from .errors import ConfigurationError
 from .problems import (
     Problem,
     _sigmoid,
-    as_param_vector,
+    as_point_stack,
+    as_points,
     check_keys,
     classification_from_dict,
     config_array,
@@ -49,22 +50,26 @@ class CompositeProblem(Problem):
     """Two-level finite sum f_i(x) = (1/m_F) sum_j F_{i,j}((1/m_g) sum_l g_{i,l}(x)).
 
     Subclasses hold every worker's components as arrays and define the
-    oracles below, each evaluating all n workers in one call: ``idx`` is a
-    (..., n, k) block of one index set per worker (a (k,) set is every
-    worker's), ``x`` one point or a (..., d) stack all workers share, and
-    ``z``, ``u`` one (..., n, p) row per worker.  Row r of worker i belongs
-    to its component j = idx[..., i, r]:
+    oracles below, each evaluating all n workers in one call: ``x`` is one
+    point or a (..., d) stack of them, ``idx`` a (..., n, k) block of one
+    index set per worker (a (k,) set is every worker's), and ``z``, ``u``
+    one (..., n, p) row per worker.  Row r of worker i belongs to its
+    component j = idx[..., i, r]:
 
-    * ``inner_values(x, idx)``        g_{i,j}(x), shape (..., n, k, p)
-    * ``inner_jac_t_vecs(x, idx, u)`` J_{i,j}(x)^T u_i, shape (..., n, k, d)
-    * ``inner_jac_t(x, idx)``         dense J_{i,j}(x)^T, shape (..., n, k, d, p)
-    * ``outer_values(z, idx)``        F_{i,j}(z_i), shape (..., n, k)
-    * ``outer_grads(z, idx)``         grad F_{i,j}(z_i), shape (..., n, k, p)
+    * ``inner_table(x)``               every component's inner quantities at
+      each point of x: a tuple of (..., n, m_g, ...) arrays, g_{i,j}(x) of
+      shape (..., n, m_g, p) and then what the Jacobian oracles read
+    * ``inner_jac_t_vecs(rows, idx, u)`` J_{i,j}(x)^T u_i, shape (..., n, k, d)
+    * ``inner_jac_t(rows, idx)``       dense J_{i,j}(x)^T, shape (..., n, k, d, p)
+    * ``outer_values(z, idx)``         F_{i,j}(z_i), shape (..., n, k)
+    * ``outer_grads(z, idx)``          grad F_{i,j}(z_i), shape (..., n, k, p)
 
-    ``inner_value`` and ``chained_gradient`` average them over the sets;
-    ``f`` and ``worker_grads`` are those on the full sets.  Each row rounds
-    exactly like the same component evaluated on its own, so a subset
-    average does not depend on how its rows were batched.
+    ``rows`` is the table after its inner values, gathered on idx
+    (``_gather``), (..., n, k, ...) per array; on the full sets it is the
+    table itself.  ``inner_value`` and ``chained_gradient`` average over the
+    sets; ``f`` and ``worker_grads`` are those on the full sets.  Each table
+    row rounds exactly like its component on its own and a gather copies
+    it, so a subset average does not depend on how its rows were batched.
 
     ``ell_g``/``L_g``/``ell_F``/``L_F`` are certified Lipschitz constants of
     the component maps and their gradients; the objective then has
@@ -90,16 +95,17 @@ class CompositeProblem(Problem):
         return self.L_g * self.ell_F + self.ell_g**2 * self.L_F
 
     def f(self, x: np.ndarray):
-        return self._outer_mean(inner_value(self, x, np.arange(self.m_g)))
+        return self._outer_mean(np.mean(self.inner_table(as_points(x, self.dimension))[0], axis=-2))
 
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
         return chained_gradient(self, x, np.arange(self.m_g), np.arange(self.m_F))
 
     def f_and_worker_grads(self, x: np.ndarray) -> tuple:
-        """(f(x), worker_grads(x)) from one evaluation of the full-set inner value."""
-        x, all_g, all_F = _points(self, x), np.arange(self.m_g), np.arange(self.m_F)
-        z = inner_value(self, x, all_g)
-        return self._outer_mean(z), _chain(self, x, z, all_g, all_F)
+        """(f(x), worker_grads(x)) from one inner table."""
+        table = self.inner_table(as_points(x, self.dimension))
+        z = np.mean(table[0], axis=-2)
+        return self._outer_mean(z), _chain(self, table[1:], z, np.arange(self.m_g),
+                                           np.arange(self.m_F))
 
     def _outer_mean(self, z: np.ndarray):
         """f from every worker's full-set inner value z."""
@@ -130,21 +136,27 @@ def _validate_indices(cp: CompositeProblem, idx, m: int, label: str) -> np.ndarr
     return idx
 
 
-def _points(cp: CompositeProblem, x) -> np.ndarray:
-    """x as one parameter vector, or a (..., d) stack of them (one per block
-    of index sets, or sharing one)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 2:
-        return as_param_vector(x, cp.dimension)
-    if x.shape[-1] != cp.dimension or not np.all(np.isfinite(x)):
-        raise ConfigurationError(f"need finite points of dimension {cp.dimension}, got {x.shape}")
-    return x
+def _gather(table: tuple, idx: np.ndarray) -> tuple:
+    """Component idx[..., i, r] of worker i from each (..., n, m, ...) array
+    of a table, (..., n, k, ...): one point's table serves a whole block of
+    sets, and row b of a stack's table serves set block b."""
+    *lead, n, m = table[0].shape[:-1]
+    rows = np.arange(math.prod(lead) * n).reshape((*lead, n, 1)) * m + idx
+    return tuple(a.reshape((-1,) + a.shape[len(lead) + 2:])[rows] for a in table)
+
+
+def _subset(cp: CompositeProblem, x: np.ndarray, idx: np.ndarray) -> tuple:
+    """The inner average on idx at x, and the table rows on idx that the
+    Jacobian oracles read; the gathered inner values are freed on return,
+    before the outer and Jacobian work of a block allocates its own."""
+    values, *rows = _gather(cp.inner_table(x), idx)
+    return np.mean(values, axis=-2), rows
 
 
 def inner_value(cp: CompositeProblem, x: np.ndarray, indices) -> np.ndarray:
     """Each worker's average of its selected inner maps at x, (..., n, p)."""
     idx = _validate_indices(cp, indices, cp.m_g, "inner")
-    return np.mean(cp.inner_values(_points(cp, x), idx), axis=-2)
+    return _subset(cp, as_points(x, cp.dimension), idx)[0]
 
 
 def chained_gradient(cp: CompositeProblem, x: np.ndarray, indices_g, indices_F) -> np.ndarray:
@@ -156,20 +168,24 @@ def chained_gradient(cp: CompositeProblem, x: np.ndarray, indices_g, indices_F) 
     exact worker gradients.  (..., n, S_g) and (..., n, S_F) blocks of index
     sets give the gradients of one estimate per worker and batch row, each
     equal to one call per pair of sets; x may then hold one point per row.
+    The inner table is evaluated once per point and the sets gather their
+    rows from it.
     """
-    x = _points(cp, x)
+    x = as_points(x, cp.dimension)
     idx_g = _validate_indices(cp, indices_g, cp.m_g, "inner")
     idx_f = _validate_indices(cp, indices_F, cp.m_F, "outer")
     if idx_g.shape[:-1] != idx_f.shape[:-1]:
         raise ConfigurationError(
             f"inner and outer index batches differ: {idx_g.shape[:-1]} vs {idx_f.shape[:-1]}")
-    return _chain(cp, x, inner_value(cp, x, idx_g), idx_g, idx_f)
+    z, rows = _subset(cp, x, idx_g)
+    return _chain(cp, rows, z, idx_g, idx_f)
 
 
-def _chain(cp: CompositeProblem, x: np.ndarray, z: np.ndarray, idx_g, idx_f) -> np.ndarray:
-    """The chained gradients at x from the subset inner value z on idx_g."""
+def _chain(cp: CompositeProblem, rows, z: np.ndarray, idx_g, idx_f) -> np.ndarray:
+    """The chained gradients from the subset inner value z on idx_g and the
+    table rows on idx_g."""
     w = np.mean(cp.outer_grads(z, idx_f), axis=-2)
-    return np.mean(cp.inner_jac_t_vecs(x, idx_g, w), axis=-2)
+    return np.mean(cp.inner_jac_t_vecs(rows, idx_g, w), axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +196,9 @@ def _chain(cp: CompositeProblem, x: np.ndarray, z: np.ndarray, idx_g, idx_f) -> 
 class MamlProblem(CompositeProblem):
     """Meta-learning problem (see make_maml).  With s = sigmoid(-b <a, x>)
     the sample loss log(1 + exp(-b <a, x>)) has gradient -b s a and
-    Hessian s (1 - s) a a^T, for the rows a, b of features[i], labels[i]."""
+    Hessian s (1 - s) a a^T, for the rows a, b of features[i], labels[i].
+    Its inner table holds g(x) = x + gamma_inner b s a and s (1 - s) for
+    every sample."""
 
     features: np.ndarray  # (n, m, d): worker i holds rows features[i]
     labels: np.ndarray  # (n, m) with entries in {-1, +1}
@@ -191,28 +209,20 @@ class MamlProblem(CompositeProblem):
 
     def _rows(self, idx: np.ndarray):
         """Each worker's rows a_j and labels b_j for its set in idx."""
-        workers = np.arange(self.n_workers)[:, None]
-        return self.features[workers, idx], self.labels[workers, idx]
+        return _gather((self.features, self.labels), idx)
 
-    def _sigmoids(self, v: np.ndarray, idx: np.ndarray):
-        """Rows a_j, labels b_j and s_j = sigmoid(-b_j <a_j, v_i>) for idx,
-        at one (..., n, d) point v_i per worker."""
-        A, b = self._rows(idx)
-        return A, b, _sigmoid(-b * _row_dots(A, v))
+    def inner_table(self, x):
+        x, b = x[..., None, None, :], self.labels
+        s = _sigmoid(-b * row_dot(self.features, x))
+        return x - self.gamma_inner * ((-b * s)[..., None] * self.features), s * (1.0 - s)
 
-    def inner_values(self, x, idx):
-        x = x[..., None, :]
-        A, b, s = self._sigmoids(x, idx)
-        return x[..., None, :] - self.gamma_inner * ((-b * s)[..., None] * A)
+    def inner_jac_t_vecs(self, rows, idx, u):
+        A = self._rows(idx)[0]
+        return u[..., None, :] - self.gamma_inner * ((rows[0] * _row_dots(A, u))[..., None] * A)
 
-    def inner_jac_t_vecs(self, x, idx, u):
-        A, _, s = self._sigmoids(x[..., None, :], idx)
-        return u[..., None, :] - self.gamma_inner * (
-            (s * (1.0 - s) * _row_dots(A, u))[..., None] * A)
-
-    def inner_jac_t(self, x, idx):
-        A, _, s = self._sigmoids(x[..., None, :], idx)
-        scaled = (s * (1.0 - s))[..., None] * A
+    def inner_jac_t(self, rows, idx):
+        A = self._rows(idx)[0]
+        scaled = rows[0][..., None] * A
         return np.eye(self.dimension) - self.gamma_inner * (A[..., :, None] * scaled[..., None, :])
 
     def outer_values(self, z, idx):
@@ -220,8 +230,8 @@ class MamlProblem(CompositeProblem):
         return np.logaddexp(0.0, -b * _row_dots(A, z))
 
     def outer_grads(self, z, idx):
-        A, b, s = self._sigmoids(z, idx)
-        return (-b * s)[..., None] * A
+        A, b = self._rows(idx)
+        return (-b * _sigmoid(-b * _row_dots(A, z)))[..., None] * A
 
 
 def make_maml(
@@ -288,13 +298,13 @@ class ToyCompositeProblem(CompositeProblem):
     coeffs: np.ndarray  # (m_F,) outer coefficients c_j
     centers: np.ndarray  # (m_F, p) outer centers r_j
 
-    def inner_values(self, x, idx):
-        return (self.G[self._sets(idx)] @ x[..., None, None, :, None])[..., 0]
+    def inner_table(self, x):
+        return ((self.G[self._sets(np.arange(self.m_g))] @ x[..., None, None, :, None])[..., 0],)
 
-    def inner_jac_t_vecs(self, x, idx, u):
-        return (self.inner_jac_t(x, idx) @ u[..., None, :, None])[..., 0]
+    def inner_jac_t_vecs(self, rows, idx, u):
+        return (self.inner_jac_t(rows, idx) @ u[..., None, :, None])[..., 0]
 
-    def inner_jac_t(self, x, idx):
+    def inner_jac_t(self, rows, idx):
         return np.ascontiguousarray(np.swapaxes(self.G[self._sets(idx)], -1, -2))
 
     def outer_values(self, z, idx):
@@ -373,18 +383,19 @@ def composite_from_dict(spec: dict) -> CompositeProblem:
 # component-variance measurement for the subsampling error constant
 
 
-def _anchored_variance(values) -> float:
-    """mean_j ||v_j - mean||^2 via the anchored identity
+def _anchored_variance(values: np.ndarray) -> np.ndarray:
+    """mean_j ||v_j - mean||^2 over the components j of each (..., m, k)
+    block of values, shape (...), via the anchored identity
     mean_j ||v_j - v_0||^2 - ||mean - v_0||^2, clamped at zero.
 
-    Anchoring at the first element keeps the result exactly 0.0 when all
+    Anchoring at the first component keeps the result exactly 0.0 when all
     components are identical (the plain form leaves ulp-level residue).
+    Each square sums over the contiguous last axis, then the component mean.
     """
-    v0 = values[0]
-    shifted = [v - v0 for v in values]
-    second = float(np.mean([np.sum(s * s) for s in shifted]))
-    mean_shift = np.mean(shifted, axis=0)
-    return max(second - float(np.sum(mean_shift * mean_shift)), 0.0)
+    shifted = values - values[..., :1, :]
+    second = np.mean(np.sum(shifted * shifted, axis=-1), axis=-1)
+    mean_shift = np.mean(shifted, axis=-2)
+    return np.maximum(second - np.sum(mean_shift * mean_shift, axis=-1), 0.0)
 
 
 def measure_composite_sigmas(
@@ -397,20 +408,14 @@ def measure_composite_sigmas(
     returned values are the max over (point, worker) times a safety factor.
     Jacobian deviations are measured in the Frobenius norm (an upper bound
     on the spectral norm, so the error-model constant stays valid) on the
-    closed-form dense Jacobians, each oracle called once per point.
+    closed-form dense Jacobians.  One call of each oracle covers all the
+    points, stacked as a (P, d) array.
     """
-    if not points:
-        raise ConfigurationError("need at least one sample point")
-    sig_g2 = sig_dg2 = sig_F2 = 0.0
-    all_g, all_F = np.arange(cp.m_g), np.arange(cp.m_F)
-    for x in points:
-        x = as_param_vector(x, cp.dimension)
-        g_vals = cp.inner_values(x, all_g)
-        # outer gradients evaluated where the estimator may land: at the
-        # full inner mean and at each single-component inner value
-        z = np.concatenate((np.mean(g_vals, axis=-2)[None], np.swapaxes(g_vals, 0, 1)))
-        outer = np.swapaxes(cp.outer_grads(z, all_F), 0, 1)  # (worker, z, component, p)
-        sig_g2 = max(sig_g2, *map(_anchored_variance, g_vals))
-        sig_dg2 = max(sig_dg2, *map(_anchored_variance, cp.inner_jac_t(x, all_g)))
-        sig_F2 = max(sig_F2, *(_anchored_variance(grads) for row in outer for grads in row))
-    return safety * sig_g2, safety * sig_dg2, safety * sig_F2
+    table = cp.inner_table(as_point_stack(points, cp.dimension))
+    g_vals = table[0]  # (point, worker, component, p)
+    jac = cp.inner_jac_t(table[1:], np.arange(cp.m_g))
+    # outer gradients evaluated where the estimator may land: at the full
+    # inner mean and at each single-component inner value, (point, z, worker, p)
+    z = np.concatenate((np.mean(g_vals, axis=-2)[:, None], np.swapaxes(g_vals, 1, 2)), axis=1)
+    variances = (g_vals, jac.reshape(jac.shape[:-2] + (-1,)), cp.outer_grads(z, np.arange(cp.m_F)))
+    return tuple(safety * float(np.max(_anchored_variance(v))) for v in variances)

@@ -226,7 +226,10 @@ def step(
     if f_rows:
         x, v_prev = _zero_rows(stopped, x, v_prev)
         grads = problem.worker_grads(x)
-    g = aggregate(problem, x, grads, estimator, pert, subsets)
+    grad = pairwise_mean(grads, axis=-2)
+    # the identity estimator without noise sends the exact gradients, whose mean is grad
+    g = grad if estimator.kind == "identity" and pert is None else aggregate(
+        problem, x, grads, estimator, pert, subsets)
     for b in _failing_rows(np.isfinite(g)):
         stopped.setdefault(b, "non-finite aggregate")
     x, v_prev, g = _zero_rows(stopped, x, v_prev, g)
@@ -237,7 +240,7 @@ def step(
     x_new = x - gamma * v
     # grad, eta, the momentum error and the step, each row squared at once
     vectors = np.empty((4,) + x.shape)
-    grad = vectors[0] = pairwise_mean(grads, axis=-2)
+    vectors[0] = grad
     np.subtract(g, grad, out=vectors[1])
     np.subtract(grad, v_prev, out=vectors[2])
     np.subtract(x_new, x, out=vectors[3])

@@ -68,6 +68,24 @@ def as_param_vector(values, dimension: int | None = None) -> np.ndarray:
     return x
 
 
+def as_points(values, dimension: int) -> np.ndarray:
+    """Validate and return one parameter vector, or a (..., d) stack of them."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim < 2:
+        return as_param_vector(x, dimension)
+    if x.shape[-1] != dimension or not np.all(np.isfinite(x)):
+        raise ConfigurationError(f"need finite points of dimension {dimension}, got {x.shape}")
+    return x
+
+
+def as_point_stack(points, dimension: int) -> np.ndarray:
+    """A non-empty sequence of parameter vectors (a list, or the rows of a
+    (P, d) array), each validated, as one (P, d) float64 stack."""
+    if len(points) == 0:
+        raise ConfigurationError("need at least one sample point")
+    return np.array([as_param_vector(x, dimension) for x in points])
+
+
 def _sigmoid(t):
     """1 / (1 + exp(-t)), elementwise and free of overflow warnings: with
     e = exp(-|t|) it is 1 / (1 + e) where t >= 0 and e / (1 + e) elsewhere."""
@@ -509,8 +527,9 @@ def make_synthetic_classification(
 
 
 def full_gradient(p: Problem, x: np.ndarray) -> np.ndarray:
-    """Exact (1/n) sum_i grad f_i(x), pairwise-tree reduced over ascending i."""
-    return pairwise_mean(p.worker_grads(as_param_vector(x, p.dimension)), axis=-2)
+    """Exact (1/n) sum_i grad f_i(x), pairwise-tree reduced over ascending i,
+    at one point or at each point of a (..., d) stack."""
+    return pairwise_mean(p.worker_grads(as_points(x, p.dimension)), axis=-2)
 
 
 # ---------------------------------------------------------------------------

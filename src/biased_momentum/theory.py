@@ -26,7 +26,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .composite import measure_composite_sigmas
 from .estimators import EstimatorSpec
-from .problems import NoiseSpec, Problem, as_param_vector, check_keys, full_gradient
+from .problems import (NoiseSpec, Problem, as_param_vector, as_point_stack, check_keys,
+                       full_gradient)
 from .rng import pairwise_mean, row_dot
 
 __all__ = [
@@ -218,7 +219,7 @@ def measure_heterogeneity(p: Problem, points: Sequence[np.ndarray], safety: floa
 
     A NaN square (from an overflowed gradient) is left out of the max.
     """
-    grads = p.worker_grads(np.array([as_param_vector(x, p.dimension) for x in points]))
+    grads = p.worker_grads(as_point_stack(points, p.dimension))
     diff = grads - pairwise_mean(grads, axis=-2)[..., None, :]
     return safety * float(np.fmax.reduce(row_dot(diff, diff), axis=None, initial=0.0))
 
@@ -227,8 +228,7 @@ def measure_suboptimality(p: Problem, points: Sequence[np.ndarray], safety: floa
     """Max over sampled iterates of f(x) - f*, times the safety factor."""
     if p.f_star is None:
         raise ConfigurationError("suboptimality needs a known f*")
-    stack = np.array([as_param_vector(x, p.dimension) for x in points])
-    worst = max((p.f(stack) - p.f_star).tolist())
+    worst = max((p.f(as_point_stack(points, p.dimension)) - p.f_star).tolist())
     return safety * max(worst, 0.0)
 
 
@@ -369,7 +369,7 @@ def build_theory_report(
     _check_beta(beta)
     x0 = as_param_vector(x0, problem.dimension)
     noise = noise or NoiseSpec()
-    pilot = list(pilot_points) if pilot_points else [x0]
+    pilot = [x0] if pilot_points is None or len(pilot_points) == 0 else pilot_points
     L, mu, f_star = problem.L, problem.mu, problem.f_star
     d = problem.dimension
 

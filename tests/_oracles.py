@@ -7,9 +7,10 @@ loops (one trial, each worker reading its own fresh ``SeedSequence``
 streams one iteration at a time) instead of the trial-batched engine, one
 sample at a time instead of the batched composite oracles, one point and
 one worker at a time (closed forms, reduced with a list-walking pairwise
-tree) instead of the stacked problem oracles, and one vector per worker
-per draw (with its own operators, noise and subsampling) instead of the
-batched estimator stacks.
+tree) instead of the stacked problem oracles, the composite component
+variances one point and one worker at a time instead of over a stack of
+points, and one vector per worker per draw (with its own operators, noise
+and subsampling) instead of the batched estimator stacks.
 
 ``worker_estimate`` is the exception: it is row i of the library's own
 one-draw transmission stack, in which worker i reads the given stream,
@@ -340,6 +341,34 @@ def reference_measure_eta(problem, x, spec, noise, samples, rng, block):
         vals[s] = diff @ diff
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return float(np.mean(vals)), stderr, float(exact @ exact)
+
+
+def _anchored_variance(values):
+    """mean_j ||v_j - mean||^2 of one worker's component values, one array
+    per component, anchored at the first: mean_j ||v_j - v_0||^2 minus
+    ||mean - v_0||^2, clamped at zero."""
+    v0 = values[0]
+    shifted = [v - v0 for v in values]
+    second = float(np.mean([np.sum(s * s) for s in shifted]))
+    mean_shift = np.mean(shifted, axis=0)
+    return max(second - float(np.sum(mean_shift * mean_shift)), 0.0)
+
+
+def reference_composite_sigmas(cp, points, safety=1.1):
+    """(sigma_g^2, sigma_grad_g^2, sigma_F^2) by the per-point loop: the
+    oracles at one point at a time, and one variance per worker (and per
+    outer evaluation point z), each over a list of component arrays."""
+    sig_g2 = sig_dg2 = sig_F2 = 0.0
+    all_g, all_F = np.arange(cp.m_g), np.arange(cp.m_F)
+    for x in points:
+        table = cp.inner_table(as_param_vector(x, cp.dimension))
+        g_vals = table[0]
+        z = np.concatenate((np.mean(g_vals, axis=-2)[None], np.swapaxes(g_vals, 0, 1)))
+        outer = np.swapaxes(cp.outer_grads(z, all_F), 0, 1)  # (worker, z, component, p)
+        sig_g2 = max(sig_g2, *map(_anchored_variance, g_vals))
+        sig_dg2 = max(sig_dg2, *map(_anchored_variance, cp.inner_jac_t(table[1:], all_g)))
+        sig_F2 = max(sig_F2, *(_anchored_variance(grads) for row in outer for grads in row))
+    return safety * sig_g2, safety * sig_dg2, safety * sig_F2
 
 
 def enumerate_subset_means(values, size):

@@ -238,7 +238,7 @@ def test_criterion_6_composite():
         y = 2.0 * pair_rng.standard_normal(3)
         i = int(pair_rng.integers(cp.n_workers))
         j = int(pair_rng.integers(cp.m_g))
-        gx, gy = cp.inner_values(x, np.array([j]))[i, 0], cp.inner_values(y, np.array([j]))[i, 0]
+        gx, gy = cp.inner_table(x)[0][i, j], cp.inner_table(y)[0][i, j]
         assert np.linalg.norm(gx - gy) <= (
             cp.ell_g * np.linalg.norm(x - y) * (1 + 1e-12)
         )
@@ -327,7 +327,7 @@ def test_criterion_10_oracle_suite():
         cp = make_toy_composite(inner_matrices=mats, outer_coeffs=(1.0,) * m,
                                 outer_centers=tuple((float(i), 0.0) for i in range(m)))
         x = np.array([1.0, 2.0])
-        values = list(cp.inner_values(x, np.arange(m))[0])
+        values = list(cp.inner_table(x)[0][0])
         for size in range(1, m + 1):
             means = enumerate_subset_means(values, size)
             np.testing.assert_array_equal(np.mean(means, axis=0),

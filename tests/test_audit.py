@@ -1,6 +1,7 @@
 """Trajectory audits: descent, rate bounds, error-model bound, self-tests."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -16,15 +17,19 @@ from biased_momentum import (
     audit_theorem_ncvx,
     audit_theorem_pl,
     build_theory_report,
+    finite_difference_gradient,
+    full_gradient,
     make_logistic_l2,
     make_quadratic,
     run_trials,
     stepsize_bounds,
 )
+from biased_momentum import audit
 from biased_momentum.audit import pilot_points, verify_config
 from biased_momentum.composite import make_maml
 from biased_momentum.engine import TrialStats
 from biased_momentum.problems import make_synthetic_classification
+from biased_momentum.rng import STREAM_MEASURE, substream
 
 
 def _pl_quadratic(n_workers=2, spectrum=None, seed=1):
@@ -365,6 +370,30 @@ def test_gradient_audit_all_kinds():
     out = audit_gradients(cp, n_points=20, seed=3)
     assert out.passed
     assert out.tolerance == 0.0 and "0.0001" in out.note
+
+
+@pytest.mark.parametrize("preset", ["maml_composite", "topk_quadratic", "logistic_l2",
+                                    "composite_toy", "nonconvex_reg"])
+def test_gradient_audit_margins_match_per_point_references(monkeypatch, presets_dir, preset):
+    # the audit evaluates its 25 points as one stack; each margin equals, bit
+    # for bit, the one-point finite differences against the one-point gradient
+    cfg = RunConfig.from_dict(json.loads((presets_dir / f"{preset}.json").read_text()))
+    p, seen, original = cfg.problem, [], audit._worst
+
+    def capture(name, margins, *rest):
+        seen.append(np.asarray(margins).tolist())
+        return original(name, margins, *rest)
+
+    monkeypatch.setattr(audit, "_worst", capture)
+    out = audit_gradients(p, n_points=25, seed=cfg.seed, rel_tol=1e-4)
+    want = []
+    for j in range(25):
+        x = substream(cfg.seed, STREAM_MEASURE, 200 + j).standard_normal(p.dimension)
+        gn = finite_difference_gradient(p, x)
+        rel = float(np.linalg.norm(full_gradient(p, x) - gn)) / max(1.0, float(np.linalg.norm(gn)))
+        want.append(1e-4 - rel)
+    assert seen == [want]
+    assert out.passed and out.worst_margin == min(want)
 
 
 def test_gradient_audit_detects_wrong_gradient():

@@ -1,5 +1,6 @@
 """Composite finite sums: chained gradients, subset statistics, meta-learning."""
 
+import json
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -14,13 +15,17 @@ from biased_momentum import (
     make_toy_composite,
     measure_composite_sigmas,
 )
+from biased_momentum.audit import pilot_points
 from biased_momentum.composite import CompositeProblem, composite_from_dict
+from biased_momentum.engine import RunConfig, run_trials
 from biased_momentum.problems import _sigmoid, make_synthetic_classification
 from biased_momentum.rng import substream
 
 from _oracles import (
     enumerate_subset_means,
     fd_gradient,
+    reference_chained_gradient,
+    reference_composite_sigmas,
     reference_maml_rows,
     reference_worker_grad,
     reference_worker_value,
@@ -52,7 +57,8 @@ def test_subset_enumeration_mean_is_exact():
     # mean with no floating error at all
     cp = _toy()
     x = np.array([1.0, 2.0])
-    values = list(cp.inner_values(x, np.arange(cp.m_g))[0])
+    table = cp.inner_table(x)
+    values = list(table[0][0])
     full = np.mean(values, axis=0)
     for size in (1, 2, 3):
         means = enumerate_subset_means(values, size)
@@ -60,7 +66,7 @@ def test_subset_enumeration_mean_is_exact():
     # same statement for the inner Jacobian action and the outer gradient
     # at a fixed inner point
     u = np.array([1.0, -1.0])
-    jac_actions = list(cp.inner_jac_t_vecs(x, np.arange(cp.m_g), u[None])[0])
+    jac_actions = list(cp.inner_jac_t_vecs(table[1:], np.arange(cp.m_g), u[None])[0])
     np.testing.assert_array_equal(
         np.mean(enumerate_subset_means(jac_actions, 2), axis=0),
         np.mean(jac_actions, axis=0),
@@ -84,7 +90,7 @@ def test_subset_enumeration_exact_on_m5_instance():
         outer_centers=tuple((float(i), 0.0) for i in range(5)),
     )
     x = np.array([2.0, -1.0])
-    values = list(cp.inner_values(x, np.arange(5))[0])
+    values = list(cp.inner_table(x)[0][0])
     for size in (1, 2, 3, 4, 5):
         means = enumerate_subset_means(values, size)
         np.testing.assert_array_equal(np.mean(means, axis=0), np.mean(values, axis=0))
@@ -172,13 +178,13 @@ def test_worker_axis_block_matches_one_call_per_worker(build, shared_x):
 
     idx_g, idx_f = block(cp.m_g), block(cp.m_F)
     x = rng.standard_normal(cp.dimension if shared_x else (B, cp.dimension))
-    inner = cp.inner_values(x, idx_g)
+    inner = inner_value(cp, x, idx_g)
     chained = chained_gradient(cp, x, idx_g, idx_f)
     assert chained.shape == (B, cp.n_workers, cp.dimension)
     for b in range(B):
         xb = x if shared_x else x[b]
         for i in range(cp.n_workers):
-            np.testing.assert_array_equal(inner[b, i], cp.inner_values(xb, idx_g[b, i])[i])
+            np.testing.assert_array_equal(inner[b, i], inner_value(cp, xb, idx_g[b, i])[i])
             np.testing.assert_array_equal(
                 chained[b, i], chained_gradient(cp, xb, idx_g[b, i], idx_f[b, i])[i])
     with pytest.raises(ConfigurationError, match="worker rows"):
@@ -202,8 +208,9 @@ def test_maml_oracles_match_per_sample_reference(d, m, gamma):
         want = reference_maml_rows(cp, i, x, z, u, idx)
         # idx is every worker's set; z and u are every worker's row
         zs, us = (np.broadcast_to(v, (cp.n_workers, d)) for v in (z, u))
-        got = [cp.inner_values(x, idx)[i], cp.inner_jac_t_vecs(x, idx, us)[i],
-               cp.inner_jac_t(x, idx)[i], cp.outer_values(zs, idx)[i],
+        values, *rows = (a[:, idx] for a in cp.inner_table(x))
+        got = [values[i], cp.inner_jac_t_vecs(rows, idx, us)[i],
+               cp.inner_jac_t(rows, idx)[i], cp.outer_values(zs, idx)[i],
                cp.outer_grads(zs, idx)[i]]
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
@@ -238,7 +245,7 @@ def test_maml_lipschitz_constants_hold_on_sampled_pairs():
         x = 3.0 * rng.standard_normal(3)
         y = 3.0 * rng.standard_normal(3)
         # value map: ||g(x) - g(y)|| <= ell_g ||x - y||
-        gx, gy = cp.inner_values(x, np.array([0]))[0, 0], cp.inner_values(y, np.array([0]))[0, 0]
+        gx, gy = cp.inner_table(x)[0][0, 0], cp.inner_table(y)[0][0, 0]
         lhs = np.linalg.norm(gx - gy)
         assert lhs <= cp.ell_g * np.linalg.norm(x - y) * (1 + 1e-12)
         # Jacobian map: J(x) - J(y) = -gamma (s_x(1-s_x) - s_y(1-s_y)) a a^T,
@@ -271,10 +278,10 @@ class _ShiftedIdentity(CompositeProblem):
 
     offsets: np.ndarray
 
-    def inner_values(self, x, idx):
-        return x[..., None, None, :] + self.offsets[self._sets(idx)]
+    def inner_table(self, x):
+        return (x[..., None, None, :] + self.offsets[self._sets(np.arange(self.m_g))],)
 
-    def inner_jac_t(self, x, idx):
+    def inner_jac_t(self, rows, idx):
         return np.broadcast_to(np.eye(self.dimension), self._sets(idx).shape + (self.dimension,) * 2)
 
     def outer_grads(self, z, idx):
@@ -326,3 +333,70 @@ def test_composite_from_dict_toy_defaults():
     cp = composite_from_dict({"kind": "composite_toy", "n_workers": 3})
     assert cp.n_workers == 3
     assert cp.dimension == 2
+
+
+# ---------------------------------------------------------------------------
+# stacked paths against the per-point and per-set references
+
+
+def _maml_preset(presets_dir):
+    cfg = RunConfig.from_dict(json.loads((presets_dir / "maml_composite.json").read_text()))
+    return cfg.problem, pilot_points(run_trials(cfg))
+
+
+def test_sigmas_match_per_point_reference_on_maml_preset(presets_dir):
+    # the stacked measurement equals the per-point loop bit for bit, on the
+    # preset's 20 pilot points (as a list and as an array), one and two of them
+    cp, points = _maml_preset(presets_dir)
+    assert len(points) == 20
+    for pts in (points, points[:1], points[:2], points[5:7]):
+        assert measure_composite_sigmas(cp, pts) == reference_composite_sigmas(cp, pts)
+    assert measure_composite_sigmas(cp, np.array(points)) == reference_composite_sigmas(cp, points)
+
+
+@pytest.mark.parametrize("build,identical", [
+    pytest.param(lambda: make_maml(*make_synthetic_classification(1, 2, 3, seed=16), 0.4), False,
+                 id="maml-d1"),
+    pytest.param(lambda: make_maml(*make_synthetic_classification(4, 3, 6, seed=17), 0.2), False,
+                 id="maml-d4"),
+    pytest.param(lambda: make_toy_composite(n_workers=2), False, id="toy"),
+    pytest.param(lambda: make_toy_composite(inner_matrices=(((1.0, 0.0), (0.0, 1.0)),) * 3,
+                                            outer_coeffs=(1.0, 1.0),
+                                            outer_centers=((0.5, 0.0), (0.5, 0.0))), True,
+                 id="toy-identical"),
+])
+def test_sigmas_match_per_point_reference(build, identical):
+    cp = build()
+    rng = substream(60, 2, cp.dimension)
+    points = list(1.5 * rng.standard_normal((7, cp.dimension)))
+    for pts in (points, points[:1], points[3:5]):
+        got = measure_composite_sigmas(cp, pts, safety=1.0)
+        assert got == reference_composite_sigmas(cp, pts, safety=1.0)
+        assert (got == (0.0, 0.0, 0.0)) == identical  # identical components give exactly 0.0
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: make_maml(*make_synthetic_classification(5, 2, 8, seed=18), 0.1),
+                 id="maml"),
+    pytest.param(lambda: make_toy_composite(n_workers=3), id="toy"),
+])
+@pytest.mark.parametrize("shared_x", [True, False], ids=["shared-x", "x-per-row"])
+def test_chained_gradient_matches_reference_set_by_set(build, shared_x):
+    # every (row, worker) of a gathered block equals the one-component-at-a-
+    # time chain rule on that worker's sets: sizes 1 and m, and the same
+    # sets repeated across rows and workers
+    cp, B = build(), 6
+    rng = substream(61, 2, int(shared_x))
+    m_g, m_F, n = cp.m_g, cp.m_F, cp.n_workers
+    for s_g, s_f in ((1, 1), (m_g, m_F), (2, m_F), (m_g, 1)):
+        idx_g = np.sort(rng.permuted(np.tile(np.arange(m_g), (B, n, 1)), axis=-1)[..., :s_g])
+        idx_f = np.sort(rng.permuted(np.tile(np.arange(m_F), (B, n, 1)), axis=-1)[..., :s_f])
+        idx_g[1], idx_f[1] = idx_g[0], idx_f[0]  # a repeated row of sets
+        idx_g[2, :], idx_f[2, :] = idx_g[2, 0], idx_f[2, 0]  # every worker's set the same
+        x = rng.standard_normal(cp.dimension if shared_x else (B, cp.dimension))
+        got = chained_gradient(cp, x, idx_g, idx_f)
+        for b in range(B):
+            xb = x if shared_x else x[b]
+            for i in range(n):
+                want = reference_chained_gradient(cp, i, xb, idx_g[b, i], idx_f[b, i])
+                np.testing.assert_array_equal(got[b, i], want, err_msg=f"S={s_g},{s_f} {b} {i}")

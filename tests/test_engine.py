@@ -23,12 +23,13 @@ from biased_momentum import (
     step,
     write_run_csv,
 )
-from biased_momentum import engine
+from biased_momentum import engine, estimators
 from biased_momentum.audit import pilot_points
 from biased_momentum.engine import (
     CSV_FIELDS, CSV_HEADER, TrialStats, init_state, per_k_stats, read_run_csv,
 )
 from biased_momentum.problems import make_synthetic_classification
+from biased_momentum.rng import pairwise_mean as rng_pairwise_mean
 
 from _oracles import reference_momentum, reference_sgd
 
@@ -505,6 +506,28 @@ def test_step_evaluates_each_worker_gradient_once(monkeypatch):
         monkeypatch.undo()
         assert sorted(calls) == list(range(p.n_workers))
         np.testing.assert_array_equal(got[0], expected[0])
+
+
+def test_identity_round_reduces_the_worker_gradients_once(monkeypatch):
+    # exact transmissions (identity estimator, null noise) average to the full
+    # gradient: a round reduces the worker gradients once, to the bits that
+    # an all-zero perturbation sent through the aggregate gives
+    p = make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), n_workers=3, seed=2)
+    x = np.random.default_rng(6).standard_normal((4, 6))
+    v_prev = np.random.default_rng(7).standard_normal((4, 6))
+    via_aggregate = step(x, v_prev, p, EstimatorSpec(), 0.1, 0.5, np.zeros((4, 3, 6)))
+    calls = []
+
+    def counting(values, axis=0):
+        calls.append(axis)
+        return rng_pairwise_mean(values, axis)
+
+    for module in (engine, estimators):
+        monkeypatch.setattr(module, "pairwise_mean", counting)
+    got = step(x, v_prev, p, EstimatorSpec(), 0.1, 0.5)
+    assert calls == [-2]
+    for a, b in zip(got[:3], via_aggregate[:3]):
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "maml"])

@@ -19,7 +19,7 @@ from biased_momentum import (
     make_toy_composite,
     problem_from_dict,
 )
-from biased_momentum.problems import _sigmoid
+from biased_momentum.problems import _sigmoid, as_point_stack
 from biased_momentum.rng import substream
 
 from _oracles import (
@@ -240,6 +240,37 @@ def test_quadratic_worker_grads_of_uneven_blocks_match_reference(d, n):
             for i in range(n):
                 want = reference_worker_grad(p, i, x[row])
                 assert grads[row + (i,)].tobytes() == want.tobytes(), (shape, row, i)
+
+
+def test_full_gradient_of_a_stack_and_its_input_checks():
+    # a (..., d) stack gives each point's gradient bit for bit; a wrong
+    # dimension or a non-finite entry is refused, for one point or a stack
+    p = make_maml(*make_synthetic_classification(4, 3, 6, seed=9), 0.2)
+    xs = substream(14, 3, 0).standard_normal((2, 3, 4))
+    got = full_gradient(p, xs)
+    assert got.shape == (2, 3, 4)
+    for row in np.ndindex(2, 3):
+        np.testing.assert_array_equal(got[row], full_gradient(p, xs[row]))
+    bad = xs.copy()
+    bad[1, 2, 0] = np.nan
+    for x in (np.zeros(3), np.zeros((2, 5)), np.array([0.0, np.inf, 0.0, 0.0]), bad):
+        with pytest.raises(ConfigurationError):
+            full_gradient(p, x)
+
+
+def test_point_stack_boundary():
+    # a list or a (P, d) array of points becomes one checked (P, d) stack;
+    # no points, a wrong dimension or a non-finite entry is named
+    pts = substream(15, 3, 0).standard_normal((3, 4))
+    for given in (list(pts), pts, [tuple(x) for x in pts]):
+        np.testing.assert_array_equal(as_point_stack(given, 4), pts)
+    for empty in ([], np.empty((0, 4))):
+        with pytest.raises(ConfigurationError, match="at least one sample point"):
+            as_point_stack(empty, 4)
+    with pytest.raises(ConfigurationError, match="dimension 3, expected 4"):
+        as_point_stack([pts[0], pts[1, :3]], 4)
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        as_point_stack([pts[0], np.array([0.0, np.nan, 0.0, 0.0])], 4)
 
 
 def test_full_gradient_zero_at_designed_stationary_point():

@@ -15,7 +15,12 @@ from biased_momentum import (
     lemma1_constants,
     lemma_stepsize_bound,
     lyapunov_weight,
+    make_maml,
     make_quadratic,
+    make_synthetic_classification,
+    measure_composite_sigmas,
+    measure_heterogeneity,
+    measure_suboptimality,
     momentum_alpha,
     stepsize_bounds,
     theorem_bounds,
@@ -273,6 +278,24 @@ def test_report_round_trip():
     _, report = _pl_quadratic_report()
     again = TheoryReport.from_dict(report.to_dict())
     assert again == report
+
+
+def test_premise_measurements_take_point_arrays_and_refuse_no_points():
+    # a (P, d) array of points measures as the list of its rows does, also
+    # through the report; no points at all is named, not a numpy error
+    quad = make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), n_workers=3, seed=2)
+    cp = make_maml(*make_synthetic_classification(3, 2, 5, seed=13), 0.2)
+    for measure, p in ((measure_heterogeneity, quad), (measure_suboptimality, quad),
+                       (measure_composite_sigmas, cp)):
+        pts = substream(31, 2, p.dimension).standard_normal((4, p.dimension))
+        assert measure(p, pts) == measure(p, list(pts))
+        for empty in ([], np.empty((0, p.dimension))):
+            with pytest.raises(ConfigurationError, match="at least one sample point"):
+                measure(p, empty)
+    pts = substream(31, 2, 0).standard_normal((4, 6))
+    report = [build_theory_report(quad, 0.1, 0.5, EstimatorSpec(kind="top_k", k=2), NoiseSpec(),
+                                  x0=pts[0], pilot_points=given) for given in (pts, list(pts))]
+    assert report[0] == report[1]
 
 
 def test_validation_errors():

@@ -5,8 +5,11 @@ oracles it calls: ``PYTHONPATH=src python3 tools/step_cost.py [--repeat R]``.
 Shapes: the topk_quadratic, clip_quadratic and maml_composite presets, and
 "traj", pl_quadratic with 4 workers, 4 trials and sigma2 = 0.01 (the
 traj_small_d benchmark shape), each at its start stack and first round of
-draws; ``measure_eta`` takes verify's 1000 draws at x0.  A figure is the
-best of R loops of about 20 ms, divided by the loop's length.
+draws; ``measure_eta`` takes verify's 1000 draws at x0.  The verify
+layers: ``sigmas`` is ``measure_composite_sigmas`` at 20 standard normal
+points (composite shapes only, "-" elsewhere) and ``grad_audit`` is
+``audit_gradients`` at verify's 25 points.  A figure is the best of R loops of about 20 ms,
+divided by the loop's length.
 """
 
 import argparse
@@ -14,6 +17,8 @@ import json
 import timeit
 from pathlib import Path
 
+from biased_momentum.audit import audit_gradients
+from biased_momentum.composite import CompositeProblem, measure_composite_sigmas
 from biased_momentum.engine import RunConfig, _worker_draws, init_state, step
 from biased_momentum.estimators import aggregate, measure_eta
 from biased_momentum.rng import STREAM_MEASURE, substream
@@ -21,7 +26,7 @@ from biased_momentum.rng import STREAM_MEASURE, substream
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 SHAPES = {"traj": "pl_quadratic", "topk": "topk_quadratic", "clip": "clip_quadratic",
           "maml": "maml_composite"}
-COLUMNS = ("step", "f", "worker_grads", "aggregate", "measure_eta")
+COLUMNS = ("step", "f", "worker_grads", "aggregate", "measure_eta", "sigmas", "grad_audit")
 
 
 def config(name: str) -> RunConfig:
@@ -55,8 +60,13 @@ def main() -> None:
             "aggregate": lambda: aggregate(p, x, grads, spec, pert, subsets),
             "measure_eta": lambda: measure_eta(p, x[0], spec, noise, samples=1000,
                                                rng=substream(0, STREAM_MEASURE, 100)),
+            "grad_audit": lambda: audit_gradients(p, n_points=25, seed=cfg.seed),
         }
-        print(f"{name:<5} " + " ".join(f"{best_us(calls[c], repeat):12.1f}" for c in COLUMNS))
+        if isinstance(p, CompositeProblem):
+            points = list(substream(0, STREAM_MEASURE, 300).standard_normal((20, p.dimension)))
+            calls["sigmas"] = lambda: measure_composite_sigmas(p, points)
+        print(f"{name:<5} " + " ".join(f"{best_us(calls[c], repeat):12.1f}" if c in calls
+                                       else f"{'-':>12}" for c in COLUMNS))
 
 
 if __name__ == "__main__":
