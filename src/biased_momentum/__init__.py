@@ -21,7 +21,6 @@ from .audit import (
 from .composite import (
     CompositeProblem,
     chained_gradient,
-    inner_value,
     make_maml,
     make_toy_composite,
     measure_composite_sigmas,

@@ -50,6 +50,10 @@ __all__ = [
     "verify_config",
 ]
 
+# standard errors of a measured mean that the statistical checks add to
+# their bound (min-gradient, linear-rate and error-model checks)
+STDERR_MULT = 3.0
+
 
 @dataclass(frozen=True)
 class AuditOutcome:
@@ -142,7 +146,6 @@ def audit_theorem_ncvx(
     stats: TrialStats,
     report: TheoryReport,
     min_prefix: int = 10,
-    stderr_mult: float = 3.0,
 ) -> AuditOutcome:
     """min over k < K of the trial-mean ||grad f||^2 against theta0/K + floor,
     for every prefix K from min_prefix up to the recorded horizon."""
@@ -165,7 +168,7 @@ def audit_theorem_ncvx(
     argmin = np.maximum.accumulate(np.where(new_min, np.arange(k_max), 0))
     K = np.arange(min_prefix, k_max + 1)
     j = argmin[K - 1]
-    bound = ncvx_rhs(K) + stderr_mult * stats.stderr["grad_norm_sq"][j]
+    bound = ncvx_rhs(K) + STDERR_MULT * stats.stderr["grad_norm_sq"][j]
     margin = (bound - run_min[K - 1]) / np.maximum(1.0, bound)
     return _worst(name, margin, lambda i: f"prefix K={K[i]} (min at k={j[i]})", 0.0,
                   f"prefixes {min_prefix}..{k_max}")
@@ -179,7 +182,6 @@ def audit_theorem_pl(
     stats: TrialStats,
     report: TheoryReport,
     rel_tol: float = 1e-10,
-    stderr_mult: float = 3.0,
 ) -> AuditOutcome:
     """Trial-mean phi^k (recomputed with the PL weight) against
     (1 - mu gamma / 2)^k phi^0 + floor at every k."""
@@ -199,7 +201,7 @@ def audit_theorem_pl(
     mean_phi, _, se = per_k_stats(phi, stats.lengths)
     _, pl_rhs = theorem_bounds(report)
     # pl_rhs per k keeps Python's float power: np.power differs from it in the last bit
-    bound = np.array([pl_rhs(k) for k in range(stats.k_max)]) + stderr_mult * se
+    bound = np.array([pl_rhs(k) for k in range(stats.k_max)]) + STDERR_MULT * se
     margin = (bound - mean_phi) / np.maximum(np.maximum(bound, np.abs(mean_phi)), 1e-300)
     return _worst(name, margin, lambda k: f"k={k}", rel_tol, f"k=0..{stats.k_max - 1}")
 
@@ -216,7 +218,6 @@ def audit_affine_variance(
     report: TheoryReport,
     draws: int = 1000,
     seed: int = 0,
-    stderr_mult: float = 3.0,
 ) -> AuditOutcome:
     """measured mean ||eta||^2 + 3 stderr <= B ||grad f||^2 + C at each point."""
     name = "affine_variance_bound"
@@ -229,7 +230,7 @@ def audit_affine_variance(
         rng = substream(seed, STREAM_MEASURE, 100 + j)
         mean, se, grad_sq = measure_eta(problem, x, spec, noise, samples=draws, rng=rng)
         bound = report.B_var * grad_sq + report.C_var
-        margins.append((bound - (mean + stderr_mult * se)) / max(1.0, bound))
+        margins.append((bound - (mean + STDERR_MULT * se)) / max(1.0, bound))
     return _worst(name, margins, lambda j: f"point {j}", 0.0,
                   f"{len(points)} points x {draws} draws")
 

@@ -6,7 +6,7 @@ Every worker's components are held as arrays with a worker axis, and each
 oracle evaluates one index set per worker in one call (one block of sets
 per row of any leading batch axes, at that row's point).  For the
 meta-learning inner map the Jacobian is I - gamma * (loss Hessian); for
-per-sample logistic losses its action and its dense matrix are closed form.
+per-sample logistic losses its action is closed form.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "make_maml",
     "make_toy_composite",
     "composite_from_dict",
-    "inner_value",
     "chained_gradient",
     "measure_composite_sigmas",
 ]
@@ -49,7 +48,7 @@ __all__ = [
 class CompositeProblem(Problem):
     """Two-level finite sum f_i(x) = (1/m_F) sum_j F_{i,j}((1/m_g) sum_l g_{i,l}(x)).
 
-    Subclasses hold every worker's components as arrays and define the
+    Subclasses hold every worker's components as arrays and define the four
     oracles below, each evaluating all n workers in one call: ``x`` is one
     point or a (..., d) stack of them, ``idx`` a (..., n, k) block of one
     index set per worker (a (k,) set is every worker's), and ``z``, ``u``
@@ -58,18 +57,17 @@ class CompositeProblem(Problem):
 
     * ``inner_table(x)``               every component's inner quantities at
       each point of x: a tuple of (..., n, m_g, ...) arrays, g_{i,j}(x) of
-      shape (..., n, m_g, p) and then what the Jacobian oracles read
+      shape (..., n, m_g, p) and then what the Jacobian oracle reads
     * ``inner_jac_t_vecs(rows, idx, u)`` J_{i,j}(x)^T u_i, shape (..., n, k, d)
-    * ``inner_jac_t(rows, idx)``       dense J_{i,j}(x)^T, shape (..., n, k, d, p)
     * ``outer_values(z, idx)``         F_{i,j}(z_i), shape (..., n, k)
     * ``outer_grads(z, idx)``          grad F_{i,j}(z_i), shape (..., n, k, p)
 
     ``rows`` is the table after its inner values, gathered on idx
     (``_gather``), (..., n, k, ...) per array; on the full sets it is the
-    table itself.  ``inner_value`` and ``chained_gradient`` average over the
-    sets; ``f`` and ``worker_grads`` are those on the full sets.  Each table
-    row rounds exactly like its component on its own and a gather copies
-    it, so a subset average does not depend on how its rows were batched.
+    table itself.  ``chained_gradient`` averages over the sets, and
+    ``worker_grads`` is it on the full sets.  Each table row rounds exactly
+    like its component on its own and a gather copies it, so a subset
+    average does not depend on how its rows were batched.
 
     ``ell_g``/``L_g``/``ell_F``/``L_F`` are certified Lipschitz constants of
     the component maps and their gradients; the objective then has
@@ -145,20 +143,6 @@ def _gather(table: tuple, idx: np.ndarray) -> tuple:
     return tuple(a.reshape((-1,) + a.shape[len(lead) + 2:])[rows] for a in table)
 
 
-def _subset(cp: CompositeProblem, x: np.ndarray, idx: np.ndarray) -> tuple:
-    """The inner average on idx at x, and the table rows on idx that the
-    Jacobian oracles read; the gathered inner values are freed on return,
-    before the outer and Jacobian work of a block allocates its own."""
-    values, *rows = _gather(cp.inner_table(x), idx)
-    return np.mean(values, axis=-2), rows
-
-
-def inner_value(cp: CompositeProblem, x: np.ndarray, indices) -> np.ndarray:
-    """Each worker's average of its selected inner maps at x, (..., n, p)."""
-    idx = _validate_indices(cp, indices, cp.m_g, "inner")
-    return _subset(cp, as_points(x, cp.dimension), idx)[0]
-
-
 def chained_gradient(cp: CompositeProblem, x: np.ndarray, indices_g, indices_F) -> np.ndarray:
     """Subsampled chain-rule gradient of every worker's F_i(g_i(x)), (..., n, d).
 
@@ -177,7 +161,9 @@ def chained_gradient(cp: CompositeProblem, x: np.ndarray, indices_g, indices_F) 
     if idx_g.shape[:-1] != idx_f.shape[:-1]:
         raise ConfigurationError(
             f"inner and outer index batches differ: {idx_g.shape[:-1]} vs {idx_f.shape[:-1]}")
-    z, rows = _subset(cp, x, idx_g)
+    values, *rows = _gather(cp.inner_table(x), idx_g)
+    z = np.mean(values, axis=-2)
+    del values  # freed before the outer and Jacobian work allocates its own
     return _chain(cp, rows, z, idx_g, idx_f)
 
 
@@ -219,11 +205,6 @@ class MamlProblem(CompositeProblem):
     def inner_jac_t_vecs(self, rows, idx, u):
         A = self._rows(idx)[0]
         return u[..., None, :] - self.gamma_inner * ((rows[0] * _row_dots(A, u))[..., None] * A)
-
-    def inner_jac_t(self, rows, idx):
-        A = self._rows(idx)[0]
-        scaled = rows[0][..., None] * A
-        return np.eye(self.dimension) - self.gamma_inner * (A[..., :, None] * scaled[..., None, :])
 
     def outer_values(self, z, idx):
         A, b = self._rows(idx)
@@ -302,10 +283,8 @@ class ToyCompositeProblem(CompositeProblem):
         return ((self.G[self._sets(np.arange(self.m_g))] @ x[..., None, None, :, None])[..., 0],)
 
     def inner_jac_t_vecs(self, rows, idx, u):
-        return (self.inner_jac_t(rows, idx) @ u[..., None, :, None])[..., 0]
-
-    def inner_jac_t(self, rows, idx):
-        return np.ascontiguousarray(np.swapaxes(self.G[self._sets(idx)], -1, -2))
+        GT = np.ascontiguousarray(np.swapaxes(self.G[self._sets(idx)], -1, -2))
+        return (GT @ u[..., None, :, None])[..., 0]
 
     def outer_values(self, z, idx):
         return self.coeffs[idx] * np.sum((z[..., None, :] - self.centers[idx]) ** 4, axis=-1)
@@ -408,12 +387,16 @@ def measure_composite_sigmas(
     returned values are the max over (point, worker) times a safety factor.
     Jacobian deviations are measured in the Frobenius norm (an upper bound
     on the spectral norm, so the error-model constant stays valid) on the
-    closed-form dense Jacobians.  One call of each oracle covers all the
-    points, stacked as a (P, d) array.
+    dense J^T, built column by column: column t is the Jacobian action the
+    estimates run, on the unit vector e_t.  One call of each oracle covers
+    all the points, stacked as a (P, d) array.
     """
     table = cp.inner_table(as_point_stack(points, cp.dimension))
     g_vals = table[0]  # (point, worker, component, p)
-    jac = cp.inner_jac_t(table[1:], np.arange(cp.m_g))
+    # the p unit vectors as one (p, 1, 1, p) block of rows, broadcast over
+    # points and workers; their axis moves last, (point, worker, component, d, p)
+    units = np.eye(cp.inner_dimension)[:, None, None, :]
+    jac = np.moveaxis(cp.inner_jac_t_vecs(table[1:], np.arange(cp.m_g), units), 0, -1)
     # outer gradients evaluated where the estimator may land: at the full
     # inner mean and at each single-component inner value, (point, z, worker, p)
     z = np.concatenate((np.mean(g_vals, axis=-2)[:, None], np.swapaxes(g_vals, 1, 2)), axis=1)

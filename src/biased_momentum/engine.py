@@ -107,10 +107,13 @@ class RunConfig:
             raise ConfigurationError("trials must be >= 1")
         if self.v_init not in ("zero", "grad_at_x0"):
             raise ConfigurationError(f"unknown v_init {self.v_init!r}")
-        if self.x0 is not None and not isinstance(self.x0, tuple):
-            object.__setattr__(
-                self, "x0", tuple(float(v) for v in np.asarray(self.x0).ravel())
-            )
+        d = self.problem.dimension
+        if self.x0 is not None:
+            if not isinstance(self.x0, tuple):
+                object.__setattr__(self, "x0", tuple(float(v) for v in np.asarray(self.x0).ravel()))
+            if len(self.x0) != d:
+                raise ConfigurationError(f"x0 has length {len(self.x0)}, expected {d}")
+        self.noise.offset_vector(d)  # raises unless delta_offset has length 1 or d
         self.estimator.contraction_alpha(self.problem)  # raises unless the spec fits
 
     def resolve_x0(self) -> np.ndarray:

@@ -16,7 +16,7 @@ measurement (a block of draws at one point).  The composite kind evaluates
 its whole (draws, workers) block of index sets in one chained-gradient call.
 The path takes its randomness already drawn: the noise as a perturbation
 block (``NoiseSpec.draw``) and the index sets as picked by uniform keys
-(``EstimatorSpec.subsets``); only ``measure_eta`` holds a generator, from
+(``EstimatorSpec.subsets``); only ``measure_eta`` takes a generator, from
 which it draws each block.
 """
 
@@ -230,7 +230,8 @@ def measure_eta(
     spec: EstimatorSpec,
     noise: NoiseSpec | None = None,
     samples: int = 1000,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> tuple[float, float, float]:
     """Monte-Carlo (mean, stderr) of ||eta||^2 at a fixed iterate, and the
     exact ||grad f(x)||^2.
@@ -247,8 +248,6 @@ def measure_eta(
     spec.contraction_alpha(p)  # raises unless the spec runs on p
     x, d, n = as_param_vector(x, p.dimension), p.dimension, p.n_workers
     noise = NoiseSpec() if noise is None else noise
-    if rng is None:
-        rng = np.random.default_rng(noise.seed)
     grads = p.worker_grads(x)
     exact = pairwise_mean(grads, axis=-2)
     key_width = p.m_g + p.m_F if spec.kind == "composite" else 0

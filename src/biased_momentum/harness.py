@@ -114,8 +114,8 @@ def load_config(path) -> RunConfig:
 def load_sweep(path) -> dict:
     doc = _load_json(path)
     check_keys(doc, SWEEP_KEYS, "sweep spec", required=("base", "axis", "values"))
-    if not isinstance(doc["values"], list):
-        raise ConfigurationError(f"sweep 'values' must be a list, got {doc['values']!r}")
+    if not isinstance(doc["values"], list) or not doc["values"]:
+        raise ConfigurationError(f"sweep 'values' must be a non-empty list, got {doc['values']!r}")
     for j, value in enumerate(doc["values"]):
         if isinstance(value, (list, dict)):
             raise ConfigurationError(f"sweep 'values'[{j}] must be a single value, got {value!r}")

@@ -178,7 +178,7 @@ class NoiseSpec:
 
     sigma2: float = 0.0
     delta_offset: float | tuple = 0.0
-    seed: int = 0
+    seed: int = 0  # validated and echoed; no computation reads it
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):

@@ -354,19 +354,30 @@ def _anchored_variance(values):
     return max(second - float(np.sum(mean_shift * mean_shift)), 0.0)
 
 
+def reference_jac_t(cp, i, x):
+    """Worker i's dense J_{i,j}(x)^T, one (d, p) array per component j, from
+    closed forms: reference_maml_rows' columns for MAML, G_j^T for the toy."""
+    if isinstance(cp, MamlProblem):
+        return list(reference_maml_rows(cp, i, x, x, x, range(cp.m_g))[2])
+    return [cp.G[j].T.copy() for j in range(cp.m_g)]
+
+
 def reference_composite_sigmas(cp, points, safety=1.1):
     """(sigma_g^2, sigma_grad_g^2, sigma_F^2) by the per-point loop: the
-    oracles at one point at a time, and one variance per worker (and per
-    outer evaluation point z), each over a list of component arrays."""
+    oracles at one point at a time, the dense Jacobians from closed forms
+    (reference_jac_t), and one variance per worker (and per outer evaluation
+    point z), each over a list of component arrays."""
     sig_g2 = sig_dg2 = sig_F2 = 0.0
-    all_g, all_F = np.arange(cp.m_g), np.arange(cp.m_F)
+    all_F = np.arange(cp.m_F)
     for x in points:
-        table = cp.inner_table(as_param_vector(x, cp.dimension))
+        x = as_param_vector(x, cp.dimension)
+        table = cp.inner_table(x)
         g_vals = table[0]
         z = np.concatenate((np.mean(g_vals, axis=-2)[None], np.swapaxes(g_vals, 0, 1)))
         outer = np.swapaxes(cp.outer_grads(z, all_F), 0, 1)  # (worker, z, component, p)
         sig_g2 = max(sig_g2, *map(_anchored_variance, g_vals))
-        sig_dg2 = max(sig_dg2, *map(_anchored_variance, cp.inner_jac_t(table[1:], all_g)))
+        sig_dg2 = max(sig_dg2, *(_anchored_variance(reference_jac_t(cp, i, x))
+                                 for i in range(cp.n_workers)))
         sig_F2 = max(sig_F2, *(_anchored_variance(grads) for row in outer for grads in row))
     return safety * sig_g2, safety * sig_dg2, safety * sig_F2
 

@@ -10,13 +10,12 @@ import pytest
 from biased_momentum import (
     ConfigurationError,
     chained_gradient,
-    inner_value,
     make_maml,
     make_toy_composite,
     measure_composite_sigmas,
 )
 from biased_momentum.audit import pilot_points
-from biased_momentum.composite import CompositeProblem, composite_from_dict
+from biased_momentum.composite import CompositeProblem, _gather, composite_from_dict
 from biased_momentum.engine import RunConfig, run_trials
 from biased_momentum.problems import _sigmoid, make_synthetic_classification
 from biased_momentum.rng import substream
@@ -36,6 +35,12 @@ def _toy(n_workers=1):
     return make_toy_composite(n_workers=n_workers)
 
 
+def _inner_average(cp, x, idx):
+    """Each worker's average of its inner values on its set in idx, from the
+    rows of the inner table at x gathered on the sets, (..., n, p)."""
+    return np.mean(_gather(cp.inner_table(x), cp._sets(np.asarray(idx)))[0], axis=-2)
+
+
 # ---------------------------------------------------------------------------
 # subset averages
 
@@ -43,13 +48,14 @@ def _toy(n_workers=1):
 def test_inner_value_full_and_singleton():
     cp = _toy()
     x = np.array([1.0, 2.0])
-    full = inner_value(cp, x, range(cp.m_g))[0]
+    full = _inner_average(cp, x, range(cp.m_g))[0]
     mats = [np.array(G, dtype=float) for G in
             (((1, 0), (0, 1)), ((2, 1), (0, 1)), ((1, 1), (1, 0)))]
     np.testing.assert_array_equal(full, np.mean([G @ x for G in mats], axis=0))
-    np.testing.assert_array_equal(inner_value(cp, x, [1])[0], mats[1] @ x)
-    with pytest.raises(ConfigurationError):
-        inner_value(cp, x, [])
+    np.testing.assert_array_equal(_inner_average(cp, x, [1])[0], mats[1] @ x)
+    # the estimates take no empty inner set
+    with pytest.raises(ConfigurationError, match="empty inner"):
+        chained_gradient(cp, x, [], range(cp.m_F))
 
 
 def test_subset_enumeration_mean_is_exact():
@@ -178,13 +184,13 @@ def test_worker_axis_block_matches_one_call_per_worker(build, shared_x):
 
     idx_g, idx_f = block(cp.m_g), block(cp.m_F)
     x = rng.standard_normal(cp.dimension if shared_x else (B, cp.dimension))
-    inner = inner_value(cp, x, idx_g)
+    inner = _inner_average(cp, x, idx_g)
     chained = chained_gradient(cp, x, idx_g, idx_f)
     assert chained.shape == (B, cp.n_workers, cp.dimension)
     for b in range(B):
         xb = x if shared_x else x[b]
         for i in range(cp.n_workers):
-            np.testing.assert_array_equal(inner[b, i], inner_value(cp, xb, idx_g[b, i])[i])
+            np.testing.assert_array_equal(inner[b, i], _inner_average(cp, xb, idx_g[b, i])[i])
             np.testing.assert_array_equal(
                 chained[b, i], chained_gradient(cp, xb, idx_g[b, i], idx_f[b, i])[i])
     with pytest.raises(ConfigurationError, match="worker rows"):
@@ -198,7 +204,9 @@ def test_worker_axis_block_matches_one_call_per_worker(build, shared_x):
 @pytest.mark.parametrize("d,m,gamma", [(1, 3, 0.3), (3, 4, 0.0), (5, 8, 0.1), (11, 6, 0.7)])
 def test_maml_oracles_match_per_sample_reference(d, m, gamma):
     # each batched row rounds exactly like the sample evaluated on its own,
-    # whichever other samples share the call
+    # whichever other samples share the call; the action on the d unit
+    # vectors (one (d, 1, d) block, broadcast over workers) is the dense
+    # J^T column by column, bit for bit
     cp = make_maml(*make_synthetic_classification(d, 2, m, seed=d), gamma)
     rng = substream(58, 2, d)
     for _ in range(20):
@@ -209,9 +217,10 @@ def test_maml_oracles_match_per_sample_reference(d, m, gamma):
         # idx is every worker's set; z and u are every worker's row
         zs, us = (np.broadcast_to(v, (cp.n_workers, d)) for v in (z, u))
         values, *rows = (a[:, idx] for a in cp.inner_table(x))
+        units = np.eye(d)[:, None, :]
         got = [values[i], cp.inner_jac_t_vecs(rows, idx, us)[i],
-               cp.inner_jac_t(rows, idx)[i], cp.outer_values(zs, idx)[i],
-               cp.outer_grads(zs, idx)[i]]
+               np.moveaxis(cp.inner_jac_t_vecs(rows, idx, units), 0, -1)[i],
+               cp.outer_values(zs, idx)[i], cp.outer_grads(zs, idx)[i]]
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
         np.testing.assert_allclose(got[2] @ u, got[1], rtol=0.0, atol=1e-12)
@@ -281,8 +290,8 @@ class _ShiftedIdentity(CompositeProblem):
     def inner_table(self, x):
         return (x[..., None, None, :] + self.offsets[self._sets(np.arange(self.m_g))],)
 
-    def inner_jac_t(self, rows, idx):
-        return np.broadcast_to(np.eye(self.dimension), self._sets(idx).shape + (self.dimension,) * 2)
+    def inner_jac_t_vecs(self, rows, idx, u):
+        return u[..., None, :] * np.ones(self._sets(idx).shape)[..., None]
 
     def outer_grads(self, z, idx):
         return np.broadcast_to(2.0 * z[..., None, :], z.shape[:-1] + (idx.shape[-1], z.shape[-1]))

@@ -705,6 +705,20 @@ def test_config_rejects_unknown_keys(section, key):
         RunConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("x0", dict(x0=(1.0, 0.0, 0.0))),
+    ("x0", dict(x0=np.ones(11))),
+    ("delta_offset", dict(noise=NoiseSpec(delta_offset=(0.1, 0.0, 0.0)))),
+])
+def test_config_rejects_lengths_other_than_the_dimension(field, bad):
+    # at construction, not later inside run_trials (d = 10 here)
+    with pytest.raises(ConfigurationError, match=field):
+        _quad_cfg(**bad)
+    # a one-entry offset is the constant vector, a d-entry one is taken as is
+    for off in ((0.1,), tuple(0.01 * np.arange(10))):
+        assert _quad_cfg(noise=NoiseSpec(delta_offset=off)).noise.delta_offset == off
+
+
 @pytest.mark.parametrize("version", [0, 2, "1", None])
 def test_config_rejects_other_schema_versions(version):
     with pytest.raises(ConfigurationError, match="schema_version"):

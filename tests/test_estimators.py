@@ -240,7 +240,7 @@ def test_determinism_same_stream_same_bits():
 def test_measure_eta_exact_zero_without_noise():
     p = make_quadratic(np.eye(4), n_workers=2)
     mean, se, _ = measure_eta(p, np.array([1.0, 0.0, -2.0, 0.5]), EstimatorSpec(), None,
-                              samples=10)
+                              samples=10, rng=substream(30, 2, 0))
     assert mean == 0.0 and se == 0.0
 
 

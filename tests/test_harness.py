@@ -71,6 +71,18 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert load_config(path).seed == 3
 
 
+@pytest.mark.parametrize("field,overrides", [
+    ("x0", {"x0": [1.0, 0.0, 0.0]}),
+    ("delta_offset", {"noise": {"sigma2": 0.01, "delta_offset": [0.1, 0.0, 0.0]}}),
+])
+def test_length_other_than_the_dimension_exits_2(tmp_path, capsys, field, overrides):
+    path = _write(tmp_path / "cfg.json", _minimal_config(**overrides))  # d = 4
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
 def test_bad_seed_env_exits_2(tmp_path, monkeypatch, capsys, value):
     path = _write(tmp_path / "cfg.json", _minimal_config())
@@ -185,6 +197,7 @@ def test_sweep_missing_key(tmp_path, capsys):
     ("values", [[0.1, 0.2]]),
     ("values", [{"gamma": 0.1}]),
     ("values", 0.1),
+    ("values", []),
 ])
 def test_sweep_rejects_bad_spec(tmp_path, capsys, key, value):
     doc = {"base": _minimal_config(), "axis": "gamma", "values": [0.1], key: value}

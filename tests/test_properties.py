@@ -30,12 +30,17 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
 seeds = st.integers(0, 2**32 - 1)
 
-noise_specs = st.builds(
-    NoiseSpec,
-    sigma2=st.floats(min_value=0.0, max_value=1e6),
-    delta_offset=st.one_of(finite, st.lists(finite, min_size=1, max_size=D)),
-    seed=seeds,
-)
+
+
+def _noise_specs(offset_lists):
+    return st.builds(NoiseSpec, sigma2=st.floats(min_value=0.0, max_value=1e6),
+                     delta_offset=st.one_of(finite, offset_lists), seed=seeds)
+
+
+noise_specs = _noise_specs(st.lists(finite, min_size=1, max_size=D))
+# a run takes an offset list of one entry or of the problem's dimension
+run_noise_specs = _noise_specs(st.one_of(st.lists(finite, min_size=1, max_size=1),
+                                         st.lists(finite, min_size=D, max_size=D)))
 estimator_specs = st.one_of(
     st.just(EstimatorSpec()),
     st.builds(EstimatorSpec, kind=st.just("top_k"), k=st.integers(1, D)),
@@ -50,7 +55,7 @@ run_configs = st.builds(
     iterations=st.integers(0, 10**6),
     trials=st.integers(1, 10**4),
     estimator=estimator_specs,
-    noise=noise_specs,
+    noise=run_noise_specs,
     v_init=st.sampled_from(["zero", "grad_at_x0"]),
     x0=st.one_of(st.none(), st.tuples(*[finite] * D)),
     seed=seeds,
