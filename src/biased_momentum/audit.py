@@ -198,7 +198,7 @@ def audit_theorem_pl(
         return _skip(name, "empty trajectory")
     # phi from raw fields, independent of the engine's recorded phi column
     phi = (stats.table["f"] - report.f_star) + report.A_pl * stats.table["v_error_sq"]
-    mean_phi, _, se = per_k_stats(phi, stats.lengths)
+    mean_phi, se = per_k_stats(phi, stats.lengths)
     _, pl_rhs = theorem_bounds(report)
     # pl_rhs per k keeps Python's float power: np.power differs from it in the last bit
     bound = np.array([pl_rhs(k) for k in range(stats.k_max)]) + STDERR_MULT * se

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .problems import (
+    SAFETY,
     Problem,
     _sigmoid,
     as_point_stack,
@@ -85,7 +86,6 @@ class CompositeProblem(Problem):
     L_F: float
     mu: float = 0.0
     f_star: float | None = None
-    kind: str = "composite_finite_sum"
     source: dict | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -278,6 +278,7 @@ class ToyCompositeProblem(CompositeProblem):
     G: np.ndarray  # (m_g, p, d) inner matrices
     coeffs: np.ndarray  # (m_F,) outer coefficients c_j
     centers: np.ndarray  # (m_F, p) outer centers r_j
+    kind: str = "composite_toy"
 
     def inner_table(self, x):
         return ((self.G[self._sets(np.arange(self.m_g))] @ x[..., None, None, :, None])[..., 0],)
@@ -343,9 +344,9 @@ def composite_from_dict(spec: dict) -> CompositeProblem:
         features, labels = classification_from_dict(spec)
         gamma_inner = config_float(spec["gamma_inner"], "gamma_inner")
         return make_maml(features, labels, gamma_inner, source=spec)
-    if kind in ("composite_toy", "composite_finite_sum"):
+    if kind == "composite_toy":
         check_keys(spec, ("kind", "n_workers", "inner_matrices", "outer_coeffs", "outer_centers"),
-                   f"{kind} spec")
+                   "composite_toy spec")
         return make_toy_composite(
             n_workers=config_int(spec.get("n_workers", 1), "n_workers", minimum=1),
             inner_matrices=config_array(
@@ -378,13 +379,13 @@ def _anchored_variance(values: np.ndarray) -> np.ndarray:
 
 
 def measure_composite_sigmas(
-    cp: CompositeProblem, points: Sequence[np.ndarray], safety: float = 1.1
+    cp: CompositeProblem, points: Sequence[np.ndarray]
 ) -> tuple[float, float, float]:
     """Certified (sigma_g^2, sigma_grad_g^2, sigma_F^2) over the sample points.
 
     The component-sampling expectations are finite averages over j, so each
     variance is enumerated exactly instead of Monte-Carlo estimated; the
-    returned values are the max over (point, worker) times a safety factor.
+    returned values are the max over (point, worker) times SAFETY.
     Jacobian deviations are measured in the Frobenius norm (an upper bound
     on the spectral norm, so the error-model constant stays valid) on the
     dense J^T, built column by column: column t is the Jacobian action the
@@ -401,4 +402,4 @@ def measure_composite_sigmas(
     # inner mean and at each single-component inner value, (point, z, worker, p)
     z = np.concatenate((np.mean(g_vals, axis=-2)[:, None], np.swapaxes(g_vals, 1, 2)), axis=1)
     variances = (g_vals, jac.reshape(jac.shape[:-2] + (-1,)), cp.outer_grads(z, np.arange(cp.m_F)))
-    return tuple(safety * float(np.max(_anchored_variance(v))) for v in variances)
+    return tuple(SAFETY * float(np.max(_anchored_variance(v))) for v in variances)

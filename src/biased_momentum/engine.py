@@ -259,7 +259,7 @@ class TrialStats:
 
     ``table`` maps each CSV field to a C-ordered (trial, k) array: row r
     holds the ``lengths[r]`` values of trial r and NaN past them, up to the
-    longest trial.  mean/std/stderr are per k over the trials that reached
+    longest trial.  mean/stderr are per k over the trials that reached
     it (``counts`` of them).  ``iterates`` is the (trial, k_max + 1, d)
     array whose row r holds x^0 .. x^{lengths[r]} and NaN past them.
     ``reasons[r]`` says why trial r stopped at k = ``lengths[r]`` (no
@@ -273,7 +273,6 @@ class TrialStats:
     table: dict
     counts: np.ndarray
     mean: dict
-    std: dict
     stderr: dict
     iterates: np.ndarray | None = None
     reasons: tuple = ()
@@ -287,13 +286,13 @@ class TrialStats:
         lengths = tuple(int(n) for n in lengths)
         k_max = max(lengths, default=0)
         table = {name: np.ascontiguousarray(table[name][:, :k_max]) for name in CSV_FIELDS}
-        mean, std, stderr = {}, {}, {}
+        mean, stderr = {}, {}
         for name, column in table.items():
-            mean[name], std[name], stderr[name] = per_k_stats(column, lengths)
+            mean[name], stderr[name] = per_k_stats(column, lengths)
         counts = np.sum(np.arange(k_max) < np.array(lengths, dtype=int)[:, None], axis=0)
         if iterates is not None:
             iterates = iterates[:, :k_max + 1]
-        return cls(lengths, table, counts, mean, std, stderr, iterates, tuple(reasons))
+        return cls(lengths, table, counts, mean, stderr, iterates, tuple(reasons))
 
     @property
     def k_max(self) -> int:
@@ -305,8 +304,8 @@ class TrialStats:
         return tuple(reason is not None for reason in self.reasons)
 
 
-def per_k_stats(table: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mean, std, stderr) per column k of a (trial, k) table over the trials
+def per_k_stats(table: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, stderr) per column k of a (trial, k) table over the trials
     r with k < lengths[r]: a cell past its trial's length is left out, and a
     NaN inside one makes its column NaN.  stderr is the sample std over
     sqrt(count), 0 below two trials.
@@ -316,9 +315,8 @@ def per_k_stats(table: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray, np.
     with np.errstate(all="ignore"):  # empty or NaN columns, inf - inf, overflow
         mean = np.sum(np.where(inside, table, 0.0), axis=0) / counts
         sq = np.sum(np.where(inside, table - mean, 0.0) ** 2, axis=0)
-        std = np.sqrt(sq / counts)
         stderr = np.where(counts > 1, np.sqrt(sq / (counts - 1)) / np.sqrt(counts), 0.0)
-    return mean, std, stderr
+    return mean, stderr
 
 
 def run_trials(cfg: RunConfig) -> TrialStats:

@@ -78,6 +78,9 @@ def as_points(values, dimension: int) -> np.ndarray:
     return x
 
 
+SAFETY = 1.1  # factor on every premise constant measured at sample points
+
+
 def as_point_stack(points, dimension: int) -> np.ndarray:
     """A non-empty sequence of parameter vectors (a list, or the rows of a
     (P, d) array), each validated, as one (P, d) float64 stack."""
@@ -603,7 +606,7 @@ def problem_from_dict(spec: dict) -> Problem:
             return make_logistic_l2(features, labels, lam, source=spec)
         return make_nonconvex_reg(features, labels, lam, source=spec)
 
-    if kind in ("maml", "composite_toy", "composite_finite_sum"):
+    if kind in ("maml", "composite_toy"):
         from . import composite
 
         return composite.composite_from_dict(spec)

@@ -12,13 +12,14 @@ error-model constants (B_var, C_var) of the active gradient estimator:
 
 Heterogeneity and suboptimality constants that the error models assume as
 given are *measured* from pilot trajectories (max over sampled iterates,
-with a 1.1 safety factor) rather than postulated.
+times the SAFETY factor) rather than postulated.  A TheoryReport stores
+the premises of one configuration and derives every other field from them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .composite import measure_composite_sigmas
 from .estimators import EstimatorSpec
-from .problems import (NoiseSpec, Problem, as_param_vector, as_point_stack, check_keys,
+from .problems import (SAFETY, NoiseSpec, Problem, as_param_vector, as_point_stack, check_keys,
                        full_gradient)
 from .rng import pairwise_mean, row_dot
 
@@ -61,8 +62,8 @@ def _check_beta(beta: float) -> None:
         raise ConfigurationError(f"beta must be in (0, 1], got {beta}")
 
 
-def analysis_regime(problem: Problem) -> str:
-    """"pl" when the problem certifies mu > 0 and knows f*, else "ncvx"."""
+def analysis_regime(problem: Problem | TheoryReport) -> str:
+    """"pl" when mu > 0 is certified and f* is known, else "ncvx"."""
     return "pl" if (problem.mu > 0 and problem.f_star is not None) else "ncvx"
 
 
@@ -214,22 +215,22 @@ def theta0_value(gamma: float, beta: float, f0_gap: float, grad_v_err0_sq: float
 # measured premise constants
 
 
-def measure_heterogeneity(p: Problem, points: Sequence[np.ndarray], safety: float = 1.1) -> float:
-    """Max over sampled iterates of max_i ||grad f_i(x) - grad f(x)||^2, x safety.
+def measure_heterogeneity(p: Problem, points: Sequence[np.ndarray]) -> float:
+    """Max over sampled iterates of max_i ||grad f_i(x) - grad f(x)||^2, x SAFETY.
 
     A NaN square (from an overflowed gradient) is left out of the max.
     """
     grads = p.worker_grads(as_point_stack(points, p.dimension))
     diff = grads - pairwise_mean(grads, axis=-2)[..., None, :]
-    return safety * float(np.fmax.reduce(row_dot(diff, diff), axis=None, initial=0.0))
+    return SAFETY * float(np.fmax.reduce(row_dot(diff, diff), axis=None, initial=0.0))
 
 
-def measure_suboptimality(p: Problem, points: Sequence[np.ndarray], safety: float = 1.1) -> float:
-    """Max over sampled iterates of f(x) - f*, times the safety factor."""
+def measure_suboptimality(p: Problem, points: Sequence[np.ndarray]) -> float:
+    """Max over sampled iterates of f(x) - f*, times SAFETY."""
     if p.f_star is None:
         raise ConfigurationError("suboptimality needs a known f*")
     worst = max((p.f(as_point_stack(points, p.dimension)) - p.f_star).tolist())
-    return safety * max(worst, 0.0)
+    return SAFETY * max(worst, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,43 +239,70 @@ def measure_suboptimality(p: Problem, points: Sequence[np.ndarray], safety: floa
 
 @dataclass(frozen=True)
 class TheoryReport:
-    """Every derived constant and admissibility flag for one configuration."""
+    """The 15 premises of one configuration (its init fields) and every
+    constant and admissibility flag they give, derived in __post_init__."""
 
     gamma: float
     beta: float
     L: float
     mu: float
     f_star: float | None
-    regime: str  # "pl" when mu > 0 and f* is known, else "ncvx"
+    regime: str = field(init=False)  # "pl" when mu > 0 and f* is known, else "ncvx"
     estimator_kind: str
-    alpha_ncvx: float
-    alpha_pl: float
-    gamma_max_ncvx: float
-    gamma_max_pl: float | None
-    A_ncvx: float
-    A_pl: float
-    A_used: float
-    B1: float
-    B2: float
-    B3: float
-    B_var: float | None
+    alpha_ncvx: float = field(init=False)
+    alpha_pl: float = field(init=False)
+    gamma_max_ncvx: float = field(init=False)
+    gamma_max_pl: float | None = field(init=False)
+    A_ncvx: float = field(init=False)
+    A_pl: float = field(init=False)
+    A_used: float = field(init=False)
+    B1: float = field(init=False)
+    B2: float = field(init=False)
+    B3: float = field(init=False)
+    B_var: float
     C_var: float | None
-    theta0: float | None
-    phi0_pl: float | None
+    theta0: float | None = field(init=False)
+    phi0_pl: float | None = field(init=False)
     f0_gap: float | None
     grad_v_err0_sq: float
-    floor_ncvx: float | None
-    floor_pl: float | None
-    cond_B_ncvx_ok: bool
-    cond_B_pl_ok: bool
-    gamma_ok_ncvx: bool
-    gamma_ok_pl: bool
-    gamma_ok: bool
+    floor_ncvx: float | None = field(init=False)
+    floor_pl: float | None = field(init=False)
+    cond_B_ncvx_ok: bool = field(init=False)
+    cond_B_pl_ok: bool = field(init=False)
+    gamma_ok_ncvx: bool = field(init=False)
+    gamma_ok_pl: bool = field(init=False)
+    gamma_ok: bool = field(init=False)
     alpha_contraction: float | None = None
     sigma2_worker: float | None = None
     delta2_het: float | None = None
     delta_subopt: float | None = None
     composite_sigmas: tuple | None = None
+
+    def __post_init__(self):
+        gamma, beta, L, mu, C = self.gamma, self.beta, self.L, self.mu, self.C_var
+        regime = analysis_regime(self)
+        alpha_ncvx, alpha_pl = momentum_alpha(beta, "ncvx"), momentum_alpha(beta, "pl")
+        gamma_max_ncvx, gamma_max_pl = stepsize_bounds(beta, L, mu)
+        A_ncvx, A_pl = lyapunov_weight(gamma, beta, "ncvx"), lyapunov_weight(gamma, beta, "pl")
+        A_used = A_pl if regime == "pl" else A_ncvx
+        B1, B2, B3 = lemma1_constants(gamma, beta, L, A_used)
+        theta0 = phi0_pl = floor_ncvx = floor_pl = None
+        if self.f0_gap is not None:
+            theta0 = theta0_value(gamma, beta, self.f0_gap, self.grad_v_err0_sq)
+            phi0_pl = self.f0_gap + A_pl * self.grad_v_err0_sq
+        if C is not None:
+            floor_ncvx = 4.0 * (1.0 - beta**2 / 2.0) * C
+            if mu > 0:
+                floor_pl = (2.0 / mu) * (2.0 - beta / 2.0 - beta**2) * C
+        cond_B_ncvx_ok = C is not None and (1.0 - beta**2 / 2.0) * self.B_var <= 0.25
+        cond_B_pl_ok = C is not None and (2.0 - beta / 2.0 - beta**2) * self.B_var <= 0.25
+        gamma_ok_ncvx = gamma <= gamma_max_ncvx
+        gamma_ok_pl = gamma_max_pl is not None and gamma <= gamma_max_pl
+        gamma_ok = gamma_ok_pl if regime == "pl" else gamma_ok_ncvx
+        derived = locals()  # each derived field is the local of its name
+        for f in fields(self):
+            if not f.init:
+                object.__setattr__(self, f.name, derived[f.name])
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -284,17 +312,24 @@ class TheoryReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TheoryReport":
-        """The report of a to_dict document; each value must fit its field."""
+        """The report of a to_dict document's premises; each value must fit its
+        field, and each derived value must be the one the premises give."""
         check_keys(d, [f.name for f in fields(cls)], "theory",
                    required=[f.name for f in fields(cls) if f.default is MISSING])
         for f in fields(cls):
             if not _fits(d.get(f.name), f.type):
                 raise ConfigurationError(f"theory {f.name!r} must be {f.type}, "
                                          f"got {d.get(f.name)!r}")
-        d = dict(d)
-        if d.get("composite_sigmas") is not None:
-            d["composite_sigmas"] = tuple(d["composite_sigmas"])
-        return cls(**d)
+        premises = {f.name: d[f.name] for f in fields(cls) if f.init and f.name in d}
+        if premises.get("composite_sigmas") is not None:
+            premises["composite_sigmas"] = tuple(premises["composite_sigmas"])
+        report = cls(**premises)
+        for name in (f.name for f in fields(cls) if not f.init):
+            stored, derived = d[name], getattr(report, name)
+            if stored != derived and not (stored != stored and derived != derived):  # both NaN
+                raise ConfigurationError(f"theory {name!r} is {stored!r}, "
+                                         f"but its premises give {derived!r}")
+        return report
 
 
 def _fits(value, annotation: str) -> bool:
@@ -355,32 +390,24 @@ def build_theory_report(
     v_init: str = "grad_at_x0",
     pilot_points: Sequence[np.ndarray] | None = None,
 ) -> TheoryReport:
-    """Derive all constants for one configuration.
+    """The report of one configuration: its premises, measured or exact,
+    and every constant they give.
 
     ``pilot_points`` are trajectory iterates used to measure the premise
     constants (heterogeneity for compression, suboptimality for clipping,
-    component variances for composite subsampling); they default to [x0].
+    component variances for composite subsampling); None means [x0], and
+    an empty sequence is refused.
 
     The per-worker gradient-error bound is exact for the synthetic noise
     model: E||g_i - grad f_i||^2 = d * sigma2 + ||offset||^2.
     """
-    if gamma <= 0:
-        raise ConfigurationError(f"gamma must be > 0, got {gamma}")
-    _check_beta(beta)
     x0 = as_param_vector(x0, problem.dimension)
     noise = noise or NoiseSpec()
-    pilot = [x0] if pilot_points is None or len(pilot_points) == 0 else pilot_points
-    L, mu, f_star = problem.L, problem.mu, problem.f_star
+    if pilot_points is not None and len(pilot_points) == 0:
+        raise ConfigurationError("need at least one pilot point")
+    pilot = [x0] if pilot_points is None else pilot_points
+    L, f_star = problem.L, problem.f_star
     d = problem.dimension
-
-    alpha_ncvx = momentum_alpha(beta, "ncvx")
-    alpha_pl = momentum_alpha(beta, "pl")
-    gamma_max_ncvx, gamma_max_pl = stepsize_bounds(beta, L, mu)
-    A_ncvx = lyapunov_weight(gamma, beta, "ncvx")
-    A_pl = lyapunov_weight(gamma, beta, "pl")
-    regime = analysis_regime(problem)
-    A_used = A_pl if regime == "pl" else A_ncvx
-    B1, B2, B3 = lemma1_constants(gamma, beta, L, A_used)
 
     sigma2_worker = d * noise.sigma2 + noise.offset_norm_sq(d)
     alpha_c = estimator.contraction_alpha(problem)
@@ -427,55 +454,18 @@ def build_theory_report(
     else:
         raise ConfigurationError(f"unknown v_init {v_init!r}")
 
-    f0_gap = theta0 = phi0_pl = None
-    if f_star is not None:
-        f0_gap = problem.f(x0) - f_star
-        theta0 = theta0_value(gamma, beta, f0_gap, grad_v_err0_sq)
-        phi0_pl = f0_gap + A_pl * grad_v_err0_sq
-
-    floor_ncvx = floor_pl = None
-    if C_var is not None:
-        floor_ncvx = 4.0 * (1.0 - beta**2 / 2.0) * C_var
-        if mu > 0:
-            floor_pl = (2.0 / mu) * (2.0 - beta / 2.0 - beta**2) * C_var
-
-    cond_B_ncvx_ok = C_var is not None and (1.0 - beta**2 / 2.0) * B_var <= 0.25
-    cond_B_pl_ok = C_var is not None and (2.0 - beta / 2.0 - beta**2) * B_var <= 0.25
-    gamma_ok_ncvx = gamma <= gamma_max_ncvx
-    gamma_ok_pl = gamma_max_pl is not None and gamma <= gamma_max_pl
-    gamma_ok = gamma_ok_pl if regime == "pl" else gamma_ok_ncvx
-
+    f0_gap = None if f_star is None else problem.f(x0) - f_star
     return TheoryReport(
         gamma=gamma,
         beta=beta,
         L=L,
-        mu=mu,
+        mu=problem.mu,
         f_star=f_star,
-        regime=regime,
         estimator_kind=estimator.kind,
-        alpha_ncvx=alpha_ncvx,
-        alpha_pl=alpha_pl,
-        gamma_max_ncvx=gamma_max_ncvx,
-        gamma_max_pl=gamma_max_pl,
-        A_ncvx=A_ncvx,
-        A_pl=A_pl,
-        A_used=A_used,
-        B1=B1,
-        B2=B2,
-        B3=B3,
         B_var=B_var,
         C_var=C_var,
-        theta0=theta0,
-        phi0_pl=phi0_pl,
         f0_gap=f0_gap,
         grad_v_err0_sq=grad_v_err0_sq,
-        floor_ncvx=floor_ncvx,
-        floor_pl=floor_pl,
-        cond_B_ncvx_ok=cond_B_ncvx_ok,
-        cond_B_pl_ok=cond_B_pl_ok,
-        gamma_ok_ncvx=gamma_ok_ncvx,
-        gamma_ok_pl=gamma_ok_pl,
-        gamma_ok=gamma_ok,
         alpha_contraction=alpha_c,
         sigma2_worker=sigma2_worker,
         delta2_het=delta2_het,

@@ -29,7 +29,8 @@ from biased_momentum.composite import MamlProblem, ToyCompositeProblem
 from biased_momentum.engine import DIVERGENCE_F_MAX
 from biased_momentum.errors import ConfigurationError
 from biased_momentum.estimators import _transmissions
-from biased_momentum.problems import LogisticL2Problem, QuadraticProblem, _sigmoid, as_param_vector
+from biased_momentum.problems import (SAFETY, LogisticL2Problem, QuadraticProblem, _sigmoid,
+                                     as_param_vector)
 from biased_momentum.rng import STREAM_SUBSET, STREAM_WORKER, substream
 from biased_momentum.theory import analysis_regime, lyapunov_weight
 
@@ -362,11 +363,11 @@ def reference_jac_t(cp, i, x):
     return [cp.G[j].T.copy() for j in range(cp.m_g)]
 
 
-def reference_composite_sigmas(cp, points, safety=1.1):
+def reference_composite_sigmas(cp, points):
     """(sigma_g^2, sigma_grad_g^2, sigma_F^2) by the per-point loop: the
     oracles at one point at a time, the dense Jacobians from closed forms
     (reference_jac_t), and one variance per worker (and per outer evaluation
-    point z), each over a list of component arrays."""
+    point z), each over a list of component arrays, times SAFETY."""
     sig_g2 = sig_dg2 = sig_F2 = 0.0
     all_F = np.arange(cp.m_F)
     for x in points:
@@ -379,7 +380,7 @@ def reference_composite_sigmas(cp, points, safety=1.1):
         sig_dg2 = max(sig_dg2, *(_anchored_variance(reference_jac_t(cp, i, x))
                                  for i in range(cp.n_workers)))
         sig_F2 = max(sig_F2, *(_anchored_variance(grads) for row in outer for grads in row))
-    return safety * sig_g2, safety * sig_dg2, safety * sig_F2
+    return SAFETY * sig_g2, SAFETY * sig_dg2, SAFETY * sig_F2
 
 
 def enumerate_subset_means(values, size):

@@ -173,21 +173,24 @@ def test_theorem_ncvx_detects_corruption():
     cfg = RunConfig(problem=p, gamma=gamma, beta=0.5, iterations=100, seed=4)
     stats = run_trials(cfg)
     report = _report_for(cfg)
-    report = dataclasses.replace(report, theta0=report.theta0 * 1e-6)
+    assert report.grad_v_err0_sq == 0.0  # so theta0 scales with the gap
+    report = dataclasses.replace(report, f0_gap=report.f0_gap * 1e-6)
     out = audit_theorem_ncvx(stats, report)
     assert out.failed
 
 
 def test_theorem_ncvx_location_names_first_k_of_tied_minimum():
-    # with theta0 = floor = 0 the worst prefix is the first one checked; its
-    # location names the first k at which the running minimum was reached
+    # a zero gap and C give theta0 = floor = 0, so the worst prefix is the
+    # first one checked; its location names the first k at which the
+    # running minimum was reached
     p = _pl_quadratic()
     cfg = RunConfig(problem=p, gamma=stepsize_bounds(0.5, p.L)[0], beta=0.5, iterations=7,
                     seed=4)
     stats = run_trials(cfg)
     mean = np.array([[3.0, 1.0, 2.0, 1.0, 0.5, 0.5, 4.0]])
     stats = TrialStats.from_table(dict(stats.table, grad_norm_sq=mean), stats.lengths)
-    report = dataclasses.replace(_report_for(cfg), theta0=0.0, floor_ncvx=0.0)
+    report = dataclasses.replace(_report_for(cfg), f0_gap=0.0, C_var=0.0)
+    assert report.theta0 == 0.0 and report.floor_ncvx == 0.0
     locations = [audit_theorem_ncvx(stats, report, min_prefix=K).location for K in range(1, 8)]
     assert locations == [f"prefix K={K} (min at k={j})"
                          for K, j in zip(range(1, 8), [0, 1, 1, 1, 4, 4, 4])]
@@ -255,7 +258,8 @@ def test_theorem_pl_detects_corruption():
     gamma = stepsize_bounds(1.0, p.L, p.mu)[1]
     cfg = RunConfig(problem=p, gamma=gamma, beta=1.0, iterations=50, seed=8)
     stats = run_trials(cfg)
-    report = dataclasses.replace(_report_for(cfg), phi0_pl=1e-12)
+    report = dataclasses.replace(_report_for(cfg), f0_gap=1e-12)
+    assert report.phi0_pl == 1e-12
     assert audit_theorem_pl(stats, report).failed
 
 

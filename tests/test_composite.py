@@ -17,7 +17,9 @@ from biased_momentum import (
 from biased_momentum.audit import pilot_points
 from biased_momentum.composite import CompositeProblem, _gather, composite_from_dict
 from biased_momentum.engine import RunConfig, run_trials
-from biased_momentum.problems import _sigmoid, make_synthetic_classification
+from biased_momentum.harness import main
+from biased_momentum.problems import (SAFETY, _sigmoid, make_synthetic_classification,
+                                     problem_from_dict)
 from biased_momentum.rng import substream
 
 from _oracles import (
@@ -277,7 +279,7 @@ def test_sigmas_zero_for_identical_components():
         outer_coeffs=(1.0, 1.0),
         outer_centers=((0.5, 0.0), (0.5, 0.0)),
     )
-    s_g, s_dg, s_F = measure_composite_sigmas(cp, [np.array([0.3, -0.2])], safety=1.0)
+    s_g, s_dg, s_F = measure_composite_sigmas(cp, [np.array([0.3, -0.2])])
     assert s_g == 0.0 and s_dg == 0.0 and s_F == 0.0
 
 
@@ -286,6 +288,7 @@ class _ShiftedIdentity(CompositeProblem):
     """g_j(x) = x + offsets[j] and one outer F(z) = ||z||^2."""
 
     offsets: np.ndarray
+    kind: str = "shifted_identity"
 
     def inner_table(self, x):
         return (x[..., None, None, :] + self.offsets[self._sets(np.arange(self.m_g))],)
@@ -308,8 +311,8 @@ def test_sigma_g_two_point_constant_shift():
         inner_dimension=2,
         ell_g=1.0, L_g=0.0, ell_F=10.0, L_F=2.0,
     )
-    s_g, s_dg, _ = measure_composite_sigmas(cp, [np.zeros(2)], safety=1.0)
-    assert s_g == pytest.approx(float(c @ c) / 4.0)
+    s_g, s_dg, _ = measure_composite_sigmas(cp, [np.zeros(2)])
+    assert s_g == pytest.approx(SAFETY * (float(c @ c) / 4.0))
     assert s_dg == 0.0
 
 
@@ -342,6 +345,28 @@ def test_composite_from_dict_toy_defaults():
     cp = composite_from_dict({"kind": "composite_toy", "n_workers": 3})
     assert cp.n_workers == 3
     assert cp.dimension == 2
+
+
+@pytest.mark.parametrize("spec", [{"kind": "composite_toy", "n_workers": 2},
+                                  {"kind": "maml", "dimension": 3, "m": 4, "gamma_inner": 0.1}])
+def test_composite_kind_round_trips(spec):
+    # a problem reports the kind it was built from, and the config echo
+    # rebuilds it under that kind
+    p = problem_from_dict(spec)
+    assert p.kind == spec["kind"]
+    cfg = RunConfig(problem=p, gamma=0.1, beta=0.5, iterations=1)
+    assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))).problem.kind == p.kind
+
+
+def test_composite_finite_sum_is_no_problem_kind(tmp_path, capsys):
+    with pytest.raises(ConfigurationError, match="unknown composite kind 'composite_finite_sum'"):
+        composite_from_dict({"kind": "composite_finite_sum"})
+    doc = {"problem": {"kind": "composite_finite_sum"}, "gamma": 0.1, "beta": 0.5,
+           "iterations": 2, "estimator": {"kind": "composite", "S_g": 1, "S_F": 1}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert "composite_finite_sum" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +404,8 @@ def test_sigmas_match_per_point_reference(build, identical):
     rng = substream(60, 2, cp.dimension)
     points = list(1.5 * rng.standard_normal((7, cp.dimension)))
     for pts in (points, points[:1], points[3:5]):
-        got = measure_composite_sigmas(cp, pts, safety=1.0)
-        assert got == reference_composite_sigmas(cp, pts, safety=1.0)
+        got = measure_composite_sigmas(cp, pts)
+        assert got == reference_composite_sigmas(cp, pts)
         assert (got == (0.0, 0.0, 0.0)) == identical  # identical components give exactly 0.0
 
 

@@ -196,13 +196,13 @@ def test_trials_single_equals_run_and_zero_std():
     stats = run_trials(cfg)
     single = _trial0(cfg)
     assert _rows(stats) == _rows(single)
-    assert np.all(stats.std["f"] == 0.0)
+    assert np.all(stats.stderr["f"] == 0.0)
 
 
 def test_trials_deterministic_dynamics_zero_std():
     cfg = _quad_cfg(trials=4, beta=0.5)
     stats = run_trials(cfg)
-    assert np.all(stats.std["grad_norm_sq"] == 0.0)
+    assert np.all(stats.stderr["grad_norm_sq"] == 0.0)
     assert np.all(stats.counts == 4)
 
 
@@ -390,7 +390,7 @@ def test_csv_round_trip_of_ragged_table(tmp_path, seed):
     assert back.iterates is None
     pairs = [(back.counts, stats.counts)] + [
         (getattr(back, part)[name], getattr(stats, part)[name])
-        for part in ("table", "mean", "std", "stderr") for name in CSV_FIELDS
+        for part in ("table", "mean", "stderr") for name in CSV_FIELDS
     ]
     for got, want in pairs:  # bit for bit, NaN padding included
         assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, True)
@@ -414,9 +414,9 @@ def test_per_k_stats_reduces_an_all_nan_column_quietly(n_trials):
     table[0, 2] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mean, std, stderr = per_k_stats(table, [3] * n_trials)
-    assert np.isnan(mean[1]) and np.isnan(std[1])
-    assert list(mean[[0, 2]]) == [1.0, np.inf] and np.isnan(std[2]) and np.isnan(mean[3])
+        mean, stderr = per_k_stats(table, [3] * n_trials)
+    assert np.isnan(mean[1])
+    assert list(mean[[0, 2]]) == [1.0, np.inf] and np.isnan(mean[3])
     want = [0.0] * 4 if n_trials == 1 else [0.0, np.nan, np.nan, 0.0]
     np.testing.assert_array_equal(stderr, want)
 
@@ -426,9 +426,8 @@ def test_per_k_stats_counts_a_trial_only_inside_its_length():
     # length, nan or not, is left out
     table = np.array([[1.0, np.nan, 5.0, 7.0],
                       [3.0, 4.0, 9.0, np.nan]])
-    mean, std, stderr = per_k_stats(table, [2, 3])
+    mean, stderr = per_k_stats(table, [2, 3])
     np.testing.assert_array_equal(mean, [2.0, np.nan, 9.0, np.nan])
-    np.testing.assert_array_equal(std, [1.0, np.nan, 0.0, np.nan])
     np.testing.assert_array_equal(stderr, [1.0, np.nan, 0.0, 0.0])
 
 

@@ -447,9 +447,23 @@ MALFORMED_ARTIFACTS = {  # rows (trial 0 at k=0..39, then trial 1) -> edited dir
                            "'gamma_ok'"),
     "theory-flag-number": (_sidecar(lambda doc: doc["theory"].update(L=True)), "'L'"),
     "theory-null-number": (_sidecar(lambda doc: doc["theory"].update(gamma=None)), "'gamma'"),
+    "theory-null-B-var": (_sidecar(lambda doc: doc["theory"].update(B_var=None)), "'B_var'"),
     "theory-number-string": (_sidecar(lambda doc: doc["theory"].update(regime=1)), "'regime'"),
     "theory-two-sigmas": (_sidecar(lambda doc: doc["theory"].update(composite_sigmas=[1, 2])),
                           "'composite_sigmas'"),
+    # a derived constant its premises do not give, and premises that cannot hold
+    "theory-B1": (_sidecar(lambda doc: doc["theory"].update(B1=doc["theory"]["B1"] * 0.9)),
+                  "theory 'B1' is "),
+    "theory-B3": (_sidecar(lambda doc: doc["theory"].update(B3=doc["theory"]["B3"] * 10)),
+                  "theory 'B3' is "),
+    "theory-floor": (_sidecar(lambda doc: doc["theory"].update(
+        floor_ncvx=doc["theory"]["floor_ncvx"] * 0.5)), "theory 'floor_ncvx' is "),
+    "theory-theta0": (_sidecar(lambda doc: doc["theory"].update(
+        theta0=doc["theory"]["theta0"] * 0.5)), "theory 'theta0' is "),
+    "theory-gamma-ok": (_sidecar(lambda doc: doc["theory"].update(
+        gamma_ok=not doc["theory"]["gamma_ok"])), "theory 'gamma_ok' is "),
+    "theory-beta-2": (_sidecar(lambda doc: doc["theory"].update(beta=2)), "beta must be in"),
+    "theory-L-0": (_sidecar(lambda doc: doc["theory"].update(L=0)), "L must be > 0"),
 }
 
 

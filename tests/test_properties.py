@@ -1,8 +1,9 @@
-"""Property tests: config round trips, batching-invariant pairwise means and
+"""Property tests: config and theory-report round trips, batching-invariant pairwise means and
 row-wise estimator operators with their contraction inequalities."""
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -13,11 +14,13 @@ from biased_momentum import (
     EstimatorSpec,
     NoiseSpec,
     RunConfig,
+    TheoryReport,
     clip,
     problem_from_dict,
     scaled_sign,
     top_k,
 )
+from biased_momentum.estimators import KINDS
 from biased_momentum.rng import pairwise_mean
 
 from _oracles import reference_clip, reference_pairwise_mean, reference_scaled_sign, reference_top_k
@@ -81,6 +84,38 @@ def test_run_config_round_trip(cfg):
     # problems hold arrays, so compare the rebuilt one through its source
     assert back.problem.source == cfg.problem.source
     assert dataclasses.replace(back, problem=cfg.problem) == cfg
+
+
+# admissible premises of a theory report; NaN and None where a field takes them
+nan_or_none = st.one_of(st.none(), st.just(math.nan))
+optional_numbers = st.one_of(nan_or_none, st.floats(min_value=0.0, max_value=1e6))
+theory_reports = st.builds(
+    TheoryReport,
+    gamma=st.floats(min_value=1e-8, max_value=1e3),
+    beta=st.floats(min_value=0.01, max_value=1.0),
+    L=st.floats(min_value=1e-6, max_value=1e6),
+    mu=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e6)),
+    f_star=st.one_of(st.none(), finite),
+    estimator_kind=st.sampled_from(KINDS),
+    B_var=st.floats(min_value=0.0, max_value=1.0),
+    C_var=optional_numbers,
+    f0_gap=optional_numbers,
+    grad_v_err0_sq=st.floats(min_value=0.0, max_value=1e6),
+    alpha_contraction=st.one_of(st.none(), st.floats(min_value=1e-3, max_value=1.0)),
+    sigma2_worker=optional_numbers,
+    delta2_het=optional_numbers,
+    delta_subopt=optional_numbers,
+    composite_sigmas=st.one_of(st.none(), st.tuples(*[st.floats(0.0, 1e6)] * 3)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(report=theory_reports)
+def test_theory_report_round_trip(report):
+    # the exact derived-value check never refuses an honest document
+    doc = _json(report.to_dict())
+    back = TheoryReport.from_dict(doc)
+    assert json.dumps(back.to_dict()) == json.dumps(report.to_dict())
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,8 @@
 """Closed-form constants, step-size ceilings and error-model formulas."""
 
+import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from biased_momentum import (
     ConfigurationError,
     EstimatorSpec,
     NoiseSpec,
+    TheoryReport,
     affine_constants_clip,
     affine_constants_composite,
     affine_constants_compression,
@@ -16,6 +20,7 @@ from biased_momentum import (
     lemma_stepsize_bound,
     lyapunov_weight,
     make_maml,
+    make_nonconvex_reg,
     make_quadratic,
     make_synthetic_classification,
     measure_composite_sigmas,
@@ -273,11 +278,95 @@ def test_report_beta_one_invariants():
 
 
 def test_report_round_trip():
-    from biased_momentum.theory import TheoryReport
-
     _, report = _pl_quadratic_report()
     again = TheoryReport.from_dict(report.to_dict())
     assert again == report
+
+
+DERIVED = [f.name for f in dataclasses.fields(TheoryReport) if not f.init]
+
+
+def _premises(report):
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.init}
+
+
+def test_report_takes_only_its_premises():
+    _, report = _pl_quadratic_report()
+    assert len(_premises(report)) == 15 and len(DERIVED) == 20
+    assert TheoryReport(**_premises(report)) == report
+    with pytest.raises(TypeError, match="B1"):
+        TheoryReport(**_premises(report), B1=report.B1)
+    with pytest.raises(ValueError, match="B1"):
+        dataclasses.replace(report, B1=0.0)
+
+
+def test_replace_recomputes_the_floors():
+    _, report = _pl_quadratic_report()
+    beta, mu = report.beta, report.mu
+    again = dataclasses.replace(report, C_var=3.0)
+    assert again.floor_ncvx == 4.0 * (1.0 - beta**2 / 2.0) * 3.0 != report.floor_ncvx
+    assert again.floor_pl == (2.0 / mu) * (2.0 - beta / 2.0 - beta**2) * 3.0 != report.floor_pl
+    unknown = dataclasses.replace(report, C_var=None)
+    assert unknown.floor_ncvx is None and unknown.floor_pl is None
+    assert not unknown.cond_B_ncvx_ok and not unknown.cond_B_pl_ok
+
+
+def _tampered(value):
+    """A value of the same JSON type that differs from value."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return {"pl": "ncvx", "ncvx": "pl"}[value]
+    return 1.0 if value is None else 2.0 * value + 1.0
+
+
+def _clip_report_without_f_star():
+    # f* unknown and mu = 0: the derived None values
+    p = make_nonconvex_reg(*make_synthetic_classification(4, 2, 6, seed=3), lam_nc=0.5)
+    return build_theory_report(p, 0.01, 0.5, EstimatorSpec(kind="clip", tau=1.0), NoiseSpec(),
+                               x0=np.zeros(4))
+
+
+@pytest.mark.parametrize("name", DERIVED)
+def test_from_dict_names_a_derived_value_its_premises_do_not_give(name):
+    for report in (_pl_quadratic_report(sigma2=0.01)[1], _clip_report_without_f_star()):
+        doc = json.loads(json.dumps(report.to_dict()))
+        assert TheoryReport.from_dict(doc) == report
+        doc[name] = _tampered(doc[name])
+        with pytest.raises(ConfigurationError, match=f"theory '{name}' is .*, but its premises"):
+            TheoryReport.from_dict(doc)
+
+
+def test_from_dict_takes_nan_as_nan():
+    _, report = _pl_quadratic_report()
+    report = dataclasses.replace(report, C_var=float("nan"))
+    doc = json.loads(json.dumps(report.to_dict()))
+    assert math.isnan(doc["floor_ncvx"]) and math.isnan(doc["floor_pl"])
+    assert math.isnan(TheoryReport.from_dict(doc).floor_pl)
+
+
+@pytest.mark.parametrize("premise,value,named", [("beta", 2.0, "beta"), ("beta", 0.0, "beta"),
+                                                 ("L", 0.0, "L must"), ("gamma", 0.0, "gamma")])
+def test_from_dict_refuses_premises_that_cannot_hold(premise, value, named):
+    _, report = _pl_quadratic_report()
+    doc = dict(report.to_dict(), **{premise: value})
+    with pytest.raises(ConfigurationError, match=named):
+        TheoryReport.from_dict(doc)
+
+
+def test_report_refuses_empty_pilot_points():
+    # only None means [x0]; every estimator refuses an empty sequence
+    quad = make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), n_workers=3, seed=2)
+    cp = make_maml(*make_synthetic_classification(3, 2, 5, seed=13), 0.2)
+    for p, spec in ((quad, EstimatorSpec()), (quad, EstimatorSpec(kind="top_k", k=2)),
+                    (quad, EstimatorSpec(kind="clip", tau=1.0)),
+                    (cp, EstimatorSpec(kind="composite", s_g=1, s_f=1))):
+        x0 = np.zeros(p.dimension)
+        assert build_theory_report(p, 0.1, 0.5, spec, x0=x0, pilot_points=None) == \
+            build_theory_report(p, 0.1, 0.5, spec, x0=x0, pilot_points=[x0])
+        for empty in ([], np.empty((0, p.dimension))):
+            with pytest.raises(ConfigurationError, match="at least one pilot point"):
+                build_theory_report(p, 0.1, 0.5, spec, x0=x0, pilot_points=empty)
 
 
 def test_premise_measurements_take_point_arrays_and_refuse_no_points():
@@ -309,3 +398,8 @@ def test_validation_errors():
         affine_constants_clip(0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ConfigurationError):
         stepsize_bounds(0.5, L=0.0)
+    # the report's own premises go through the same checks
+    quad = make_quadratic(np.eye(3))
+    for gamma, beta, named in ((0.0, 0.5, "gamma must be > 0"), (0.1, 0.0, "beta must be")):
+        with pytest.raises(ConfigurationError, match=named):
+            build_theory_report(quad, gamma, beta, EstimatorSpec(), x0=np.ones(3))
