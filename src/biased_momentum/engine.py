@@ -51,7 +51,7 @@ from .problems import (
     problem_from_dict,
 )
 from .rng import STREAM_SUBSET, STREAM_WORKER, STREAM_X0, pairwise_mean, row_dot, substream
-from .theory import analysis_regime, lyapunov_weight
+from .theory import analysis_regime, check_beta, lyapunov_weight
 
 __all__ = [
     "RunConfig",
@@ -97,10 +97,7 @@ class RunConfig:
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ConfigurationError(f"gamma must be finite and > 0, got {self.gamma}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ConfigurationError(
-                f"beta must be in (0, 1] (beta=0 freezes the estimate), got {self.beta}"
-            )
+        check_beta(self.beta)
         if self.iterations < 0:
             raise ConfigurationError("iterations must be >= 0")
         if self.trials < 1:
@@ -259,9 +256,9 @@ class TrialStats:
 
     ``table`` maps each CSV field to a C-ordered (trial, k) array: row r
     holds the ``lengths[r]`` values of trial r and NaN past them, up to the
-    longest trial.  mean/stderr are per k over the trials that reached
-    it (``counts`` of them).  ``iterates`` is the (trial, k_max + 1, d)
-    array whose row r holds x^0 .. x^{lengths[r]} and NaN past them.
+    longest trial.  mean/stderr are per k over the trials that reached it.
+    ``iterates`` is the (trial, k_max + 1, d) array whose row r holds
+    x^0 .. x^{lengths[r]} and NaN past them.
     ``reasons[r]`` says why trial r stopped at k = ``lengths[r]`` (no
     values for that k): a non-finite iterate, a non-finite f, f above
     DIVERGENCE_F_MAX, or a non-finite aggregate; it is None for a trial
@@ -271,7 +268,6 @@ class TrialStats:
 
     lengths: tuple
     table: dict
-    counts: np.ndarray
     mean: dict
     stderr: dict
     iterates: np.ndarray | None = None
@@ -289,14 +285,13 @@ class TrialStats:
         mean, stderr = {}, {}
         for name, column in table.items():
             mean[name], stderr[name] = per_k_stats(column, lengths)
-        counts = np.sum(np.arange(k_max) < np.array(lengths, dtype=int)[:, None], axis=0)
         if iterates is not None:
             iterates = iterates[:, :k_max + 1]
-        return cls(lengths, table, counts, mean, stderr, iterates, tuple(reasons))
+        return cls(lengths, table, mean, stderr, iterates, tuple(reasons))
 
     @property
     def k_max(self) -> int:
-        return len(self.counts)
+        return max(self.lengths, default=0)
 
     @property
     def diverged(self) -> tuple:

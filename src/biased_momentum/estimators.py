@@ -43,9 +43,9 @@ __all__ = [
 ]
 
 KINDS = ("identity", "top_k", "scaled_sign", "clip", "composite")
-# optional parameters: field -> (JSON key, parser)
-PARAMS = {"k": ("k", config_int), "tau": ("tau", config_float),
-          "s_g": ("S_g", config_int), "s_f": ("S_F", config_int)}
+# optional parameters: field -> (JSON key, parser, the one kind that reads it)
+PARAMS = {"k": ("k", config_int, "top_k"), "tau": ("tau", config_float, "clip"),
+          "s_g": ("S_g", config_int, "composite"), "s_f": ("S_F", config_int, "composite")}
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,17 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown estimator kind {self.kind!r}")
-        if self.kind == "top_k":
-            if self.k is None or self.k < 1:
-                raise ConfigurationError("top_k needs k >= 1")
-        if self.kind == "clip":
-            if self.tau is None or not (self.tau > 0 and math.isfinite(self.tau)):
-                raise ConfigurationError(f"clip needs a finite tau > 0, got {self.tau}")
-        if self.kind == "composite":
-            if self.s_g is None or self.s_f is None or self.s_g < 1 or self.s_f < 1:
-                raise ConfigurationError("composite needs S_g >= 1 and S_F >= 1")
+        unread = [key for name, (key, _, kind) in PARAMS.items()
+                  if kind != self.kind and getattr(self, name) is not None]
+        if unread:
+            raise ConfigurationError(f"estimator {self.kind} never reads {unread}")
+        if self.kind == "top_k" and (self.k is None or self.k < 1):
+            raise ConfigurationError("top_k needs k >= 1")
+        if self.kind == "clip" and (self.tau is None or not (self.tau > 0 and math.isfinite(self.tau))):
+            raise ConfigurationError(f"clip needs a finite tau > 0, got {self.tau}")
+        if self.kind == "composite" and (self.s_g is None or self.s_f is None
+                                         or self.s_g < 1 or self.s_f < 1):
+            raise ConfigurationError("composite needs S_g >= 1 and S_F >= 1")
 
     def contraction_alpha(self, p: Problem) -> float | None:
         """Worst-case contraction constant on p, or None for non-compressors.
@@ -106,15 +108,15 @@ class EstimatorSpec:
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
-        for name, (key, _) in PARAMS.items():
+        for name, (key, _, _) in PARAMS.items():
             if getattr(self, name) is not None:
                 d[key] = getattr(self, name)
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorSpec":
-        check_keys(d, ["kind"] + [key for key, _ in PARAMS.values()], "estimator")
-        params = {name: parse(d[key], key) for name, (key, parse) in PARAMS.items() if key in d}
+        check_keys(d, ["kind"] + [key for key, _, _ in PARAMS.values()], "estimator")
+        params = {name: parse(d[key], key) for name, (key, parse, _) in PARAMS.items() if key in d}
         return cls(kind=d.get("kind", "identity"), **params)
 
 

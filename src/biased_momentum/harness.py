@@ -8,8 +8,8 @@ sweep <spec.json> --out DIR     one subdirectory per axis value plus
                                 summary.csv
 verify <config.json>            full audit battery; nonzero exit on any
                                 non-skipped failure
-report <dir>                    re-run the record-level audits from the
-                                artifacts in DIR and print them
+report <dir>                    rebuild the theory from the config echo
+                                in DIR, re-run the record-level audits
 
 Config files are JSON; see RunConfig.from_dict for the schema.  The
 environment variable BIASED_MOMENTUM_SEED overrides the config seed.
@@ -25,6 +25,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from .audit import (
 from .engine import RunConfig, TrialStats, read_run_csv, run_trials, write_run_csv
 from .errors import ConfigurationError, DataError
 from .problems import check_keys, config_float, config_int
-from .theory import TheoryReport
+from .theory import MEASUREMENTS, TheoryReport, derive_theory_report
 
 __all__ = [
     "main",
@@ -119,6 +120,8 @@ def load_sweep(path) -> dict:
     for j, value in enumerate(doc["values"]):
         if isinstance(value, (list, dict)):
             raise ConfigurationError(f"sweep 'values'[{j}] must be a single value, got {value!r}")
+    if not isinstance(doc["base"], dict):
+        raise ConfigurationError(f"sweep 'base' must be a JSON object, got {doc['base']!r}")
     doc["base"] = _apply_seed_env(doc["base"])
     return doc
 
@@ -163,8 +166,6 @@ def parse_threshold(spec: dict | None) -> tuple[str, float]:
     """(kind, value) of a sweep's threshold spec; the default is half the initial f."""
     if spec is None:
         return "fraction_of_initial", 0.5
-    if not isinstance(spec, dict):
-        raise ConfigurationError(f"threshold must be an object, got {spec!r}")
     check_keys(spec, ("kind", "value"), "threshold", required=("kind", "value"))
     if spec["kind"] not in THRESHOLD_KINDS:
         raise ConfigurationError(f"unknown threshold kind {spec['kind']!r}")
@@ -348,6 +349,23 @@ def _sweep_rows(doc: dict, path) -> tuple[str, list]:
     return spec["axis"], rows
 
 
+def rebuild_theory(theory, cfg: RunConfig) -> TheoryReport:
+    """The report cfg gives with the measured premise of a run.json theory
+    document, which must hold every report field with the JSON text of the
+    rebuilt one; the first field that differs is named."""
+    names = [f.name for f in fields(TheoryReport)]
+    check_keys(theory, names, "theory", required=names)
+    report = derive_theory_report(
+        cfg.problem, cfg.gamma, cfg.beta, cfg.estimator, cfg.noise, x0=cfg.resolve_x0(),
+        v_init=cfg.v_init, **{name: theory[name] for name in MEASUREMENTS})
+    for name, value in report.to_dict().items():
+        stored, derived = json.dumps(theory[name]), json.dumps(value)
+        if stored != derived:
+            raise ConfigurationError(f"theory {name!r} is {stored}, but its config and "
+                                     f"measured premises give {derived}")
+    return report
+
+
 def cli_report(args) -> int:
     run_dir = Path(args.dir)
     sidecar_path = run_dir / "run.json"
@@ -365,12 +383,8 @@ def cli_report(args) -> int:
     if not sidecar_path.exists() or not csv_path.exists():
         raise ConfigurationError(f"no run artifacts (run.csv + run.json) in {run_dir}")
     sidecar = _load_json(sidecar_path)
-    if not isinstance(sidecar.get("theory"), dict):
-        raise ConfigurationError("sidecar carries no theory report")
-    report = TheoryReport.from_dict(sidecar["theory"])
-    if not isinstance(sidecar.get("config"), dict):
-        raise ConfigurationError(f"{sidecar_path}: no 'config' object")
-    cfg = RunConfig.from_dict(sidecar["config"])  # validate the config echo
+    cfg = RunConfig.from_dict(sidecar.get("config"))
+    report = rebuild_theory(sidecar.get("theory"), cfg)
     stats = read_run_csv(csv_path, cfg.trials)
     _check_lengths(stats, sidecar.get("diverged"), cfg.iterations, csv_path)
     return _print_audits(report, record_audits(stats, report))

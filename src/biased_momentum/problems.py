@@ -97,7 +97,9 @@ def _sigmoid(t):
 
 
 def check_keys(d: dict, allowed, section: str, required=()) -> None:
-    """Reject keys of a config section that its schema does not define, or lacks."""
+    """Reject a non-object config section, a key its schema does not define or a missing one."""
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{section} must be a JSON object, got {d!r}")
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ConfigurationError(f"unknown {section} key(s) {unknown}; allowed: {sorted(allowed)}")
@@ -563,19 +565,14 @@ def problem_from_dict(spec: dict) -> Problem:
 
     Synthetic datasets are regenerated from the seed, never stored.
     """
-    if not isinstance(spec, dict):
-        raise ConfigurationError("problem spec must be a JSON object")
-    kind = spec.get("kind")
-    if kind is None:
-        raise ConfigurationError("problem spec missing required key 'kind'")
+    check_keys(spec, spec, "problem spec", required=("kind",))  # each kind checks its own keys
+    kind = spec["kind"]
 
     if kind == "quadratic":
         check_keys(spec, ("kind", "n_workers", "seed", "matrix"), "quadratic spec")
         n_workers = config_int(spec.get("n_workers", 1), "n_workers", minimum=1)
         seed = config_int(spec.get("seed", 0), "seed")
         matrix = spec.get("matrix")
-        if not isinstance(matrix, dict):
-            raise ConfigurationError("quadratic spec needs a 'matrix' object")
         check_keys(matrix, ("spectrum", "entries", "least_squares"), "matrix")
         least_squares = matrix.get("least_squares", False)
         if not isinstance(least_squares, bool):

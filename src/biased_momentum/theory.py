@@ -13,13 +13,16 @@ error-model constants (B_var, C_var) of the active gradient estimator:
 Heterogeneity and suboptimality constants that the error models assume as
 given are *measured* from pilot trajectories (max over sampled iterates,
 times the SAFETY factor) rather than postulated.  A TheoryReport stores
-the premises of one configuration and derives every other field from them.
+the premises of one configuration and derives every other field from them;
+``derive_theory_report`` gives it from the configuration and the measured
+premise alone, which ``build_theory_report`` measures and a run's report
+reads from run.json beside its config echo.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +30,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .composite import measure_composite_sigmas
 from .estimators import EstimatorSpec
-from .problems import (SAFETY, NoiseSpec, Problem, as_param_vector, as_point_stack, check_keys,
+from .problems import (SAFETY, NoiseSpec, Problem, as_param_vector, as_point_stack,
                        full_gradient)
 from .rng import pairwise_mean, row_dot
 
@@ -47,19 +50,22 @@ __all__ = [
     "measure_heterogeneity",
     "measure_suboptimality",
     "build_theory_report",
+    "derive_theory_report",
 ]
 
 
 def momentum_alpha(beta: float, regime: str) -> float:
     """Auxiliary alpha: 2(1-b)(b+2)/b^2 (ncvx) or 4(1-b)(b+2)/b^2 (pl)."""
-    _check_beta(beta)
+    check_beta(beta)
     scale = {"ncvx": 2.0, "pl": 4.0}[regime]
     return scale * (1.0 - beta) * (beta + 2.0) / beta**2
 
 
-def _check_beta(beta: float) -> None:
-    if not 0.0 < beta <= 1.0:
-        raise ConfigurationError(f"beta must be in (0, 1], got {beta}")
+def check_beta(beta: float) -> None:
+    """Refuse a beta outside (0, 1], or one whose square, a divisor of the constants, is 0."""
+    if not (0.0 < beta <= 1.0 and beta**2 > 0):
+        raise ConfigurationError(f"beta must be in (0, 1] with beta^2 > 0 (beta = 0 freezes the "
+                                 f"estimate), got {beta}")
 
 
 def analysis_regime(problem: Problem | TheoryReport) -> str:
@@ -80,7 +86,7 @@ def lyapunov_weight(gamma: float, beta: float, regime: str) -> float:
     gamma (1-beta)/beta in the general smooth analysis, doubled for the PL
     analysis; zero at beta = 1 where the potential is the plain gap.
     """
-    _check_beta(beta)
+    check_beta(beta)
     scale = {"ncvx": 1.0, "pl": 2.0}[regime]
     return scale * gamma * (1.0 - beta) / beta
 
@@ -94,7 +100,7 @@ def lemma1_constants(gamma: float, beta: float, L: float, A: float) -> tuple[flo
     """
     if gamma <= 0:
         raise ConfigurationError(f"gamma must be > 0, got {gamma}")
-    _check_beta(beta)
+    check_beta(beta)
     if A < 0:
         raise ConfigurationError(f"A must be >= 0, got {A}")
     B1 = gamma * (1.0 - beta) / 2.0 + A * (1.0 - beta / 2.0)
@@ -111,7 +117,7 @@ def stepsize_bounds(beta: float, L: float, mu: float = 0.0) -> tuple[float, floa
     Each returned ceiling is re-verified against the underlying inequality
     a/gamma - b - c gamma >= 0 with the (a, b, c) of the matching proof.
     """
-    _check_beta(beta)
+    check_beta(beta)
     if L <= 0:
         raise ConfigurationError(f"L must be > 0, got {L}")
     a, b = 0.5, L / 2.0
@@ -132,7 +138,7 @@ def stepsize_bounds(beta: float, L: float, mu: float = 0.0) -> tuple[float, floa
 
 
 def _assert_stepsize_ok(gamma: float, a: float, b: float, c: float) -> None:
-    slack = a / gamma - b - c * gamma
+    slack = a / gamma - b - c * gamma if gamma > 0 else math.inf  # a zero ceiling always holds
     if slack < -1e-9 * max(1.0, b + c * gamma):
         raise AssertionError(f"step-size bound violated: slack {slack}")
 
@@ -207,7 +213,7 @@ def affine_constants_composite(
 
 def theta0_value(gamma: float, beta: float, f0_gap: float, grad_v_err0_sq: float) -> float:
     """(4/gamma)(f(x0) - f*) + (4(1-beta)/beta) ||grad f(x0) - v^{-1}||^2."""
-    _check_beta(beta)
+    check_beta(beta)
     return 4.0 / gamma * f0_gap + 4.0 * (1.0 - beta) / beta * grad_v_err0_sq
 
 
@@ -310,38 +316,6 @@ class TheoryReport:
             d["composite_sigmas"] = list(self.composite_sigmas)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TheoryReport":
-        """The report of a to_dict document's premises; each value must fit its
-        field, and each derived value must be the one the premises give."""
-        check_keys(d, [f.name for f in fields(cls)], "theory",
-                   required=[f.name for f in fields(cls) if f.default is MISSING])
-        for f in fields(cls):
-            if not _fits(d.get(f.name), f.type):
-                raise ConfigurationError(f"theory {f.name!r} must be {f.type}, "
-                                         f"got {d.get(f.name)!r}")
-        premises = {f.name: d[f.name] for f in fields(cls) if f.init and f.name in d}
-        if premises.get("composite_sigmas") is not None:
-            premises["composite_sigmas"] = tuple(premises["composite_sigmas"])
-        report = cls(**premises)
-        for name in (f.name for f in fields(cls) if not f.init):
-            stored, derived = d[name], getattr(report, name)
-            if stored != derived and not (stored != stored and derived != derived):  # both NaN
-                raise ConfigurationError(f"theory {name!r} is {stored!r}, "
-                                         f"but its premises give {derived!r}")
-        return report
-
-
-def _fits(value, annotation: str) -> bool:
-    """Whether a JSON value fits a TheoryReport annotation; a number is not a
-    boolean, and the tuple is a list of three numbers."""
-    kinds = annotation.split(" | ")
-    if value is None or isinstance(value, (bool, str)):
-        return ("None" if value is None else type(value).__name__) in kinds
-    if isinstance(value, list):
-        return "tuple" in kinds and len(value) == 3 and all(_fits(v, "float") for v in value)
-    return "float" in kinds and isinstance(value, (int, float))
-
 
 def theorem_bounds(report: TheoryReport) -> tuple[Callable, Callable | None]:
     """Right-hand-side curves of the two convergence guarantees.
@@ -379,6 +353,18 @@ def theorem_bounds(report: TheoryReport) -> tuple[Callable, Callable | None]:
     return ncvx_rhs, pl_rhs
 
 
+def _measured_premise(problem: Problem, estimator: EstimatorSpec) -> str | None:
+    """The premise the estimator kind measures at pilot points, if any.
+    Raises unless the spec runs on problem."""
+    estimator.contraction_alpha(problem)
+    return {"top_k": "delta2_het", "scaled_sign": "delta2_het", "composite": "composite_sigmas",
+            "clip": None if problem.f_star is None else "delta_subopt"}.get(estimator.kind)
+
+
+MEASUREMENTS = {"delta2_het": measure_heterogeneity, "delta_subopt": measure_suboptimality,
+                "composite_sigmas": measure_composite_sigmas}
+
+
 def build_theory_report(
     problem: Problem,
     gamma: float,
@@ -390,61 +376,68 @@ def build_theory_report(
     v_init: str = "grad_at_x0",
     pilot_points: Sequence[np.ndarray] | None = None,
 ) -> TheoryReport:
-    """The report of one configuration: its premises, measured or exact,
-    and every constant they give.
+    """The report of one configuration, with its measured premise taken at
+    ``pilot_points`` (trajectory iterates); None means [x0], and an empty
+    sequence is refused."""
+    x0 = as_param_vector(x0, problem.dimension)
+    if pilot_points is not None and len(pilot_points) == 0:
+        raise ConfigurationError("need at least one pilot point")
+    name = _measured_premise(problem, estimator)
+    measured = {} if name is None else {
+        name: MEASUREMENTS[name](problem, [x0] if pilot_points is None else pilot_points)}
+    return derive_theory_report(problem, gamma, beta, estimator, noise, x0=x0, v_init=v_init,
+                                **measured)
 
-    ``pilot_points`` are trajectory iterates used to measure the premise
-    constants (heterogeneity for compression, suboptimality for clipping,
-    component variances for composite subsampling); None means [x0], and
-    an empty sequence is refused.
+
+def derive_theory_report(
+    problem: Problem, gamma: float, beta: float, estimator: EstimatorSpec,
+    noise: NoiseSpec | None = None, *, x0: np.ndarray, v_init: str = "grad_at_x0",
+    delta2_het: float | None = None, delta_subopt: float | None = None,
+    composite_sigmas: tuple | None = None,
+) -> TheoryReport:
+    """The report one configuration gives with its measured premise: of
+    delta2_het (compressors), delta_subopt (clip with f* known) and
+    composite_sigmas (composite) only the kind's own is read and kept, and it
+    must be a number (NaN and infinities included, booleans not), three for
+    composite_sigmas.  Every other premise is exact.
 
     The per-worker gradient-error bound is exact for the synthetic noise
     model: E||g_i - grad f_i||^2 = d * sigma2 + ||offset||^2.
     """
     x0 = as_param_vector(x0, problem.dimension)
     noise = noise or NoiseSpec()
-    if pilot_points is not None and len(pilot_points) == 0:
-        raise ConfigurationError("need at least one pilot point")
-    pilot = [x0] if pilot_points is None else pilot_points
-    L, f_star = problem.L, problem.f_star
-    d = problem.dimension
+    name = _measured_premise(problem, estimator)
+    measured = {}
+    if name is not None:
+        value, three = locals()[name], name == "composite_sigmas"
+        numbers = tuple(value) if three and isinstance(value, (list, tuple)) else (value,)
+        if len(numbers) != (3 if three else 1) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in numbers):
+            raise ConfigurationError(f"a {estimator.kind} report needs {name} measured as "
+                                     f"{'three numbers' if three else 'a number'}, got {value!r}")
+        measured[name] = numbers if three else value
+    L, f_star, d = problem.L, problem.f_star, problem.dimension
 
     sigma2_worker = d * noise.sigma2 + noise.offset_norm_sq(d)
     alpha_c = estimator.contraction_alpha(problem)
-    delta2_het = delta_subopt = None
-    composite_sigmas = None
 
     if estimator.kind == "identity":
         # exact: eta = offset + mean of n independent gaussians
         B_var = 0.0
         C_var = noise.offset_norm_sq(d) + d * noise.sigma2 / problem.n_workers
-    elif estimator.kind in ("top_k", "scaled_sign"):
-        delta2_het = measure_heterogeneity(problem, pilot)
+    elif name == "delta2_het":
         B_var, C_var = affine_constants_compression(alpha_c, sigma2_worker, delta2_het)
-    elif estimator.kind == "clip":
-        if f_star is None:
-            B_var, C_var = 0.0, None
-        else:
-            delta_subopt = measure_suboptimality(problem, pilot)
-            B_var, C_var = affine_constants_clip(sigma2_worker, L, delta_subopt, estimator.tau)
-    elif estimator.kind == "composite":
-        composite_sigmas = measure_composite_sigmas(problem, pilot)
+    elif name == "delta_subopt":
+        B_var, C_var = affine_constants_clip(sigma2_worker, L, delta_subopt, estimator.tau)
+    elif estimator.kind == "clip":  # f* unknown
+        B_var, C_var = 0.0, None
+    else:  # composite
         sig_g2, sig_dg2, sig_F2 = composite_sigmas
         B_var, C_var, _ = affine_constants_composite(
-            problem.ell_g,
-            problem.ell_F,
-            problem.L_F,
-            sig_F2,
-            sig_dg2,
-            sig_g2,
-            estimator.s_f,
-            estimator.s_g,
-            L_g=problem.L_g,
-        )
+            problem.ell_g, problem.ell_F, problem.L_F, sig_F2, sig_dg2, sig_g2,
+            estimator.s_f, estimator.s_g, L_g=problem.L_g)
         if not noise.is_null:  # the composite C covers subsampling error alone
             C_var = None
-    else:  # pragma: no cover - KINDS is closed
-        raise ConfigurationError(f"unknown estimator kind {estimator.kind!r}")
 
     if v_init == "grad_at_x0":
         grad_v_err0_sq = 0.0
@@ -468,7 +461,5 @@ def build_theory_report(
         grad_v_err0_sq=grad_v_err0_sq,
         alpha_contraction=alpha_c,
         sigma2_worker=sigma2_worker,
-        delta2_het=delta2_het,
-        delta_subopt=delta_subopt,
-        composite_sigmas=composite_sigmas,
+        **measured,
     )

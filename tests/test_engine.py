@@ -203,7 +203,7 @@ def test_trials_deterministic_dynamics_zero_std():
     cfg = _quad_cfg(trials=4, beta=0.5)
     stats = run_trials(cfg)
     assert np.all(stats.stderr["grad_norm_sq"] == 0.0)
-    assert np.all(stats.counts == 4)
+    assert stats.lengths == (cfg.iterations,) * 4
 
 
 def test_trials_monte_carlo_reproducibility():
@@ -388,10 +388,8 @@ def test_csv_round_trip_of_ragged_table(tmp_path, seed):
     back = read_run_csv(path, len(lengths))
     assert (back.lengths, back.reasons) == (stats.lengths, ())
     assert back.iterates is None
-    pairs = [(back.counts, stats.counts)] + [
-        (getattr(back, part)[name], getattr(stats, part)[name])
-        for part in ("table", "mean", "stderr") for name in CSV_FIELDS
-    ]
+    pairs = [(getattr(back, part)[name], getattr(stats, part)[name])
+             for part in ("table", "mean", "stderr") for name in CSV_FIELDS]
     for got, want in pairs:  # bit for bit, NaN padding included
         assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, True)
         assert got.tobytes() == want.tobytes()

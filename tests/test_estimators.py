@@ -1,5 +1,7 @@
 """Compression / clipping / composite estimators and their error measures."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,18 @@ def test_spec_validation_and_json_round_trip():
     spec = EstimatorSpec.from_dict({"kind": "composite", "S_g": 2, "S_F": 3})
     assert (spec.s_g, spec.s_f) == (2, 3)
     assert EstimatorSpec.from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize("doc,unread", [
+    ({"kind": "top_k", "k": 5, "tau": -3.0}, ["tau"]),
+    ({"kind": "identity", "k": 2}, ["k"]),
+    ({"kind": "scaled_sign", "S_g": 1, "S_F": 1}, ["S_g", "S_F"]),
+    ({"kind": "clip", "tau": 1.0, "k": 2}, ["k"]),
+    ({"kind": "composite", "S_g": 1, "S_F": 1, "tau": 1.0}, ["tau"]),
+])
+def test_spec_refuses_a_parameter_its_kind_never_reads(doc, unread):
+    with pytest.raises(ConfigurationError, match=re.escape(f"never reads {unread}")):
+        EstimatorSpec.from_dict(doc)
 
 
 def test_determinism_same_stream_same_bits():

@@ -1,19 +1,23 @@
 """CLI front end: config parsing, artifacts, sweeps, verify/report exit codes."""
 
+import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 import biased_momentum
+from biased_momentum import RunConfig, TheoryReport
 from biased_momentum.harness import (
     SEED_ENV,
     load_config,
     load_sweep,
     main,
+    rebuild_theory,
     set_by_path,
     sweep_summary_rows,
     version_string,
@@ -91,6 +95,38 @@ def test_bad_seed_env_exits_2(tmp_path, monkeypatch, capsys, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and SEED_ENV in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field,overrides", [
+    ("estimator", {"estimator": []}),
+    ("estimator", {"estimator": "top_k"}),
+    ("noise", {"noise": []}),
+    ("problem spec", {"problem": [1, 2]}),
+    ("matrix", {"problem": {"kind": "quadratic", "matrix": [0.5, 1.0]}}),
+])
+def test_config_section_of_another_json_type_exits_2(tmp_path, capsys, field, overrides):
+    path = _write(tmp_path / "cfg.json", _minimal_config(**overrides))
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be a JSON object, got ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_estimator_parameter_its_kind_never_reads_exits_2(tmp_path, capsys):
+    estimator = {"kind": "top_k", "k": 2, "tau": -3.0}
+    path = _write(tmp_path / "cfg.json", _minimal_config(estimator=estimator))
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: estimator top_k never reads ['tau']\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed_env", [None, "7"])
+def test_sweep_base_of_another_json_type_exits_2(tmp_path, monkeypatch, capsys, seed_env):
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    if seed_env is not None:
+        monkeypatch.setenv(SEED_ENV, seed_env)
+    path = _write(tmp_path / "sweep.json", {"base": [1, 2], "axis": "gamma", "values": [0.1]})
+    assert main(["sweep", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: sweep 'base' must be a JSON object, got [1, 2]\n"
 
 
 def test_set_by_path_validates_axis():
@@ -198,6 +234,7 @@ def test_sweep_missing_key(tmp_path, capsys):
     ("values", [{"gamma": 0.1}]),
     ("values", 0.1),
     ("values", []),
+    ("base", [1, 2]),
 ])
 def test_sweep_rejects_bad_spec(tmp_path, capsys, key, value):
     doc = {"base": _minimal_config(), "axis": "gamma", "values": [0.1], key: value}
@@ -441,7 +478,12 @@ MALFORMED_ARTIFACTS = {  # rows (trial 0 at k=0..39, then trial 1) -> edited dir
                        if k != "final_plateau_mean"}]}), "row 1 'final_plateau_mean'"),
     "sweep-string-axis-value": (_sweep({"spec": SIGMA2_SPEC, "rows": [
         _sweep_row(axis_value="a"), _sweep_row(axis_value=0.1)]}), "row 0 'axis_value'"),
-    "run-json-no-config": (_sidecar(lambda doc: doc.pop("config")), "'config'"),
+    "run-json-no-config": (_sidecar(lambda doc: doc.pop("config")),
+                           "config must be a JSON object"),
+    "run-json-theory-list": (_sidecar(lambda doc: doc.update(theory=[])),
+                             "theory must be a JSON object"),
+    "run-json-estimator-list": (_sidecar(lambda doc: doc["config"].update(estimator=[])),
+                                "estimator must be a JSON object"),
     "theory-string-number": (_sidecar(lambda doc: doc["theory"].update(B2="big")), "'B2'"),
     "theory-string-flag": (_sidecar(lambda doc: doc["theory"].update(gamma_ok="yes")),
                            "'gamma_ok'"),
@@ -462,8 +504,13 @@ MALFORMED_ARTIFACTS = {  # rows (trial 0 at k=0..39, then trial 1) -> edited dir
         theta0=doc["theory"]["theta0"] * 0.5)), "theory 'theta0' is "),
     "theory-gamma-ok": (_sidecar(lambda doc: doc["theory"].update(
         gamma_ok=not doc["theory"]["gamma_ok"])), "theory 'gamma_ok' is "),
-    "theory-beta-2": (_sidecar(lambda doc: doc["theory"].update(beta=2)), "beta must be in"),
-    "theory-L-0": (_sidecar(lambda doc: doc["theory"].update(L=0)), "L must be > 0"),
+    "theory-beta-2": (_sidecar(lambda doc: doc["theory"].update(beta=2)), "theory 'beta' is 2"),
+    "theory-L-0": (_sidecar(lambda doc: doc["theory"].update(L=0)), "theory 'L' is 0"),
+    # a measured premise of another kind, and the identity run's own that goes missing
+    "theory-delta2-on-identity": (_sidecar(lambda doc: doc["theory"].update(delta2_het=0.5)),
+                                  "theory 'delta2_het' is 0.5"),
+    "theory-no-delta2": (_sidecar(lambda doc: doc["theory"].pop("delta2_het")),
+                         "theory missing required key 'delta2_het'"),
 }
 
 
@@ -477,6 +524,103 @@ def test_report_rejects_malformed_csv(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and named in captured.err
+
+
+# run configs whose run.json theories the tamper tests below edit
+TAMPER_RUNS = {
+    "pl-identity": _minimal_config(),
+    "clip-no-f-star": _minimal_config(
+        problem={"kind": "nonconvex_reg_classification", "dimension": 4, "n_workers": 2, "m": 6,
+                 "seed": 3, "lambda": 0.5},
+        gamma=0.01, estimator={"kind": "clip", "tau": 1.0}),
+    "top-k": _minimal_config(estimator={"kind": "top_k", "k": 2}),
+    "clip": _minimal_config(estimator={"kind": "clip", "tau": 1.0}),
+    "composite": _minimal_config(problem={"kind": "composite_toy", "n_workers": 2}, gamma=1e-5,
+                                 estimator={"kind": "composite", "S_g": 2, "S_F": 2},
+                                 noise={"sigma2": 0.0}),
+}
+
+
+@pytest.fixture(scope="module")
+def tamper_runs(tmp_path_factory):
+    """Run directory per TAMPER_RUNS config, each written once."""
+    root = tmp_path_factory.mktemp("tamper")
+    for name, doc in TAMPER_RUNS.items():
+        assert main(["run", _write(root / f"{name}.json", doc), "--out", str(root / name)]) == 0
+    return root
+
+
+def _report_of_tampered(tamper_runs, tmp_path, capsys, run, edit):
+    """report's (exit code, stdout, stderr) on a copy of a run whose theory
+    document edit(theory, report) rewrote in place."""
+    out = tmp_path / run
+    shutil.copytree(tamper_runs / run, out)
+    doc = json.loads((out / "run.json").read_text())
+    edit(doc["theory"], rebuild_theory(doc["theory"], RunConfig.from_dict(doc["config"])))
+    (out / "run.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["report", str(out)])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def _changed(value):
+    """A value of the same JSON type that differs from value."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return value + "x"
+    return 1.0 if value is None else 2.0 * value + 1.0
+
+
+@pytest.mark.parametrize("run", ["pl-identity", "clip-no-f-star"])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(TheoryReport)])
+def test_report_refuses_any_theory_field_its_config_does_not_give(
+        tamper_runs, tmp_path, capsys, run, name):
+    # every measured premise is null on these runs, so each field is named itself;
+    # delta2_het on the identity run is a premise of another kind
+    def edit(theory, _):
+        theory[name] = _changed(theory[name])
+
+    rc, out, err = _report_of_tampered(tamper_runs, tmp_path, capsys, run, edit)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: theory '{name}' is ")
+
+
+# (run, theory rewritten consistently from the rebuilt report, the field named)
+CONSISTENT_TAMPERS = {
+    "gamma-x0.9": ("top-k", lambda r: dataclasses.replace(r, gamma=0.9 * r.gamma), "gamma"),
+    "top-k-C-x100": ("top-k", lambda r: dataclasses.replace(r, C_var=100 * r.C_var), "C_var"),
+    "clip-C-x100": ("clip", lambda r: dataclasses.replace(r, C_var=100 * r.C_var), "C_var"),
+    "composite-C-x100": ("composite", lambda r: dataclasses.replace(r, C_var=100 * r.C_var),
+                         "C_var"),
+    "alpha-1": ("top-k", lambda r: dataclasses.replace(r, alpha_contraction=1.0),
+                "alpha_contraction"),
+    # a measured premise is named through the first field it moves
+    "delta2-x2": ("top-k", lambda r: dataclasses.replace(r, delta2_het=2 * r.delta2_het), "C_var"),
+    "subopt-x2": ("clip", lambda r: dataclasses.replace(r, delta_subopt=2 * r.delta_subopt),
+                  "C_var"),
+    "sigmas-x2": ("composite", lambda r: dataclasses.replace(
+        r, composite_sigmas=tuple(2 * s for s in r.composite_sigmas)), "C_var"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONSISTENT_TAMPERS))
+def test_report_refuses_a_consistent_theory_of_another_config(tamper_runs, tmp_path, capsys, case):
+    run, tamper, named = CONSISTENT_TAMPERS[case]
+
+    def edit(theory, report):
+        theory.update(json.loads(json.dumps(tamper(report).to_dict())))
+
+    rc, out, err = _report_of_tampered(tamper_runs, tmp_path, capsys, run, edit)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: theory '{named}' is ")
+
+
+@pytest.mark.parametrize("run", list(TAMPER_RUNS))
+def test_report_passes_its_own_theory(tamper_runs, tmp_path, capsys, run):
+    rc, out, err = _report_of_tampered(tamper_runs, tmp_path, capsys, run, lambda *_: None)
+    assert rc == 0 and err == "" and out.startswith("theory report\n")
 
 
 def test_report_ignores_row_order(tmp_path, capsys):

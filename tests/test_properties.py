@@ -4,6 +4,9 @@ row-wise estimator operators with their contraction inequalities."""
 import dataclasses
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -14,13 +17,13 @@ from biased_momentum import (
     EstimatorSpec,
     NoiseSpec,
     RunConfig,
-    TheoryReport,
+    build_theory_report,
     clip,
     problem_from_dict,
     scaled_sign,
     top_k,
 )
-from biased_momentum.estimators import KINDS
+from biased_momentum.harness import rebuild_theory
 from biased_momentum.rng import pairwise_mean
 
 from _oracles import reference_clip, reference_pairwise_mean, reference_scaled_sign, reference_top_k
@@ -54,7 +57,7 @@ run_configs = st.builds(
     RunConfig,
     problem=st.just(PROBLEM),
     gamma=positive,
-    beta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    beta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True).filter(lambda b: b * b > 0),
     iterations=st.integers(0, 10**6),
     trials=st.integers(1, 10**4),
     estimator=estimator_specs,
@@ -86,36 +89,37 @@ def test_run_config_round_trip(cfg):
     assert dataclasses.replace(back, problem=cfg.problem) == cfg
 
 
-# admissible premises of a theory report; NaN and None where a field takes them
-nan_or_none = st.one_of(st.none(), st.just(math.nan))
-optional_numbers = st.one_of(nan_or_none, st.floats(min_value=0.0, max_value=1e6))
-theory_reports = st.builds(
-    TheoryReport,
-    gamma=st.floats(min_value=1e-8, max_value=1e3),
-    beta=st.floats(min_value=0.01, max_value=1.0),
-    L=st.floats(min_value=1e-6, max_value=1e6),
-    mu=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e6)),
-    f_star=st.one_of(st.none(), finite),
-    estimator_kind=st.sampled_from(KINDS),
-    B_var=st.floats(min_value=0.0, max_value=1.0),
-    C_var=optional_numbers,
-    f0_gap=optional_numbers,
-    grad_v_err0_sq=st.floats(min_value=0.0, max_value=1e6),
-    alpha_contraction=st.one_of(st.none(), st.floats(min_value=1e-3, max_value=1.0)),
-    sigma2_worker=optional_numbers,
-    delta2_het=optional_numbers,
-    delta_subopt=optional_numbers,
-    composite_sigmas=st.one_of(st.none(), st.tuples(*[st.floats(0.0, 1e6)] * 3)),
-)
-
-
 @settings(max_examples=200, deadline=None)
-@given(report=theory_reports)
-def test_theory_report_round_trip(report):
-    # the exact derived-value check never refuses an honest document
-    doc = _json(report.to_dict())
-    back = TheoryReport.from_dict(doc)
+@given(cfg=run_configs)
+# an x0 whose f, gradients and premises overflow to infinities and NaN
+@example(cfg=RunConfig(PROBLEM, 0.1, 1.0, 1, estimator=EstimatorSpec(kind="top_k", k=2),
+                       v_init="zero", x0=(1e300,) * D))
+# a beta whose 1/beta^2 constants overflow: the step-size ceilings are 0
+@example(cfg=RunConfig(PROBLEM, 0.1, 1e-160, 1))
+def test_theory_report_round_trip(cfg):
+    # the theory a run writes for its config is never refused: report rebuilds
+    # it from the config echo to the same JSON text
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing x0 warns as it runs
+        report = build_theory_report(cfg.problem, cfg.gamma, cfg.beta, cfg.estimator, cfg.noise,
+                                     x0=cfg.resolve_x0(), v_init=cfg.v_init)
+        back = rebuild_theory(_json(report.to_dict()), RunConfig.from_dict(_json(cfg.to_dict())))
     assert json.dumps(back.to_dict()) == json.dumps(report.to_dict())
+
+
+def test_a_failing_example_fails_its_test_not_the_session(tmp_path):
+    # reporting a failing example imports libcst, whose import warns; under
+    # the suite's warning filters that must still end in FAILED, exit 1
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(pyproject), "--rootdir", str(tmp_path), "test_fails.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "FAILED test_fails.py::test_fails" in done.stdout
 
 
 @settings(max_examples=200, deadline=None)

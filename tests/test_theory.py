@@ -11,6 +11,7 @@ from biased_momentum import (
     ConfigurationError,
     EstimatorSpec,
     NoiseSpec,
+    RunConfig,
     TheoryReport,
     affine_constants_clip,
     affine_constants_composite,
@@ -31,7 +32,9 @@ from biased_momentum import (
     theorem_bounds,
     theta0_value,
 )
+from biased_momentum.harness import rebuild_theory
 from biased_momentum.rng import substream
+from biased_momentum.theory import derive_theory_report
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +280,25 @@ def test_report_beta_one_invariants():
     assert report.A_ncvx == 0.0 and report.A_pl == 0.0
 
 
+def _pl_quadratic_run(sigma2=0.0):
+    """A config of _pl_quadratic_report's problem, start and step size, and its report."""
+    p, report = _pl_quadratic_report(sigma2=sigma2)
+    cfg = RunConfig(p, report.gamma, report.beta, iterations=1, noise=NoiseSpec(sigma2=sigma2),
+                    x0=(1.0,) + (0.0,) * 9)
+    return cfg, report
+
+
+def _json(report):
+    """The theory document run.json holds for a report."""
+    return json.loads(json.dumps(report.to_dict()))
+
+
 def test_report_round_trip():
-    _, report = _pl_quadratic_report()
-    again = TheoryReport.from_dict(report.to_dict())
-    assert again == report
+    # the report of a run.json theory is rebuilt from the config, not read from the document
+    cfg, report = _pl_quadratic_run()
+    assert rebuild_theory(_json(report), cfg) == report
+    assert derive_theory_report(cfg.problem, cfg.gamma, cfg.beta, cfg.estimator, cfg.noise,
+                                x0=cfg.resolve_x0()) == report
 
 
 DERIVED = [f.name for f in dataclasses.fields(TheoryReport) if not f.init]
@@ -320,38 +338,68 @@ def _tampered(value):
     return 1.0 if value is None else 2.0 * value + 1.0
 
 
-def _clip_report_without_f_star():
+def _clip_run_without_f_star():
     # f* unknown and mu = 0: the derived None values
     p = make_nonconvex_reg(*make_synthetic_classification(4, 2, 6, seed=3), lam_nc=0.5)
-    return build_theory_report(p, 0.01, 0.5, EstimatorSpec(kind="clip", tau=1.0), NoiseSpec(),
-                               x0=np.zeros(4))
+    cfg = RunConfig(p, 0.01, 0.5, iterations=1, estimator=EstimatorSpec(kind="clip", tau=1.0),
+                    x0=(0.0,) * 4)
+    return cfg, build_theory_report(p, 0.01, 0.5, cfg.estimator, NoiseSpec(), x0=np.zeros(4))
 
 
 @pytest.mark.parametrize("name", DERIVED)
 def test_from_dict_names_a_derived_value_its_premises_do_not_give(name):
-    for report in (_pl_quadratic_report(sigma2=0.01)[1], _clip_report_without_f_star()):
-        doc = json.loads(json.dumps(report.to_dict()))
-        assert TheoryReport.from_dict(doc) == report
+    # a stored derived value that the config does not give is named by the rebuild
+    for cfg, report in (_pl_quadratic_run(sigma2=0.01), _clip_run_without_f_star()):
+        doc = _json(report)
+        assert rebuild_theory(doc, cfg) == report
         doc[name] = _tampered(doc[name])
-        with pytest.raises(ConfigurationError, match=f"theory '{name}' is .*, but its premises"):
-            TheoryReport.from_dict(doc)
+        with pytest.raises(ConfigurationError, match=f"theory '{name}' is .*, but its config"):
+            rebuild_theory(doc, cfg)
 
 
 def test_from_dict_takes_nan_as_nan():
-    _, report = _pl_quadratic_report()
-    report = dataclasses.replace(report, C_var=float("nan"))
-    doc = json.loads(json.dumps(report.to_dict()))
-    assert math.isnan(doc["floor_ncvx"]) and math.isnan(doc["floor_pl"])
-    assert math.isnan(TheoryReport.from_dict(doc).floor_pl)
+    # a NaN measured premise is kept, and its NaN constants match the stored ones
+    p = make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), n_workers=3, seed=2)
+    cfg = RunConfig(p, 0.1, 0.5, iterations=1, estimator=EstimatorSpec(kind="top_k", k=2),
+                    x0=(1.0,) * 6)
+    report = derive_theory_report(p, 0.1, 0.5, cfg.estimator, x0=np.ones(6), delta2_het=math.nan)
+    doc = _json(report)
+    assert math.isnan(doc["C_var"]) and math.isnan(doc["floor_ncvx"]) and math.isnan(doc["floor_pl"])
+    assert math.isnan(rebuild_theory(doc, cfg).floor_pl)
 
 
 @pytest.mark.parametrize("premise,value,named", [("beta", 2.0, "beta"), ("beta", 0.0, "beta"),
                                                  ("L", 0.0, "L must"), ("gamma", 0.0, "gamma")])
 def test_from_dict_refuses_premises_that_cannot_hold(premise, value, named):
-    _, report = _pl_quadratic_report()
-    doc = dict(report.to_dict(), **{premise: value})
+    # stored, a premise that cannot hold differs from the config's; in process,
+    # the constructor refuses it
+    cfg, report = _pl_quadratic_run()
+    doc = dict(_json(report), **{premise: value})
+    with pytest.raises(ConfigurationError, match=f"theory '{premise}' is {value}, but"):
+        rebuild_theory(doc, cfg)
     with pytest.raises(ConfigurationError, match=named):
-        TheoryReport.from_dict(doc)
+        dataclasses.replace(report, **{premise: value})
+
+
+def test_derive_reads_only_the_premise_its_kind_measures():
+    # a measured premise of another kind is left None; the kind's own must be a number
+    quad = make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), n_workers=3, seed=2)
+    x0 = np.ones(6)
+    plain = derive_theory_report(quad, 0.1, 0.5, EstimatorSpec(), x0=x0, delta2_het=1.0,
+                                 delta_subopt=1.0, composite_sigmas=(1.0, 1.0, 1.0))
+    assert (plain.delta2_het, plain.delta_subopt, plain.composite_sigmas) == (None, None, None)
+    top_k = EstimatorSpec(kind="top_k", k=2)
+    for value in (None, True, "1.0", [1.0]):
+        with pytest.raises(ConfigurationError, match="top_k report needs delta2_het measured"):
+            derive_theory_report(quad, 0.1, 0.5, top_k, x0=x0, delta2_het=value)
+    cp = make_maml(*make_synthetic_classification(3, 2, 5, seed=13), 0.2)
+    composite = EstimatorSpec(kind="composite", s_g=1, s_f=1)
+    report = derive_theory_report(cp, 0.1, 0.5, composite, x0=np.zeros(3),
+                                  composite_sigmas=[1.0, 2.0, 3.0])
+    assert report.composite_sigmas == (1.0, 2.0, 3.0)
+    for value in ([1.0, 2.0], [1.0, 2.0, False], 1.0):
+        with pytest.raises(ConfigurationError, match="three numbers"):
+            derive_theory_report(cp, 0.1, 0.5, composite, x0=np.zeros(3), composite_sigmas=value)
 
 
 def test_report_refuses_empty_pilot_points():
@@ -398,6 +446,13 @@ def test_validation_errors():
         affine_constants_clip(0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ConfigurationError):
         stepsize_bounds(0.5, L=0.0)
+    # the constants divide by beta^2: a beta whose square underflows is refused,
+    # and one whose constants overflow has ceilings of 0
+    for make in (lambda: momentum_alpha(5e-324, "pl"),
+                 lambda: RunConfig(make_quadratic(np.eye(3)), 0.1, 5e-324, 1)):
+        with pytest.raises(ConfigurationError, match="beta\\^2 > 0"):
+            make()
+    assert stepsize_bounds(1e-160, L=1.0, mu=0.5) == (0.0, 0.0)
     # the report's own premises go through the same checks
     quad = make_quadratic(np.eye(3))
     for gamma, beta, named in ((0.0, 0.5, "gamma must be > 0"), (0.1, 0.0, "beta must be")):
