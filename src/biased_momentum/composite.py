@@ -4,7 +4,8 @@ instantiation g_{i,j}(x) = x - gamma * grad of the per-sample loss.
 
 Every worker's components are held as arrays with a worker axis, and each
 oracle evaluates one index set per worker in one call (one block of sets
-per row of any leading batch axes, at that row's point).  For the
+per row of any leading batch axes, at that row's point); the exact
+gradients are one inner table chained on the full sets.  For the
 meta-learning inner map the Jacobian is I - gamma * (loss Hessian); for
 per-sample logistic losses its action is closed form.
 """
@@ -12,7 +13,7 @@ per-sample logistic losses its action is closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -65,18 +66,17 @@ class CompositeProblem(Problem):
 
     ``rows`` is the table after its inner values, gathered on idx
     (``_gather``), (..., n, k, ...) per array; on the full sets it is the
-    table itself.  ``chained_gradient`` averages over the sets, and
-    ``worker_grads`` is it on the full sets.  Each table row rounds exactly
-    like its component on its own and a gather copies it, so a subset
-    average does not depend on how its rows were batched.
+    table itself, which the exact gradients chain: bit for bit
+    ``chained_gradient``, the estimator's average over subsets, on the full
+    sets.  Each table row rounds exactly like its component on its own and
+    a gather copies it, so a subset average does not depend on how its rows
+    were batched.
 
     ``ell_g``/``L_g``/``ell_F``/``L_F`` are certified Lipschitz constants of
     the component maps and their gradients; the objective then has
     L = L_g * ell_F + ell_g^2 * L_F.
     """
 
-    n_workers: int
-    dimension: int
     inner_dimension: int
     m_g: int
     m_F: int
@@ -84,9 +84,6 @@ class CompositeProblem(Problem):
     L_g: float
     ell_F: float
     L_F: float
-    mu: float = 0.0
-    f_star: float | None = None
-    source: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def L(self) -> float:
@@ -96,14 +93,17 @@ class CompositeProblem(Problem):
         return self._outer_mean(np.mean(self.inner_table(as_points(x, self.dimension))[0], axis=-2))
 
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
-        return chained_gradient(self, x, np.arange(self.m_g), np.arange(self.m_F))
+        return self._exact(x)[1]
 
     def f_and_worker_grads(self, x: np.ndarray) -> tuple:
-        """(f(x), worker_grads(x)) from one inner table."""
+        z, grads = self._exact(x)
+        return self._outer_mean(z), grads
+
+    def _exact(self, x: np.ndarray) -> tuple:
+        """(full-set inner values z, exact worker gradients) from one inner table."""
         table = self.inner_table(as_points(x, self.dimension))
         z = np.mean(table[0], axis=-2)
-        return self._outer_mean(z), _chain(self, table[1:], z, np.arange(self.m_g),
-                                           np.arange(self.m_F))
+        return z, _chain(self, table[1:], z, np.arange(self.m_g), np.arange(self.m_F))
 
     def _outer_mean(self, z: np.ndarray):
         """f from every worker's full-set inner value z."""
@@ -186,12 +186,12 @@ class MamlProblem(CompositeProblem):
     Its inner table holds g(x) = x + gamma_inner b s a and s (1 - s) for
     every sample."""
 
+    kind = "maml"
     features: np.ndarray  # (n, m, d): worker i holds rows features[i]
     labels: np.ndarray  # (n, m) with entries in {-1, +1}
     gamma_inner: float
     ell_base: float
     L_base: float
-    kind: str = "maml"
 
     def _rows(self, idx: np.ndarray):
         """Each worker's rows a_j and labels b_j for its set in idx."""
@@ -275,10 +275,10 @@ class ToyCompositeProblem(CompositeProblem):
     """g_j(x) = G_j x and F_j(z) = c_j sum_t (z_t - r_{j,t})^4, shared by
     every worker."""
 
+    kind = "composite_toy"
     G: np.ndarray  # (m_g, p, d) inner matrices
     coeffs: np.ndarray  # (m_F,) outer coefficients c_j
     centers: np.ndarray  # (m_F, p) outer centers r_j
-    kind: str = "composite_toy"
 
     def inner_table(self, x):
         return ((self.G[self._sets(np.arange(self.m_g))] @ x[..., None, None, :, None])[..., 0],)

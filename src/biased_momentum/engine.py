@@ -140,14 +140,12 @@ class RunConfig:
         )
 
     def to_dict(self) -> dict:
-        problem_echo = self.problem.source or {
-            "kind": self.problem.kind,
-            "dimension": self.problem.dimension,
-            "n_workers": self.problem.n_workers,
-        }
+        if self.problem.source is None:  # no JSON document rebuilds it
+            raise ConfigurationError(f"a {self.problem.kind} problem built without a source has "
+                                     "no config echo; build it with problem_from_dict")
         d = {
             "schema_version": SCHEMA_VERSION,
-            "problem": problem_echo,
+            "problem": self.problem.source,
             "gamma": self.gamma,
             "beta": self.beta,
             "iterations": self.iterations,
@@ -314,6 +312,7 @@ def per_k_stats(table: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
     return mean, stderr
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a row that overflows stops (see step), silently
 def run_trials(cfg: RunConfig) -> TrialStats:
     """Run all trials together, row r being trial r, one batched ``step``
     per iteration.

@@ -23,7 +23,6 @@ import copy
 import json
 import math
 import os
-import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -64,22 +63,9 @@ SWEEP_ROW_NUMBERS = ("axis_value", "final_plateau_mean", "iters_to_threshold", "
 
 
 def version_string() -> str:
-    """``__version__`` (so a source tree off PYTHONPATH names it too) and
-    the ``git describe`` of its checkout, when there is one."""
-    base = __version__
-    try:
-        desc = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if desc.returncode == 0:
-            return f"biased-momentum {base} ({desc.stdout.strip()})"
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return f"biased-momentum {base}"
+    """The package version that run.json and sweep.json record: with the
+    config and seed, it is what a run's outputs are reproducible from."""
+    return f"biased-momentum {__version__}"
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ taking one point x of shape (d,) or a stack of points of shape (..., d):
 
 and ``L``, ``mu``, ``f_star``: a certified gradient-Lipschitz constant, a
 PL constant (0.0 when no certificate is claimed) and the global lower
-bound (None when unknown).  Every row of a stack rounds bit for bit like
-the same point evaluated on its own: products with data matrices are
-stacked matrix-vector products, never one matrix-matrix product.
+bound (None when unknown).  The dataclass base ``Problem`` declares the
+fields all kinds share; a kind adds its own data and ``L``.  Every row of
+a stack rounds bit for bit like the same point evaluated on its own:
+products with data matrices are stacked matrix-vector products, never
+one matrix-matrix product.
 
 Parameter vectors are plain 1-D float64 numpy arrays; ``as_param_vector``
 is the single validation gate (finite entries, correct dimension).
@@ -32,6 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -142,20 +145,22 @@ def config_array(value, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+@dataclass(frozen=True, kw_only=True)
 class Problem:
-    """Base interface; concrete problems are frozen dataclasses.
+    """Base of every problem, holding the fields all kinds share.
 
-    Each kind defines the stacked oracles ``f`` ((..., d) -> (...)) and
+    Each kind names itself in the class constant ``kind``, adds its data
+    and ``L`` and defines the stacked oracles ``f`` ((..., d) -> (...)) and
     ``worker_grads`` ((..., d) -> (..., n, d)) described in the module
-    docstring.
+    docstring.  ``source`` is the JSON document the problem was built from.
     """
 
-    kind: str
+    kind: ClassVar[str]
     n_workers: int
     dimension: int
-    L: float
-    mu: float
-    f_star: float | None
+    mu: float = 0.0
+    f_star: float | None = None
+    source: dict | None = field(default=None, repr=False, compare=False)
 
     def f(self, x: np.ndarray):
         raise NotImplementedError
@@ -263,7 +268,7 @@ class NoiseSpec:
 # quadratic family: f(x) = 0.5 ||A x||^2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class QuadraticProblem(Problem):
     """f(x) = 0.5 ||Ax||^2 with rows of A block-partitioned across workers.
 
@@ -272,15 +277,10 @@ class QuadraticProblem(Problem):
     gradients n * A_i^T A_i x are genuinely heterogeneous.
     """
 
+    kind = "quadratic"
     A: np.ndarray
     blocks: tuple  # per-worker row submatrices of A (ragged, see worker_grads)
-    n_workers: int
-    dimension: int
     L: float
-    mu: float
-    f_star: float | None = 0.0
-    kind: str = "quadratic"
-    source: dict | None = field(default=None, repr=False, compare=False)
 
     def f(self, x: np.ndarray):
         x = np.asarray(x, dtype=np.float64)
@@ -323,6 +323,7 @@ def make_quadratic(
     for a seeded random orthogonal Q, so A^T A has exactly the requested
     eigenvalues.  L and mu are the extreme eigenvalues of A^T A; mu is
     reported as 0.0 (PL not certified) when the Gram matrix is singular.
+    f_star is 0.0, attained at x = 0.
     """
     if (A is None) == (spectrum is None):
         raise ConfigurationError("provide exactly one of A or spectrum")
@@ -364,6 +365,7 @@ def make_quadratic(
         dimension=d,
         L=L,
         mu=mu,
+        f_star=0.0,
         source=source,
     )
 
@@ -372,18 +374,19 @@ def make_quadratic(
 # l2-regularized logistic regression
 
 
+@dataclass(frozen=True, kw_only=True)
 class _LogisticLossProblem(Problem):
     """Mean logistic loss over each worker's dataset plus a regularizer.
 
-    Subclasses hold the (n, m, d) ``features`` and (n, m) ``labels`` and
-    define the regularizer's value ``_reg_value(x)`` and gradient
+    Subclasses define the regularizer's value ``_reg_value(x)`` and gradient
     ``_reg_grad(x)`` on stacks of points.  With z_ij = b_ij <a_ij, x> the
     point loss is log(1 + exp(-z_ij)), and its gradient coef_ij * a_ij has
     coef_ij = -b_ij * sigmoid(-z_ij).
     """
 
-    features: np.ndarray
-    labels: np.ndarray
+    features: np.ndarray  # (n, m, d): worker i holds rows features[i]
+    labels: np.ndarray  # (n, m) with entries in {-1, +1}
+    L: float
 
     def _margins(self, x: np.ndarray) -> np.ndarray:
         """z_ij of every worker i and sample j at each point of x: (..., n, m)."""
@@ -401,7 +404,7 @@ class _LogisticLossProblem(Problem):
         return loss + self._reg_grad(x)[..., None, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class LogisticL2Problem(_LogisticLossProblem):
     """l2-regularized logistic regression over per-worker datasets.
 
@@ -410,16 +413,8 @@ class LogisticL2Problem(_LogisticLossProblem):
     at most 1/4, so each worker Hessian is below that bound globally).
     """
 
-    features: np.ndarray  # (n, m, d): worker i holds rows features[i]
-    labels: np.ndarray  # (n, m) with entries in {-1, +1}
+    kind = "logistic_l2"
     lam: float
-    n_workers: int
-    dimension: int
-    L: float
-    mu: float
-    f_star: float | None = None
-    kind: str = "logistic_l2"
-    source: dict | None = field(default=None, repr=False, compare=False)
 
     def _reg_value(self, x: np.ndarray) -> np.ndarray:
         return 0.5 * self.lam * row_dot(x, x)
@@ -464,7 +459,7 @@ def make_logistic_l2(features, labels, lam: float, source: dict | None = None) -
 # classification with non-convex regularizer sum_j x_j^2 / (1 + x_j^2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class NonconvexRegProblem(_LogisticLossProblem):
     """Logistic loss plus the bounded non-convex penalty sum x_j^2/(1+x_j^2).
 
@@ -472,16 +467,8 @@ class NonconvexRegProblem(_LogisticLossProblem):
     so it adds 2*lam_nc to the certified L.  No PL certificate (mu = 0).
     """
 
-    features: np.ndarray
-    labels: np.ndarray
+    kind = "nonconvex_reg_classification"
     lam_nc: float
-    n_workers: int
-    dimension: int
-    L: float
-    mu: float = 0.0
-    f_star: float | None = None
-    kind: str = "nonconvex_reg_classification"
-    source: dict | None = field(default=None, repr=False, compare=False)
 
     def _reg_value(self, x: np.ndarray) -> np.ndarray:
         return self.lam_nc * np.sum(x**2 / (1.0 + x**2), axis=-1)

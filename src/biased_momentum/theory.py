@@ -383,8 +383,9 @@ def build_theory_report(
     if pilot_points is not None and len(pilot_points) == 0:
         raise ConfigurationError("need at least one pilot point")
     name = _measured_premise(problem, estimator)
-    measured = {} if name is None else {
-        name: MEASUREMENTS[name](problem, [x0] if pilot_points is None else pilot_points)}
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing point measures inf or NaN
+        measured = {} if name is None else {
+            name: MEASUREMENTS[name](problem, [x0] if pilot_points is None else pilot_points)}
     return derive_theory_report(problem, gamma, beta, estimator, noise, x0=x0, v_init=v_init,
                                 **measured)
 
@@ -439,15 +440,15 @@ def derive_theory_report(
         if not noise.is_null:  # the composite C covers subsampling error alone
             C_var = None
 
-    if v_init == "grad_at_x0":
-        grad_v_err0_sq = 0.0
-    elif v_init == "zero":
-        grad0 = full_gradient(problem, x0)
-        grad_v_err0_sq = float(grad0 @ grad0)
-    else:
-        raise ConfigurationError(f"unknown v_init {v_init!r}")
-
-    f0_gap = None if f_star is None else problem.f(x0) - f_star
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing x0 gives inf or NaN
+        if v_init == "grad_at_x0":
+            grad_v_err0_sq = 0.0
+        elif v_init == "zero":
+            grad0 = full_gradient(problem, x0)
+            grad_v_err0_sq = float(grad0 @ grad0)
+        else:
+            raise ConfigurationError(f"unknown v_init {v_init!r}")
+        f0_gap = None if f_star is None else problem.f(x0) - f_star
     return TheoryReport(
         gamma=gamma,
         beta=beta,

@@ -14,6 +14,7 @@ from biased_momentum import (
     make_toy_composite,
     measure_composite_sigmas,
 )
+from biased_momentum import composite
 from biased_momentum.audit import pilot_points
 from biased_momentum.composite import CompositeProblem, _gather, composite_from_dict
 from biased_momentum.engine import RunConfig, run_trials
@@ -144,6 +145,27 @@ def test_maml_gradient_matches_finite_differences():
         ga = cp.worker_grads(x)[1]
         gn = fd_gradient(lambda y: reference_worker_value(cp, 1, y), x)
         assert np.linalg.norm(ga - gn) <= 1e-4 * max(1.0, np.linalg.norm(gn))
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: make_maml(*make_synthetic_classification(5, 2, 8, seed=15), 0.2),
+                 id="maml"),
+    pytest.param(lambda: make_toy_composite(n_workers=2), id="toy"),
+])
+def test_exact_gradients_are_the_chained_gradient_on_full_sets(monkeypatch, build):
+    # worker_grads and f_and_worker_grads chain the inner table as it stands,
+    # never through chained_gradient, and round like it on the full sets
+    cp = build()
+    full_g, full_F = np.arange(cp.m_g), np.arange(cp.m_F)
+    rng = substream(54, 2, 0)
+    for x in (rng.standard_normal(cp.dimension), rng.standard_normal((3, cp.dimension))):
+        want = chained_gradient(cp, x, full_g, full_F)
+        with monkeypatch.context() as patch:
+            patch.setattr(composite, "chained_gradient", None)
+            got = cp.worker_grads(x)
+            f, grads = cp.f_and_worker_grads(x)
+        assert got.tobytes() == grads.tobytes() == want.tobytes()
+        assert np.asarray(f).tobytes() == np.asarray(cp.f(x)).tobytes()
 
 
 def test_chained_gradient_index_errors():
@@ -287,8 +309,8 @@ def test_sigmas_zero_for_identical_components():
 class _ShiftedIdentity(CompositeProblem):
     """g_j(x) = x + offsets[j] and one outer F(z) = ||z||^2."""
 
+    kind = "shifted_identity"
     offsets: np.ndarray
-    kind: str = "shifted_identity"
 
     def inner_table(self, x):
         return (x[..., None, None, :] + self.offsets[self._sets(np.arange(self.m_g))],)

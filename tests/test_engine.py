@@ -451,6 +451,14 @@ def test_config_from_dict_and_echo():
     assert _rows(r1) == _rows(r2)
 
 
+def test_config_echo_of_a_problem_without_source_is_refused():
+    # an echo of kind, dimension and n_workers alone would not load back
+    cfg = RunConfig(problem=make_quadratic(spectrum=[1.0, 2.0]), gamma=0.1, beta=0.5,
+                    iterations=2)
+    with pytest.raises(ConfigurationError, match="problem_from_dict"):
+        cfg.to_dict()
+
+
 def test_config_missing_key_named():
     with pytest.raises(ConfigurationError, match="gamma"):
         RunConfig.from_dict({"beta": 0.5, "iterations": 1, "problem": {}})
@@ -578,7 +586,8 @@ class _UnboundedQuadratic(QuadraticProblem):
 def test_step_stops_a_row_whose_f_is_minus_infinity():
     # -inf is below DIVERGENCE_F_MAX but not finite, so the row stops
     q = make_quadratic(spectrum=np.linspace(0.5, 2.0, 4), n_workers=2, seed=3)
-    p = _UnboundedQuadratic(q.A, q.blocks, q.n_workers, q.dimension, q.L, q.mu)
+    p = _UnboundedQuadratic(A=q.A, blocks=q.blocks, n_workers=q.n_workers,
+                            dimension=q.dimension, L=q.L, mu=q.mu)
     x = np.random.default_rng(2).standard_normal((3, 4))
     x[:, 0] = (0.5, -2.0, 0.25)
     v_prev = np.ones((3, 4))

@@ -352,17 +352,15 @@ def test_measure_eta_matches_per_draw_reference(build, spec, noise, samples):
     assert got == want
 
 
-@pytest.mark.parametrize("build,spec,operator,modules,per_block,exact", [
-    pytest.param(_quadratic_6, EstimatorSpec(kind="top_k", k=2), "top_k", (estimators,), 1, 0,
+@pytest.mark.parametrize("build,spec,operator,modules", [
+    pytest.param(_quadratic_6, EstimatorSpec(kind="top_k", k=2), "top_k", (estimators,),
                  id="top_k"),
-    # the composite worker gradient is the chained gradient on full index sets
-    pytest.param(_maml_4, MAML_COMPOSITE, "chained_gradient", (estimators, composite), 1, 1,
+    # the exact composite worker gradients chain the inner table without it
+    pytest.param(_maml_4, MAML_COMPOSITE, "chained_gradient", (estimators, composite),
                  id="composite"),
 ])
-def test_measure_eta_evaluates_each_block_once(monkeypatch, build, spec, operator, modules,
-                                               per_block, exact):
-    # one operator call per block of draws (for the composite chained
-    # gradient, plus one for the exact worker gradients), not one per draw
+def test_measure_eta_evaluates_each_block_once(monkeypatch, build, spec, operator, modules):
+    # one operator call per block of draws, not one per draw
     p, calls = build(), []
     original = getattr(estimators, operator)
 
@@ -375,7 +373,7 @@ def test_measure_eta_evaluates_each_block_once(monkeypatch, build, spec, operato
     x = substream(41, 2, 0).standard_normal(p.dimension)
     measure_eta(p, x, spec, NoiseSpec(sigma2=0.01), samples=1000, rng=substream(41, 2, 1))
     blocks = -(-1000 // _block_draws(p, spec))
-    assert len(calls) == blocks * per_block + exact
+    assert len(calls) == blocks
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,41 @@ def test_run_from_source_tree_records_package_version(repo_root, tmp_path):
     assert version.split()[:2] == ["biased-momentum", biased_momentum.__version__]
 
 
+def test_run_records_the_package_version_and_spawns_no_process(repo_root, tmp_path):
+    # the version names the package, not whatever git checkout the package sits in
+    out = tmp_path / "out"
+    script = ("import sys, contextlib, io\n"
+              "from biased_momentum.harness import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    rc = main(['run', {str(repo_root / 'presets' / 'pl_quadratic.json')!r}, "
+              f"'--out', {str(out)!r}])\n"
+              "print(rc, 'subprocess' in sys.modules)\n")
+    path = [str(repo_root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+    version = json.loads((out / "run.json").read_text())["version"]
+    assert version == version_string() == f"biased-momentum {biased_momentum.__version__}"
+
+
+@pytest.mark.parametrize("v_init", ["grad_at_x0", "zero"])
+def test_run_and_report_of_an_overflowing_x0_warn_of_nothing(tmp_path, capsys, v_init):
+    # f(x0), the heterogeneity premise, the first step's f and (v zero) the
+    # squared gradient at x0 overflow; the suite turns any warning into an error
+    doc = _minimal_config(estimator={"kind": "top_k", "k": 2}, x0=[1e300] * 4, v_init=v_init)
+    path, out = _write(tmp_path / "cfg.json", doc), tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 0
+    assert main(["report", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    sidecar = json.loads((out / "run.json").read_text())
+    assert sidecar["diverged"] == [True, True]
+    infinite = {name for name, value in sidecar["theory"].items() if value == float("inf")}
+    assert {"C_var", "delta2_het", "f0_gap", "floor_ncvx", "floor_pl", "phi0_pl",
+            "theta0"} <= infinite
+
+
 def test_pyproject_version_is_package_version(repo_root):
     text = (repo_root / "pyproject.toml").read_text()
     project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)

@@ -1,5 +1,6 @@
 """Problem suite: gradients, certificates, worker decomposition, noise model."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from biased_momentum import (
     make_toy_composite,
     problem_from_dict,
 )
-from biased_momentum.problems import _sigmoid, as_point_stack
+from biased_momentum.problems import Problem, _sigmoid, as_point_stack
 from biased_momentum.rng import substream
 
 from _oracles import (
@@ -223,6 +224,28 @@ def test_stacked_oracles_match_reference():
                 for i in range(p.n_workers):
                     np.testing.assert_array_equal(grads[t, i], reference_worker_grad(p, i, row),
                                                   err_msg=f"{kind} row {t} worker {i}")
+
+
+SHARED_FIELDS = {"n_workers", "dimension", "mu", "f_star", "source"}
+
+
+@pytest.mark.parametrize("name,kind", [
+    ("quadratic", "quadratic"), ("logistic_l2", "logistic_l2"),
+    ("nonconvex_reg", "nonconvex_reg_classification"), ("maml", "maml"),
+    ("composite_toy", "composite_toy"),
+])
+def test_kind_is_a_class_constant_no_constructor_takes(name, kind):
+    # every family names itself in its class; the fields all kinds share are
+    # declared once, on Problem, and rebuild the problem by keyword
+    p = _oracle_problems()[name]
+    init = {f.name: getattr(p, f.name) for f in dataclasses.fields(p) if f.init}
+    assert p.kind == type(p).kind == type(p)(**init).kind == kind
+    assert SHARED_FIELDS <= set(init)
+    for cls in type(p).__mro__:
+        if cls is not Problem:
+            assert not SHARED_FIELDS & set(vars(cls).get("__annotations__", ())), cls
+    with pytest.raises(TypeError, match="kind"):
+        type(p)(**init, kind=kind)
 
 
 @pytest.mark.parametrize("d,n", [(10, 3), (7, 4), (11, 8), (5, 3), (8, 4)])

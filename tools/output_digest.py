@@ -13,8 +13,9 @@ single-run preset, ``report`` on every run, every sweep and every sweep
 point, and each demo in a fresh interpreter.  Each artifact and each
 stdout gives one ``sha256  name`` line; the ``version`` field of
 run.json and sweep.json is dropped before hashing, since it names the
-commit.  Two checkouts produce the same bytes exactly when their listings
-do not differ.
+package version, which a change under comparison may bump.  Two
+checkouts produce the same bytes exactly when their listings do not
+differ.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ traj_small_d benchmark shape), each at its start stack and first round of
 draws; ``measure_eta`` takes verify's 1000 draws at x0.  The verify
 layers: ``sigmas`` is ``measure_composite_sigmas`` at 20 standard normal
 points (composite shapes only, "-" elsewhere) and ``grad_audit`` is
-``audit_gradients`` at verify's 25 points.  A figure is the best of R loops of about 20 ms,
+``audit_gradients`` at verify's 25 points; ``f_and_worker_grads`` is the
+oracle ``step`` calls.  A figure is the best of R loops of about 20 ms,
 divided by the loop's length.
 """
 
@@ -26,7 +27,8 @@ from biased_momentum.rng import STREAM_MEASURE, substream
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 SHAPES = {"traj": "pl_quadratic", "topk": "topk_quadratic", "clip": "clip_quadratic",
           "maml": "maml_composite"}
-COLUMNS = ("step", "f", "worker_grads", "aggregate", "measure_eta", "sigmas", "grad_audit")
+COLUMNS = ("step", "f", "worker_grads", "f_and_worker_grads", "aggregate", "measure_eta",
+           "sigmas", "grad_audit")
 
 
 def config(name: str) -> RunConfig:
@@ -46,7 +48,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=7)
     repeat = parser.parse_args().repeat
-    print("shape " + " ".join(f"{c:>12}" for c in COLUMNS) + "   (best-of us)")
+    widths = [max(12, len(c)) for c in COLUMNS]
+    print("shape " + " ".join(f"{c:>{w}}" for c, w in zip(COLUMNS, widths)) + "   (best-of us)")
     for name in SHAPES:
         cfg = config(name)
         p, spec, noise = cfg.problem, cfg.estimator, cfg.noise
@@ -57,6 +60,7 @@ def main() -> None:
             "step": lambda: step(x, v, p, spec, cfg.gamma, cfg.beta, pert, subsets),
             "f": lambda: p.f(x),
             "worker_grads": lambda: p.worker_grads(x),
+            "f_and_worker_grads": lambda: p.f_and_worker_grads(x),
             "aggregate": lambda: aggregate(p, x, grads, spec, pert, subsets),
             "measure_eta": lambda: measure_eta(p, x[0], spec, noise, samples=1000,
                                                rng=substream(0, STREAM_MEASURE, 100)),
@@ -65,8 +69,8 @@ def main() -> None:
         if isinstance(p, CompositeProblem):
             points = list(substream(0, STREAM_MEASURE, 300).standard_normal((20, p.dimension)))
             calls["sigmas"] = lambda: measure_composite_sigmas(p, points)
-        print(f"{name:<5} " + " ".join(f"{best_us(calls[c], repeat):12.1f}" if c in calls
-                                       else f"{'-':>12}" for c in COLUMNS))
+        print(f"{name:<5} " + " ".join(f"{best_us(calls[c], repeat):{w}.1f}" if c in calls
+                                       else f"{'-':>{w}}" for c, w in zip(COLUMNS, widths)))
 
 
 if __name__ == "__main__":
