@@ -35,9 +35,9 @@ from .engine import (
 from .errors import ConfigurationError, DataError
 from .estimators import (
     EstimatorSpec,
-    aggregate,
     apply_estimator,
     clip,
+    evaluate,
     measure_eta,
     scaled_sign,
     top_k,

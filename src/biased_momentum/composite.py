@@ -4,10 +4,11 @@ instantiation g_{i,j}(x) = x - gamma * grad of the per-sample loss.
 
 Every worker's components are held as arrays with a worker axis, and each
 oracle evaluates one index set per worker in one call (one block of sets
-per row of any leading batch axes, at that row's point); the exact
-gradients are one inner table chained on the full sets.  For the
-meta-learning inner map the Jacobian is I - gamma * (loss Hessian); for
-per-sample logistic losses its action is closed form.
+per row of any leading batch axes, at that row's point).  f, the exact
+gradients (the table chained on the full sets) and the subset estimates
+(``subset_gradients``) each read one inner table, so a round evaluates it
+once.  For the meta-learning inner map the Jacobian is I - gamma * (loss
+Hessian); for per-sample logistic losses its action is closed form.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "make_toy_composite",
     "composite_from_dict",
     "chained_gradient",
+    "subset_gradients",
     "measure_composite_sigmas",
 ]
 
@@ -90,24 +92,20 @@ class CompositeProblem(Problem):
         return self.L_g * self.ell_F + self.ell_g**2 * self.L_F
 
     def f(self, x: np.ndarray):
-        return self._outer_mean(np.mean(self.inner_table(as_points(x, self.dimension))[0], axis=-2))
+        return self.table_f(self.inner_table(as_points(x, self.dimension)))
 
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
-        return self._exact(x)[1]
+        return self.table_worker_grads(self.inner_table(as_points(x, self.dimension)))
 
-    def f_and_worker_grads(self, x: np.ndarray) -> tuple:
-        z, grads = self._exact(x)
-        return self._outer_mean(z), grads
-
-    def _exact(self, x: np.ndarray) -> tuple:
-        """(full-set inner values z, exact worker gradients) from one inner table."""
-        table = self.inner_table(as_points(x, self.dimension))
+    def table_f(self, table: tuple):
+        """f at the points whose inner table this is."""
         z = np.mean(table[0], axis=-2)
-        return z, _chain(self, table[1:], z, np.arange(self.m_g), np.arange(self.m_F))
-
-    def _outer_mean(self, z: np.ndarray):
-        """f from every worker's full-set inner value z."""
         return pairwise_mean(np.mean(self.outer_values(z, np.arange(self.m_F)), axis=-1), axis=-1)
+
+    def table_worker_grads(self, table: tuple) -> np.ndarray:
+        """The exact worker gradients at the points whose inner table this is."""
+        z = np.mean(table[0], axis=-2)
+        return _chain(self, table[1:], z, np.arange(self.m_g), np.arange(self.m_F))
 
     def _sets(self, idx: np.ndarray) -> np.ndarray:
         """idx as a (..., n, k) block: a (k,) set becomes every worker's set."""
@@ -152,16 +150,20 @@ def chained_gradient(cp: CompositeProblem, x: np.ndarray, indices_g, indices_F) 
     exact worker gradients.  (..., n, S_g) and (..., n, S_F) blocks of index
     sets give the gradients of one estimate per worker and batch row, each
     equal to one call per pair of sets; x may then hold one point per row.
-    The inner table is evaluated once per point and the sets gather their
-    rows from it.
+    The inner table is evaluated once per point (see subset_gradients).
     """
-    x = as_points(x, cp.dimension)
+    return subset_gradients(cp, cp.inner_table(as_points(x, cp.dimension)), indices_g, indices_F)
+
+
+def subset_gradients(cp: CompositeProblem, table: tuple, indices_g, indices_F) -> np.ndarray:
+    """chained_gradient at the points whose inner table this is: the sets
+    gather their rows from the table."""
     idx_g = _validate_indices(cp, indices_g, cp.m_g, "inner")
     idx_f = _validate_indices(cp, indices_F, cp.m_F, "outer")
     if idx_g.shape[:-1] != idx_f.shape[:-1]:
         raise ConfigurationError(
             f"inner and outer index batches differ: {idx_g.shape[:-1]} vs {idx_f.shape[:-1]}")
-    values, *rows = _gather(cp.inner_table(x), idx_g)
+    values, *rows = _gather(table, idx_g)
     z = np.mean(values, axis=-2)
     del values  # freed before the outer and Jacobian work allocates its own
     return _chain(cp, rows, z, idx_g, idx_f)
@@ -219,7 +221,6 @@ def make_maml(
     features: Sequence[np.ndarray],
     labels: Sequence[np.ndarray],
     gamma_inner: float,
-    source: dict | None = None,
 ) -> MamlProblem:
     """Meta-learning objective (1/n) sum_i f_i(x - gamma_inner grad f_i(x)).
 
@@ -252,7 +253,6 @@ def make_maml(
         gamma_inner=float(gamma_inner),
         ell_base=ell_base,
         L_base=L_base,
-        source=source,
     )
 
 
@@ -299,7 +299,6 @@ def make_toy_composite(
     inner_matrices=TOY_INNER_MATRICES,
     outer_coeffs=TOY_OUTER_COEFFS,
     outer_centers=TOY_OUTER_CENTERS,
-    source: dict | None = None,
 ) -> ToyCompositeProblem:
     """Hand-auditable composite: g_{i,j} integer linear maps, F_{i,j} quartics.
 
@@ -331,7 +330,6 @@ def make_toy_composite(
         L_g=0.0,
         ell_F=c_max * 4.0 * math.sqrt(p) * z_max**3,
         L_F=c_max * 12.0 * z_max**2,
-        source=source,
     )
 
 
@@ -343,7 +341,7 @@ def composite_from_dict(spec: dict) -> CompositeProblem:
                    "maml spec", required=("dimension", "m", "gamma_inner"))
         features, labels = classification_from_dict(spec)
         gamma_inner = config_float(spec["gamma_inner"], "gamma_inner")
-        return make_maml(features, labels, gamma_inner, source=spec)
+        return make_maml(features, labels, gamma_inner)
     if kind == "composite_toy":
         check_keys(spec, ("kind", "n_workers", "inner_matrices", "outer_coeffs", "outer_centers"),
                    "composite_toy spec")
@@ -354,7 +352,6 @@ def composite_from_dict(spec: dict) -> CompositeProblem:
             outer_coeffs=config_array(spec.get("outer_coeffs", TOY_OUTER_COEFFS), "outer_coeffs", 1),
             outer_centers=config_array(
                 spec.get("outer_centers", TOY_OUTER_CENTERS), "outer_centers", 2),
-            source=spec,
         )
     raise ConfigurationError(f"unknown composite kind {kind!r}")
 

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimators import _BLOCK_ELEMENTS, EstimatorSpec, aggregate
+from .estimators import _BLOCK_ELEMENTS, EstimatorSpec, evaluate
 from .problems import (
     NoiseSpec,
     Problem,
@@ -50,7 +50,7 @@ from .problems import (
     full_gradient,
     problem_from_dict,
 )
-from .rng import STREAM_SUBSET, STREAM_WORKER, STREAM_X0, pairwise_mean, row_dot, substream
+from .rng import STREAM_SUBSET, STREAM_WORKER, STREAM_X0, row_dot, substream
 from .theory import analysis_regime, check_beta, lyapunov_weight
 
 __all__ = [
@@ -198,7 +198,7 @@ def step(
 
     ``pert`` and ``subsets`` are the round's drawn worker noise and
     composite index sets, one per (row, worker) (see
-    ``estimators.aggregate``).  Returns (x_next, v_next, fields, stopped):
+    ``estimators.evaluate``).  Returns (x_next, v_next, fields, stopped):
     ``fields`` is the (5, T) array of the first five CSV fields (f and the
     four squared norms); phi follows from f and v_error_sq.  A row whose
     iterate is unusable (non-finite, non-finite f, or f above
@@ -209,13 +209,13 @@ def step(
     other row's bits depend on it.
 
     Each check looks for rows only when a scalar check of the whole stack
-    fails.  f and the worker gradients are evaluated together (a composite
-    problem shares its inner value), and again at the zeroed stack when
-    the f check stops a row.
+    fails.  f, the exact gradient and the aggregate come from one
+    ``evaluate``, and the gradient and the aggregate again from one at the
+    zeroed stack when the f check stops a row.
     """
     stopped = dict.fromkeys(_failing_rows(np.isfinite(x)), "non-finite iterate")
     x, v_prev = _zero_rows(stopped, x, v_prev)  # composite problems reject non-finite points
-    fval, grads = problem.f_and_worker_grads(x)
+    fval, grad, g = evaluate(problem, x, estimator, pert, subsets)
     f_rows = _failing_rows(np.isfinite(fval) & (fval <= DIVERGENCE_F_MAX))
     for b in f_rows:
         fb = float(fval[b])
@@ -223,11 +223,7 @@ def step(
                            else f"non-finite f ({fb})")
     if f_rows:
         x, v_prev = _zero_rows(stopped, x, v_prev)
-        grads = problem.worker_grads(x)
-    grad = pairwise_mean(grads, axis=-2)
-    # the identity estimator without noise sends the exact gradients, whose mean is grad
-    g = grad if estimator.kind == "identity" and pert is None else aggregate(
-        problem, x, grads, estimator, pert, subsets)
+        grad, g = evaluate(problem, x, estimator, pert, subsets)[1:]
     for b in _failing_rows(np.isfinite(g)):
         stopped.setdefault(b, "non-finite aggregate")
     x, v_prev, g = _zero_rows(stopped, x, v_prev, g)
@@ -364,7 +360,7 @@ def _worker_draws(cfg: RunConfig):
     """
     p, spec, noise, K = cfg.problem, cfg.estimator, cfg.noise, cfg.iterations
     workers = [(t, w) for t in range(cfg.trials) for w in range(p.n_workers)]
-    d, m = p.dimension, p.m_g + p.m_F if spec.kind == "composite" else 0
+    d, m = p.dimension, spec.key_width(p)
 
     def rows(gens, method, count, width):
         """(T, n, count, width): the next count rows of every stream."""

@@ -8,14 +8,14 @@ estimator subsamples both layers of a composite problem and is biased even
 in expectation.
 
 The operators act on the last axis of a stack of vectors, each row
-rounding exactly as the operator applied to that row alone.  One path turns
-exact worker gradients into a (draws, workers, d) stack of transmissions:
-``aggregate`` reduces it over the worker axis for the momentum engine (one
-draw per trial, each at its own iterate) and the Monte-Carlo error
-measurement (a block of draws at one point).  The composite kind evaluates
-its whole (draws, workers) block of index sets in one chained-gradient call.
-The path takes its randomness already drawn: the noise as a perturbation
-block (``NoiseSpec.draw``) and the index sets as picked by uniform keys
+rounding exactly as the operator applied to that row alone.  One path,
+``evaluate``, evaluates the problem once per round and returns f, the exact
+gradient and the pairwise mean of the (draws, workers, d) transmissions,
+for the momentum engine (one draw per trial, each at its own iterate) and
+the Monte-Carlo error measurement (a block of draws at one point); a
+composite problem's one inner table serves all three.  The path takes its
+randomness already drawn: the noise as a perturbation block
+(``NoiseSpec.draw``) and the index sets as picked by uniform keys
 (``EstimatorSpec.subsets``); only ``measure_eta`` takes a generator, from
 which it draws each block.
 """
@@ -27,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composite import CompositeProblem, chained_gradient
+from .composite import CompositeProblem, subset_gradients
 from .errors import ConfigurationError
-from .problems import NoiseSpec, Problem, as_param_vector, check_keys, config_float, config_int
+from .problems import (NoiseSpec, Problem, as_param_vector, as_points, check_keys, config_float,
+                       config_int)
 from .rng import pairwise_mean, row_dot
 
 __all__ = [
@@ -38,7 +39,7 @@ __all__ = [
     "scaled_sign",
     "clip",
     "apply_estimator",
-    "aggregate",
+    "evaluate",
     "measure_eta",
 ]
 
@@ -89,9 +90,13 @@ class EstimatorSpec:
             _check_composite(p, self.s_g, self.s_f)
         return None
 
+    def key_width(self, p: Problem) -> int:
+        """Uniform keys per worker and round on p: the composite kind's m_g + m_F."""
+        return p.m_g + p.m_F if self.kind == "composite" else 0
+
     def subsets(self, p: Problem, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The composite kind's (inner, outer) index blocks picked by a
-        (..., m_g + m_F) block of uniform keys, one set per key row.
+        (..., key_width) block of uniform keys, one set per key row.
 
         The inner set is the first S_g entries of the argsort of the first
         m_g keys, sorted; the outer set is taken the same way from the last
@@ -181,43 +186,39 @@ def apply_estimator(spec: EstimatorSpec, raw: np.ndarray) -> np.ndarray:
         return scaled_sign(raw)
     if spec.kind == "clip":
         return clip(raw, spec.tau)
-    raise ConfigurationError("composite estimator has no raw-vector form; aggregate "
+    raise ConfigurationError("composite estimator has no raw-vector form; evaluate "
                              "subsamples the composite problem instead")
 
 
-def _transmissions(p: Problem, x: np.ndarray, grads, spec: EstimatorSpec,
-                   pert: np.ndarray | None, subsets=None) -> np.ndarray:
-    """(..., n, d) stack of what the workers send.
-
-    Row b, column i is round b of worker i at x, or at x[b] when x holds
-    one (draws, d) row per round; its exact gradient there is ``grads[i]``
-    (``grads[b, i]``).  ``pert`` is the rounds' drawn noise
-    (``NoiseSpec.draw``; None when the noise is null), and ``subsets`` the
-    composite kind's (inner, outer) blocks of one sorted index set per
-    round and worker.
+def evaluate(p: Problem, x: np.ndarray, spec: EstimatorSpec, pert: np.ndarray | None = None,
+             subsets=None) -> tuple:
+    """(f, grad, g) at x, or per round at x[b] of a (draws, d) stack, from
+    one evaluation of p: the objective, the exact full gradient and the
+    pairwise mean of the n worker transmissions.  ``pert`` is the rounds'
+    drawn noise (``NoiseSpec.draw``; None when the noise is null), and
+    ``subsets`` the composite kind's (inner, outer) blocks of one sorted
+    index set per round and worker.
 
     For compressor/clip kinds the noise is injected before the operator,
     matching the Top-K(grad + offset + gaussian) experimental pipeline.  The
-    composite kind ignores grads: the chained estimates of the whole block
-    of index sets are evaluated in one call, then perturbed.
+    composite kind gathers its estimates from the inner table that f and
+    grad read, then perturbs them.  The identity kind without noise sends
+    the exact worker gradients, so g is grad.
     """
+    if isinstance(p, CompositeProblem):
+        table = p.inner_table(as_points(x, p.dimension))
+        fval, grads = p.table_f(table), p.table_worker_grads(table)
+    else:
+        fval, grads = p.f(x), p.worker_grads(x)
+    grad = pairwise_mean(grads, axis=-2)
+    if spec.kind == "identity" and pert is None:
+        return fval, grad, grad
     if spec.kind == "composite":
-        est = chained_gradient(p, x, *subsets)
-        return est if pert is None else est + pert
-    g = np.asarray(grads)
-    return apply_estimator(spec, g if pert is None else g + pert)
-
-
-def aggregate(p: Problem, x: np.ndarray, grads, spec: EstimatorSpec,
-              pert: np.ndarray | None, subsets=None) -> np.ndarray:
-    """(..., d): per round, the pairwise-tree mean of the n worker
-    transmissions at x (or at x[b] for round b of a (draws, d) stack).
-
-    ``grads[i]`` (``grads[b, i]``) is the exact gradient of worker i there;
-    ``pert`` and ``subsets`` are the rounds' drawn noise and index sets
-    (see _transmissions).
-    """
-    return pairwise_mean(_transmissions(p, x, grads, spec, pert, subsets), axis=-2)
+        est = subset_gradients(p, table, *subsets)
+        sent = est if pert is None else est + pert
+    else:
+        sent = apply_estimator(spec, grads if pert is None else grads + pert)
+    return fval, grad, pairwise_mean(sent, axis=-2)
 
 
 # float64 elements that one block of drawn worker randomness may hold (per
@@ -226,6 +227,7 @@ def aggregate(p: Problem, x: np.ndarray, grads, spec: EstimatorSpec,
 _BLOCK_ELEMENTS = 1 << 16
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing point measures inf or NaN, silently
 def measure_eta(
     p: Problem,
     x: np.ndarray,
@@ -239,10 +241,9 @@ def measure_eta(
     exact ||grad f(x)||^2.
 
     eta is the aggregate error: the pairwise-averaged worker estimates minus
-    the exact full gradient at x.  The exact worker gradients are computed
-    once; every draw reuses them, and so does the returned gradient norm.
+    the exact full gradient at x, both from one ``evaluate`` per block.
     Draws are evaluated a block of B at a time as (B, workers, d) stacks:
-    each block reads its (B, n, m_g + m_F) composite subset keys from
+    each block reads its (B, n, key_width) composite subset keys from
     ``rng``, then its (B, n, d) standard normals.
     """
     if samples < 1:
@@ -250,16 +251,15 @@ def measure_eta(
     spec.contraction_alpha(p)  # raises unless the spec runs on p
     x, d, n = as_param_vector(x, p.dimension), p.dimension, p.n_workers
     noise = NoiseSpec() if noise is None else noise
-    grads = p.worker_grads(x)
-    exact = pairwise_mean(grads, axis=-2)
-    key_width = p.m_g + p.m_F if spec.kind == "composite" else 0
+    key_width = spec.key_width(p)
     block = max(1, _BLOCK_ELEMENTS // ((n + key_width) * d))
     vals = np.empty(samples)
     for start in range(0, samples, block):
         draws = min(block, samples - start)
         subsets = spec.subsets(p, rng.random((draws, n, key_width))) if key_width else None
         pert = noise.draw(rng.standard_normal((draws, n, d)) if noise.sigma2 > 0 else None, d)
-        diff = aggregate(p, x, grads, spec, pert, subsets) - exact
+        _, exact, g = evaluate(p, x, spec, pert, subsets)
+        diff = g - exact
         vals[start:start + draws] = row_dot(diff, diff)  # one row for all when nothing is drawn
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0

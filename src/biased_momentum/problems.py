@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import ClassVar
 
@@ -167,10 +167,6 @@ class Problem:
 
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def f_and_worker_grads(self, x: np.ndarray) -> tuple:
-        """(f(x), worker_grads(x)); kinds whose two oracles share work override it."""
-        return self.f(x), self.worker_grads(x)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +311,6 @@ def make_quadratic(
     n_workers: int = 1,
     seed: int = 0,
     least_squares: bool = False,
-    source: dict | None = None,
 ) -> QuadraticProblem:
     """Build the quadratic instance from an explicit matrix or a spectrum.
 
@@ -366,7 +361,6 @@ def make_quadratic(
         L=L,
         mu=mu,
         f_star=0.0,
-        source=source,
     )
 
 
@@ -438,7 +432,7 @@ def validate_classification_data(features, labels):
     return features, labels, features.shape[2], float(np.max(np.sum(features**2, axis=-1)))
 
 
-def make_logistic_l2(features, labels, lam: float, source: dict | None = None) -> LogisticL2Problem:
+def make_logistic_l2(features, labels, lam: float) -> LogisticL2Problem:
     """Logistic-regression instance; lam > 0 gives the PL certificate mu = lam."""
     if lam <= 0:
         raise ConfigurationError(f"lambda must be > 0, got {lam}")
@@ -451,7 +445,6 @@ def make_logistic_l2(features, labels, lam: float, source: dict | None = None) -
         dimension=d,
         L=float(lam) + 0.25 * max_row_sq,
         mu=float(lam),
-        source=source,
     )
 
 
@@ -477,7 +470,7 @@ class NonconvexRegProblem(_LogisticLossProblem):
         return self.lam_nc * 2.0 * x / (1.0 + x**2) ** 2
 
 
-def make_nonconvex_reg(features, labels, lam_nc: float, source: dict | None = None) -> NonconvexRegProblem:
+def make_nonconvex_reg(features, labels, lam_nc: float) -> NonconvexRegProblem:
     if lam_nc <= 0:
         raise ConfigurationError(f"lambda_nc must be > 0, got {lam_nc}")
     features, labels, d, max_row_sq = validate_classification_data(features, labels)
@@ -488,7 +481,6 @@ def make_nonconvex_reg(features, labels, lam_nc: float, source: dict | None = No
         n_workers=len(features),
         dimension=d,
         L=0.25 * max_row_sq + 2.0 * float(lam_nc),
-        source=source,
     )
 
 
@@ -539,7 +531,7 @@ def classification_from_dict(spec: dict) -> tuple[tuple, tuple]:
 
 
 def problem_from_dict(spec: dict) -> Problem:
-    """Build a problem from its JSON document.
+    """Build a problem from its JSON document, which it keeps as ``source``.
 
     Schema (kind selects the family; keys outside it are rejected):
       {"kind": "quadratic", "n_workers": 4, "seed": 7,
@@ -552,6 +544,10 @@ def problem_from_dict(spec: dict) -> Problem:
 
     Synthetic datasets are regenerated from the seed, never stored.
     """
+    return replace(_build(spec), source=spec)
+
+
+def _build(spec: dict) -> Problem:
     check_keys(spec, spec, "problem spec", required=("kind",))  # each kind checks its own keys
     kind = spec["kind"]
 
@@ -569,7 +565,6 @@ def problem_from_dict(spec: dict) -> Problem:
                 spectrum=config_array(matrix["spectrum"], "spectrum", 1),
                 n_workers=n_workers,
                 seed=seed,
-                source=spec,
             )
         if "entries" in matrix:
             return make_quadratic(
@@ -577,7 +572,6 @@ def problem_from_dict(spec: dict) -> Problem:
                 n_workers=n_workers,
                 seed=seed,
                 least_squares=least_squares,
-                source=spec,
             )
         raise ConfigurationError("matrix spec needs 'spectrum' or 'entries'")
 
@@ -587,8 +581,8 @@ def problem_from_dict(spec: dict) -> Problem:
         features, labels = classification_from_dict(spec)
         lam = config_float(spec["lambda"], "lambda")
         if kind == "logistic_l2":
-            return make_logistic_l2(features, labels, lam, source=spec)
-        return make_nonconvex_reg(features, labels, lam, source=spec)
+            return make_logistic_l2(features, labels, lam)
+        return make_nonconvex_reg(features, labels, lam)
 
     if kind in ("maml", "composite_toy"):
         from . import composite

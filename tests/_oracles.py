@@ -12,9 +12,10 @@ variances one point and one worker at a time instead of over a stack of
 points, and one vector per worker per draw (with its own operators, noise
 and subsampling) instead of the batched estimator stacks.
 
-``worker_estimate`` is the exception: it is row i of the library's own
-one-draw transmission stack, in which worker i reads the given stream,
-kept here as a test accessor.
+``worker_estimate`` is the exception: it is row i of a one-draw stack of
+the library's own operators (``apply_estimator``, or ``chained_gradient``
+for the composite kind), in which worker i reads the given stream, kept
+here as a test accessor.
 
 The closed forms use the library's ``_sigmoid``, so the reference loops
 round as the library does; test_problems checks it against its formula.
@@ -25,10 +26,10 @@ from itertools import combinations
 
 import numpy as np
 
-from biased_momentum.composite import MamlProblem, ToyCompositeProblem
+from biased_momentum.composite import MamlProblem, ToyCompositeProblem, chained_gradient
 from biased_momentum.engine import DIVERGENCE_F_MAX
 from biased_momentum.errors import ConfigurationError
-from biased_momentum.estimators import _transmissions
+from biased_momentum.estimators import apply_estimator
 from biased_momentum.problems import (SAFETY, LogisticL2Problem, QuadraticProblem, _sigmoid,
                                      as_param_vector)
 from biased_momentum.rng import STREAM_SUBSET, STREAM_WORKER, substream
@@ -225,25 +226,28 @@ def scaled_sign_alpha(g):
 
 
 def worker_estimate(p, i, x, spec, noise=None, rng=None):
-    """What worker i transmits (estimator applied to its noisy gradient), as
-    row i of a one-draw stack of the library's transmission path, in which
-    worker i reads ``rng`` and every other worker one throwaway stream."""
+    """What worker i transmits (the estimator applied to its noisy gradient,
+    or the composite chained gradient plus noise), as row i of a one-draw
+    stack of the library's operators, in which worker i reads ``rng`` and
+    every other worker reads nothing."""
     x = as_param_vector(x, p.dimension)
     if not 0 <= i < p.n_workers:
         raise ConfigurationError(f"worker index {i} out of range for {p.n_workers} workers")
     spec.contraction_alpha(p)  # raises unless the spec runs on p
     n, d = p.n_workers, p.dimension
-    grads, subsets, std = np.zeros((1, n, d)), None, np.zeros((1, n, d))
     if spec.kind == "composite":
         keys = np.zeros((1, n, p.m_g + p.m_F))
         keys[0, i] = rng.random(p.m_g + p.m_F)
-        subsets = spec.subsets(p, keys)
+        raw = chained_gradient(p, x, *spec.subsets(p, keys))
     else:
-        grads[0, i] = reference_worker_grad(p, i, x)
+        raw = np.zeros((1, n, d))
+        raw[0, i] = reference_worker_grad(p, i, x)
+    std = np.zeros((1, n, d))
     if noise is not None and noise.sigma2 > 0:
         std[0, i] = rng.standard_normal(d)
     pert = None if noise is None else noise.draw(std, d)
-    return _transmissions(p, x, grads, spec, pert, subsets)[0, i]
+    sent = raw if pert is None else raw + pert
+    return (sent if spec.kind == "composite" else apply_estimator(spec, sent))[0, i]
 
 
 class WorkerDraws:

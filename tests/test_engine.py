@@ -513,6 +513,29 @@ def test_step_evaluates_each_worker_gradient_once(monkeypatch):
         np.testing.assert_array_equal(got[0], expected[0])
 
 
+def test_composite_step_evaluates_its_inner_table_once(monkeypatch):
+    # f, the exact gradients and the subset estimates of a round all read
+    # one inner table of the stack
+    p = make_maml(*make_synthetic_classification(5, 2, 8, seed=4), 0.1)
+    spec = EstimatorSpec(kind="composite", s_g=2, s_f=3)
+    start = np.random.default_rng(3).standard_normal((2, 3, p.dimension))
+    draws = _draws(p, spec, NoiseSpec(sigma2=0.01),
+                   [np.random.default_rng([9, s]) for s in range(3 * p.n_workers)])
+    expected = step(start[0], start[1], p, spec, 0.1, 0.5, *draws)
+    cls, calls = type(p), []
+    original = cls.inner_table
+
+    def counting(self, x):
+        calls.append(x.shape)
+        return original(self, x)
+
+    monkeypatch.setattr(cls, "inner_table", counting)
+    got = step(start[0], start[1], p, spec, 0.1, 0.5, *draws)
+    assert calls == [(3, p.dimension)]
+    for a, b in zip(got[:3], expected[:3]):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_identity_round_reduces_the_worker_gradients_once(monkeypatch):
     # exact transmissions (identity estimator, null noise) average to the full
     # gradient: a round reduces the worker gradients once, to the bits that
@@ -527,8 +550,7 @@ def test_identity_round_reduces_the_worker_gradients_once(monkeypatch):
         calls.append(axis)
         return rng_pairwise_mean(values, axis)
 
-    for module in (engine, estimators):
-        monkeypatch.setattr(module, "pairwise_mean", counting)
+    monkeypatch.setattr(estimators, "pairwise_mean", counting)
     got = step(x, v_prev, p, EstimatorSpec(), 0.1, 0.5)
     assert calls == [-2]
     for a, b in zip(got[:3], via_aggregate[:3]):

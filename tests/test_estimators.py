@@ -19,7 +19,7 @@ from biased_momentum import (
     top_k,
 )
 from biased_momentum import composite, estimators
-from biased_momentum.composite import make_maml
+from biased_momentum.composite import MamlProblem, make_maml
 from biased_momentum.problems import make_synthetic_classification
 from biased_momentum.rng import pairwise_mean, substream
 
@@ -352,24 +352,52 @@ def test_measure_eta_matches_per_draw_reference(build, spec, noise, samples):
     assert got == want
 
 
-@pytest.mark.parametrize("build,spec,operator,modules", [
+@pytest.mark.parametrize("build,spec", [
+    pytest.param(_quadratic_6, EstimatorSpec(kind="top_k", k=2), id="top_k"),
+    pytest.param(_quadratic_6, EstimatorSpec(), id="identity"),
+    pytest.param(_maml_4, MAML_COMPOSITE, id="maml"),
+    pytest.param(_toy_3, EstimatorSpec(kind="composite", s_g=2, s_f=2), id="toy"),
+])
+def test_evaluate_is_the_oracles_and_the_operators(build, spec):
+    # f, the exact gradient and the aggregate of one evaluation are the bits
+    # of the separate oracles, and of the operator stack reduced over workers
+    p, rng = build(), substream(42, 2, 0)
+    n, d = p.n_workers, p.dimension
+    x = rng.standard_normal((3, d))
+    subsets = spec.subsets(p, rng.random((3, n, spec.key_width(p)))) if spec.key_width(p) else None
+    for pert in (None, NoiseSpec(sigma2=0.01).draw(rng.standard_normal((3, n, d)), d)):
+        f, grad, g = estimators.evaluate(p, x, spec, pert, subsets)
+        if subsets:
+            sent = composite.chained_gradient(p, x, *subsets)
+            sent = sent if pert is None else sent + pert
+        else:
+            grads = p.worker_grads(x)
+            sent = apply_estimator(spec, grads if pert is None else grads + pert)
+        assert f.tobytes() == p.f(x).tobytes()
+        assert grad.tobytes() == full_gradient(p, x).tobytes()
+        assert g.tobytes() == pairwise_mean(sent, axis=-2).tobytes()
+
+
+@pytest.mark.parametrize("build,spec,operator,owners", [
     pytest.param(_quadratic_6, EstimatorSpec(kind="top_k", k=2), "top_k", (estimators,),
                  id="top_k"),
     # the exact composite worker gradients chain the inner table without it
-    pytest.param(_maml_4, MAML_COMPOSITE, "chained_gradient", (estimators, composite),
+    pytest.param(_maml_4, MAML_COMPOSITE, "subset_gradients", (estimators, composite),
                  id="composite"),
+    # f, the exact gradients and the estimates of a block read one table
+    pytest.param(_maml_4, MAML_COMPOSITE, "inner_table", (MamlProblem,), id="inner_table"),
 ])
-def test_measure_eta_evaluates_each_block_once(monkeypatch, build, spec, operator, modules):
+def test_measure_eta_evaluates_each_block_once(monkeypatch, build, spec, operator, owners):
     # one operator call per block of draws, not one per draw
     p, calls = build(), []
-    original = getattr(estimators, operator)
+    original = getattr(owners[0], operator)
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    for module in modules:
-        monkeypatch.setattr(module, operator, counting)
+    for owner in owners:
+        monkeypatch.setattr(owner, operator, counting)
     x = substream(41, 2, 0).standard_normal(p.dimension)
     measure_eta(p, x, spec, NoiseSpec(sigma2=0.01), samples=1000, rng=substream(41, 2, 1))
     blocks = -(-1000 // _block_draws(p, spec))

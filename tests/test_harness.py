@@ -308,11 +308,13 @@ def test_run_records_the_package_version_and_spawns_no_process(repo_root, tmp_pa
 @pytest.mark.parametrize("v_init", ["grad_at_x0", "zero"])
 def test_run_and_report_of_an_overflowing_x0_warn_of_nothing(tmp_path, capsys, v_init):
     # f(x0), the heterogeneity premise, the first step's f and (v zero) the
-    # squared gradient at x0 overflow; the suite turns any warning into an error
+    # squared gradient at x0 overflow, and so does verify's error-model
+    # measurement there; the suite turns any warning into an error
     doc = _minimal_config(estimator={"kind": "top_k", "k": 2}, x0=[1e300] * 4, v_init=v_init)
     path, out = _write(tmp_path / "cfg.json", doc), tmp_path / "out"
     assert main(["run", path, "--out", str(out)]) == 0
     assert main(["report", str(out)]) == 0
+    assert main(["verify", path]) == 1
     assert capsys.readouterr().err == ""
     sidecar = json.loads((out / "run.json").read_text())
     assert sidecar["diverged"] == [True, True]

@@ -8,8 +8,8 @@ traj_small_d benchmark shape), each at its start stack and first round of
 draws; ``measure_eta`` takes verify's 1000 draws at x0.  The verify
 layers: ``sigmas`` is ``measure_composite_sigmas`` at 20 standard normal
 points (composite shapes only, "-" elsewhere) and ``grad_audit`` is
-``audit_gradients`` at verify's 25 points; ``f_and_worker_grads`` is the
-oracle ``step`` calls.  A figure is the best of R loops of about 20 ms,
+``audit_gradients`` at verify's 25 points; ``evaluate`` is the round
+evaluation ``step`` calls.  A figure is the best of R loops of about 20 ms,
 divided by the loop's length.
 """
 
@@ -21,14 +21,13 @@ from pathlib import Path
 from biased_momentum.audit import audit_gradients
 from biased_momentum.composite import CompositeProblem, measure_composite_sigmas
 from biased_momentum.engine import RunConfig, _worker_draws, init_state, step
-from biased_momentum.estimators import aggregate, measure_eta
+from biased_momentum.estimators import evaluate, measure_eta
 from biased_momentum.rng import STREAM_MEASURE, substream
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 SHAPES = {"traj": "pl_quadratic", "topk": "topk_quadratic", "clip": "clip_quadratic",
           "maml": "maml_composite"}
-COLUMNS = ("step", "f", "worker_grads", "f_and_worker_grads", "aggregate", "measure_eta",
-           "sigmas", "grad_audit")
+COLUMNS = ("step", "f", "worker_grads", "evaluate", "measure_eta", "sigmas", "grad_audit")
 
 
 def config(name: str) -> RunConfig:
@@ -55,13 +54,11 @@ def main() -> None:
         p, spec, noise = cfg.problem, cfg.estimator, cfg.noise
         x, v = init_state(cfg, cfg.trials)
         pert, subsets = next(_worker_draws(cfg))
-        grads = p.worker_grads(x)
         calls = {
             "step": lambda: step(x, v, p, spec, cfg.gamma, cfg.beta, pert, subsets),
             "f": lambda: p.f(x),
             "worker_grads": lambda: p.worker_grads(x),
-            "f_and_worker_grads": lambda: p.f_and_worker_grads(x),
-            "aggregate": lambda: aggregate(p, x, grads, spec, pert, subsets),
+            "evaluate": lambda: evaluate(p, x, spec, pert, subsets),
             "measure_eta": lambda: measure_eta(p, x[0], spec, noise, samples=1000,
                                                rng=substream(0, STREAM_MEASURE, 100)),
             "grad_audit": lambda: audit_gradients(p, n_points=25, seed=cfg.seed),
