@@ -7,7 +7,8 @@ else the first minimum.  The trajectory checks (``record_audits``) read
 the columns of a run's (trial, k) table (``engine.TrialStats``), whether
 it comes from the engine or from a run CSV; the premise constants are
 measured along the iterates of its row 0, which only the engine's
-TrialStats holds.
+TrialStats holds, so a run read back from its CSV replays trial 0
+(``pilot_report``).
 Inadmissible configurations are reported as skipped, never as passed:
 
 * descent check      -- the per-step Lyapunov inequality, on realized
@@ -22,7 +23,7 @@ Inadmissible configurations are reported as skipped, never as passed:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import ConfigurationError
 from .estimators import EstimatorSpec, measure_eta
 from .problems import NoiseSpec, Problem, as_point_stack, as_points, full_gradient
 from .rng import STREAM_MEASURE, row_dot, substream
-from .theory import TheoryReport, build_theory_report, theorem_bounds
+from .theory import TheoryReport, build_theory_report, measured_premise, theorem_bounds
 
 __all__ = [
     "AuditOutcome",
@@ -321,11 +322,15 @@ def pilot_points(stats: TrialStats, max_points: int = 20) -> list:
 
 
 def pilot_report(
-    cfg: RunConfig, stats: TrialStats, max_points: int = 20
-) -> tuple[TheoryReport, list]:
+    cfg: RunConfig, stats: TrialStats | None = None, max_points: int = 20
+) -> tuple[TheoryReport, list | None]:
     """Theory report of cfg with the premise constants measured along trial 0
-    of its runs; also returns those pilot points."""
-    points = pilot_points(stats, max_points)
+    of its runs; also returns those pilot points.  Without stats, trial 0 is
+    replayed when the estimator kind measures a premise, and otherwise no
+    trial runs and the points are None."""
+    if stats is None and measured_premise(cfg.problem, cfg.estimator) is not None:
+        stats = run_trials(replace(cfg, trials=1))
+    points = None if stats is None else pilot_points(stats, max_points)
     report = build_theory_report(
         cfg.problem,
         cfg.gamma,

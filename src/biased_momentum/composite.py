@@ -196,7 +196,10 @@ class MamlProblem(CompositeProblem):
     L_base: float
 
     def _rows(self, idx: np.ndarray):
-        """Each worker's rows a_j and labels b_j for its set in idx."""
+        """Each worker's rows a_j and labels b_j for its set in idx: the
+        arrays themselves for the full set arange(m), else gathered copies."""
+        if idx.ndim == 1 and np.array_equal(idx, np.arange(self.labels.shape[-1])):
+            return self.features, self.labels
         return _gather((self.features, self.labels), idx)
 
     def inner_table(self, x):

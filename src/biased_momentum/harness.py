@@ -9,7 +9,8 @@ sweep <spec.json> --out DIR     one subdirectory per axis value plus
 verify <config.json>            full audit battery; nonzero exit on any
                                 non-skipped failure
 report <dir>                    rebuild the theory from the config echo
-                                in DIR, re-run the record-level audits
+                                in DIR (replaying its pilot trial), re-run
+                                the record-level audits
 
 Config files are JSON; see RunConfig.from_dict for the schema.  The
 environment variable BIASED_MOMENTUM_SEED overrides the config seed.
@@ -40,7 +41,7 @@ from .audit import (
 from .engine import RunConfig, TrialStats, read_run_csv, run_trials, write_run_csv
 from .errors import ConfigurationError, DataError
 from .problems import check_keys, config_float, config_int
-from .theory import MEASUREMENTS, TheoryReport, derive_theory_report
+from .theory import TheoryReport
 
 __all__ = [
     "main",
@@ -335,21 +336,16 @@ def _sweep_rows(doc: dict, path) -> tuple[str, list]:
     return spec["axis"], rows
 
 
-def rebuild_theory(theory, cfg: RunConfig) -> TheoryReport:
-    """The report cfg gives with the measured premise of a run.json theory
-    document, which must hold every report field with the JSON text of the
-    rebuilt one; the first field that differs is named."""
+def check_theory(theory, report: TheoryReport) -> None:
+    """Refuse a run.json theory document unless it holds every report field
+    with the JSON text of report's; the first field that differs is named."""
     names = [f.name for f in fields(TheoryReport)]
     check_keys(theory, names, "theory", required=names)
-    report = derive_theory_report(
-        cfg.problem, cfg.gamma, cfg.beta, cfg.estimator, cfg.noise, x0=cfg.resolve_x0(),
-        v_init=cfg.v_init, **{name: theory[name] for name in MEASUREMENTS})
     for name, value in report.to_dict().items():
         stored, derived = json.dumps(theory[name]), json.dumps(value)
         if stored != derived:
-            raise ConfigurationError(f"theory {name!r} is {stored}, but its config and "
-                                     f"measured premises give {derived}")
-    return report
+            raise ConfigurationError(f"theory {name!r} is {stored}, but its config gives "
+                                     f"{derived}")
 
 
 def cli_report(args) -> int:
@@ -370,7 +366,8 @@ def cli_report(args) -> int:
         raise ConfigurationError(f"no run artifacts (run.csv + run.json) in {run_dir}")
     sidecar = _load_json(sidecar_path)
     cfg = RunConfig.from_dict(sidecar.get("config"))
-    report = rebuild_theory(sidecar.get("theory"), cfg)
+    report, _ = pilot_report(cfg)
+    check_theory(sidecar.get("theory"), report)
     stats = read_run_csv(csv_path, cfg.trials)
     _check_lengths(stats, sidecar.get("diverged"), cfg.iterations, csv_path)
     return _print_audits(report, record_audits(stats, report))

@@ -14,9 +14,9 @@ Heterogeneity and suboptimality constants that the error models assume as
 given are *measured* from pilot trajectories (max over sampled iterates,
 times the SAFETY factor) rather than postulated.  A TheoryReport stores
 the premises of one configuration and derives every other field from them;
-``derive_theory_report`` gives it from the configuration and the measured
-premise alone, which ``build_theory_report`` measures and a run's report
-reads from run.json beside its config echo.
+``build_theory_report`` is the one way to a report: it measures the
+premise at the pilot points it is given and computes every other one from
+the configuration.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ __all__ = [
     "theorem_bounds",
     "measure_heterogeneity",
     "measure_suboptimality",
+    "measured_premise",
     "build_theory_report",
-    "derive_theory_report",
 ]
 
 
@@ -353,16 +353,13 @@ def theorem_bounds(report: TheoryReport) -> tuple[Callable, Callable | None]:
     return ncvx_rhs, pl_rhs
 
 
-def _measured_premise(problem: Problem, estimator: EstimatorSpec) -> str | None:
-    """The premise the estimator kind measures at pilot points, if any.
-    Raises unless the spec runs on problem."""
+def measured_premise(problem: Problem, estimator: EstimatorSpec) -> str | None:
+    """The premise the estimator kind measures at pilot points, if any:
+    delta2_het (top-k, scaled sign), delta_subopt (clip with f* known) or
+    composite_sigmas (composite).  Raises unless the spec runs on problem."""
     estimator.contraction_alpha(problem)
     return {"top_k": "delta2_het", "scaled_sign": "delta2_het", "composite": "composite_sigmas",
             "clip": None if problem.f_star is None else "delta_subopt"}.get(estimator.kind)
-
-
-MEASUREMENTS = {"delta2_het": measure_heterogeneity, "delta_subopt": measure_suboptimality,
-                "composite_sigmas": measure_composite_sigmas}
 
 
 def build_theory_report(
@@ -376,71 +373,46 @@ def build_theory_report(
     v_init: str = "grad_at_x0",
     pilot_points: Sequence[np.ndarray] | None = None,
 ) -> TheoryReport:
-    """The report of one configuration, with its measured premise taken at
-    ``pilot_points`` (trajectory iterates); None means [x0], and an empty
-    sequence is refused."""
-    x0 = as_param_vector(x0, problem.dimension)
-    if pilot_points is not None and len(pilot_points) == 0:
-        raise ConfigurationError("need at least one pilot point")
-    name = _measured_premise(problem, estimator)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing point measures inf or NaN
-        measured = {} if name is None else {
-            name: MEASUREMENTS[name](problem, [x0] if pilot_points is None else pilot_points)}
-    return derive_theory_report(problem, gamma, beta, estimator, noise, x0=x0, v_init=v_init,
-                                **measured)
-
-
-def derive_theory_report(
-    problem: Problem, gamma: float, beta: float, estimator: EstimatorSpec,
-    noise: NoiseSpec | None = None, *, x0: np.ndarray, v_init: str = "grad_at_x0",
-    delta2_het: float | None = None, delta_subopt: float | None = None,
-    composite_sigmas: tuple | None = None,
-) -> TheoryReport:
-    """The report one configuration gives with its measured premise: of
-    delta2_het (compressors), delta_subopt (clip with f* known) and
-    composite_sigmas (composite) only the kind's own is read and kept, and it
-    must be a number (NaN and infinities included, booleans not), three for
-    composite_sigmas.  Every other premise is exact.
+    """The report of one configuration, with its measured premise (see
+    measured_premise) taken at ``pilot_points`` (trajectory iterates); None
+    means [x0], and an empty sequence is refused.  Every other premise is
+    exact.
 
     The per-worker gradient-error bound is exact for the synthetic noise
     model: E||g_i - grad f_i||^2 = d * sigma2 + ||offset||^2.
     """
     x0 = as_param_vector(x0, problem.dimension)
+    if pilot_points is not None and len(pilot_points) == 0:
+        raise ConfigurationError("need at least one pilot point")
+    points = [x0] if pilot_points is None else pilot_points
     noise = noise or NoiseSpec()
-    name = _measured_premise(problem, estimator)
-    measured = {}
-    if name is not None:
-        value, three = locals()[name], name == "composite_sigmas"
-        numbers = tuple(value) if three and isinstance(value, (list, tuple)) else (value,)
-        if len(numbers) != (3 if three else 1) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in numbers):
-            raise ConfigurationError(f"a {estimator.kind} report needs {name} measured as "
-                                     f"{'three numbers' if three else 'a number'}, got {value!r}")
-        measured[name] = numbers if three else value
+    name = measured_premise(problem, estimator)
     L, f_star, d = problem.L, problem.f_star, problem.dimension
 
     sigma2_worker = d * noise.sigma2 + noise.offset_norm_sq(d)
     alpha_c = estimator.contraction_alpha(problem)
+    delta2_het = delta_subopt = composite_sigmas = None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing point or x0: inf or NaN
+        if estimator.kind == "identity":
+            # exact: eta = offset + mean of n independent gaussians
+            B_var = 0.0
+            C_var = noise.offset_norm_sq(d) + d * noise.sigma2 / problem.n_workers
+        elif name == "delta2_het":
+            delta2_het = measure_heterogeneity(problem, points)
+            B_var, C_var = affine_constants_compression(alpha_c, sigma2_worker, delta2_het)
+        elif name == "delta_subopt":
+            delta_subopt = measure_suboptimality(problem, points)
+            B_var, C_var = affine_constants_clip(sigma2_worker, L, delta_subopt, estimator.tau)
+        elif estimator.kind == "clip":  # f* unknown
+            B_var, C_var = 0.0, None
+        else:  # composite
+            composite_sigmas = sig_g2, sig_dg2, sig_F2 = measure_composite_sigmas(problem, points)
+            B_var, C_var, _ = affine_constants_composite(
+                problem.ell_g, problem.ell_F, problem.L_F, sig_F2, sig_dg2, sig_g2,
+                estimator.s_f, estimator.s_g, L_g=problem.L_g)
+            if not noise.is_null:  # the composite C covers subsampling error alone
+                C_var = None
 
-    if estimator.kind == "identity":
-        # exact: eta = offset + mean of n independent gaussians
-        B_var = 0.0
-        C_var = noise.offset_norm_sq(d) + d * noise.sigma2 / problem.n_workers
-    elif name == "delta2_het":
-        B_var, C_var = affine_constants_compression(alpha_c, sigma2_worker, delta2_het)
-    elif name == "delta_subopt":
-        B_var, C_var = affine_constants_clip(sigma2_worker, L, delta_subopt, estimator.tau)
-    elif estimator.kind == "clip":  # f* unknown
-        B_var, C_var = 0.0, None
-    else:  # composite
-        sig_g2, sig_dg2, sig_F2 = composite_sigmas
-        B_var, C_var, _ = affine_constants_composite(
-            problem.ell_g, problem.ell_F, problem.L_F, sig_F2, sig_dg2, sig_g2,
-            estimator.s_f, estimator.s_g, L_g=problem.L_g)
-        if not noise.is_null:  # the composite C covers subsampling error alone
-            C_var = None
-
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing x0 gives inf or NaN
         if v_init == "grad_at_x0":
             grad_v_err0_sq = 0.0
         elif v_init == "zero":
@@ -462,5 +434,7 @@ def derive_theory_report(
         grad_v_err0_sq=grad_v_err0_sq,
         alpha_contraction=alpha_c,
         sigma2_worker=sigma2_worker,
-        **measured,
+        delta2_het=delta2_het,
+        delta_subopt=delta_subopt,
+        composite_sigmas=composite_sigmas,
     )

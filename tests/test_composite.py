@@ -249,6 +249,25 @@ def test_maml_oracles_match_per_sample_reference(d, m, gamma):
         np.testing.assert_allclose(got[2] @ u, got[1], rtol=0.0, atol=1e-12)
 
 
+def test_maml_full_set_reads_its_arrays():
+    # the 1-D full set reads features and labels themselves, with the bits of
+    # the same set gathered per worker; a permuted full set still gathers
+    cp = make_maml(*make_synthetic_classification(3, 2, 5, seed=13), 0.2)
+    arrays, full, per_worker = (cp.features, cp.labels), np.arange(5), np.tile(np.arange(5), (2, 1))
+    assert all(np.shares_memory(a, b) for a, b in zip(cp._rows(full), arrays))
+    permuted = cp._rows(full[::-1])
+    assert not any(np.shares_memory(a, b) for a, b in zip(permuted, arrays))
+    np.testing.assert_array_equal(permuted[0], cp.features[:, ::-1])
+    x, z, u = substream(59, 2, 0).standard_normal((3, 2, 3))  # z, u: one row per worker
+    rows = cp.inner_table(x[0])[1:]
+
+    def oracles(idx):
+        return cp.inner_jac_t_vecs(rows, idx, u), cp.outer_values(z, idx), cp.outer_grads(z, idx)
+
+    for got, want in zip(oracles(full), oracles(per_worker)):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_maml_zero_inner_step_reduces_to_finite_sum():
     feats, labels = make_synthetic_classification(4, 2, 5, seed=10)
     cp = make_maml(feats, labels, gamma_inner=0.0)

@@ -11,13 +11,13 @@ import sys
 import pytest
 
 import biased_momentum
-from biased_momentum import RunConfig, TheoryReport
+from biased_momentum import RunConfig, TheoryReport, theory
+from biased_momentum.audit import pilot_report
 from biased_momentum.harness import (
     SEED_ENV,
     load_config,
     load_sweep,
     main,
-    rebuild_theory,
     set_by_path,
     sweep_summary_rows,
     version_string,
@@ -589,11 +589,12 @@ def tamper_runs(tmp_path_factory):
 
 def _report_of_tampered(tamper_runs, tmp_path, capsys, run, edit):
     """report's (exit code, stdout, stderr) on a copy of a run whose theory
-    document edit(theory, report) rewrote in place."""
+    document edit(theory, report) rewrote in place, report being the one
+    the run's config gives."""
     out = tmp_path / run
     shutil.copytree(tamper_runs / run, out)
     doc = json.loads((out / "run.json").read_text())
-    edit(doc["theory"], rebuild_theory(doc["theory"], RunConfig.from_dict(doc["config"])))
+    edit(doc["theory"], pilot_report(RunConfig.from_dict(doc["config"]))[0])
     (out / "run.json").write_text(json.dumps(doc))
     capsys.readouterr()
     rc = main(["report", str(out)])
@@ -633,12 +634,13 @@ CONSISTENT_TAMPERS = {
                          "C_var"),
     "alpha-1": ("top-k", lambda r: dataclasses.replace(r, alpha_contraction=1.0),
                 "alpha_contraction"),
-    # a measured premise is named through the first field it moves
-    "delta2-x2": ("top-k", lambda r: dataclasses.replace(r, delta2_het=2 * r.delta2_het), "C_var"),
+    # a measured premise rewritten alone
+    "delta2-x2": ("top-k", lambda r: dataclasses.replace(r, delta2_het=2 * r.delta2_het),
+                  "delta2_het"),
     "subopt-x2": ("clip", lambda r: dataclasses.replace(r, delta_subopt=2 * r.delta_subopt),
-                  "C_var"),
+                  "delta_subopt"),
     "sigmas-x2": ("composite", lambda r: dataclasses.replace(
-        r, composite_sigmas=tuple(2 * s for s in r.composite_sigmas)), "C_var"),
+        r, composite_sigmas=tuple(2 * s for s in r.composite_sigmas)), "composite_sigmas"),
 }
 
 
@@ -652,6 +654,52 @@ def test_report_refuses_a_consistent_theory_of_another_config(tamper_runs, tmp_p
     rc, out, err = _report_of_tampered(tamper_runs, tmp_path, capsys, run, edit)
     assert (rc, out) == (2, "")
     assert err.startswith(f"error: theory '{named}' is ")
+
+
+def _doubled(measured):
+    return tuple(2 * s for s in measured) if isinstance(measured, tuple) else 2 * measured
+
+
+# premise run -> the theory function that measures its premise at the pilot points
+PREMISE_MEASUREMENTS = {"top-k": "measure_heterogeneity", "clip": "measure_suboptimality",
+                        "composite": "measure_composite_sigmas"}
+
+
+@pytest.mark.parametrize("run", list(PREMISE_MEASUREMENTS))
+def test_report_refuses_a_measured_premise_rewritten_with_all_it_moves(
+        tamper_runs, tmp_path, capsys, monkeypatch, run):
+    # the theory the run would write had its pilot trial measured twice its
+    # premise: C_var and every field derived from it agree with that premise,
+    # and the replayed pilot trial still refuses it at C_var
+    measure = getattr(theory, PREMISE_MEASUREMENTS[run])
+    monkeypatch.setattr(theory, PREMISE_MEASUREMENTS[run], lambda *a: _doubled(measure(*a)))
+    doubled = pilot_report(RunConfig.from_dict(TAMPER_RUNS[run]))[0]
+    monkeypatch.undo()
+
+    def edit(theory_doc, report):
+        assert doubled.C_var != report.C_var
+        theory_doc.update(json.loads(json.dumps(doubled.to_dict())))
+
+    rc, out, err = _report_of_tampered(tamper_runs, tmp_path, capsys, run, edit)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: theory 'C_var' is ")
+
+
+@pytest.mark.parametrize("run,name,value", [
+    ("top-k", "delta2_het", True), ("top-k", "delta2_het", "1.0"), ("top-k", "delta2_het", [1.0]),
+    ("top-k", "delta2_het", None), ("composite", "composite_sigmas", [1.0, 2.0]),
+    ("composite", "composite_sigmas", [1.0, 2.0, False]), ("composite", "composite_sigmas", True),
+], ids=["delta2-true", "delta2-string", "delta2-list", "delta2-null", "sigmas-two",
+        "sigmas-false", "sigmas-true"])
+def test_report_refuses_a_measured_premise_that_is_not_its_numbers(
+        tamper_runs, tmp_path, capsys, run, name, value):
+    # a premise is a JSON number (three for the composite sigmas)
+    def edit(theory_doc, _):
+        theory_doc[name] = value
+
+    rc, out, err = _report_of_tampered(tamper_runs, tmp_path, capsys, run, edit)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: theory '{name}' is ")
 
 
 @pytest.mark.parametrize("run", list(TAMPER_RUNS))

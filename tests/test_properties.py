@@ -23,7 +23,7 @@ from biased_momentum import (
     scaled_sign,
     top_k,
 )
-from biased_momentum.harness import rebuild_theory
+from biased_momentum.harness import check_theory
 from biased_momentum.rng import pairwise_mean
 
 from _oracles import reference_clip, reference_pairwise_mean, reference_scaled_sign, reference_top_k
@@ -97,13 +97,16 @@ def test_run_config_round_trip(cfg):
 # a beta whose 1/beta^2 constants overflow: the step-size ceilings are 0
 @example(cfg=RunConfig(PROBLEM, 0.1, 1e-160, 1))
 def test_theory_report_round_trip(cfg):
-    # the theory a run writes for its config is never refused: report rebuilds
-    # it from the config echo to the same JSON text
+    # the theory a run writes for its config is never refused: the config echo
+    # rebuilds it, from the same pilot points, to the same JSON text
+    def report_of(c):
+        return build_theory_report(c.problem, c.gamma, c.beta, c.estimator, c.noise,
+                                   x0=c.resolve_x0(), v_init=c.v_init)
+
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing x0 warns as it runs
-        report = build_theory_report(cfg.problem, cfg.gamma, cfg.beta, cfg.estimator, cfg.noise,
-                                     x0=cfg.resolve_x0(), v_init=cfg.v_init)
-        back = rebuild_theory(_json(report.to_dict()), RunConfig.from_dict(_json(cfg.to_dict())))
-    assert json.dumps(back.to_dict()) == json.dumps(report.to_dict())
+        report = report_of(cfg)
+        back = report_of(RunConfig.from_dict(_json(cfg.to_dict())))
+    check_theory(_json(report.to_dict()), back)
 
 
 def test_a_failing_example_fails_its_test_not_the_session(tmp_path):

@@ -32,9 +32,10 @@ from biased_momentum import (
     theorem_bounds,
     theta0_value,
 )
-from biased_momentum.harness import rebuild_theory
+from biased_momentum import theory
+from biased_momentum.audit import pilot_report
+from biased_momentum.harness import check_theory
 from biased_momentum.rng import substream
-from biased_momentum.theory import derive_theory_report
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +295,11 @@ def _json(report):
 
 
 def test_report_round_trip():
-    # the report of a run.json theory is rebuilt from the config, not read from the document
+    # the report of a run.json theory is rebuilt from the config, not read from
+    # the document; an identity run measures no premise, so no trial runs
     cfg, report = _pl_quadratic_run()
-    assert rebuild_theory(_json(report), cfg) == report
-    assert derive_theory_report(cfg.problem, cfg.gamma, cfg.beta, cfg.estimator, cfg.noise,
-                                x0=cfg.resolve_x0()) == report
+    assert pilot_report(cfg) == (report, None)
+    check_theory(_json(report), report)
 
 
 DERIVED = [f.name for f in dataclasses.fields(TheoryReport) if not f.init]
@@ -350,22 +351,21 @@ def _clip_run_without_f_star():
 def test_from_dict_names_a_derived_value_its_premises_do_not_give(name):
     # a stored derived value that the config does not give is named by the rebuild
     for cfg, report in (_pl_quadratic_run(sigma2=0.01), _clip_run_without_f_star()):
-        doc = _json(report)
-        assert rebuild_theory(doc, cfg) == report
+        doc, rebuilt = _json(report), pilot_report(cfg)[0]
+        check_theory(doc, rebuilt)
         doc[name] = _tampered(doc[name])
         with pytest.raises(ConfigurationError, match=f"theory '{name}' is .*, but its config"):
-            rebuild_theory(doc, cfg)
+            check_theory(doc, rebuilt)
 
 
-def test_from_dict_takes_nan_as_nan():
-    # a NaN measured premise is kept, and its NaN constants match the stored ones
+def test_from_dict_takes_nan_as_nan(monkeypatch):
+    # a NaN measured premise gives NaN constants, and stored they match the rebuilt ones
+    monkeypatch.setattr(theory, "measure_heterogeneity", lambda p, points: math.nan)
     p = make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), n_workers=3, seed=2)
-    cfg = RunConfig(p, 0.1, 0.5, iterations=1, estimator=EstimatorSpec(kind="top_k", k=2),
-                    x0=(1.0,) * 6)
-    report = derive_theory_report(p, 0.1, 0.5, cfg.estimator, x0=np.ones(6), delta2_het=math.nan)
+    report = build_theory_report(p, 0.1, 0.5, EstimatorSpec(kind="top_k", k=2), x0=np.ones(6))
     doc = _json(report)
     assert math.isnan(doc["C_var"]) and math.isnan(doc["floor_ncvx"]) and math.isnan(doc["floor_pl"])
-    assert math.isnan(rebuild_theory(doc, cfg).floor_pl)
+    check_theory(doc, report)
 
 
 @pytest.mark.parametrize("premise,value,named", [("beta", 2.0, "beta"), ("beta", 0.0, "beta"),
@@ -376,30 +376,9 @@ def test_from_dict_refuses_premises_that_cannot_hold(premise, value, named):
     cfg, report = _pl_quadratic_run()
     doc = dict(_json(report), **{premise: value})
     with pytest.raises(ConfigurationError, match=f"theory '{premise}' is {value}, but"):
-        rebuild_theory(doc, cfg)
+        check_theory(doc, report)
     with pytest.raises(ConfigurationError, match=named):
         dataclasses.replace(report, **{premise: value})
-
-
-def test_derive_reads_only_the_premise_its_kind_measures():
-    # a measured premise of another kind is left None; the kind's own must be a number
-    quad = make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), n_workers=3, seed=2)
-    x0 = np.ones(6)
-    plain = derive_theory_report(quad, 0.1, 0.5, EstimatorSpec(), x0=x0, delta2_het=1.0,
-                                 delta_subopt=1.0, composite_sigmas=(1.0, 1.0, 1.0))
-    assert (plain.delta2_het, plain.delta_subopt, plain.composite_sigmas) == (None, None, None)
-    top_k = EstimatorSpec(kind="top_k", k=2)
-    for value in (None, True, "1.0", [1.0]):
-        with pytest.raises(ConfigurationError, match="top_k report needs delta2_het measured"):
-            derive_theory_report(quad, 0.1, 0.5, top_k, x0=x0, delta2_het=value)
-    cp = make_maml(*make_synthetic_classification(3, 2, 5, seed=13), 0.2)
-    composite = EstimatorSpec(kind="composite", s_g=1, s_f=1)
-    report = derive_theory_report(cp, 0.1, 0.5, composite, x0=np.zeros(3),
-                                  composite_sigmas=[1.0, 2.0, 3.0])
-    assert report.composite_sigmas == (1.0, 2.0, 3.0)
-    for value in ([1.0, 2.0], [1.0, 2.0, False], 1.0):
-        with pytest.raises(ConfigurationError, match="three numbers"):
-            derive_theory_report(cp, 0.1, 0.5, composite, x0=np.zeros(3), composite_sigmas=value)
 
 
 def test_report_refuses_empty_pilot_points():

@@ -9,8 +9,11 @@ draws; ``measure_eta`` takes verify's 1000 draws at x0.  The verify
 layers: ``sigmas`` is ``measure_composite_sigmas`` at 20 standard normal
 points (composite shapes only, "-" elsewhere) and ``grad_audit`` is
 ``audit_gradients`` at verify's 25 points; ``evaluate`` is the round
-evaluation ``step`` calls.  A figure is the best of R loops of about 20 ms,
-divided by the loop's length.
+evaluation ``step`` calls.  ``replay`` is ``pilot_report`` without trial
+statistics, the theory rebuild ``report`` runs: a replay of trial 0 where
+the estimator measures a premise (top-k, clip with f* known, composite),
+the closed forms alone on "traj".  A figure is the best of R loops of
+about 20 ms, divided by the loop's length.
 """
 
 import argparse
@@ -18,7 +21,7 @@ import json
 import timeit
 from pathlib import Path
 
-from biased_momentum.audit import audit_gradients
+from biased_momentum.audit import audit_gradients, pilot_report
 from biased_momentum.composite import CompositeProblem, measure_composite_sigmas
 from biased_momentum.engine import RunConfig, _worker_draws, init_state, step
 from biased_momentum.estimators import evaluate, measure_eta
@@ -27,7 +30,8 @@ from biased_momentum.rng import STREAM_MEASURE, substream
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 SHAPES = {"traj": "pl_quadratic", "topk": "topk_quadratic", "clip": "clip_quadratic",
           "maml": "maml_composite"}
-COLUMNS = ("step", "f", "worker_grads", "evaluate", "measure_eta", "sigmas", "grad_audit")
+COLUMNS = ("step", "f", "worker_grads", "evaluate", "measure_eta", "sigmas", "grad_audit",
+           "replay")
 
 
 def config(name: str) -> RunConfig:
@@ -62,6 +66,7 @@ def main() -> None:
             "measure_eta": lambda: measure_eta(p, x[0], spec, noise, samples=1000,
                                                rng=substream(0, STREAM_MEASURE, 100)),
             "grad_audit": lambda: audit_gradients(p, n_points=25, seed=cfg.seed),
+            "replay": lambda: pilot_report(cfg),
         }
         if isinstance(p, CompositeProblem):
             points = list(substream(0, STREAM_MEASURE, 300).standard_normal((20, p.dimension)))
