@@ -4,11 +4,14 @@ instantiation g_{i,j}(x) = x - gamma * grad of the per-sample loss.
 
 Every worker's components are held as arrays with a worker axis, and each
 oracle evaluates one index set per worker in one call (one block of sets
-per row of any leading batch axes, at that row's point).  f, the exact
-gradients (the table chained on the full sets) and the subset estimates
-(``subset_gradients``) each read one inner table, so a round evaluates it
-once.  For the meta-learning inner map the Jacobian is I - gamma * (loss
-Hessian); for per-sample logistic losses its action is closed form.
+per row of any leading batch axes, at that row's point).  The subset
+estimates (``subset_gradients``) read one inner table, so a round, which
+computes only the aggregate, evaluates it once per point; f and the exact
+gradients (the table chained on the full sets) are what the engine
+observes of a block of rounds, each over the stack of the block's points.
+Every mean over a set axis is ``_set_mean``.  For the meta-learning inner
+map the Jacobian is I - gamma * (loss Hessian); for per-sample logistic
+losses its action is closed form.
 """
 
 from __future__ import annotations
@@ -92,24 +95,34 @@ class CompositeProblem(Problem):
         return self.L_g * self.ell_F + self.ell_g**2 * self.L_F
 
     def f(self, x: np.ndarray):
-        return self.table_f(self.inner_table(as_points(x, self.dimension)))
-
-    def worker_grads(self, x: np.ndarray) -> np.ndarray:
-        return self.table_worker_grads(self.inner_table(as_points(x, self.dimension)))
-
-    def table_f(self, table: tuple):
-        """f at the points whose inner table this is."""
-        z = np.mean(table[0], axis=-2)
+        z = _set_mean(self.inner_table(as_points(x, self.dimension))[0])
         return pairwise_mean(np.mean(self.outer_values(z, np.arange(self.m_F)), axis=-1), axis=-1)
 
-    def table_worker_grads(self, table: tuple) -> np.ndarray:
-        """The exact worker gradients at the points whose inner table this is."""
-        z = np.mean(table[0], axis=-2)
-        return _chain(self, table[1:], z, np.arange(self.m_g), np.arange(self.m_F))
+    def worker_grads(self, x: np.ndarray) -> np.ndarray:
+        values, *rows = self.inner_table(as_points(x, self.dimension))
+        return _chain(self, rows, _set_mean(values), np.arange(self.m_g), np.arange(self.m_F))
 
     def _sets(self, idx: np.ndarray) -> np.ndarray:
         """idx as a (..., n, k) block: a (k,) set becomes every worker's set."""
         return idx if idx.ndim > 1 else np.broadcast_to(idx, (self.n_workers, idx.size))
+
+
+def _set_mean(a: np.ndarray) -> np.ndarray:
+    """np.mean(a, axis=-2) bit for bit, over the set axis of a C-ordered
+    (..., k, p) array: a left fold of slice adds, the order numpy's
+    reduction over a non-contiguous axis also takes, at the cost of k - 1
+    array adds rather than one short inner loop per row.  With p = 1 the
+    set axis is contiguous, where numpy sums pairwise, so that case (and a
+    one-entry set) reduces as numpy does.
+    """
+    k = a.shape[-2]
+    if a.shape[-1] < 2 or k < 2:
+        return np.add.reduce(a, axis=-2) / k
+    total = a[..., 0, :] + a[..., 1, :]
+    for j in range(2, k):
+        total += a[..., j, :]
+    total /= k
+    return total
 
 
 def _row_dots(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -164,7 +177,7 @@ def subset_gradients(cp: CompositeProblem, table: tuple, indices_g, indices_F) -
         raise ConfigurationError(
             f"inner and outer index batches differ: {idx_g.shape[:-1]} vs {idx_f.shape[:-1]}")
     values, *rows = _gather(table, idx_g)
-    z = np.mean(values, axis=-2)
+    z = _set_mean(values)
     del values  # freed before the outer and Jacobian work allocates its own
     return _chain(cp, rows, z, idx_g, idx_f)
 
@@ -172,8 +185,8 @@ def subset_gradients(cp: CompositeProblem, table: tuple, indices_g, indices_F) -
 def _chain(cp: CompositeProblem, rows, z: np.ndarray, idx_g, idx_f) -> np.ndarray:
     """The chained gradients from the subset inner value z on idx_g and the
     table rows on idx_g."""
-    w = np.mean(cp.outer_grads(z, idx_f), axis=-2)
-    return np.mean(cp.inner_jac_t_vecs(rows, idx_g, w), axis=-2)
+    w = _set_mean(cp.outer_grads(z, idx_f))
+    return _set_mean(cp.inner_jac_t_vecs(rows, idx_g, w))
 
 
 # ---------------------------------------------------------------------------

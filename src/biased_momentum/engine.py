@@ -7,26 +7,31 @@ pairwise tree, blends them into the running estimate
     v_k = v_{k-1} + beta * (g_k - v_{k-1})
 
 and steps x_{k+1} = x_k - gamma * v_k.  beta = 1 turns the recursion into
-plain SGD.  Each iteration records the realized error eta_k = g_k -
+plain SGD.  Each iteration records f, the realized error eta_k = g_k -
 grad f(x_k) and the Lyapunov value, so the trajectory carries everything
 the inequality audits need.
 
-A run has one result: ``run_trials`` returns a ``TrialStats`` holding a
-table of the CSV fields, each a C-ordered (trial, k) array with NaN past
-the iteration where a trial stopped, its per-k statistics, and each
-trial's visited iterates and stop reason; row r is trial r.
-``write_run_csv`` and ``read_run_csv`` carry the table to text and back,
-and the audits read its columns.
+A round computes the next state and nothing else (``step``); a block of
+rounds is observed once, in bulk (``observe``): f, the exact gradient and
+the recorded squared norms over the stack of the block's iterates.  A run
+has one result: ``run_trials`` returns a ``TrialStats`` holding a table of
+the CSV fields, each a C-ordered (trial, k) array with NaN past the
+iteration where a trial stopped, its per-k statistics, and each trial's
+visited iterates and stop reason; row r is trial r.  ``write_run_csv`` and
+``read_run_csv`` carry the table to text and back, and the audits read its
+columns.
 
 Trajectories are pure functions of (config, seed): worker randomness comes
 from per-(trial, worker) substreams, one row per iteration, so trials can
 run in any order and reproduce identically.  All trials of a run step
 together in one fixed-size batch: the iterates and momentum buffers are
 (trials, d) stacks, and the worker noise and subset keys of a block of
-iterations are drawn in bulk before the block runs.  A trial that diverges
-keeps its row, zeroed before any arithmetic touches it, and stops
-recording at its iteration while the others go on.  Every trial's
-trajectory equals the one it would have alone.
+iterations are drawn in bulk before the block runs.  A trial stops at the
+first iteration whose iterate, f or aggregate is unusable, and stops
+recording there while the others go on; a round zeroes a row with a
+non-finite iterate or aggregate before any arithmetic touches it, and the
+observation finds the f stops.  Every trial's trajectory equals the one it
+would have alone.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .composite import CompositeProblem
 from .errors import ConfigurationError
 from .estimators import _BLOCK_ELEMENTS, EstimatorSpec, evaluate
 from .problems import (
@@ -57,6 +63,7 @@ __all__ = [
     "RunConfig",
     "TrialStats",
     "step",
+    "observe",
     "run_trials",
     "per_k_stats",
     "write_run_csv",
@@ -65,6 +72,10 @@ __all__ = [
 ]
 
 DIVERGENCE_F_MAX = 1e12
+_ITERATE, _AGGREGATE = "non-finite iterate", "non-finite aggregate"  # the stops a round finds
+# arrays of a block's size that a run holds at once, at most: the drawn
+# randomness, the v_prev and aggregate history and the observation's temporaries
+_BLOCK_ARRAYS = 8
 
 CSV_FIELDS = ("f", "grad_norm_sq", "eta_norm_sq", "v_error_sq", "step_norm_sq", "phi")
 CSV_HEADER = "k,trial," + ",".join(CSV_FIELDS)
@@ -198,49 +209,55 @@ def step(
 
     ``pert`` and ``subsets`` are the round's drawn worker noise and
     composite index sets, one per (row, worker) (see
-    ``estimators.evaluate``).  Returns (x_next, v_next, fields, stopped):
-    ``fields`` is the (5, T) array of the first five CSV fields (f and the
-    four squared norms); phi follows from f and v_error_sq.  A row whose
-    iterate is unusable (non-finite, non-finite f, or f above
-    DIVERGENCE_F_MAX) or whose aggregate is non-finite is in ``stopped``,
-    which maps it to the reason.  Its x and v_prev (and its aggregate) are
-    set to zero before any arithmetic touches them, so its non-finite
-    values raise and warn of nothing; its outputs mean nothing, and no
-    other row's bits depend on it.
+    ``estimators.evaluate``).  Returns (x_next, v_next, g, stopped): g is the
+    (T, d) aggregate.  A row whose iterate or aggregate is non-finite is in
+    ``stopped``, which maps it to the reason.  Its x and v_prev (and its
+    aggregate) are set to zero before any arithmetic touches them, so its
+    non-finite values raise and warn of nothing; its outputs mean nothing,
+    and no other row's bits depend on it.  f and the exact gradient are not
+    a round's work (see ``observe``).
 
     Each check looks for rows only when a scalar check of the whole stack
-    fails.  f, the exact gradient and the aggregate come from one
-    ``evaluate``, and the gradient and the aggregate again from one at the
-    zeroed stack when the f check stops a row.
+    fails.
     """
-    stopped = dict.fromkeys(_failing_rows(np.isfinite(x)), "non-finite iterate")
+    stopped = dict.fromkeys(_failing_rows(np.isfinite(x)), _ITERATE)
     x, v_prev = _zero_rows(stopped, x, v_prev)  # composite problems reject non-finite points
-    fval, grad, g = evaluate(problem, x, estimator, pert, subsets)
-    f_rows = _failing_rows(np.isfinite(fval) & (fval <= DIVERGENCE_F_MAX))
-    for b in f_rows:
-        fb = float(fval[b])
-        stopped.setdefault(b, f"f = {fb:.6g} > {DIVERGENCE_F_MAX:g}" if math.isfinite(fb)
-                           else f"non-finite f ({fb})")
-    if f_rows:
-        x, v_prev = _zero_rows(stopped, x, v_prev)
-        grad, g = evaluate(problem, x, estimator, pert, subsets)[1:]
+    g = evaluate(problem, x, estimator, pert, subsets)
     for b in _failing_rows(np.isfinite(g)):
-        stopped.setdefault(b, "non-finite aggregate")
+        stopped.setdefault(b, _AGGREGATE)
     x, v_prev, g = _zero_rows(stopped, x, v_prev, g)
 
     # beta = 1 must reproduce plain SGD bit-for-bit, so take v = g directly
     # instead of the algebraically equal v_prev + 1.0 * (g - v_prev)
     v = g if beta == 1.0 else v_prev + beta * (g - v_prev)
-    x_new = x - gamma * v
+    return x - gamma * v, v, g, stopped
+
+
+def observe(problem: Problem, xs: np.ndarray, v_prev: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The first five CSV fields of a block of c rounds, (5, ..., c): f and
+    the four squared norms (the exact gradient, eta, the momentum error and
+    the step) of round j of each row of the (..., c + 1, d) stack xs of the
+    iterates x^0 .. x^c, whose round j read v_prev[..., j, :] and averaged
+    g[..., j, :].
+
+    phi follows from f and v_error_sq.  A non-finite iterate, which stops
+    its row at that round, is evaluated as zero, so a composite problem
+    never sees it; its fields mean nothing.
+    """
+    x, x_next = xs[..., :-1, :], xs[..., 1:, :]
+    finite = np.isfinite(x).all(axis=-1)
+    if not finite.all():
+        x = np.where(finite[..., None], x, 0.0)
+    fields = np.empty((5,) + x.shape[:-1])
+    fields[0] = problem.f(x)
     # grad, eta, the momentum error and the step, each row squared at once
     vectors = np.empty((4,) + x.shape)
-    vectors[0] = grad
-    np.subtract(g, grad, out=vectors[1])
-    np.subtract(grad, v_prev, out=vectors[2])
-    np.subtract(x_new, x, out=vectors[3])
-    fields = np.empty((5, len(x)))
-    fields[0], fields[1:] = fval, row_dot(vectors, vectors)
-    return x_new, v, fields, stopped
+    vectors[0] = full_gradient(problem, x)
+    np.subtract(g, vectors[0], out=vectors[1])
+    np.subtract(vectors[0], v_prev, out=vectors[2])
+    np.subtract(x_next, x, out=vectors[3])
+    fields[1:] = row_dot(vectors, vectors)
+    return fields
 
 
 @dataclass(frozen=True)
@@ -298,52 +315,105 @@ def per_k_stats(table: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
     r with k < lengths[r]: a cell past its trial's length is left out, and a
     NaN inside one makes its column NaN.  stderr is the sample std over
     sqrt(count), 0 below two trials.
+
+    The columns reduce a block at a time, so the temporaries fit the
+    _BLOCK_ELEMENTS budget whatever the table's length.  A block has two
+    columns or more: its sums over the trials then run in trial order, as
+    over the whole table (numpy sums one column on its own pairwise).
     """
-    inside = np.arange(table.shape[1]) < np.asarray(lengths)[:, None]
-    counts = np.sum(inside, axis=0)
-    with np.errstate(all="ignore"):  # empty or NaN columns, inf - inf, overflow
-        mean = np.sum(np.where(inside, table, 0.0), axis=0) / counts
-        sq = np.sum(np.where(inside, table - mean, 0.0) ** 2, axis=0)
-        stderr = np.where(counts > 1, np.sqrt(sq / (counts - 1)) / np.sqrt(counts), 0.0)
+    K = table.shape[1]
+    lengths = np.asarray(lengths)[:, None]
+    mean, stderr = np.empty(K), np.empty(K)
+    width = max(2, _BLOCK_ELEMENTS // (_BLOCK_ARRAYS * max(1, len(table))))
+    starts = range(0, max(K - 1, 1), width)  # a last block of one column joins the one before
+    for start, stop in zip(starts, [*starts[1:], K]):
+        columns = table[:, start:stop]
+        inside = np.arange(start, stop) < lengths
+        counts = np.sum(inside, axis=0)
+        with np.errstate(all="ignore"):  # empty or NaN columns, inf - inf, overflow
+            mean[start:stop] = np.sum(np.where(inside, columns, 0.0), axis=0) / counts
+            sq = np.sum(np.where(inside, columns - mean[start:stop], 0.0) ** 2, axis=0)
+            stderr[start:stop] = np.where(counts > 1, np.sqrt(sq / (counts - 1))
+                                          / np.sqrt(counts), 0.0)
     return mean, stderr
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a row that overflows stops (see step), silently
 def run_trials(cfg: RunConfig) -> TrialStats:
     """Run all trials together, row r being trial r, one batched ``step``
-    per iteration.
+    per iteration and one ``observe`` per block of iterations.
 
     The batch keeps all its rows to the end.  A trial that stops keeps its
     row but stops recording: its iterates and fields from that iteration on
-    are NaN.  Every trial has its own worker streams, so each row equals the
-    trial's trajectory on its own.  The worker randomness of a block of
-    iterations is drawn before the block runs, and phi is computed for the
-    whole record at the end.
+    are NaN.  It stops at the first iteration k whose iterate is non-finite,
+    whose f is non-finite or above DIVERGENCE_F_MAX, or whose aggregate is
+    non-finite, for the first of these reasons at that k.  Every trial has
+    its own worker streams, so each row equals the trial's trajectory on its
+    own.  The worker randomness of a block of iterations is drawn before the
+    block runs, and the block is observed when it ends, the rounds' v_prev
+    and aggregates held for that block alone; the run ends with the first
+    block by whose end every trial has stopped.
     """
     p, K, T = cfg.problem, cfg.iterations, cfg.trials
     x, v_prev = init_state(cfg, T)
     iterates = np.empty((T, K + 1, p.dimension))
     iterates[:, 0] = x
-    record = np.empty((K, len(CSV_FIELDS), T))
+    record = np.empty((len(CSV_FIELDS), T, K))
     lengths, reasons = np.full(T, K), [None] * T
-
-    for k, (pert, subsets) in zip(range(K), _worker_draws(cfg)):
-        x, v_prev, record[k, :5], stopped = step(x, v_prev, p, cfg.estimator, cfg.gamma,
-                                                 cfg.beta, pert, subsets)
-        for r, reason in stopped.items():
-            if reasons[r] is None:  # a stopped row steps on from zero
-                lengths[r], reasons[r] = k, reason
-        if None not in reasons:
-            break
-        iterates[:, k + 1] = x
-    # a trial records nothing from the iteration it stopped at
-    np.moveaxis(record, 1, 0)[:, np.arange(K)[:, None] >= lengths] = np.nan
-    iterates[np.arange(K + 1) > lengths[:, None]] = np.nan
     f_star = p.f_star if p.f_star is not None else 0.0
     lyapunov_A = lyapunov_weight(cfg.gamma, cfg.beta, analysis_regime(p))
-    record[:, 5] = (record[:, 0] - f_star) + lyapunov_A * record[:, 3]
-    return TrialStats.from_table(dict(zip(CSV_FIELDS, record.transpose(1, 2, 0))),
-                                 lengths, iterates, reasons)
+    block = _block_iterations(cfg)
+    history = np.empty((2, T, min(block, K), p.dimension))  # v_prev and g of a block's rounds
+    draws = _worker_draws(cfg)
+    for start in range(0, K, block):
+        count = min(block, K - start)
+        live = {}  # row -> (k, reason) of the first stop a round of the block found
+        for j, (pert, subsets) in zip(range(count), draws):
+            history[0, :, j] = v_prev
+            x, v_prev, history[1, :, j], stopped = step(x, v_prev, p, cfg.estimator, cfg.gamma,
+                                                        cfg.beta, pert, subsets)
+            for r, reason in stopped.items():
+                live.setdefault(r, (start + j, reason))
+            iterates[:, start + j + 1] = x
+        fields = record[:, :, start:start + count]
+        fields[:5] = observe(p, iterates[:, start:start + count + 1], *history[:, :, :count])
+        f = fields[0]
+        fields[5] = (f - f_star) + lyapunov_A * fields[3]
+        f_fails = ~(np.isfinite(f) & (f <= DIVERGENCE_F_MAX))
+        for r in live.keys() | set(np.flatnonzero(f_fails.any(axis=1)).tolist()):
+            if reasons[r] is not None:
+                continue
+            # the first failing k, the iterate before f before the aggregate at one k
+            k, reason = live.get(r, (K, None))
+            first_f = start + int(np.argmax(f_fails[r])) if f_fails[r].any() else K
+            if first_f < k or (first_f == k and reason == _AGGREGATE):
+                k, fk = first_f, float(f[r, first_f - start])
+                reason = (f"f = {fk:.6g} > {DIVERGENCE_F_MAX:g}" if math.isfinite(fk)
+                          else f"non-finite f ({fk})")
+            lengths[r], reasons[r] = k, reason
+        if None not in reasons:
+            break
+    # a trial records nothing from the iteration it stopped at
+    for r in np.flatnonzero(lengths < K):
+        record[:, r, lengths[r]:] = np.nan
+        iterates[r, lengths[r] + 1:] = np.nan
+    return TrialStats.from_table(dict(zip(CSV_FIELDS, record)), lengths, iterates, reasons)
+
+
+def _block_iterations(cfg: RunConfig) -> int:
+    """Iterations per block: the block's arrays, _BLOCK_ARRAYS of them at
+    most at once, fit the _BLOCK_ELEMENTS budget together.  Per iteration
+    and trial the largest holds the drawn randomness (n workers' d normals
+    and key_width keys), the four recorded vectors, or the exact worker
+    gradients (for a composite problem, each (n, m, p) array its oracles
+    evaluate)."""
+    p = cfg.problem
+    width = (p.dimension if cfg.noise.sigma2 else 0) + cfg.estimator.key_width(p)
+    per_worker = p.dimension
+    if isinstance(p, CompositeProblem):
+        per_worker = max(p.m_g, p.m_F) * max(p.dimension, p.inner_dimension)
+    per_round = max(p.n_workers * width, 4 * p.dimension, p.n_workers * per_worker)
+    return max(1, _BLOCK_ELEMENTS // (_BLOCK_ARRAYS * cfg.trials * per_round))
 
 
 def _worker_draws(cfg: RunConfig):
@@ -354,9 +424,9 @@ def _worker_draws(cfg: RunConfig):
 
     Worker w of trial t reads row k of its Gaussian noise from the stream
     keyed (STREAM_WORKER, t, w) and row k of its subset keys from the one
-    keyed (STREAM_SUBSET, t, w).  A block of iterations is drawn at a time,
-    within the _BLOCK_ELEMENTS budget; each stream is read in C order, so
-    the block size changes no value.
+    keyed (STREAM_SUBSET, t, w).  A block of ``_block_iterations``
+    iterations is drawn at a time; each stream is read in C order, so the
+    block size changes no value.
     """
     p, spec, noise, K = cfg.problem, cfg.estimator, cfg.noise, cfg.iterations
     workers = [(t, w) for t in range(cfg.trials) for w in range(p.n_workers)]
@@ -371,8 +441,7 @@ def _worker_draws(cfg: RunConfig):
 
     normal = [substream(cfg.seed, STREAM_WORKER, t, w) for t, w in workers] if noise.sigma2 else []
     uniform = [substream(cfg.seed, STREAM_SUBSET, t, w) for t, w in workers] if m else []
-    width = (d if normal else 0) + m
-    block = max(1, _BLOCK_ELEMENTS // (len(workers) * max(width, 1)))
+    block = _block_iterations(cfg)
     for start in range(0, K, block):
         count = min(block, K - start)
         pert = noise.draw(rows(normal, "standard_normal", count, d) if normal else None, d)

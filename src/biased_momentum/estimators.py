@@ -9,12 +9,14 @@ in expectation.
 
 The operators act on the last axis of a stack of vectors, each row
 rounding exactly as the operator applied to that row alone.  One path,
-``evaluate``, evaluates the problem once per round and returns f, the exact
-gradient and the pairwise mean of the (draws, workers, d) transmissions,
-for the momentum engine (one draw per trial, each at its own iterate) and
-the Monte-Carlo error measurement (a block of draws at one point); a
-composite problem's one inner table serves all three.  The path takes its
-randomness already drawn: the noise as a perturbation block
+``evaluate``, computes a round's aggregate: the pairwise mean of the
+(draws, workers, d) transmissions, from one evaluation of the problem (one
+inner table for a composite problem), for the momentum engine (one draw
+per trial, each at its own iterate) and the Monte-Carlo error measurement
+(a block of draws at one point).  A round computes nothing else: the
+engine observes f and the exact gradient of a whole block of rounds at
+once, and ``measure_eta`` takes the exact gradient once per point.  The
+path takes its randomness already drawn: the noise as a perturbation block
 (``NoiseSpec.draw``) and the index sets as picked by uniform keys
 (``EstimatorSpec.subsets``); only ``measure_eta`` takes a generator, from
 which it draws each block.
@@ -30,7 +32,7 @@ import numpy as np
 from .composite import CompositeProblem, subset_gradients
 from .errors import ConfigurationError
 from .problems import (NoiseSpec, Problem, as_param_vector, as_points, check_keys, config_float,
-                       config_int)
+                       config_int, full_gradient)
 from .rng import pairwise_mean, row_dot
 
 __all__ = [
@@ -191,34 +193,26 @@ def apply_estimator(spec: EstimatorSpec, raw: np.ndarray) -> np.ndarray:
 
 
 def evaluate(p: Problem, x: np.ndarray, spec: EstimatorSpec, pert: np.ndarray | None = None,
-             subsets=None) -> tuple:
-    """(f, grad, g) at x, or per round at x[b] of a (draws, d) stack, from
-    one evaluation of p: the objective, the exact full gradient and the
-    pairwise mean of the n worker transmissions.  ``pert`` is the rounds'
-    drawn noise (``NoiseSpec.draw``; None when the noise is null), and
-    ``subsets`` the composite kind's (inner, outer) blocks of one sorted
-    index set per round and worker.
+             subsets=None) -> np.ndarray:
+    """The aggregate g at x, or per round at x[b] of a (draws, d) stack: the
+    pairwise mean of the n worker transmissions, from one evaluation of p.
+    ``pert`` is the rounds' drawn noise (``NoiseSpec.draw``; None when the
+    noise is null), and ``subsets`` the composite kind's (inner, outer)
+    blocks of one sorted index set per round and worker.
 
     For compressor/clip kinds the noise is injected before the operator,
     matching the Top-K(grad + offset + gaussian) experimental pipeline.  The
-    composite kind gathers its estimates from the inner table that f and
-    grad read, then perturbs them.  The identity kind without noise sends
-    the exact worker gradients, so g is grad.
+    composite kind gathers its estimates from one inner table, then perturbs
+    them.  The identity kind without noise sends the exact worker gradients,
+    so g is the exact full gradient.
     """
-    if isinstance(p, CompositeProblem):
-        table = p.inner_table(as_points(x, p.dimension))
-        fval, grads = p.table_f(table), p.table_worker_grads(table)
-    else:
-        fval, grads = p.f(x), p.worker_grads(x)
-    grad = pairwise_mean(grads, axis=-2)
-    if spec.kind == "identity" and pert is None:
-        return fval, grad, grad
     if spec.kind == "composite":
-        est = subset_gradients(p, table, *subsets)
+        est = subset_gradients(p, p.inner_table(as_points(x, p.dimension)), *subsets)
         sent = est if pert is None else est + pert
     else:
+        grads = p.worker_grads(x)
         sent = apply_estimator(spec, grads if pert is None else grads + pert)
-    return fval, grad, pairwise_mean(sent, axis=-2)
+    return pairwise_mean(sent, axis=-2)
 
 
 # float64 elements that one block of drawn worker randomness may hold (per
@@ -240,8 +234,8 @@ def measure_eta(
     """Monte-Carlo (mean, stderr) of ||eta||^2 at a fixed iterate, and the
     exact ||grad f(x)||^2.
 
-    eta is the aggregate error: the pairwise-averaged worker estimates minus
-    the exact full gradient at x, both from one ``evaluate`` per block.
+    eta is the aggregate error: the pairwise-averaged worker estimates, one
+    ``evaluate`` per block, minus the exact full gradient at x, taken once.
     Draws are evaluated a block of B at a time as (B, workers, d) stacks:
     each block reads its (B, n, key_width) composite subset keys from
     ``rng``, then its (B, n, d) standard normals.
@@ -253,13 +247,13 @@ def measure_eta(
     noise = NoiseSpec() if noise is None else noise
     key_width = spec.key_width(p)
     block = max(1, _BLOCK_ELEMENTS // ((n + key_width) * d))
+    exact = full_gradient(p, x)
     vals = np.empty(samples)
     for start in range(0, samples, block):
         draws = min(block, samples - start)
         subsets = spec.subsets(p, rng.random((draws, n, key_width))) if key_width else None
         pert = noise.draw(rng.standard_normal((draws, n, d)) if noise.sigma2 > 0 else None, d)
-        _, exact, g = evaluate(p, x, spec, pert, subsets)
-        diff = g - exact
+        diff = evaluate(p, x, spec, pert, subsets) - exact
         vals[start:start + draws] = row_dot(diff, diff)  # one row for all when nothing is drawn
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0

@@ -78,9 +78,19 @@ def reference_worker_value(p, i, x):
     return loss + p.lam_nc * float(np.sum(x**2 / (1.0 + x**2)))
 
 
+class UnboundedQuadratic(QuadraticProblem):
+    """A quadratic whose f is -inf wherever x_0 < -1."""
+
+    def f(self, x):
+        return np.where(x[..., 0] < -1.0, -np.inf, super().f(x))
+
+
 def reference_f(p, x):
-    """f(x) at one point: 0.5 ||A x||^2 for the quadratic, else the
-    pairwise mean of the worker values."""
+    """f(x) at one point: 0.5 ||A x||^2 for the quadratic (-inf where an
+    UnboundedQuadratic's x_0 < -1), else the pairwise mean of the worker
+    values."""
+    if isinstance(p, UnboundedQuadratic) and x[0] < -1.0:
+        return -math.inf
     if isinstance(p, QuadraticProblem):
         r = p.A @ x
         return 0.5 * float(r @ r)

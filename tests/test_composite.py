@@ -167,6 +167,20 @@ def test_exact_gradients_are_the_chained_gradient_on_full_sets(monkeypatch, buil
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_set_mean_is_numpys_mean_bit_for_bit(p):
+    # the fold over the set axis rounds as np.mean does: in set order where
+    # numpy reduces a non-contiguous axis, pairwise where the set axis is
+    # contiguous (p = 1, which differs from a fold once k >= 8)
+    rng = substream(55, 2, p)
+    for k in range(1, 17):
+        for lead in ((3, 2), (728, 2), (40, 3, 2)):
+            shape = lead + (k, p)
+            a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+            a[..., 0, :1] = -0.0
+            assert composite._set_mean(a).tobytes() == np.mean(a, axis=-2).tobytes()
+
+
 def test_chained_gradient_index_errors():
     cp = _toy()
     with pytest.raises(ConfigurationError):

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,6 @@ from biased_momentum import (
     ConfigurationError,
     EstimatorSpec,
     NoiseSpec,
-    QuadraticProblem,
     RunConfig,
     full_gradient,
     make_logistic_l2,
@@ -26,12 +26,12 @@ from biased_momentum import (
 from biased_momentum import engine, estimators
 from biased_momentum.audit import pilot_points
 from biased_momentum.engine import (
-    CSV_FIELDS, CSV_HEADER, TrialStats, init_state, per_k_stats, read_run_csv,
+    CSV_FIELDS, CSV_HEADER, TrialStats, init_state, observe, per_k_stats, read_run_csv,
 )
 from biased_momentum.problems import make_synthetic_classification
 from biased_momentum.rng import pairwise_mean as rng_pairwise_mean
 
-from _oracles import reference_momentum, reference_sgd
+from _oracles import UnboundedQuadratic, reference_momentum, reference_sgd
 
 
 def _quad_cfg(**kw):
@@ -95,12 +95,14 @@ def test_init_seeded_x0_reproducible_and_unit_norm():
 def test_step_is_gradient_descent_for_beta_one():
     cfg = _quad_cfg()
     x, v_prev = init_state(cfg)
-    x1, v1, rec, stopped = step(x, v_prev, cfg.problem, cfg.estimator, 0.5, 1.0)
+    x1, v1, g, stopped = step(x, v_prev, cfg.problem, cfg.estimator, 0.5, 1.0)
     np.testing.assert_allclose(x1[0], [0.5] + [0.0] * 9)
     x2, _, _, _ = step(x1, v1, cfg.problem, cfg.estimator, 0.5, 1.0)
     np.testing.assert_allclose(x2[0], [0.25] + [0.0] * 9)
-    assert rec[CSV_FIELDS.index("f")][0] == pytest.approx(0.5)
+    # exact transmissions: the aggregate is the full gradient, and v is g
+    assert g.tobytes() == v1.tobytes() == full_gradient(cfg.problem, x).tobytes()
     assert stopped == {}
+    assert run_trials(cfg).table["f"][0, 0] == pytest.approx(0.5)
 
 
 def test_step_identities_hold_bitwise():
@@ -111,21 +113,21 @@ def test_step_identities_hold_bitwise():
                     noise=noise, seed=5)
     x, v_prev = init_state(cfg)
     draws = _draws(p, cfg.estimator, noise, [np.random.default_rng(5)] * p.n_workers)
-    x1, v1, rec, _ = step(x, v_prev, p, cfg.estimator, 0.1, 0.3, *draws)
-    rec = dict(zip(CSV_FIELDS, rec))
-    # reconstruct the aggregate from the v recurrence, then check the
-    # recorded identities: g = grad + eta, x' = x - gamma v, v update
-    g = v_prev[0] + (v1[0] - v_prev[0]) / 0.3
-    grad = full_gradient(p, x[0])
-    eta = g - grad
-    assert float(eta @ eta) == pytest.approx(rec["eta_norm_sq"][0], rel=1e-12)
+    x1, v1, g, _ = step(x, v_prev, p, cfg.estimator, 0.1, 0.3, *draws)
+    # the round: g is the aggregate, x' = x - gamma v, the v update
+    assert g.tobytes() == estimators.evaluate(p, x, cfg.estimator, *draws).tobytes()
     np.testing.assert_array_equal(x1[0], x[0] - 0.1 * v1[0])
-    v_manual = v_prev[0] + 0.3 * (g - v_prev[0])
-    np.testing.assert_allclose(v1[0], v_manual, rtol=1e-12)
-    dx = x1[0] - x[0]
-    assert rec["step_norm_sq"][0] == pytest.approx(float(dx @ dx), rel=1e-12)
-    ve = grad - v_prev[0]
-    assert rec["v_error_sq"][0] == pytest.approx(float(ve @ ve), rel=1e-12)
+    np.testing.assert_array_equal(v1[0], v_prev[0] + 0.3 * (g[0] - v_prev[0]))
+    # its observation: f, ||grad||^2 and eta = g - grad, the momentum error, the step
+    rec = dict(zip(CSV_FIELDS, observe(p, np.stack([x, x1], axis=1), v_prev[:, None],
+                                       g[:, None])[:, 0, 0]))
+    grad = full_gradient(p, x[0])
+    eta, ve, dx = g[0] - grad, grad - v_prev[0], x1[0] - x[0]
+    assert rec["f"] == p.f(x[0])
+    assert rec["grad_norm_sq"] == pytest.approx(float(grad @ grad), rel=1e-12)
+    assert rec["eta_norm_sq"] == pytest.approx(float(eta @ eta), rel=1e-12)
+    assert rec["step_norm_sq"] == pytest.approx(float(dx @ dx), rel=1e-12)
+    assert rec["v_error_sq"] == pytest.approx(float(ve @ ve), rel=1e-12)
 
 
 def test_beta_zero_rejected():
@@ -256,6 +258,30 @@ def test_block_size_changes_no_value(monkeypatch, case, iterations_per_block):
     _assert_same_rows(run_trials(cfg), default, list(range(cfg.trials)))
 
 
+def test_run_memory_does_not_grow_with_the_iterations():
+    # a run holds one block of rounds (their draws, v_prev and aggregates,
+    # and the observation's temporaries) at a time, and reduces its table
+    # per k a block of columns at a time: past the arrays it returns, its
+    # peak allocation is the same at 2,000 iterations as at 8,000
+    p = make_quadratic(spectrum=np.linspace(0.5, 2.0, 16), n_workers=2, seed=2)
+
+    def peak_beyond_result(iterations):
+        cfg = RunConfig(problem=p, gamma=0.3, beta=0.5, iterations=iterations, trials=8,
+                        noise=NoiseSpec(sigma2=0.01), seed=5)
+        tracemalloc.start()
+        try:
+            stats = run_trials(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        parts = (stats.table, stats.mean, stats.stderr)
+        return peak - stats.iterates.nbytes - sum(a.nbytes for part in parts
+                                                  for a in part.values())
+
+    small, large = peak_beyond_result(2000), peak_beyond_result(8000)
+    assert large < 1.05 * small
+
+
 @pytest.mark.parametrize("case", list(_noisy_cases()))
 def test_trial_count_changes_no_trial(case):
     # trial t reads only its own (trial, worker) streams
@@ -287,11 +313,39 @@ def _reference_cases():
                                 {"iterations": 150, "trials": 6, "seed": 3}),
         "quadratic-nonfinite-aggregate": (quad, EstimatorSpec(), NoiseSpec(delta_offset=1.5e308),
                                           0.5, 0.3, {"trials": 2}),
+        # f passes 1e12 at k = 1 in every trial, which steps on and overflows later
+        "quadratic-f-cap-then-overflow": (quad, EstimatorSpec(), NoiseSpec(sigma2=0.01), 1.0, 1e8,
+                                          {}),
+        # at k = 1 f and the aggregate overflow together, and f is the reason
+        "quadratic-f-and-aggregate-fail": (quad, EstimatorSpec(), NoiseSpec(delta_offset=1e300),
+                                           1.0, 1e8, {}),
+        # f passes 1e12 in every trial, at k = 42 to 46
+        "quadratic-all-trials-stop": (quad, EstimatorSpec(), NoiseSpec(sigma2=0.5), 1.0, 1.2,
+                                      {"iterations": 120, "trials": 4}),
     }
+    # f = -inf where x_0 < -1: from the fixed point of an offset that holds
+    # x_0 at -0.9, the noise takes two of six trials there, at k = 15 and 18
+    unbounded = UnboundedQuadratic(A=quad.A, blocks=quad.blocks, n_workers=quad.n_workers,
+                                   dimension=quad.dimension, L=quad.L, mu=quad.mu)
+    pull = np.linalg.solve(quad.A.T @ quad.A, np.eye(10)[0])
+    offset = 0.9 / pull[0]
+    cases["unbounded-minus-infinity"] = (
+        unbounded, EstimatorSpec(), NoiseSpec(sigma2=0.05, delta_offset=offset * np.eye(10)[0]),
+        0.5, 0.3, {"trials": 6, "x0": tuple(-offset * pull)})
     return cases
 
 
 REFERENCE_CASES = _reference_cases()
+STOP_CASES = ("quadratic-diverging", "quadratic-nonfinite-aggregate",
+              "quadratic-f-cap-then-overflow", "quadratic-f-and-aggregate-fail",
+              "quadratic-all-trials-stop", "unbounded-minus-infinity")
+
+
+def _reference_config(case):
+    problem, spec, noise, beta, gamma, extra = REFERENCE_CASES[case]
+    kw = dict(iterations=40, trials=3, seed=11)
+    kw.update(extra)
+    return RunConfig(problem=problem, gamma=gamma, beta=beta, estimator=spec, noise=noise, **kw)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -318,6 +372,37 @@ def test_run_trials_matches_reference_momentum(case):
         assert None in stops and len(stops) > 2
     if case == "quadratic-nonfinite-aggregate":
         assert set(stats.reasons) == {"non-finite aggregate"}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", STOP_CASES)
+@pytest.mark.parametrize("iterations_per_block", [1, 2, 7])
+def test_stops_match_reference_momentum_across_block_ends(monkeypatch, case,
+                                                          iterations_per_block):
+    # a block is observed when it ends, so a stop lands on a block's first or
+    # last iteration, or inside it, and trials stop in different blocks; each
+    # trial still stops where it would alone, for the first reason, records
+    # nothing (NaN) from there on, and the run ends with the block in which
+    # its last trial stops
+    cfg = _reference_config(case)
+    p = cfg.problem
+    monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", engine._BLOCK_ARRAYS * iterations_per_block
+                        * cfg.trials * p.n_workers * p.dimension)
+    assert engine._block_iterations(cfg) == iterations_per_block
+    rounds = []
+    monkeypatch.setattr(engine, "step", lambda *args: rounds.append(1) or step(*args))
+    stats = run_trials(cfg)
+    for r in range(cfg.trials):
+        records, iterates, diverged_at, reason = reference_momentum(cfg, r)
+        n = stats.lengths[r]
+        assert _rows(stats, r) == records
+        assert (n if stats.diverged[r] else None, stats.reasons[r]) == (diverged_at, reason)
+        assert stats.iterates[r, :n + 1].tobytes() == np.array(iterates).tobytes()
+        assert np.isnan(stats.iterates[r, n + 1:]).all()
+        assert all(np.isnan(column[r, n:]).all() for column in stats.table.values())
+    if None not in stats.reasons:
+        ends = -(-(stats.k_max + 1) // iterations_per_block) * iterations_per_block
+        assert len(rounds) == min(ends, cfg.iterations)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -419,6 +504,25 @@ def test_per_k_stats_reduces_an_all_nan_column_quietly(n_trials):
     np.testing.assert_array_equal(stderr, want)
 
 
+@pytest.mark.parametrize("columns", [1, 2, 3, 4, 7, 9])
+def test_per_k_stats_reduces_blocks_of_columns_as_the_whole_table(monkeypatch, columns):
+    # blocks of two columns, a last one of three when the count is odd: the
+    # sums over twenty trials run in trial order as over the whole table at
+    # once (a column summed on its own would sum pairwise)
+    rng = np.random.default_rng(columns)
+    table = rng.standard_normal((20, columns)) * 10.0 ** rng.uniform(-8, 8, (20, columns))
+    lengths = rng.integers(0, columns + 1, 20)
+    inside = np.arange(columns) < lengths[:, None]
+    counts = np.sum(inside, axis=0)
+    with np.errstate(all="ignore"):
+        mean = np.sum(np.where(inside, table, 0.0), axis=0) / counts
+        sq = np.sum(np.where(inside, table - mean, 0.0) ** 2, axis=0)
+        stderr = np.where(counts > 1, np.sqrt(sq / (counts - 1)) / np.sqrt(counts), 0.0)
+    monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", 2 * engine._BLOCK_ARRAYS * len(table))
+    got = per_k_stats(table, lengths)
+    assert (got[0].tobytes(), got[1].tobytes()) == (mean.tobytes(), stderr.tobytes())
+
+
 def test_per_k_stats_counts_a_trial_only_inside_its_length():
     # a nan inside a trial's length makes its column nan; any cell past the
     # length, nan or not, is left out
@@ -486,17 +590,26 @@ def test_config_rejects_oversized_top_k():
                   estimator=EstimatorSpec(kind="top_k", k=5))
 
 
+def _no_observation(self, x):
+    raise AssertionError("a round computes neither f nor the exact gradient")
+
+
 def test_step_evaluates_each_worker_gradient_once(monkeypatch):
-    # the exact full gradient is the pairwise mean of the same n evaluations
-    # that feed the worker estimates (one batched call: each row's n workers)
+    # the n evaluations feed the worker estimates (one batched call: each
+    # row's n workers), whose pairwise mean is the round's one reduction; f
+    # and the exact gradient are observed per block, not per round
     p = make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), n_workers=3, seed=2)
-    cls, calls = type(p), []
+    cls, calls, reductions = type(p), [], []
     original = cls.worker_grads
 
     def counting(self, x):
         for _ in x:
             calls.extend(range(self.n_workers))
         return original(self, x)
+
+    def counting_mean(values, axis=0):
+        reductions.append(axis)
+        return rng_pairwise_mean(values, axis)
 
     for spec in (EstimatorSpec(), EstimatorSpec(kind="top_k", k=2),
                  EstimatorSpec(kind="clip", tau=0.5)):
@@ -506,16 +619,20 @@ def test_step_evaluates_each_worker_gradient_once(monkeypatch):
         draws = _draws(p, spec, cfg.noise, [np.random.default_rng(cfg.seed)] * p.n_workers)
         expected = step(x, v_prev, p, spec, cfg.gamma, cfg.beta, *draws)
         monkeypatch.setattr(cls, "worker_grads", counting)
+        monkeypatch.setattr(cls, "f", _no_observation)
+        monkeypatch.setattr(estimators, "pairwise_mean", counting_mean)
         calls.clear()
+        reductions.clear()
         got = step(x, v_prev, p, spec, cfg.gamma, cfg.beta, *draws)
         monkeypatch.undo()
         assert sorted(calls) == list(range(p.n_workers))
+        assert reductions == [-2]
         np.testing.assert_array_equal(got[0], expected[0])
 
 
 def test_composite_step_evaluates_its_inner_table_once(monkeypatch):
-    # f, the exact gradients and the subset estimates of a round all read
-    # one inner table of the stack
+    # the subset estimates of a round read one inner table of the stack, and
+    # the round evaluates neither f nor the exact worker gradients
     p = make_maml(*make_synthetic_classification(5, 2, 8, seed=4), 0.1)
     spec = EstimatorSpec(kind="composite", s_g=2, s_f=3)
     start = np.random.default_rng(3).standard_normal((2, 3, p.dimension))
@@ -530,6 +647,8 @@ def test_composite_step_evaluates_its_inner_table_once(monkeypatch):
         return original(self, x)
 
     monkeypatch.setattr(cls, "inner_table", counting)
+    monkeypatch.setattr(cls, "f", _no_observation)
+    monkeypatch.setattr(cls, "worker_grads", _no_observation)
     got = step(start[0], start[1], p, spec, 0.1, 0.5, *draws)
     assert calls == [(3, p.dimension)]
     for a, b in zip(got[:3], expected[:3]):
@@ -539,7 +658,8 @@ def test_composite_step_evaluates_its_inner_table_once(monkeypatch):
 def test_identity_round_reduces_the_worker_gradients_once(monkeypatch):
     # exact transmissions (identity estimator, null noise) average to the full
     # gradient: a round reduces the worker gradients once, to the bits that
-    # an all-zero perturbation sent through the aggregate gives
+    # an all-zero perturbation sent through the aggregate gives, and
+    # evaluates no f
     p = make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), n_workers=3, seed=2)
     x = np.random.default_rng(6).standard_normal((4, 6))
     v_prev = np.random.default_rng(7).standard_normal((4, 6))
@@ -551,24 +671,32 @@ def test_identity_round_reduces_the_worker_gradients_once(monkeypatch):
         return rng_pairwise_mean(values, axis)
 
     monkeypatch.setattr(estimators, "pairwise_mean", counting)
+    monkeypatch.setattr(type(p), "f", _no_observation)
     got = step(x, v_prev, p, EstimatorSpec(), 0.1, 0.5)
     assert calls == [-2]
     for a, b in zip(got[:3], via_aggregate[:3]):
         np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("kind", ["quadratic", "maml"])
-def test_step_keeps_a_non_finite_row_apart_from_the_others(kind):
-    # the rows are zeroed before any arithmetic (composite points reject NaN),
-    # and every other row steps bit for bit as it would alone: row 1 has a
-    # non-finite iterate, row 3 a finite one whose f exceeds DIVERGENCE_F_MAX
+def _divergence_case(kind):
+    """(problem, estimator, noise) of the step and run divergence tests."""
     if kind == "quadratic":
         p = make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), n_workers=3, seed=2)
         spec = EstimatorSpec(kind="top_k", k=2)
     else:
         p = make_maml(*make_synthetic_classification(5, 2, 8, seed=4), 0.1)
         spec = EstimatorSpec(kind="composite", s_g=2, s_f=3)
-    noise = NoiseSpec(sigma2=0.01, delta_offset=0.01)
+    return p, spec, NoiseSpec(sigma2=0.01, delta_offset=0.01)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "maml"])
+def test_step_keeps_a_non_finite_row_apart_from_the_others(kind):
+    # the row is zeroed before any arithmetic (composite points reject NaN),
+    # and every other row steps bit for bit as it would alone: row 1 has a
+    # non-finite iterate, row 3 a finite one whose f exceeds DIVERGENCE_F_MAX,
+    # which the observation finds, not the round (see
+    # test_run_stops_a_trial_whose_f_exceeds_the_cap)
+    p, spec, noise = _divergence_case(kind)
     start = np.random.default_rng(1).standard_normal((2, 4, p.dimension))
     x, v_prev = start[0], start[1]
     x[1, 0], v_prev[1] = np.nan, np.inf
@@ -580,48 +708,54 @@ def test_step_keeps_a_non_finite_row_apart_from_the_others(kind):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x_next, v_next, fields, stopped = step(x, v_prev, p, spec, 0.1, 0.5,
-                                               *draws([0, 1, 2, 3]))
-    assert list(stopped) == [1, 3]
-    assert stopped[1] == "non-finite iterate"
-    assert stopped[3] == f"f = {float(p.f(x[3])):.6g} > {engine.DIVERGENCE_F_MAX:g}"
-    assert not x_next[[1, 3]].any() and not v_next[[1, 3]].any()
-    grad0 = full_gradient(p, np.zeros(p.dimension))  # stopped rows step from the origin
-    assert fields[1, 1] == fields[1, 3] == grad0 @ grad0
-    for r in (0, 2):
-        x_alone, v_alone, fields_alone, stopped_alone = step(
-            x[[r]], v_prev[[r]], p, spec, 0.1, 0.5, *draws([r]))
+        x_next, v_next, g, stopped = step(x, v_prev, p, spec, 0.1, 0.5, *draws([0, 1, 2, 3]))
+    assert stopped == {1: "non-finite iterate"}
+    assert not x_next[1].any() and not v_next[1].any() and not g[1].any()
+    for r in (0, 2, 3):
+        *alone, stopped_alone = step(x[[r]], v_prev[[r]], p, spec, 0.1, 0.5, *draws([r]))
         assert stopped_alone == {}
-        assert x_next[r].tobytes() == x_alone[0].tobytes()
-        assert v_next[r].tobytes() == v_alone[0].tobytes()
-        for field, field_alone in zip(fields, fields_alone):
-            assert field[r].tobytes() == field_alone[0].tobytes()
+        for got, got_alone in zip((x_next, v_next, g), alone):
+            assert got[r].tobytes() == got_alone[0].tobytes()
 
 
-class _UnboundedQuadratic(QuadraticProblem):
-    """A quadratic whose f is -inf wherever x_0 < -1."""
-
-    def f(self, x):
-        return np.where(x[..., 0] < -1.0, -np.inf, super().f(x))
+@pytest.mark.parametrize("kind", ["quadratic", "maml"])
+def test_run_stops_a_trial_whose_f_exceeds_the_cap(kind):
+    # a start 1e14 times a normal vector has f above DIVERGENCE_F_MAX: each
+    # trial stops at k = 0, keeps its start and records nothing, silently
+    p, spec, noise = _divergence_case(kind)
+    x0 = 1e14 * np.random.default_rng(1).standard_normal(p.dimension)
+    cfg = RunConfig(problem=p, gamma=0.1, beta=0.5, iterations=5, trials=2, estimator=spec,
+                    noise=noise, x0=tuple(x0), seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = run_trials(cfg)
+    reason = f"f = {float(p.f(x0)):.6g} > {engine.DIVERGENCE_F_MAX:g}"
+    assert (stats.lengths, stats.reasons) == ((0, 0), (reason, reason))
+    assert stats.iterates.tobytes() == np.tile(x0, (2, 1, 1)).tobytes()
+    assert all(column.shape == (2, 0) for column in stats.table.values())
 
 
 def test_step_stops_a_row_whose_f_is_minus_infinity():
-    # -inf is below DIVERGENCE_F_MAX but not finite, so the row stops
+    # -inf is below DIVERGENCE_F_MAX but not finite, so a trial whose f is
+    # -inf stops there; f is observed per block, so the round steps the row
+    # as any other
     q = make_quadratic(spectrum=np.linspace(0.5, 2.0, 4), n_workers=2, seed=3)
-    p = _UnboundedQuadratic(A=q.A, blocks=q.blocks, n_workers=q.n_workers,
-                            dimension=q.dimension, L=q.L, mu=q.mu)
+    p = UnboundedQuadratic(A=q.A, blocks=q.blocks, n_workers=q.n_workers,
+                           dimension=q.dimension, L=q.L, mu=q.mu)
     x = np.random.default_rng(2).standard_normal((3, 4))
     x[:, 0] = (0.5, -2.0, 0.25)
     v_prev = np.ones((3, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x_next, v_next, fields, stopped = step(x, v_prev, p, EstimatorSpec(), 0.1, 0.5)
-    assert stopped == {1: "non-finite f (-inf)"}
-    assert not x_next[1].any() and not v_next[1].any()
-    for r in (0, 2):
-        x_alone, v_alone, _, _ = step(x[[r]], v_prev[[r]], p, EstimatorSpec(), 0.1, 0.5)
-        assert x_next[r].tobytes() == x_alone[0].tobytes()
-        assert v_next[r].tobytes() == v_alone[0].tobytes()
+        x_next, v_next, g, stopped = step(x, v_prev, p, EstimatorSpec(), 0.1, 0.5)
+        stats = run_trials(RunConfig(problem=p, gamma=0.1, beta=0.5, iterations=5, trials=2,
+                                     x0=tuple(x[1])))
+    assert stopped == {}
+    for r in range(3):
+        *alone, _ = step(x[[r]], v_prev[[r]], p, EstimatorSpec(), 0.1, 0.5)
+        for got, got_alone in zip((x_next, v_next, g), alone):
+            assert got[r].tobytes() == got_alone[0].tobytes()
+    assert (stats.lengths, stats.reasons) == ((0, 0), ("non-finite f (-inf)",) * 2)
 
 
 def _config_doc(**overrides):
