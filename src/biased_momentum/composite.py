@@ -6,7 +6,8 @@ Every worker's components are held as arrays with a worker axis, and each
 oracle evaluates one index set per worker in one call (one block of sets
 per row of any leading batch axes, at that row's point).  The subset
 estimates (``subset_gradients``) read one inner table, so a round, which
-computes only the aggregate, evaluates it once per point; f and the exact
+computes only the aggregate, evaluates it once per point, and the error
+measurement once for all its draws at its point; f and the exact
 gradients (the table chained on the full sets) are what the engine
 observes of a block of rounds, each over the stack of the block's points.
 Every mean over a set axis is ``_set_mean``.  For the meta-learning inner
@@ -99,8 +100,17 @@ class CompositeProblem(Problem):
         return pairwise_mean(np.mean(self.outer_values(z, np.arange(self.m_F)), axis=-1), axis=-1)
 
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
-        values, *rows = self.inner_table(as_points(x, self.dimension))
+        return self.table_worker_grads(self.inner_table(as_points(x, self.dimension)))
+
+    def table_worker_grads(self, table: tuple) -> np.ndarray:
+        """The exact worker gradients at the points whose inner table this is."""
+        values, *rows = table
         return _chain(self, rows, _set_mean(values), np.arange(self.m_g), np.arange(self.m_F))
+
+    @property
+    def point_elements(self) -> int:
+        """Each (n, m, p) or (n, m, d) array the oracles hold per point."""
+        return self.n_workers * max(self.m_g, self.m_F) * max(self.dimension, self.inner_dimension)
 
     def _sets(self, idx: np.ndarray) -> np.ndarray:
         """idx as a (..., n, k) block: a (k,) set becomes every worker's set."""

@@ -42,7 +42,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .composite import CompositeProblem
 from .errors import ConfigurationError
 from .estimators import _BLOCK_ELEMENTS, EstimatorSpec, evaluate
 from .problems import (
@@ -73,9 +72,9 @@ __all__ = [
 
 DIVERGENCE_F_MAX = 1e12
 _ITERATE, _AGGREGATE = "non-finite iterate", "non-finite aggregate"  # the stops a round finds
-# arrays of a block's size that a run holds at once, at most: the drawn
-# randomness, the v_prev and aggregate history and the observation's temporaries
-_BLOCK_ARRAYS = 8
+# each array of an observed block holds at most this share of the
+# _BLOCK_ELEMENTS budget, as it lives beside a block of drawn randomness
+_OBSERVE_SHARE = 8
 
 CSV_FIELDS = ("f", "grad_norm_sq", "eta_norm_sq", "v_error_sq", "step_norm_sq", "phi")
 CSV_HEADER = "k,trial," + ",".join(CSV_FIELDS)
@@ -315,26 +314,13 @@ def per_k_stats(table: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
     r with k < lengths[r]: a cell past its trial's length is left out, and a
     NaN inside one makes its column NaN.  stderr is the sample std over
     sqrt(count), 0 below two trials.
-
-    The columns reduce a block at a time, so the temporaries fit the
-    _BLOCK_ELEMENTS budget whatever the table's length.  A block has two
-    columns or more: its sums over the trials then run in trial order, as
-    over the whole table (numpy sums one column on its own pairwise).
     """
-    K = table.shape[1]
-    lengths = np.asarray(lengths)[:, None]
-    mean, stderr = np.empty(K), np.empty(K)
-    width = max(2, _BLOCK_ELEMENTS // (_BLOCK_ARRAYS * max(1, len(table))))
-    starts = range(0, max(K - 1, 1), width)  # a last block of one column joins the one before
-    for start, stop in zip(starts, [*starts[1:], K]):
-        columns = table[:, start:stop]
-        inside = np.arange(start, stop) < lengths
-        counts = np.sum(inside, axis=0)
-        with np.errstate(all="ignore"):  # empty or NaN columns, inf - inf, overflow
-            mean[start:stop] = np.sum(np.where(inside, columns, 0.0), axis=0) / counts
-            sq = np.sum(np.where(inside, columns - mean[start:stop], 0.0) ** 2, axis=0)
-            stderr[start:stop] = np.where(counts > 1, np.sqrt(sq / (counts - 1))
-                                          / np.sqrt(counts), 0.0)
+    inside = np.arange(table.shape[1]) < np.asarray(lengths)[:, None]
+    counts = np.sum(inside, axis=0)
+    with np.errstate(all="ignore"):  # empty or NaN columns, inf - inf, overflow
+        mean = np.sum(np.where(inside, table, 0.0), axis=0) / counts
+        sq = np.sum(np.where(inside, table - mean, 0.0) ** 2, axis=0)
+        stderr = np.where(counts > 1, np.sqrt(sq / (counts - 1)) / np.sqrt(counts), 0.0)
     return mean, stderr
 
 
@@ -350,9 +336,10 @@ def run_trials(cfg: RunConfig) -> TrialStats:
     non-finite, for the first of these reasons at that k.  Every trial has
     its own worker streams, so each row equals the trial's trajectory on its
     own.  The worker randomness of a block of iterations is drawn before the
-    block runs, and the block is observed when it ends, the rounds' v_prev
-    and aggregates held for that block alone; the run ends with the first
-    block by whose end every trial has stopped.
+    block runs (``_worker_draws``).  The rounds are observed a block of
+    ``_observed_iterations`` at a time, when it ends, their v_prev and
+    aggregates held for that block alone; the run ends with the first
+    observed block by whose end every trial has stopped.
     """
     p, K, T = cfg.problem, cfg.iterations, cfg.trials
     x, v_prev = init_state(cfg, T)
@@ -362,7 +349,7 @@ def run_trials(cfg: RunConfig) -> TrialStats:
     lengths, reasons = np.full(T, K), [None] * T
     f_star = p.f_star if p.f_star is not None else 0.0
     lyapunov_A = lyapunov_weight(cfg.gamma, cfg.beta, analysis_regime(p))
-    block = _block_iterations(cfg)
+    block = _observed_iterations(cfg)
     history = np.empty((2, T, min(block, K), p.dimension))  # v_prev and g of a block's rounds
     draws = _worker_draws(cfg)
     for start in range(0, K, block):
@@ -400,20 +387,13 @@ def run_trials(cfg: RunConfig) -> TrialStats:
     return TrialStats.from_table(dict(zip(CSV_FIELDS, record)), lengths, iterates, reasons)
 
 
-def _block_iterations(cfg: RunConfig) -> int:
-    """Iterations per block: the block's arrays, _BLOCK_ARRAYS of them at
-    most at once, fit the _BLOCK_ELEMENTS budget together.  Per iteration
-    and trial the largest holds the drawn randomness (n workers' d normals
-    and key_width keys), the four recorded vectors, or the exact worker
-    gradients (for a composite problem, each (n, m, p) array its oracles
-    evaluate)."""
-    p = cfg.problem
-    width = (p.dimension if cfg.noise.sigma2 else 0) + cfg.estimator.key_width(p)
-    per_worker = p.dimension
-    if isinstance(p, CompositeProblem):
-        per_worker = max(p.m_g, p.m_F) * max(p.dimension, p.inner_dimension)
-    per_round = max(p.n_workers * width, 4 * p.dimension, p.n_workers * per_worker)
-    return max(1, _BLOCK_ELEMENTS // (_BLOCK_ARRAYS * cfg.trials * per_round))
+def _observed_iterations(cfg: RunConfig) -> int:
+    """Iterations per observed block: each array of the observation fits
+    1 / _OBSERVE_SHARE of the _BLOCK_ELEMENTS budget.  Per iteration and
+    trial the largest holds the four recorded vectors or what the oracles
+    hold per point (``Problem.point_elements``)."""
+    per_round = max(4 * cfg.problem.dimension, cfg.problem.point_elements)
+    return max(1, _BLOCK_ELEMENTS // (_OBSERVE_SHARE * cfg.trials * per_round))
 
 
 def _worker_draws(cfg: RunConfig):
@@ -424,9 +404,9 @@ def _worker_draws(cfg: RunConfig):
 
     Worker w of trial t reads row k of its Gaussian noise from the stream
     keyed (STREAM_WORKER, t, w) and row k of its subset keys from the one
-    keyed (STREAM_SUBSET, t, w).  A block of ``_block_iterations``
-    iterations is drawn at a time; each stream is read in C order, so the
-    block size changes no value.
+    keyed (STREAM_SUBSET, t, w).  A block of iterations is drawn at a time,
+    within the _BLOCK_ELEMENTS budget; each stream is read in C order, so
+    the block size changes no value.
     """
     p, spec, noise, K = cfg.problem, cfg.estimator, cfg.noise, cfg.iterations
     workers = [(t, w) for t in range(cfg.trials) for w in range(p.n_workers)]
@@ -441,7 +421,8 @@ def _worker_draws(cfg: RunConfig):
 
     normal = [substream(cfg.seed, STREAM_WORKER, t, w) for t, w in workers] if noise.sigma2 else []
     uniform = [substream(cfg.seed, STREAM_SUBSET, t, w) for t, w in workers] if m else []
-    block = _block_iterations(cfg)
+    width = (d if normal else 0) + m
+    block = max(1, _BLOCK_ELEMENTS // (len(workers) * max(width, 1)))
     for start in range(0, K, block):
         count = min(block, K - start)
         pert = noise.draw(rows(normal, "standard_normal", count, d) if normal else None, d)

@@ -8,15 +8,16 @@ estimator subsamples both layers of a composite problem and is biased even
 in expectation.
 
 The operators act on the last axis of a stack of vectors, each row
-rounding exactly as the operator applied to that row alone.  One path,
-``evaluate``, computes a round's aggregate: the pairwise mean of the
-(draws, workers, d) transmissions, from one evaluation of the problem (one
-inner table for a composite problem), for the momentum engine (one draw
-per trial, each at its own iterate) and the Monte-Carlo error measurement
-(a block of draws at one point).  A round computes nothing else: the
-engine observes f and the exact gradient of a whole block of rounds at
-once, and ``measure_eta`` takes the exact gradient once per point.  The
-path takes its randomness already drawn: the noise as a perturbation block
+rounding exactly as the operator applied to that row alone.  A round's
+aggregate is the pairwise mean of the (draws, workers, d) transmissions,
+formed from one evaluation of the problem (the exact worker gradients, or
+one inner table for a composite problem): ``evaluate`` runs the two back
+to back for the momentum engine (one draw per trial, each at its own
+iterate), and the Monte-Carlo error measurement evaluates its point once
+and forms every block of draws, and the exact gradient, from that one
+evaluation.  A round computes nothing else: the engine observes f and the
+exact gradient of a whole block of rounds at once.  The aggregate takes
+its randomness already drawn: the noise as a perturbation block
 (``NoiseSpec.draw``) and the index sets as picked by uniform keys
 (``EstimatorSpec.subsets``); only ``measure_eta`` takes a generator, from
 which it draws each block.
@@ -32,7 +33,7 @@ import numpy as np
 from .composite import CompositeProblem, subset_gradients
 from .errors import ConfigurationError
 from .problems import (NoiseSpec, Problem, as_param_vector, as_points, check_keys, config_float,
-                       config_int, full_gradient)
+                       config_int)
 from .rng import pairwise_mean, row_dot
 
 __all__ = [
@@ -206,12 +207,26 @@ def evaluate(p: Problem, x: np.ndarray, spec: EstimatorSpec, pert: np.ndarray | 
     them.  The identity kind without noise sends the exact worker gradients,
     so g is the exact full gradient.
     """
+    return _aggregate(p, spec, _evaluation(p, x, spec), pert, subsets)
+
+
+def _evaluation(p: Problem, x: np.ndarray, spec: EstimatorSpec):
+    """What the transmissions at x are formed from: the composite kind's
+    inner table, else the exact worker gradients."""
     if spec.kind == "composite":
-        est = subset_gradients(p, p.inner_table(as_points(x, p.dimension)), *subsets)
+        return p.inner_table(as_points(x, p.dimension))
+    return p.worker_grads(x)
+
+
+def _aggregate(p: Problem, spec: EstimatorSpec, evaluation, pert, subsets) -> np.ndarray:
+    """The pairwise mean of the worker transmissions formed from an
+    ``_evaluation`` (of one point for a whole block of draws, or of one
+    point per draw)."""
+    if spec.kind == "composite":
+        est = subset_gradients(p, evaluation, *subsets)
         sent = est if pert is None else est + pert
     else:
-        grads = p.worker_grads(x)
-        sent = apply_estimator(spec, grads if pert is None else grads + pert)
+        sent = apply_estimator(spec, evaluation if pert is None else evaluation + pert)
     return pairwise_mean(sent, axis=-2)
 
 
@@ -234,11 +249,13 @@ def measure_eta(
     """Monte-Carlo (mean, stderr) of ||eta||^2 at a fixed iterate, and the
     exact ||grad f(x)||^2.
 
-    eta is the aggregate error: the pairwise-averaged worker estimates, one
-    ``evaluate`` per block, minus the exact full gradient at x, taken once.
-    Draws are evaluated a block of B at a time as (B, workers, d) stacks:
-    each block reads its (B, n, key_width) composite subset keys from
-    ``rng``, then its (B, n, d) standard normals.
+    eta is the aggregate error: the pairwise-averaged worker estimates minus
+    the exact full gradient at x.  x is evaluated once (``_evaluation``),
+    and the exact gradient and every draw's transmissions are formed from
+    that evaluation.  Draws are aggregated a block of B at a time as
+    (B, workers, d) stacks: each block reads its (B, n, key_width) composite
+    subset keys from ``rng``, then its (B, n, d) standard normals, so B fixes
+    the order of the draws.
     """
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
@@ -247,13 +264,15 @@ def measure_eta(
     noise = NoiseSpec() if noise is None else noise
     key_width = spec.key_width(p)
     block = max(1, _BLOCK_ELEMENTS // ((n + key_width) * d))
-    exact = full_gradient(p, x)
+    evaluation = _evaluation(p, x, spec)
+    exact = pairwise_mean(p.table_worker_grads(evaluation) if spec.kind == "composite"
+                          else evaluation, axis=-2)  # full_gradient(p, x), bit for bit
     vals = np.empty(samples)
     for start in range(0, samples, block):
         draws = min(block, samples - start)
         subsets = spec.subsets(p, rng.random((draws, n, key_width))) if key_width else None
         pert = noise.draw(rng.standard_normal((draws, n, d)) if noise.sigma2 > 0 else None, d)
-        diff = evaluate(p, x, spec, pert, subsets) - exact
+        diff = _aggregate(p, spec, evaluation, pert, subsets) - exact
         vals[start:start + draws] = row_dot(diff, diff)  # one row for all when nothing is drawn
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0

@@ -153,6 +153,8 @@ class Problem:
     and ``L`` and defines the stacked oracles ``f`` ((..., d) -> (...)) and
     ``worker_grads`` ((..., d) -> (..., n, d)) described in the module
     docstring.  ``source`` is the JSON document the problem was built from.
+    ``point_elements`` bounds what the oracles hold per point of a stack;
+    the engine sizes its observed blocks by it.
     """
 
     kind: ClassVar[str]
@@ -167,6 +169,12 @@ class Problem:
 
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    @property
+    def point_elements(self) -> int:
+        """float64 elements of the largest array the oracles hold per point
+        of a stack: the n worker gradients."""
+        return self.n_workers * self.dimension
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +404,11 @@ class _LogisticLossProblem(Problem):
         coef = -self.labels * _sigmoid(-self._margins(x))
         loss = (np.swapaxes(self.features, -1, -2) @ coef[..., None])[..., 0] / coef.shape[-1]
         return loss + self._reg_grad(x)[..., None, :]
+
+    @property
+    def point_elements(self) -> int:
+        """The (n, m) margins or the (n, d) worker gradients."""
+        return max(self.labels.size, self.n_workers * self.dimension)
 
 
 @dataclass(frozen=True, kw_only=True)

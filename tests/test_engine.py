@@ -258,12 +258,20 @@ def test_block_size_changes_no_value(monkeypatch, case, iterations_per_block):
     _assert_same_rows(run_trials(cfg), default, list(range(cfg.trials)))
 
 
-def test_run_memory_does_not_grow_with_the_iterations():
-    # a run holds one block of rounds (their draws, v_prev and aggregates,
-    # and the observation's temporaries) at a time, and reduces its table
-    # per k a block of columns at a time: past the arrays it returns, its
-    # peak allocation is the same at 2,000 iterations as at 8,000
+def test_run_memory_does_not_grow_with_the_iterations(monkeypatch):
+    # a run holds one block of draws and one observed block of rounds (their
+    # v_prev and aggregates, and the observation's temporaries) at a time:
+    # past its record and iterates, its peak allocation up to the per-k
+    # reduction is the same at 2,000 iterations as at 8,000
     p = make_quadratic(spectrum=np.linspace(0.5, 2.0, 16), n_workers=2, seed=2)
+    peaks = []
+    from_table = TrialStats.from_table.__func__
+
+    def reducing(cls, table, lengths, iterates=None, reasons=()):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return from_table(cls, table, lengths, iterates, reasons)
+
+    monkeypatch.setattr(TrialStats, "from_table", classmethod(reducing))
 
     def peak_beyond_result(iterations):
         cfg = RunConfig(problem=p, gamma=0.3, beta=0.5, iterations=iterations, trials=8,
@@ -271,12 +279,9 @@ def test_run_memory_does_not_grow_with_the_iterations():
         tracemalloc.start()
         try:
             stats = run_trials(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        parts = (stats.table, stats.mean, stats.stderr)
-        return peak - stats.iterates.nbytes - sum(a.nbytes for part in parts
-                                                  for a in part.values())
+        return peaks.pop() - stats.iterates.nbytes - sum(a.nbytes for a in stats.table.values())
 
     small, large = peak_beyond_result(2000), peak_beyond_result(8000)
     assert large < 1.05 * small
@@ -386,9 +391,9 @@ def test_stops_match_reference_momentum_across_block_ends(monkeypatch, case,
     # its last trial stops
     cfg = _reference_config(case)
     p = cfg.problem
-    monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", engine._BLOCK_ARRAYS * iterations_per_block
-                        * cfg.trials * p.n_workers * p.dimension)
-    assert engine._block_iterations(cfg) == iterations_per_block
+    monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", engine._OBSERVE_SHARE * iterations_per_block
+                        * cfg.trials * max(4 * p.dimension, p.point_elements))
+    assert engine._observed_iterations(cfg) == iterations_per_block
     rounds = []
     monkeypatch.setattr(engine, "step", lambda *args: rounds.append(1) or step(*args))
     stats = run_trials(cfg)
@@ -502,25 +507,6 @@ def test_per_k_stats_reduces_an_all_nan_column_quietly(n_trials):
     assert list(mean[[0, 2]]) == [1.0, np.inf] and np.isnan(mean[3])
     want = [0.0] * 4 if n_trials == 1 else [0.0, np.nan, np.nan, 0.0]
     np.testing.assert_array_equal(stderr, want)
-
-
-@pytest.mark.parametrize("columns", [1, 2, 3, 4, 7, 9])
-def test_per_k_stats_reduces_blocks_of_columns_as_the_whole_table(monkeypatch, columns):
-    # blocks of two columns, a last one of three when the count is odd: the
-    # sums over twenty trials run in trial order as over the whole table at
-    # once (a column summed on its own would sum pairwise)
-    rng = np.random.default_rng(columns)
-    table = rng.standard_normal((20, columns)) * 10.0 ** rng.uniform(-8, 8, (20, columns))
-    lengths = rng.integers(0, columns + 1, 20)
-    inside = np.arange(columns) < lengths[:, None]
-    counts = np.sum(inside, axis=0)
-    with np.errstate(all="ignore"):
-        mean = np.sum(np.where(inside, table, 0.0), axis=0) / counts
-        sq = np.sum(np.where(inside, table - mean, 0.0) ** 2, axis=0)
-        stderr = np.where(counts > 1, np.sqrt(sq / (counts - 1)) / np.sqrt(counts), 0.0)
-    monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", 2 * engine._BLOCK_ARRAYS * len(table))
-    got = per_k_stats(table, lengths)
-    assert (got[0].tobytes(), got[1].tobytes()) == (mean.tobytes(), stderr.tobytes())
 
 
 def test_per_k_stats_counts_a_trial_only_inside_its_length():

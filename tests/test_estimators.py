@@ -379,20 +379,21 @@ def test_evaluate_is_the_oracles_and_the_operators(build, spec):
             assert g.tobytes() == full_gradient(p, x).tobytes()
 
 
-@pytest.mark.parametrize("build,spec,operator,owners,per_point", [
-    pytest.param(_quadratic_6, EstimatorSpec(kind="top_k", k=2), "top_k", (estimators,), 0,
+@pytest.mark.parametrize("build,spec,operator,owners,per_block", [
+    pytest.param(_quadratic_6, EstimatorSpec(kind="top_k", k=2), "top_k", (estimators,), True,
                  id="top_k"),
     # the exact composite worker gradients chain the inner table without it
-    pytest.param(_maml_4, MAML_COMPOSITE, "subset_gradients", (estimators, composite), 0,
+    pytest.param(_maml_4, MAML_COMPOSITE, "subset_gradients", (estimators, composite), True,
                  id="composite"),
-    # the estimates of a block read one table, and the exact gradient one
-    # more, once per point
-    pytest.param(_maml_4, MAML_COMPOSITE, "inner_table", (MamlProblem,), 1, id="inner_table"),
+    # every block's estimates and the exact gradient read the point's one table
+    pytest.param(_maml_4, MAML_COMPOSITE, "inner_table", (MamlProblem,), False,
+                 id="inner_table"),
 ])
 def test_measure_eta_evaluates_each_block_once(monkeypatch, build, spec, operator, owners,
-                                               per_point):
-    # one operator call per block of draws, not one per draw, and the exact
-    # part once per point, not once per block (of a budget that makes blocks)
+                                               per_block):
+    # one operator call per block of draws, not one per draw, and the
+    # point's evaluation once, not once per block (of a budget that makes
+    # blocks)
     monkeypatch.setattr(estimators, "_BLOCK_ELEMENTS", estimators._BLOCK_ELEMENTS // 4)
     p, calls = build(), []
     original = getattr(owners[0], operator)
@@ -407,7 +408,7 @@ def test_measure_eta_evaluates_each_block_once(monkeypatch, build, spec, operato
     measure_eta(p, x, spec, NoiseSpec(sigma2=0.01), samples=1000, rng=substream(41, 2, 1))
     blocks = -(-1000 // _block_draws(p, spec))
     assert blocks > 1
-    assert len(calls) == blocks + per_point
+    assert len(calls) == (blocks if per_block else 1)
 
 
 # ---------------------------------------------------------------------------

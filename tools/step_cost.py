@@ -27,7 +27,7 @@ from pathlib import Path
 
 from biased_momentum.audit import audit_gradients, pilot_report
 from biased_momentum.composite import CompositeProblem, measure_composite_sigmas
-from biased_momentum.engine import (RunConfig, _block_iterations, _worker_draws, init_state,
+from biased_momentum.engine import (RunConfig, _observed_iterations, _worker_draws, init_state,
                                    observe, step)
 from biased_momentum.estimators import evaluate, measure_eta
 from biased_momentum.rng import STREAM_MEASURE, substream
@@ -63,7 +63,7 @@ def main() -> None:
         p, spec, noise = cfg.problem, cfg.estimator, cfg.noise
         x, v = init_state(cfg, cfg.trials)
         pert, subsets = next(_worker_draws(cfg))
-        count = min(_block_iterations(cfg), cfg.iterations)
+        count = min(_observed_iterations(cfg), cfg.iterations)
         shape = (3, cfg.trials, count + 1, p.dimension)
         near = 1.0 + 0.01 * substream(0, STREAM_MEASURE, 200).standard_normal(shape)
         xs, history = x[:, None] * near[0], v[:, None] * near[1:, :, 1:]
