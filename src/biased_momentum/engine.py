@@ -11,9 +11,11 @@ plain SGD.  Each iteration records f, the realized error eta_k = g_k -
 grad f(x_k) and the Lyapunov value, so the trajectory carries everything
 the inequality audits need.
 
-A round computes the next state and nothing else (``step``); a block of
-rounds is observed once, in bulk (``observe``): f, the exact gradient and
-the recorded squared norms over the stack of the block's iterates.  A run
+A round computes the next state and hands back the one evaluation of the
+problem it averaged (``step``); a block of rounds is observed once, in
+bulk (``observe``): f over the stack of the block's iterates, the exact
+gradient read off the rounds' evaluations, and the recorded squared
+norms.  A run
 has one result: ``run_trials`` returns a ``TrialStats`` holding a table of
 the CSV fields, each a C-ordered (trial, k) array with NaN past the
 iteration where a trial stopped, its per-k statistics, and each trial's
@@ -43,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimators import _BLOCK_ELEMENTS, EstimatorSpec, evaluate
+from .estimators import _BLOCK_ELEMENTS, EstimatorSpec, evaluate, exact_gradient
 from .problems import (
     NoiseSpec,
     Problem,
@@ -203,25 +205,27 @@ def step(
     beta: float,
     pert: np.ndarray | None = None,
     subsets=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple, dict]:
     """One server round of every row of the (T, d) stacks x and v_prev.
 
     ``pert`` and ``subsets`` are the round's drawn worker noise and
     composite index sets, one per (row, worker) (see
-    ``estimators.evaluate``).  Returns (x_next, v_next, g, stopped): g is the
-    (T, d) aggregate.  A row whose iterate or aggregate is non-finite is in
-    ``stopped``, which maps it to the reason.  Its x and v_prev (and its
-    aggregate) are set to zero before any arithmetic touches them, so its
-    non-finite values raise and warn of nothing; its outputs mean nothing,
-    and no other row's bits depend on it.  f and the exact gradient are not
-    a round's work (see ``observe``).
+    ``estimators.evaluate``).  Returns (x_next, v_next, g, evaluation,
+    stopped): g is the (T, d) aggregate and ``evaluation`` the one
+    evaluation of the problem it was formed from, which ``observe`` reads
+    the exact gradient off.  A row whose iterate or aggregate is non-finite
+    is in ``stopped``, which maps it to the reason.  Its x and v_prev (and
+    its aggregate) are set to zero before any arithmetic touches them, so
+    its non-finite values raise and warn of nothing; its outputs mean
+    nothing, and no other row's bits depend on it.  f is not a round's work
+    (see ``observe``).
 
     Each check looks for rows only when a scalar check of the whole stack
     fails.
     """
     stopped = dict.fromkeys(_failing_rows(np.isfinite(x)), _ITERATE)
     x, v_prev = _zero_rows(stopped, x, v_prev)  # composite problems reject non-finite points
-    g = evaluate(problem, x, estimator, pert, subsets)
+    g, evaluation = evaluate(problem, x, estimator, pert, subsets)
     for b in _failing_rows(np.isfinite(g)):
         stopped.setdefault(b, _AGGREGATE)
     x, v_prev, g = _zero_rows(stopped, x, v_prev, g)
@@ -229,19 +233,23 @@ def step(
     # beta = 1 must reproduce plain SGD bit-for-bit, so take v = g directly
     # instead of the algebraically equal v_prev + 1.0 * (g - v_prev)
     v = g if beta == 1.0 else v_prev + beta * (g - v_prev)
-    return x - gamma * v, v, g, stopped
+    return x - gamma * v, v, g, evaluation, stopped
 
 
-def observe(problem: Problem, xs: np.ndarray, v_prev: np.ndarray, g: np.ndarray) -> np.ndarray:
+def observe(problem: Problem, estimator: EstimatorSpec, xs: np.ndarray, v_prev: np.ndarray,
+            g: np.ndarray, evaluation: tuple) -> np.ndarray:
     """The first five CSV fields of a block of c rounds, (5, ..., c): f and
     the four squared norms (the exact gradient, eta, the momentum error and
     the step) of round j of each row of the (..., c + 1, d) stack xs of the
-    iterates x^0 .. x^c, whose round j read v_prev[..., j, :] and averaged
-    g[..., j, :].
+    iterates x^0 .. x^c, whose round j read v_prev[..., j, :], evaluated
+    the problem as ``evaluation`` holds at [..., j] of each array (the
+    rounds' evaluations stacked) and averaged g[..., j, :].
 
-    phi follows from f and v_error_sq.  A non-finite iterate, which stops
-    its row at that round, is evaluated as zero, so a composite problem
-    never sees it; its fields mean nothing.
+    The exact gradient is read off the rounds' evaluations; f is evaluated
+    here.  phi follows from f and v_error_sq.  A non-finite iterate, which
+    stops its row at that round, is evaluated as zero (as the round
+    evaluated it), so a composite problem never sees it; its fields mean
+    nothing.
     """
     x, x_next = xs[..., :-1, :], xs[..., 1:, :]
     finite = np.isfinite(x).all(axis=-1)
@@ -251,7 +259,7 @@ def observe(problem: Problem, xs: np.ndarray, v_prev: np.ndarray, g: np.ndarray)
     fields[0] = problem.f(x)
     # grad, eta, the momentum error and the step, each row squared at once
     vectors = np.empty((4,) + x.shape)
-    vectors[0] = full_gradient(problem, x)
+    vectors[0] = exact_gradient(problem, estimator, evaluation)
     np.subtract(g, vectors[0], out=vectors[1])
     np.subtract(vectors[0], v_prev, out=vectors[2])
     np.subtract(x_next, x, out=vectors[3])
@@ -337,9 +345,9 @@ def run_trials(cfg: RunConfig) -> TrialStats:
     its own worker streams, so each row equals the trial's trajectory on its
     own.  The worker randomness of a block of iterations is drawn before the
     block runs (``_worker_draws``).  The rounds are observed a block of
-    ``_observed_iterations`` at a time, when it ends, their v_prev and
-    aggregates held for that block alone; the run ends with the first
-    observed block by whose end every trial has stopped.
+    ``_observed_iterations`` at a time, when it ends, their v_prev,
+    aggregates and evaluations held for that block alone; the run ends with
+    the first observed block by whose end every trial has stopped.
     """
     p, K, T = cfg.problem, cfg.iterations, cfg.trials
     x, v_prev = init_state(cfg, T)
@@ -351,19 +359,24 @@ def run_trials(cfg: RunConfig) -> TrialStats:
     lyapunov_A = lyapunov_weight(cfg.gamma, cfg.beta, analysis_regime(p))
     block = _observed_iterations(cfg)
     history = np.empty((2, T, min(block, K), p.dimension))  # v_prev and g of a block's rounds
+    held = ()  # and each array of their evaluations, (T, block, ...), from the first round on
     draws = _worker_draws(cfg)
     for start in range(0, K, block):
         count = min(block, K - start)
         live = {}  # row -> (k, reason) of the first stop a round of the block found
         for j, (pert, subsets) in zip(range(count), draws):
             history[0, :, j] = v_prev
-            x, v_prev, history[1, :, j], stopped = step(x, v_prev, p, cfg.estimator, cfg.gamma,
-                                                        cfg.beta, pert, subsets)
+            x, v_prev, history[1, :, j], evaluation, stopped = step(
+                x, v_prev, p, cfg.estimator, cfg.gamma, cfg.beta, pert, subsets)
+            held = held or tuple(np.empty(history.shape[1:3] + a.shape[1:]) for a in evaluation)
+            for array, a in zip(held, evaluation):
+                array[:, j] = a
             for r, reason in stopped.items():
                 live.setdefault(r, (start + j, reason))
             iterates[:, start + j + 1] = x
         fields = record[:, :, start:start + count]
-        fields[:5] = observe(p, iterates[:, start:start + count + 1], *history[:, :, :count])
+        fields[:5] = observe(p, cfg.estimator, iterates[:, start:start + count + 1],
+                             *history[:, :, :count], tuple(array[:, :count] for array in held))
         f = fields[0]
         fields[5] = (f - f_star) + lyapunov_A * fields[3]
         f_fails = ~(np.isfinite(f) & (f <= DIVERGENCE_F_MAX))
@@ -390,8 +403,9 @@ def run_trials(cfg: RunConfig) -> TrialStats:
 def _observed_iterations(cfg: RunConfig) -> int:
     """Iterations per observed block: each array of the observation fits
     1 / _OBSERVE_SHARE of the _BLOCK_ELEMENTS budget.  Per iteration and
-    trial the largest holds the four recorded vectors or what the oracles
-    hold per point (``Problem.point_elements``)."""
+    trial the largest holds the four recorded vectors, or a round's
+    evaluation, or what the oracles hold per point
+    (``Problem.point_elements`` bounds both)."""
     per_round = max(4 * cfg.problem.dimension, cfg.problem.point_elements)
     return max(1, _BLOCK_ELEMENTS // (_OBSERVE_SHARE * cfg.trials * per_round))
 
@@ -437,12 +451,25 @@ def _worker_draws(cfg: RunConfig):
 
 
 def write_run_csv(stats: TrialStats, path) -> None:
-    lines = [CSV_HEADER]
-    for trial, length in enumerate(stats.lengths):
-        columns = [stats.table[name][trial, :length].tolist() for name in CSV_FIELDS]
-        lines.extend(f"{k},{trial}," + ",".join(map(repr, values))
-                     for k, values in enumerate(zip(*columns)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the table as CSV_HEADER and one row per (trial, k), trial by
+    trial, each trial formatted as one block."""
+    width = 2 + len(CSV_FIELDS)
+    row = "%d,%d" + ",%r" * len(CSV_FIELDS) + "\n"
+    with open(path, "w") as out:
+        out.write(CSV_HEADER + "\n")
+        for trial, length in enumerate(stats.lengths):
+            cells = [trial] * (width * length)  # k, trial and the fields, row after row
+            cells[0::width] = range(length)
+            for j, name in enumerate(CSV_FIELDS, 2):
+                cells[j::width] = stats.table[name][trial, :length].tolist()
+            out.write(row * length % tuple(cells))
+
+
+# rows split into cells at a time: a block's cells and parsed columns are
+# transient, and short blocks keep them from raising the peak memory
+_CSV_BLOCK_ROWS = 64
+_CSV_PARSERS = (int, int) + (float,) * len(CSV_FIELDS)  # k, trial, the fields
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def read_run_csv(path, trials: int) -> TrialStats:
@@ -452,36 +479,70 @@ def read_run_csv(path, trials: int) -> TrialStats:
     Each row lands in its (trial, k) cell, so row order does not matter.
     A trial's k must be exactly 0..K_t-1, once each (a trial that stopped
     at k=0 has no rows); anything else raises a ConfigurationError that
-    names the trial and k.
+    names the row, or the trial and k.  The rows are parsed a block at a
+    time, column by column.  In a file with several faults the first of
+    these is named, each the first of its kind in row order: a row without
+    2 + len(CSV_FIELDS) fields, a cell that ``int`` (k, trial) or ``float``
+    does not parse, a trial or k out of range, a duplicate, a missing row.
+    A k of 2**63 or more is held as 2**63 - 1, so two such rows of one trial
+    are named as a duplicate.
     """
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigurationError(f"unrecognized CSV header in {path}")
-    rows = {}  # (trial, k) -> values
-    for line in lines[1:]:
-        parts = line.split(",")
+    del lines[0]
+    wrong = next((line for line in lines if line.count(",") != len(CSV_FIELDS) + 1), None)
+    if wrong is not None:
+        raise ConfigurationError(f"malformed CSV row: {wrong!r}")
+    count = len(lines)
+    k, trial = np.empty(count, np.int64), np.empty(count, np.int64)
+    values = np.empty((len(CSV_FIELDS), count))
+    for start in range(0, count, _CSV_BLOCK_ROWS):
+        block = lines[start:start + _CSV_BLOCK_ROWS]
+        cells = ",".join(block).split(",")  # every row has len(_CSV_PARSERS) of them
+        columns = [cells[j::len(_CSV_PARSERS)] for j in range(len(_CSV_PARSERS))]
         try:
-            if len(parts) != 2 + len(CSV_FIELDS):
-                raise ValueError
-            k, trial = int(parts[0]), int(parts[1])
-            values = [float(v) for v in parts[2:]]
+            ks, ts, *fields = [list(map(parse, c)) for parse, c in zip(_CSV_PARSERS, columns)]
         except ValueError:
-            raise ConfigurationError(f"malformed CSV row: {line!r}") from None
-        if not (0 <= trial < trials and k >= 0):
-            raise ConfigurationError(f"{path}: row for trial {trial}, k={k}; the run has "
-                                     f"trials 0..{trials - 1} and k >= 0")
-        if (trial, k) in rows:
-            raise ConfigurationError(f"{path}: duplicate row for trial {trial}, k={k}")
-        rows[trial, k] = values
-    lengths = [0] * trials
-    for trial, _ in rows:
-        lengths[trial] += 1
-    for trial, k in rows:
-        if k >= lengths[trial]:
-            missing = next(j for j in range(k) if (trial, j) not in rows)
-            raise ConfigurationError(f"{path}: no row for trial {trial}, k={missing}")
+            bad = min(map(_first_unparsed, _CSV_PARSERS, columns))
+            raise ConfigurationError(f"malformed CSV row: {block[bad]!r}") from None
+        at = slice(start, start + len(block))
+        k[at], trial[at] = _clipped(ks, _INT64_MAX), _clipped(ts, trials)
+        values[:, at] = fields
+    outside = np.flatnonzero((trial < 0) | (trial >= trials) | (k < 0))
+    if outside.size:
+        k_r, trial_r = map(int, lines[outside[0]].split(",")[:2])
+        raise ConfigurationError(f"{path}: row for trial {trial_r}, k={k_r}; the run has "
+                                 f"trials 0..{trials - 1} and k >= 0")
+    order = np.lexsort((k, trial))  # stable: a repeat sorts after the row it repeats
+    repeats = order[1:][(k[order[1:]] == k[order[:-1]]) & (trial[order[1:]] == trial[order[:-1]])]
+    if repeats.size:
+        r = repeats.min()
+        raise ConfigurationError(f"{path}: duplicate row for trial {trial[r]}, k={k[r]}")
+    lengths = np.bincount(trial, minlength=trials)
+    beyond = k >= lengths[trial]
+    if beyond.any():
+        t = trial[np.argmax(beyond)]
+        present = np.zeros(lengths[t], bool)
+        present[k[(trial == t) & ~beyond]] = True
+        raise ConfigurationError(f"{path}: no row for trial {t}, k={np.argmin(present)}")
     table = np.full((len(CSV_FIELDS), trials, max(lengths, default=0)), np.nan)
-    if rows:
-        trial_of, k_of = zip(*rows)
-        table[:, trial_of, k_of] = np.array(list(rows.values())).T
+    table[:, trial, k] = values
     return TrialStats.from_table(dict(zip(CSV_FIELDS, table)), lengths)
+
+
+def _first_unparsed(parse, cells) -> int:
+    """The index of the first cell that ``parse`` rejects (len(cells) if none)."""
+    for i, cell in enumerate(cells):
+        try:
+            parse(cell)
+        except ValueError:
+            return i
+    return len(cells)
+
+
+def _clipped(ints: list, high: int) -> list:
+    """The ints, each clipped to [-1, high] when one lies outside it."""
+    if min(ints) < -1 or max(ints) > high:
+        return [min(max(v, -1), high) for v in ints]
+    return ints

@@ -13,10 +13,11 @@ aggregate is the pairwise mean of the (draws, workers, d) transmissions,
 formed from one evaluation of the problem (the exact worker gradients, or
 one inner table for a composite problem): ``evaluate`` runs the two back
 to back for the momentum engine (one draw per trial, each at its own
-iterate), and the Monte-Carlo error measurement evaluates its point once
-and forms every block of draws, and the exact gradient, from that one
-evaluation.  A round computes nothing else: the engine observes f and the
-exact gradient of a whole block of rounds at once.  The aggregate takes
+iterate) and returns the evaluation with the aggregate, and the
+Monte-Carlo error measurement evaluates its point once and forms every
+block of draws from that one evaluation.  Both read the exact gradient off
+their evaluations (``exact_gradient``), never evaluating it again: the
+engine for a whole block of rounds at once.  The aggregate takes
 its randomness already drawn: the noise as a perturbation block
 (``NoiseSpec.draw``) and the index sets as picked by uniform keys
 (``EstimatorSpec.subsets``); only ``measure_eta`` takes a generator, from
@@ -43,6 +44,7 @@ __all__ = [
     "clip",
     "apply_estimator",
     "evaluate",
+    "exact_gradient",
     "measure_eta",
 ]
 
@@ -194,12 +196,14 @@ def apply_estimator(spec: EstimatorSpec, raw: np.ndarray) -> np.ndarray:
 
 
 def evaluate(p: Problem, x: np.ndarray, spec: EstimatorSpec, pert: np.ndarray | None = None,
-             subsets=None) -> np.ndarray:
-    """The aggregate g at x, or per round at x[b] of a (draws, d) stack: the
-    pairwise mean of the n worker transmissions, from one evaluation of p.
-    ``pert`` is the rounds' drawn noise (``NoiseSpec.draw``; None when the
-    noise is null), and ``subsets`` the composite kind's (inner, outer)
-    blocks of one sorted index set per round and worker.
+             subsets=None) -> tuple[np.ndarray, tuple]:
+    """(g, evaluation): the aggregate g at x, or per round at x[b] of a
+    (draws, d) stack, the pairwise mean of the n worker transmissions, and
+    the one evaluation of p it was formed from (``exact_gradient`` reads the
+    exact gradient off it).  ``pert`` is the rounds' drawn noise
+    (``NoiseSpec.draw``; None when the noise is null), and ``subsets`` the
+    composite kind's (inner, outer) blocks of one sorted index set per round
+    and worker.
 
     For compressor/clip kinds the noise is injected before the operator,
     matching the Top-K(grad + offset + gaussian) experimental pipeline.  The
@@ -207,18 +211,19 @@ def evaluate(p: Problem, x: np.ndarray, spec: EstimatorSpec, pert: np.ndarray | 
     them.  The identity kind without noise sends the exact worker gradients,
     so g is the exact full gradient.
     """
-    return _aggregate(p, spec, _evaluation(p, x, spec), pert, subsets)
+    evaluation = _evaluation(p, x, spec)
+    return _aggregate(p, spec, evaluation, pert, subsets), evaluation
 
 
-def _evaluation(p: Problem, x: np.ndarray, spec: EstimatorSpec):
-    """What the transmissions at x are formed from: the composite kind's
-    inner table, else the exact worker gradients."""
+def _evaluation(p: Problem, x: np.ndarray, spec: EstimatorSpec) -> tuple:
+    """What the transmissions at x are formed from, a tuple of arrays: the
+    composite kind's inner table, else the exact worker gradients alone."""
     if spec.kind == "composite":
         return p.inner_table(as_points(x, p.dimension))
-    return p.worker_grads(x)
+    return (p.worker_grads(x),)
 
 
-def _aggregate(p: Problem, spec: EstimatorSpec, evaluation, pert, subsets) -> np.ndarray:
+def _aggregate(p: Problem, spec: EstimatorSpec, evaluation: tuple, pert, subsets) -> np.ndarray:
     """The pairwise mean of the worker transmissions formed from an
     ``_evaluation`` (of one point for a whole block of draws, or of one
     point per draw)."""
@@ -226,8 +231,17 @@ def _aggregate(p: Problem, spec: EstimatorSpec, evaluation, pert, subsets) -> np
         est = subset_gradients(p, evaluation, *subsets)
         sent = est if pert is None else est + pert
     else:
-        sent = apply_estimator(spec, evaluation if pert is None else evaluation + pert)
+        grads = evaluation[0]
+        sent = apply_estimator(spec, grads if pert is None else grads + pert)
     return pairwise_mean(sent, axis=-2)
+
+
+def exact_gradient(p: Problem, spec: EstimatorSpec, evaluation: tuple) -> np.ndarray:
+    """``full_gradient`` bit for bit at the points of an ``_evaluation``
+    (or of a stack of them): the pairwise mean of the exact worker
+    gradients, chained from the inner table for the composite kind."""
+    grads = p.table_worker_grads(evaluation) if spec.kind == "composite" else evaluation[0]
+    return pairwise_mean(grads, axis=-2)
 
 
 # float64 elements that one block of drawn worker randomness may hold (per
@@ -265,8 +279,7 @@ def measure_eta(
     key_width = spec.key_width(p)
     block = max(1, _BLOCK_ELEMENTS // ((n + key_width) * d))
     evaluation = _evaluation(p, x, spec)
-    exact = pairwise_mean(p.table_worker_grads(evaluation) if spec.kind == "composite"
-                          else evaluation, axis=-2)  # full_gradient(p, x), bit for bit
+    exact = exact_gradient(p, spec, evaluation)
     vals = np.empty(samples)
     for start in range(0, samples, block):
         draws = min(block, samples - start)

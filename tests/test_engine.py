@@ -95,9 +95,9 @@ def test_init_seeded_x0_reproducible_and_unit_norm():
 def test_step_is_gradient_descent_for_beta_one():
     cfg = _quad_cfg()
     x, v_prev = init_state(cfg)
-    x1, v1, g, stopped = step(x, v_prev, cfg.problem, cfg.estimator, 0.5, 1.0)
+    x1, v1, g, _, stopped = step(x, v_prev, cfg.problem, cfg.estimator, 0.5, 1.0)
     np.testing.assert_allclose(x1[0], [0.5] + [0.0] * 9)
-    x2, _, _, _ = step(x1, v1, cfg.problem, cfg.estimator, 0.5, 1.0)
+    x2, *_ = step(x1, v1, cfg.problem, cfg.estimator, 0.5, 1.0)
     np.testing.assert_allclose(x2[0], [0.25] + [0.0] * 9)
     # exact transmissions: the aggregate is the full gradient, and v is g
     assert g.tobytes() == v1.tobytes() == full_gradient(cfg.problem, x).tobytes()
@@ -113,14 +113,15 @@ def test_step_identities_hold_bitwise():
                     noise=noise, seed=5)
     x, v_prev = init_state(cfg)
     draws = _draws(p, cfg.estimator, noise, [np.random.default_rng(5)] * p.n_workers)
-    x1, v1, g, _ = step(x, v_prev, p, cfg.estimator, 0.1, 0.3, *draws)
+    x1, v1, g, evaluation, _ = step(x, v_prev, p, cfg.estimator, 0.1, 0.3, *draws)
     # the round: g is the aggregate, x' = x - gamma v, the v update
-    assert g.tobytes() == estimators.evaluate(p, x, cfg.estimator, *draws).tobytes()
+    assert g.tobytes() == estimators.evaluate(p, x, cfg.estimator, *draws)[0].tobytes()
     np.testing.assert_array_equal(x1[0], x[0] - 0.1 * v1[0])
     np.testing.assert_array_equal(v1[0], v_prev[0] + 0.3 * (g[0] - v_prev[0]))
     # its observation: f, ||grad||^2 and eta = g - grad, the momentum error, the step
-    rec = dict(zip(CSV_FIELDS, observe(p, np.stack([x, x1], axis=1), v_prev[:, None],
-                                       g[:, None])[:, 0, 0]))
+    rec = dict(zip(CSV_FIELDS, observe(p, cfg.estimator, np.stack([x, x1], axis=1),
+                                       v_prev[:, None], g[:, None],
+                                       tuple(a[:, None] for a in evaluation))[:, 0, 0]))
     grad = full_gradient(p, x[0])
     eta, ve, dx = g[0] - grad, grad - v_prev[0], x1[0] - x[0]
     assert rec["f"] == p.f(x[0])
@@ -485,6 +486,63 @@ def test_csv_round_trip_of_ragged_table(tmp_path, seed):
         assert got.tobytes() == want.tobytes()
 
 
+def test_csv_round_trip_of_edge_values(tmp_path):
+    # each cell is written as repr writes it, so a signed zero, a subnormal,
+    # exponent forms and the NaN padding past a trial come back bit for bit
+    edge = [-0.0, 5e-324, 1e16, 1e-05, 0.1, 123456789.0]
+    table = {name: np.full((2, 3), np.nan) for name in CSV_FIELDS}
+    for j, name in enumerate(CSV_FIELDS):
+        table[name][0, :2] = edge[j], edge[-1 - j]
+        table[name][1, 0] = -edge[j]
+    stats = TrialStats.from_table(table, (2, 1))
+    path = tmp_path / "run.csv"
+    write_run_csv(stats, path)
+    assert path.read_text().splitlines() == [
+        CSV_HEADER,
+        "0,0,-0.0,5e-324,1e+16,1e-05,0.1,123456789.0",
+        "1,0,123456789.0,0.1,1e-05,1e+16,5e-324,-0.0",
+        "0,1,0.0,-5e-324,-1e+16,-1e-05,-0.1,-123456789.0",
+    ]
+    back = read_run_csv(path, 2)
+    assert back.lengths == (2, 1)
+    for name in CSV_FIELDS:
+        assert back.table[name].tobytes() == stats.table[name].tobytes()
+        assert np.isnan(back.table[name][1, 1])
+
+
+def _long_csv(tmp_path, edit):
+    """A run CSV of two trials of 300 rows each (more rows than the reader
+    splits at a time), its data rows edited by edit."""
+    table = {name: np.arange(600.0).reshape(2, 300) + j for j, name in enumerate(CSV_FIELDS)}
+    path = tmp_path / "run.csv"
+    write_run_csv(TrialStats.from_table(table, (300, 300)), path)
+    header, *rows = path.read_text().splitlines()
+    assert len(rows) > 2 * engine._CSV_BLOCK_ROWS
+    path.write_text("\n".join([header] + edit(rows)) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda rows: rows[:-1] + [rows[-1] + ",1.0"], "malformed CSV row: '299,1,"),
+    (lambda rows: rows[:-1] + [rows[-1].rsplit(",", 1)[0]], "malformed CSV row: '299,1,"),
+    (lambda rows: rows[:-1] + [rows[-1] + "x"], "malformed CSV row: '299,1,"),
+    (lambda rows: rows[:-1] + ["299.0" + rows[-1][3:]], "malformed CSV row: '299.0,1,"),
+    (lambda rows: rows[:450] + [""] + rows[450:], "malformed CSV row: ''"),
+    (lambda rows: rows + ["0,2" + rows[0][3:]], "row for trial 2, k=0; the run has trials 0..1"),
+    (lambda rows: rows + ["-1,1" + rows[0][3:]], "row for trial 1, k=-1; the run has trials"),
+    (lambda rows: rows + [rows[-300]], "duplicate row for trial 1, k=0"),
+    (lambda rows: rows[:420] + rows[421:], "no row for trial 1, k=120"),
+    (lambda rows: rows[:-1] + [str(2**64) + rows[-1][3:]], "no row for trial 1, k=299"),
+])
+def test_csv_reader_names_a_fault_in_any_block(tmp_path, edit, message):
+    # the reader parses a block of rows at a time, column by column; a fault
+    # in a late block, the last row included, is named as in the first
+    path = _long_csv(tmp_path, edit)
+    with pytest.raises(ConfigurationError) as err:
+        read_run_csv(path, 2)
+    assert message in str(err.value)
+
+
 def test_csv_bytes_identical_across_runs(tmp_path):
     cfg = _quad_cfg(trials=3, beta=0.3, noise=NoiseSpec(sigma2=0.02), seed=21)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -616,6 +674,40 @@ def test_step_evaluates_each_worker_gradient_once(monkeypatch):
         np.testing.assert_array_equal(got[0], expected[0])
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "maml"])
+def test_run_evaluates_each_iterate_once(monkeypatch, kind):
+    # a round hands its evaluation to the observation, which reads the exact
+    # gradient off it: over several observed blocks a run of K iterations
+    # calls worker_grads K + 1 times (the rounds and the start's v_init), one
+    # call per block fewer than when the observation evaluated it again; a
+    # composite run builds an inner table per round, one for the start and
+    # one per block for f, none for the exact gradient
+    if kind == "quadratic":
+        p, spec, noise = make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), n_workers=3,
+                                        seed=2), EstimatorSpec(), NoiseSpec(sigma2=0.01)
+    else:
+        p, spec, noise = _divergence_case("maml")
+    cfg = RunConfig(problem=p, gamma=0.05, beta=0.5, iterations=23, trials=2, estimator=spec,
+                    noise=noise, seed=3)
+    monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", engine._OBSERVE_SHARE * 5 * cfg.trials
+                        * max(4 * p.dimension, p.point_elements))
+    assert engine._observed_iterations(cfg) == 5  # blocks of 5, 5, 5, 5 and 3 iterations
+    expected = run_trials(cfg)
+    calls = {"worker_grads": 0, "inner_table": 0}
+    cls = type(p)
+    for name in [name for name in calls if hasattr(cls, name)]:
+        def counting(self, x, original=getattr(cls, name), name=name):
+            calls[name] += 1
+            return original(self, x)
+        monkeypatch.setattr(cls, name, counting)
+    stats = run_trials(cfg)
+    if kind == "quadratic":
+        assert calls == {"worker_grads": 23 + 1, "inner_table": 0}
+    else:
+        assert calls == {"worker_grads": 1, "inner_table": 23 + 1 + 5}
+    _assert_same_rows(stats, expected, [0, 1])
+
+
 def test_composite_step_evaluates_its_inner_table_once(monkeypatch):
     # the subset estimates of a round read one inner table of the stack, and
     # the round evaluates neither f nor the exact worker gradients
@@ -694,7 +786,7 @@ def test_step_keeps_a_non_finite_row_apart_from_the_others(kind):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x_next, v_next, g, stopped = step(x, v_prev, p, spec, 0.1, 0.5, *draws([0, 1, 2, 3]))
+        x_next, v_next, g, _, stopped = step(x, v_prev, p, spec, 0.1, 0.5, *draws([0, 1, 2, 3]))
     assert stopped == {1: "non-finite iterate"}
     assert not x_next[1].any() and not v_next[1].any() and not g[1].any()
     for r in (0, 2, 3):
@@ -733,7 +825,7 @@ def test_step_stops_a_row_whose_f_is_minus_infinity():
     v_prev = np.ones((3, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x_next, v_next, g, stopped = step(x, v_prev, p, EstimatorSpec(), 0.1, 0.5)
+        x_next, v_next, g, _, stopped = step(x, v_prev, p, EstimatorSpec(), 0.1, 0.5)
         stats = run_trials(RunConfig(problem=p, gamma=0.1, beta=0.5, iterations=5, trials=2,
                                      x0=tuple(x[1])))
     assert stopped == {}

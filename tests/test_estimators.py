@@ -367,7 +367,7 @@ def test_evaluate_is_the_oracles_and_the_operators(build, spec):
     x = rng.standard_normal((3, d))
     subsets = spec.subsets(p, rng.random((3, n, spec.key_width(p)))) if spec.key_width(p) else None
     for pert in (None, NoiseSpec(sigma2=0.01).draw(rng.standard_normal((3, n, d)), d)):
-        g = estimators.evaluate(p, x, spec, pert, subsets)
+        g, _ = estimators.evaluate(p, x, spec, pert, subsets)
         if subsets:
             sent = composite.chained_gradient(p, x, *subsets)
             sent = sent if pert is None else sent + pert

@@ -498,6 +498,19 @@ MALFORMED_ARTIFACTS = {  # rows (trial 0 at k=0..39, then trial 1) -> edited dir
                             "trial 2, k=0"),
     "unparsable-value": (_rows(lambda rows: rows[:5] + [rows[5] + "x"] + rows[6:]), "malformed"),
     "dropped-last-row": (_rows(lambda rows: rows[:39] + rows[40:]), "trial 0 has 39 rows"),
+    # the reader parses by column: a fault in any row, the last one included,
+    # is named by the row's own text
+    "seven-fields": (_rows(lambda rows: rows[:3] + [rows[3].rsplit(",", 1)[0]] + rows[4:]),
+                     "malformed CSV row: '3,0,"),
+    "nine-fields": (_rows(lambda rows: rows[:3] + [rows[3] + ",1.0"] + rows[4:]),
+                    "malformed CSV row: '3,0,"),
+    "blank-line": (_rows(lambda rows: rows[:10] + [""] + rows[10:]), "malformed CSV row: ''"),
+    "float-k": (_rows(lambda rows: rows[:1] + ["1.0" + rows[1][1:]] + rows[2:]),
+                "malformed CSV row: '1.0,0,"),
+    "unparsable-last-row": (_rows(lambda rows: rows[:-1] + [rows[-1] + "x"]),
+                            "malformed CSV row: '39,1,"),
+    "trial-beyond-config-last-row": (_rows(lambda rows: rows + ["0,2" + rows[0][3:]]),
+                                     "row for trial 2, k=0; the run has trials 0..1 and k >= 0"),
     "diverged-but-complete": (_sidecar(lambda doc: doc["diverged"].__setitem__(1, True)),
                               "trial 1 has 40 rows"),
     "diverged-flags-short": (_sidecar(lambda doc: doc.update(diverged=[False])), "'diverged'"),
