@@ -469,7 +469,7 @@ def write_run_csv(stats: TrialStats, path) -> None:
 # transient, and short blocks keep them from raising the peak memory
 _CSV_BLOCK_ROWS = 64
 _CSV_PARSERS = (int, int) + (float,) * len(CSV_FIELDS)  # k, trial, the fields
-_INT64_MAX = np.iinfo(np.int64).max
+_INT64_MAX = 2**63 - 1
 
 
 def read_run_csv(path, trials: int) -> TrialStats:

@@ -523,20 +523,18 @@ def _long_csv(tmp_path, edit):
 
 
 @pytest.mark.parametrize("edit,message", [
-    (lambda rows: rows[:-1] + [rows[-1] + ",1.0"], "malformed CSV row: '299,1,"),
-    (lambda rows: rows[:-1] + [rows[-1].rsplit(",", 1)[0]], "malformed CSV row: '299,1,"),
-    (lambda rows: rows[:-1] + [rows[-1] + "x"], "malformed CSV row: '299,1,"),
     (lambda rows: rows[:-1] + ["299.0" + rows[-1][3:]], "malformed CSV row: '299.0,1,"),
     (lambda rows: rows[:450] + [""] + rows[450:], "malformed CSV row: ''"),
-    (lambda rows: rows + ["0,2" + rows[0][3:]], "row for trial 2, k=0; the run has trials 0..1"),
     (lambda rows: rows + ["-1,1" + rows[0][3:]], "row for trial 1, k=-1; the run has trials"),
     (lambda rows: rows + [rows[-300]], "duplicate row for trial 1, k=0"),
     (lambda rows: rows[:420] + rows[421:], "no row for trial 1, k=120"),
     (lambda rows: rows[:-1] + [str(2**64) + rows[-1][3:]], "no row for trial 1, k=299"),
 ])
 def test_csv_reader_names_a_fault_in_any_block(tmp_path, edit, message):
-    # the reader parses a block of rows at a time, column by column; a fault
-    # in a late block, the last row included, is named as in the first
+    # the reader parses a block of rows at a time, column by column, and
+    # checks ranges, duplicates and missing rows on whole columns; a fault in
+    # a late block, the last row included, is named as in the first (the
+    # harness's MALFORMED_ARTIFACTS hold the field-count and value faults)
     path = _long_csv(tmp_path, edit)
     with pytest.raises(ConfigurationError) as err:
         read_run_csv(path, 2)
