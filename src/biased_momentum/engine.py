@@ -30,10 +30,10 @@ together in one fixed-size batch: the iterates and momentum buffers are
 (trials, d) stacks, and the worker noise and subset keys of a block of
 iterations are drawn in bulk before the block runs.  A trial stops at the
 first iteration whose iterate, f or aggregate is unusable, and stops
-recording there while the others go on; a round zeroes a row with a
-non-finite iterate or aggregate before any arithmetic touches it, and the
-observation finds the f stops.  Every trial's trajectory equals the one it
-would have alone.
+recording there while the others go on.  A round checks and zeroes
+nothing: a stopped row steps on its non-finite values, silently, and the
+end of each observed block finds every stop of the block's rounds at once.
+Every trial's trajectory equals the one it would have alone.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ __all__ = [
 ]
 
 DIVERGENCE_F_MAX = 1e12
-_ITERATE, _AGGREGATE = "non-finite iterate", "non-finite aggregate"  # the stops a round finds
 # each array of an observed block holds at most this share of the
 # _BLOCK_ELEMENTS budget, as it lives beside a block of drawn randomness
 _OBSERVE_SHARE = 8
@@ -183,19 +182,6 @@ def init_state(cfg: RunConfig, trials: int = 1) -> tuple[np.ndarray, np.ndarray]
     return np.tile(x0, (trials, 1)), np.tile(v_prev, (trials, 1))
 
 
-def _zero_rows(rows: dict, *arrays) -> tuple:
-    """The arrays with the given rows set to zero (copies, when there are rows)."""
-    if not rows:
-        return arrays
-    zero = np.isin(np.arange(len(arrays[0])), list(rows))[:, None]
-    return tuple(np.where(zero, 0.0, a) for a in arrays)
-
-
-def _failing_rows(ok: np.ndarray) -> list:
-    """The rows of a (T, ...) bool stack holding a False (one scalar check when none does)."""
-    return [] if ok.all() else np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1)).tolist()
-
-
 def step(
     x: np.ndarray,
     v_prev: np.ndarray,
@@ -205,35 +191,24 @@ def step(
     beta: float,
     pert: np.ndarray | None = None,
     subsets=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple, dict]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """One server round of every row of the (T, d) stacks x and v_prev.
 
     ``pert`` and ``subsets`` are the round's drawn worker noise and
     composite index sets, one per (row, worker) (see
-    ``estimators.evaluate``).  Returns (x_next, v_next, g, evaluation,
-    stopped): g is the (T, d) aggregate and ``evaluation`` the one
-    evaluation of the problem it was formed from, which ``observe`` reads
-    the exact gradient off.  A row whose iterate or aggregate is non-finite
-    is in ``stopped``, which maps it to the reason.  Its x and v_prev (and
-    its aggregate) are set to zero before any arithmetic touches them, so
-    its non-finite values raise and warn of nothing; its outputs mean
-    nothing, and no other row's bits depend on it.  f is not a round's work
-    (see ``observe``).
-
-    Each check looks for rows only when a scalar check of the whole stack
-    fails.
+    ``estimators.evaluate``).  Returns (x_next, v_next, g, evaluation): g is
+    the (T, d) aggregate and ``evaluation`` the one evaluation of the
+    problem it was formed from, which ``observe`` reads the exact gradient
+    off.  The round is arithmetic alone: it checks nothing, a row with a
+    non-finite iterate or aggregate steps on its non-finite values, and no
+    other row's bits depend on it.  f and the stops are not a round's work
+    (see ``observe`` and ``run_trials``).
     """
-    stopped = dict.fromkeys(_failing_rows(np.isfinite(x)), _ITERATE)
-    x, v_prev = _zero_rows(stopped, x, v_prev)  # composite problems reject non-finite points
     g, evaluation = evaluate(problem, x, estimator, pert, subsets)
-    for b in _failing_rows(np.isfinite(g)):
-        stopped.setdefault(b, _AGGREGATE)
-    x, v_prev, g = _zero_rows(stopped, x, v_prev, g)
-
     # beta = 1 must reproduce plain SGD bit-for-bit, so take v = g directly
     # instead of the algebraically equal v_prev + 1.0 * (g - v_prev)
     v = g if beta == 1.0 else v_prev + beta * (g - v_prev)
-    return x - gamma * v, v, g, evaluation, stopped
+    return x - gamma * v, v, g, evaluation
 
 
 def observe(problem: Problem, estimator: EstimatorSpec, xs: np.ndarray, v_prev: np.ndarray,
@@ -246,15 +221,15 @@ def observe(problem: Problem, estimator: EstimatorSpec, xs: np.ndarray, v_prev: 
     rounds' evaluations stacked) and averaged g[..., j, :].
 
     The exact gradient is read off the rounds' evaluations; f is evaluated
-    here.  phi follows from f and v_error_sq.  A non-finite iterate, which
-    stops its row at that round, is evaluated as zero (as the round
-    evaluated it), so a composite problem never sees it; its fields mean
-    nothing.
+    here.  phi follows from f and v_error_sq.  f at a non-finite iterate,
+    which stops its row at that round, is evaluated at zero, so a composite
+    problem's f never sees it; the fields of that round and every later one
+    of the row mean nothing.
     """
     x, x_next = xs[..., :-1, :], xs[..., 1:, :]
-    finite = np.isfinite(x).all(axis=-1)
+    finite = np.isfinite(x)
     if not finite.all():
-        x = np.where(finite[..., None], x, 0.0)
+        x = np.where(finite.all(axis=-1, keepdims=True), x, 0.0)
     fields = np.empty((5,) + x.shape[:-1])
     fields[0] = problem.f(x)
     # grad, eta, the momentum error and the step, each row squared at once
@@ -332,7 +307,7 @@ def per_k_stats(table: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
     return mean, stderr
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a row that overflows stops (see step), silently
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing row steps on, silently, to its stop
 def run_trials(cfg: RunConfig) -> TrialStats:
     """Run all trials together, row r being trial r, one batched ``step``
     per iteration and one ``observe`` per block of iterations.
@@ -346,8 +321,9 @@ def run_trials(cfg: RunConfig) -> TrialStats:
     own.  The worker randomness of a block of iterations is drawn before the
     block runs (``_worker_draws``).  The rounds are observed a block of
     ``_observed_iterations`` at a time, when it ends, their v_prev,
-    aggregates and evaluations held for that block alone; the run ends with
-    the first observed block by whose end every trial has stopped.
+    aggregates and evaluations held for that block alone; each block's end
+    finds its stops, and the run ends with the first by whose end every
+    trial has stopped.
     """
     p, K, T = cfg.problem, cfg.iterations, cfg.trials
     x, v_prev = init_state(cfg, T)
@@ -363,34 +339,35 @@ def run_trials(cfg: RunConfig) -> TrialStats:
     draws = _worker_draws(cfg)
     for start in range(0, K, block):
         count = min(block, K - start)
-        live = {}  # row -> (k, reason) of the first stop a round of the block found
         for j, (pert, subsets) in zip(range(count), draws):
             history[0, :, j] = v_prev
-            x, v_prev, history[1, :, j], evaluation, stopped = step(
+            x, v_prev, history[1, :, j], evaluation = step(
                 x, v_prev, p, cfg.estimator, cfg.gamma, cfg.beta, pert, subsets)
             held = held or tuple(np.empty(history.shape[1:3] + a.shape[1:]) for a in evaluation)
             for array, a in zip(held, evaluation):
                 array[:, j] = a
-            for r, reason in stopped.items():
-                live.setdefault(r, (start + j, reason))
             iterates[:, start + j + 1] = x
         fields = record[:, :, start:start + count]
         fields[:5] = observe(p, cfg.estimator, iterates[:, start:start + count + 1],
                              *history[:, :, :count], tuple(array[:, :count] for array in held))
         f = fields[0]
         fields[5] = (f - f_star) + lyapunov_A * fields[3]
-        f_fails = ~(np.isfinite(f) & (f <= DIVERGENCE_F_MAX))
-        for r in live.keys() | set(np.flatnonzero(f_fails.any(axis=1)).tolist()):
-            if reasons[r] is not None:
-                continue
-            # the first failing k, the iterate before f before the aggregate at one k
-            k, reason = live.get(r, (K, None))
-            first_f = start + int(np.argmax(f_fails[r])) if f_fails[r].any() else K
-            if first_f < k or (first_f == k and reason == _AGGREGATE):
-                k, fk = first_f, float(f[r, first_f - start])
-                reason = (f"f = {fk:.6g} > {DIVERGENCE_F_MAX:g}" if math.isfinite(fk)
-                          else f"non-finite f ({fk})")
-            lengths[r], reasons[r] = k, reason
+        # a row stops at its first failing round, for its iterate before its f
+        # before its aggregate at one round; rows are looked for only when a
+        # scalar check of the whole block fails
+        usable = (np.isfinite(iterates[:, start:start + count]),
+                  (np.isfinite(f) & (f <= DIVERGENCE_F_MAX))[..., None],
+                  np.isfinite(history[1, :, :count]))
+        if not all(ok.all() for ok in usable):
+            fails = ~np.stack([ok.all(axis=-1) for ok in usable])  # (cause, row, round)
+            for r in np.flatnonzero(fails.any(axis=(0, 2)) & (lengths == K)):
+                j = int(np.argmax(fails[:, r].any(axis=0)))
+                fk = float(f[r, j])
+                reasons[r] = ("non-finite iterate",
+                              f"f = {fk:.6g} > {DIVERGENCE_F_MAX:g}" if math.isfinite(fk)
+                              else f"non-finite f ({fk})",
+                              "non-finite aggregate")[np.argmax(fails[:, r, j])]
+                lengths[r] = start + j
         if None not in reasons:
             break
     # a trial records nothing from the iteration it stopped at

@@ -33,8 +33,7 @@ import numpy as np
 
 from .composite import CompositeProblem, subset_gradients
 from .errors import ConfigurationError
-from .problems import (NoiseSpec, Problem, as_param_vector, as_points, check_keys, config_float,
-                       config_int)
+from .problems import NoiseSpec, Problem, as_param_vector, check_keys, config_float, config_int
 from .rng import pairwise_mean, row_dot
 
 __all__ = [
@@ -217,9 +216,10 @@ def evaluate(p: Problem, x: np.ndarray, spec: EstimatorSpec, pert: np.ndarray | 
 
 def _evaluation(p: Problem, x: np.ndarray, spec: EstimatorSpec) -> tuple:
     """What the transmissions at x are formed from, a tuple of arrays: the
-    composite kind's inner table, else the exact worker gradients alone."""
+    composite kind's inner table, else the exact worker gradients alone.
+    x is not validated: rows past a stop are its only non-finite points."""
     if spec.kind == "composite":
-        return p.inner_table(as_points(x, p.dimension))
+        return p.inner_table(x)
     return (p.worker_grads(x),)
 
 

@@ -109,6 +109,8 @@ def load_sweep(path) -> dict:
             raise ConfigurationError(f"sweep 'values'[{j}] must be a single value, got {value!r}")
     if not isinstance(doc["base"], dict):
         raise ConfigurationError(f"sweep 'base' must be a JSON object, got {doc['base']!r}")
+    if doc["axis"] == "trials" and "trials" in doc:  # it would override every axis value
+        raise ConfigurationError("a sweep over 'trials' cannot also set a top-level 'trials'")
     doc["base"] = _apply_seed_env(doc["base"])
     return doc
 

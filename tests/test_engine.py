@@ -19,6 +19,7 @@ from biased_momentum import (
     make_maml,
     make_nonconvex_reg,
     make_quadratic,
+    make_toy_composite,
     run_trials,
     step,
     write_run_csv,
@@ -95,13 +96,12 @@ def test_init_seeded_x0_reproducible_and_unit_norm():
 def test_step_is_gradient_descent_for_beta_one():
     cfg = _quad_cfg()
     x, v_prev = init_state(cfg)
-    x1, v1, g, _, stopped = step(x, v_prev, cfg.problem, cfg.estimator, 0.5, 1.0)
+    x1, v1, g, _ = step(x, v_prev, cfg.problem, cfg.estimator, 0.5, 1.0)
     np.testing.assert_allclose(x1[0], [0.5] + [0.0] * 9)
     x2, *_ = step(x1, v1, cfg.problem, cfg.estimator, 0.5, 1.0)
     np.testing.assert_allclose(x2[0], [0.25] + [0.0] * 9)
     # exact transmissions: the aggregate is the full gradient, and v is g
     assert g.tobytes() == v1.tobytes() == full_gradient(cfg.problem, x).tobytes()
-    assert stopped == {}
     assert run_trials(cfg).table["f"][0, 0] == pytest.approx(0.5)
 
 
@@ -113,7 +113,7 @@ def test_step_identities_hold_bitwise():
                     noise=noise, seed=5)
     x, v_prev = init_state(cfg)
     draws = _draws(p, cfg.estimator, noise, [np.random.default_rng(5)] * p.n_workers)
-    x1, v1, g, evaluation, _ = step(x, v_prev, p, cfg.estimator, 0.1, 0.3, *draws)
+    x1, v1, g, evaluation = step(x, v_prev, p, cfg.estimator, 0.1, 0.3, *draws)
     # the round: g is the aggregate, x' = x - gamma v, the v update
     assert g.tobytes() == estimators.evaluate(p, x, cfg.estimator, *draws)[0].tobytes()
     np.testing.assert_array_equal(x1[0], x[0] - 0.1 * v1[0])
@@ -300,6 +300,7 @@ def _reference_cases():
     feats, labels = make_synthetic_classification(6, 3, 8, seed=1)
     logistic = make_logistic_l2(feats, labels, lam=0.3)
     maml = make_maml(*make_synthetic_classification(5, 2, 8, seed=4), 0.1)
+    toy = make_toy_composite(n_workers=2)
     top_k, clip = EstimatorSpec(kind="top_k", k=3), EstimatorSpec(kind="clip", tau=0.5)
     noisy, offset = NoiseSpec(sigma2=0.02), NoiseSpec(sigma2=0.01, delta_offset=0.01)
     cases = {
@@ -328,6 +329,16 @@ def _reference_cases():
         # f passes 1e12 in every trial, at k = 42 to 46
         "quadratic-all-trials-stop": (quad, EstimatorSpec(), NoiseSpec(sigma2=0.5), 1.0, 1.2,
                                       {"iterations": 120, "trials": 4}),
+        # the first step overflows: every trial stops at k = 1 on its iterate, and the
+        # composite one goes on evaluating its inner table at that non-finite point
+        # (the Lyapunov weight is inf at this gamma; v starts at zero, so phi at k = 0
+        # is inf times a positive momentum error, not inf times 0)
+        "quadratic-nonfinite-iterate": (quad, EstimatorSpec(), NoiseSpec(sigma2=0.01), 0.5,
+                                        1e308, {"x0": (10.0,) * quad.dimension,
+                                                "v_init": "zero"}),
+        "toy-composite-nonfinite-iterate": (toy, EstimatorSpec(kind="composite", s_g=2, s_f=2),
+                                            NoiseSpec(sigma2=0.01), 0.5, 1e308,
+                                            {"x0": (10.0,) * toy.dimension, "v_init": "zero"}),
     }
     # f = -inf where x_0 < -1: from the fixed point of an offset that holds
     # x_0 at -0.9, the noise takes two of six trials there, at k = 15 and 18
@@ -344,7 +355,8 @@ def _reference_cases():
 REFERENCE_CASES = _reference_cases()
 STOP_CASES = ("quadratic-diverging", "quadratic-nonfinite-aggregate",
               "quadratic-f-cap-then-overflow", "quadratic-f-and-aggregate-fail",
-              "quadratic-all-trials-stop", "unbounded-minus-infinity")
+              "quadratic-all-trials-stop", "unbounded-minus-infinity",
+              "quadratic-nonfinite-iterate", "toy-composite-nonfinite-iterate")
 
 
 def _reference_config(case):
@@ -378,6 +390,8 @@ def test_run_trials_matches_reference_momentum(case):
         assert None in stops and len(stops) > 2
     if case == "quadratic-nonfinite-aggregate":
         assert set(stats.reasons) == {"non-finite aggregate"}
+    if case.endswith("nonfinite-iterate"):
+        assert (stats.lengths, set(stats.reasons)) == ((1,) * cfg.trials, {"non-finite iterate"})
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -767,11 +781,10 @@ def _divergence_case(kind):
 
 @pytest.mark.parametrize("kind", ["quadratic", "maml"])
 def test_step_keeps_a_non_finite_row_apart_from_the_others(kind):
-    # the row is zeroed before any arithmetic (composite points reject NaN),
-    # and every other row steps bit for bit as it would alone: row 1 has a
-    # non-finite iterate, row 3 a finite one whose f exceeds DIVERGENCE_F_MAX,
-    # which the observation finds, not the round (see
-    # test_run_stops_a_trial_whose_f_exceeds_the_cap)
+    # the round checks nothing: row 1, with a non-finite iterate, steps on
+    # its non-finite values, and every other row steps bit for bit as it
+    # would alone, row 3 too, a finite one whose f exceeds DIVERGENCE_F_MAX
+    # (run_trials finds both stops; see test_run_stops_a_trial_whose_f_exceeds_the_cap)
     p, spec, noise = _divergence_case(kind)
     start = np.random.default_rng(1).standard_normal((2, 4, p.dimension))
     x, v_prev = start[0], start[1]
@@ -782,14 +795,10 @@ def test_step_keeps_a_non_finite_row_apart_from_the_others(kind):
         return _draws(p, spec, noise, [np.random.default_rng([r, w])
                                        for r in rows for w in range(p.n_workers)])
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        x_next, v_next, g, _, stopped = step(x, v_prev, p, spec, 0.1, 0.5, *draws([0, 1, 2, 3]))
-    assert stopped == {1: "non-finite iterate"}
-    assert not x_next[1].any() and not v_next[1].any() and not g[1].any()
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_next, v_next, g, _ = step(x, v_prev, p, spec, 0.1, 0.5, *draws([0, 1, 2, 3]))
     for r in (0, 2, 3):
-        *alone, stopped_alone = step(x[[r]], v_prev[[r]], p, spec, 0.1, 0.5, *draws([r]))
-        assert stopped_alone == {}
+        alone = step(x[[r]], v_prev[[r]], p, spec, 0.1, 0.5, *draws([r]))
         for got, got_alone in zip((x_next, v_next, g), alone):
             assert got[r].tobytes() == got_alone[0].tobytes()
 
@@ -823,12 +832,11 @@ def test_step_stops_a_row_whose_f_is_minus_infinity():
     v_prev = np.ones((3, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x_next, v_next, g, _, stopped = step(x, v_prev, p, EstimatorSpec(), 0.1, 0.5)
+        x_next, v_next, g, _ = step(x, v_prev, p, EstimatorSpec(), 0.1, 0.5)
         stats = run_trials(RunConfig(problem=p, gamma=0.1, beta=0.5, iterations=5, trials=2,
                                      x0=tuple(x[1])))
-    assert stopped == {}
     for r in range(3):
-        *alone, _ = step(x[[r]], v_prev[[r]], p, EstimatorSpec(), 0.1, 0.5)
+        alone = step(x[[r]], v_prev[[r]], p, EstimatorSpec(), 0.1, 0.5)
         for got, got_alone in zip((x_next, v_next, g), alone):
             assert got[r].tobytes() == got_alone[0].tobytes()
     assert (stats.lengths, stats.reasons) == ((0, 0), ("non-finite f (-inf)",) * 2)

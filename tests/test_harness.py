@@ -244,6 +244,22 @@ def test_sweep_rejects_bad_spec(tmp_path, capsys, key, value):
     assert err.startswith("error: ") and key in err
 
 
+def test_sweep_over_trials_refuses_a_top_level_trials(tmp_path, capsys):
+    # the top-level trials would run every point with its count, under
+    # directories and summary rows that name the axis values
+    doc = {"base": _minimal_config(iterations=5), "axis": "trials", "values": [1, 3]}
+    path = _write(tmp_path / "sweep.json", dict(doc, trials=2))
+    assert main(["sweep", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("error: a sweep over 'trials' cannot also set a "
+                                       "top-level 'trials'\n")
+    assert not (tmp_path / "out").exists()
+    path = _write(tmp_path / "sweep.json", doc)
+    assert main(["sweep", path, "--out", str(tmp_path / "out")]) == 0
+    for trials in (1, 3):
+        sidecar = json.loads((tmp_path / "out" / f"trials_{trials}" / "run.json").read_text())
+        assert sidecar["config"]["trials"] == len(sidecar["diverged"]) == trials
+
+
 # ---------------------------------------------------------------------------
 # verify
 

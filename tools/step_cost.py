@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Print the best-of cost, in microseconds, of one engine round and of the
-oracles it calls: ``PYTHONPATH=src python3 tools/step_cost.py [--repeat R]``.
+"""Print the best-of cost, in microseconds, of one engine round, of a whole
+run and of the oracles they call:
+``PYTHONPATH=src python3 tools/step_cost.py [--repeat R]``.
 
 Shapes: the topk_quadratic, clip_quadratic and maml_composite presets, and
 "traj", pl_quadratic with 4 workers, 4 trials and sigma2 = 0.01 (the
@@ -13,7 +14,10 @@ aggregate and the one evaluation ``step`` calls, and ``observe`` the bulk
 observation (f, and the exact gradient read off the rounds' evaluations,
 and the squared norms) of one block of the run's iterations, at points
 near the start stack; a run of K iterations observes ceil(K / block)
-blocks.  ``replay`` is ``pilot_report`` without trial statistics, the
+blocks.  ``run`` is the shape's whole ``run_trials``: its rounds, its
+observed blocks and, at each block's end, the search for stops, which is
+no round's work, so a cost that moves between ``step`` and the block end
+shows in it.  ``replay`` is ``pilot_report`` without trial statistics, the
 theory rebuild ``report`` runs: a replay of trial 0 where the estimator
 measures a premise (top-k, clip with f* known, composite), the closed
 forms alone on "traj".  ``write_csv`` and ``read_csv`` carry the shape's
@@ -37,7 +41,7 @@ from biased_momentum.rng import STREAM_MEASURE, substream
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 SHAPES = {"traj": "pl_quadratic", "topk": "topk_quadratic", "clip": "clip_quadratic",
           "maml": "maml_composite"}
-COLUMNS = ("step", "f", "worker_grads", "evaluate", "observe", "measure_eta", "sigmas",
+COLUMNS = ("step", "f", "worker_grads", "evaluate", "observe", "run", "measure_eta", "sigmas",
            "grad_audit", "replay", "write_csv", "read_csv")
 
 
@@ -84,6 +88,7 @@ def row(name: str, csv: Path, repeat: int, widths: list) -> None:
         "worker_grads": lambda: p.worker_grads(x),
         "evaluate": lambda: evaluate(p, x, spec, pert, subsets),
         "observe": lambda: observe(p, spec, xs, *history, evaluation),
+        "run": lambda: run_trials(cfg),
         "measure_eta": lambda: measure_eta(p, x[0], spec, noise, samples=1000,
                                            rng=substream(0, STREAM_MEASURE, 100)),
         "grad_audit": lambda: audit_gradients(p, n_points=25, seed=cfg.seed),
