@@ -339,10 +339,10 @@ def run_trials(cfg: RunConfig) -> TrialStats:
     draws = _worker_draws(cfg)
     for start in range(0, K, block):
         count = min(block, K - start)
-        for j, (pert, subsets) in zip(range(count), draws):
+        for j in range(count):  # holding no draws past its round, so the next block is drawn alone
             history[0, :, j] = v_prev
             x, v_prev, history[1, :, j], evaluation = step(
-                x, v_prev, p, cfg.estimator, cfg.gamma, cfg.beta, pert, subsets)
+                x, v_prev, p, cfg.estimator, cfg.gamma, cfg.beta, *next(draws))
             held = held or tuple(np.empty(history.shape[1:3] + a.shape[1:]) for a in evaluation)
             for array, a in zip(held, evaluation):
                 array[:, j] = a
@@ -421,6 +421,7 @@ def _worker_draws(cfg: RunConfig):
         for j in range(count):  # iteration j's (T, n, ...) views
             yield (pert[:, :, j] if normal else pert,
                    None if subsets is None else (subsets[0][:, :, j], subsets[1][:, :, j]))
+        del pert, subsets  # one block of draws is alive at a time
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +443,8 @@ def write_run_csv(stats: TrialStats, path) -> None:
             out.write(row * length % tuple(cells))
 
 
-# rows split into cells at a time: a block's cells and parsed columns are
-# transient, and short blocks keep them from raising the peak memory
-_CSV_BLOCK_ROWS = 64
-_CSV_PARSERS = (int, int) + (float,) * len(CSV_FIELDS)  # k, trial, the fields
-_INT64_MAX = 2**63 - 1
+_CSV_ROW = np.dtype([("k", np.int64), ("trial", np.int64)]
+                    + [(name, np.float64) for name in CSV_FIELDS])
 
 
 def read_run_csv(path, trials: int) -> TrialStats:
@@ -456,40 +454,24 @@ def read_run_csv(path, trials: int) -> TrialStats:
     Each row lands in its (trial, k) cell, so row order does not matter.
     A trial's k must be exactly 0..K_t-1, once each (a trial that stopped
     at k=0 has no rows); anything else raises a ConfigurationError that
-    names the row, or the trial and k.  The rows are parsed a block at a
-    time, column by column.  In a file with several faults the first of
-    these is named, each the first of its kind in row order: a row without
-    2 + len(CSV_FIELDS) fields, a cell that ``int`` (k, trial) or ``float``
-    does not parse, a trial or k out of range, a duplicate, a missing row.
-    A k of 2**63 or more is held as 2**63 - 1, so two such rows of one trial
-    are named as a duplicate.
+    names the row, or the trial and k.  The data rows are parsed by one
+    ``np.loadtxt`` call.  A row is malformed if it is empty or if
+    ``loadtxt`` refuses it: a field count other than 2 + len(CSV_FIELDS),
+    a k or trial that is not an int64, or a field that is not a float (a
+    row starting with '#' included).  In a file with several faults the
+    first of these is named, each the first of its kind in row order: a
+    malformed row, a trial or k out of range, a duplicate, a missing row.
     """
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigurationError(f"unrecognized CSV header in {path}")
     del lines[0]
-    wrong = next((line for line in lines if line.count(",") != len(CSV_FIELDS) + 1), None)
-    if wrong is not None:
-        raise ConfigurationError(f"malformed CSV row: {wrong!r}")
-    count = len(lines)
-    k, trial = np.empty(count, np.int64), np.empty(count, np.int64)
-    values = np.empty((len(CSV_FIELDS), count))
-    for start in range(0, count, _CSV_BLOCK_ROWS):
-        block = lines[start:start + _CSV_BLOCK_ROWS]
-        cells = ",".join(block).split(",")  # every row has len(_CSV_PARSERS) of them
-        columns = [cells[j::len(_CSV_PARSERS)] for j in range(len(_CSV_PARSERS))]
-        try:
-            ks, ts, *fields = [list(map(parse, c)) for parse, c in zip(_CSV_PARSERS, columns)]
-        except ValueError:
-            bad = min(map(_first_unparsed, _CSV_PARSERS, columns))
-            raise ConfigurationError(f"malformed CSV row: {block[bad]!r}") from None
-        at = slice(start, start + len(block))
-        k[at], trial[at] = _clipped(ks, _INT64_MAX), _clipped(ts, trials)
-        values[:, at] = fields
+    rows = _csv_rows(lines) if lines else np.empty(0, _CSV_ROW)  # loadtxt warns on no data
+    k, trial = rows["k"], rows["trial"]
     outside = np.flatnonzero((trial < 0) | (trial >= trials) | (k < 0))
     if outside.size:
-        k_r, trial_r = map(int, lines[outside[0]].split(",")[:2])
-        raise ConfigurationError(f"{path}: row for trial {trial_r}, k={k_r}; the run has "
+        r = outside[0]
+        raise ConfigurationError(f"{path}: row for trial {trial[r]}, k={k[r]}; the run has "
                                  f"trials 0..{trials - 1} and k >= 0")
     order = np.lexsort((k, trial))  # stable: a repeat sorts after the row it repeats
     repeats = order[1:][(k[order[1:]] == k[order[:-1]]) & (trial[order[1:]] == trial[order[:-1]])]
@@ -504,22 +486,20 @@ def read_run_csv(path, trials: int) -> TrialStats:
         present[k[(trial == t) & ~beyond]] = True
         raise ConfigurationError(f"{path}: no row for trial {t}, k={np.argmin(present)}")
     table = np.full((len(CSV_FIELDS), trials, max(lengths, default=0)), np.nan)
-    table[:, trial, k] = values
+    table[:, trial, k] = [rows[name] for name in CSV_FIELDS]
     return TrialStats.from_table(dict(zip(CSV_FIELDS, table)), lengths)
 
 
-def _first_unparsed(parse, cells) -> int:
-    """The index of the first cell that ``parse`` rejects (len(cells) if none)."""
-    for i, cell in enumerate(cells):
-        try:
-            parse(cell)
-        except ValueError:
-            return i
-    return len(cells)
-
-
-def _clipped(ints: list, high: int) -> list:
-    """The ints, each clipped to [-1, high] when one lies outside it."""
-    if min(ints) < -1 or max(ints) > high:
-        return [min(max(v, -1), high) for v in ints]
-    return ints
+def _csv_rows(lines: list) -> np.ndarray:
+    """The data lines as _CSV_ROW records; a ConfigurationError names the
+    first line that is empty (which ``np.loadtxt`` would skip) or that
+    ``loadtxt`` refuses on its own."""
+    try:
+        if "" in lines:
+            raise ValueError
+        return np.loadtxt(lines, _CSV_ROW, comments=None, delimiter=",", ndmin=1)
+    except ValueError:
+        if len(lines) > 1:
+            for line in lines:  # only on a fault: raises at the first refused line
+                _csv_rows([line])
+        raise ConfigurationError(f"malformed CSV row: {lines[0]!r}") from None

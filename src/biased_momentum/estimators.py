@@ -220,6 +220,8 @@ def _evaluation(p: Problem, x: np.ndarray, spec: EstimatorSpec) -> tuple:
     x is not validated: rows past a stop are its only non-finite points."""
     if spec.kind == "composite":
         return p.inner_table(x)
+    if isinstance(p, CompositeProblem):  # whose worker_grads refuses a non-finite point
+        return (p.table_worker_grads(p.inner_table(x)),)
     return (p.worker_grads(x),)
 
 

@@ -101,6 +101,14 @@ def load_config(path) -> RunConfig:
 
 def load_sweep(path) -> dict:
     doc = _load_json(path)
+    _check_sweep(doc)
+    doc["base"] = _apply_seed_env(doc["base"])
+    return doc
+
+
+def _check_sweep(doc: dict) -> None:
+    """Raise a ConfigurationError unless doc is a sweep spec whose points
+    can be built; ``load_sweep`` and ``sweep_summary_rows`` both check."""
     check_keys(doc, SWEEP_KEYS, "sweep spec", required=("base", "axis", "values"))
     if not isinstance(doc["values"], list) or not doc["values"]:
         raise ConfigurationError(f"sweep 'values' must be a non-empty list, got {doc['values']!r}")
@@ -111,8 +119,6 @@ def load_sweep(path) -> dict:
         raise ConfigurationError(f"sweep 'base' must be a JSON object, got {doc['base']!r}")
     if doc["axis"] == "trials" and "trials" in doc:  # it would override every axis value
         raise ConfigurationError("a sweep over 'trials' cannot also set a top-level 'trials'")
-    doc["base"] = _apply_seed_env(doc["base"])
-    return doc
 
 
 def set_by_path(doc: dict, dotted: str, value) -> dict:
@@ -183,6 +189,7 @@ def summarize_point(stats: TrialStats, threshold: float) -> dict:
 
 def sweep_summary_rows(sweep_doc: dict):
     """Run every sweep point in order and yield (summary row, config, stats)."""
+    _check_sweep(sweep_doc)
     threshold_spec = parse_threshold(sweep_doc.get("threshold"))
     for value in sweep_doc["values"]:
         doc = set_by_path(sweep_doc["base"], sweep_doc["axis"], value)

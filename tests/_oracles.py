@@ -79,17 +79,19 @@ def reference_worker_value(p, i, x):
 
 
 class UnboundedQuadratic(QuadraticProblem):
-    """A quadratic whose f is -inf wherever x_0 < -1."""
+    """A quadratic whose f is -inf wherever x_0 < EDGE."""
+
+    EDGE = -1.0
 
     def f(self, x):
-        return np.where(x[..., 0] < -1.0, -np.inf, super().f(x))
+        return np.where(x[..., 0] < self.EDGE, -np.inf, super().f(x))
 
 
 def reference_f(p, x):
     """f(x) at one point: 0.5 ||A x||^2 for the quadratic (-inf where an
-    UnboundedQuadratic's x_0 < -1), else the pairwise mean of the worker
+    UnboundedQuadratic's x_0 < EDGE), else the pairwise mean of the worker
     values."""
-    if isinstance(p, UnboundedQuadratic) and x[0] < -1.0:
+    if isinstance(p, UnboundedQuadratic) and x[0] < p.EDGE:
         return -math.inf
     if isinstance(p, QuadraticProblem):
         r = p.A @ x

@@ -525,13 +525,13 @@ def test_csv_round_trip_of_edge_values(tmp_path):
 
 
 def _long_csv(tmp_path, edit):
-    """A run CSV of two trials of 300 rows each (more rows than the reader
-    splits at a time), its data rows edited by edit."""
+    """A run CSV of two trials of 300 rows each, its data rows edited by
+    edit."""
     table = {name: np.arange(600.0).reshape(2, 300) + j for j, name in enumerate(CSV_FIELDS)}
     path = tmp_path / "run.csv"
     write_run_csv(TrialStats.from_table(table, (300, 300)), path)
     header, *rows = path.read_text().splitlines()
-    assert len(rows) > 2 * engine._CSV_BLOCK_ROWS
+    assert len(rows) == 600
     path.write_text("\n".join([header] + edit(rows)) + "\n")
     return path
 
@@ -542,17 +542,57 @@ def _long_csv(tmp_path, edit):
     (lambda rows: rows + ["-1,1" + rows[0][3:]], "row for trial 1, k=-1; the run has trials"),
     (lambda rows: rows + [rows[-300]], "duplicate row for trial 1, k=0"),
     (lambda rows: rows[:420] + rows[421:], "no row for trial 1, k=120"),
-    (lambda rows: rows[:-1] + [str(2**64) + rows[-1][3:]], "no row for trial 1, k=299"),
+    (lambda rows: rows[:-1] + [str(2**64) + rows[-1][3:]],
+     "malformed CSV row: '18446744073709551616,1,"),
+    # what np.loadtxt could let through, or read otherwise than int and float did
+    (lambda rows: rows[:500] + ["#" + rows[500]] + rows[501:], "malformed CSV row: '#200,1,"),
+    (lambda rows: rows[:450] + ["   "] + rows[450:], "malformed CSV row: '   '"),
+    (lambda rows: rows[:310] + ["1_0" + rows[310][2:]] + rows[311:],
+     "malformed CSV row: '1_0,1,"),
+    (lambda rows: rows[:-1] + [str(2**63) + rows[-1][3:]],
+     "malformed CSV row: '9223372036854775808,1,"),
+    (lambda rows: rows[:-1] + ["299," + str(2**63) + rows[-1][5:]],
+     "malformed CSV row: '299,9223372036854775808,"),
+    (lambda rows: rows[:-1] + ['299,1,"' + rows[-1][6:].replace(",", '",', 1)],
+     "malformed CSV row: '299,1,\"599.0\","),
 ])
 def test_csv_reader_names_a_fault_in_any_block(tmp_path, edit, message):
-    # the reader parses a block of rows at a time, column by column, and
-    # checks ranges, duplicates and missing rows on whole columns; a fault in
-    # a late block, the last row included, is named as in the first (the
-    # harness's MALFORMED_ARTIFACTS hold the field-count and value faults)
+    # the reader parses every row in one np.loadtxt call and checks ranges,
+    # duplicates and missing rows on whole columns; a fault in a late row,
+    # the last one included, is named as in the first (the harness's
+    # MALFORMED_ARTIFACTS hold the field-count and value faults)
     path = _long_csv(tmp_path, edit)
     with pytest.raises(ConfigurationError) as err:
         read_run_csv(path, 2)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda rows: rows[:100] + [rows[100] + "x", ""] + rows[101:450] + [rows[450] + ",1.0"]
+     + rows[451:], "'100,0,"),
+    (lambda rows: rows[:100] + [""] + rows[100:200] + [rows[200] + "x"] + rows[201:], "''"),
+    (lambda rows: rows[:100] + [rows[100] + ",1.0"] + rows[101:200] + [rows[200] + "x"]
+     + rows[201:] + ["-1" + rows[0][1:]], "'100,0,"),
+], ids=["value-before-blank-and-count", "blank-before-value", "count-before-value-and-range"])
+def test_csv_reader_names_the_first_malformed_row(tmp_path, edit, named):
+    # whatever its kind of fault, the first malformed row in row order is
+    # named, before any range, duplicate or missing row
+    path = _long_csv(tmp_path, edit)
+    with pytest.raises(ConfigurationError, match=f"^malformed CSV row: {named}"):
+        read_run_csv(path, 2)
+
+
+def test_csv_of_trials_without_rows_reads_back_quietly(tmp_path):
+    # every trial stopped at k = 0: the header alone, which no parse sees
+    stats = TrialStats.from_table({name: np.empty((3, 0)) for name in CSV_FIELDS}, (0, 0, 0))
+    path = tmp_path / "run.csv"
+    write_run_csv(stats, path)
+    assert path.read_text() == CSV_HEADER + "\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_run_csv(path, 3)
+    assert (back.lengths, back.k_max) == ((0, 0, 0), 0)
+    assert all(back.table[name].shape == (3, 0) for name in CSV_FIELDS)
 
 
 def test_csv_bytes_identical_across_runs(tmp_path):

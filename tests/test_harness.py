@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import biased_momentum
-from biased_momentum import RunConfig, TheoryReport, theory
+from biased_momentum import ConfigurationError, RunConfig, TheoryReport, harness, theory
 from biased_momentum.audit import pilot_report
 from biased_momentum.harness import (
     SEED_ENV,
@@ -212,6 +212,14 @@ def test_sweep_summary_rows_library_path():
     assert rows[0]["axis_value"] == 0.0
     assert rows[0]["final_plateau_mean"] <= rows[1]["final_plateau_mean"]
     assert all(r["diverged_count"] == 0 for r in rows)
+
+
+def test_sweep_summary_rows_refuses_a_trials_axis_with_a_top_level_trials(monkeypatch):
+    # the library path checks the spec as load_sweep does, before any point runs
+    doc = {"base": _minimal_config(iterations=5), "axis": "trials", "values": [1, 3], "trials": 2}
+    monkeypatch.setattr(harness, "run_trials", lambda cfg: pytest.fail("a point ran"))
+    with pytest.raises(ConfigurationError, match="a sweep over 'trials' cannot also set"):
+        next(sweep_summary_rows(doc))
 
 
 def test_sweep_missing_key(tmp_path, capsys):

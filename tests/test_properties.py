@@ -1,12 +1,15 @@
-"""Property tests: config and theory-report round trips, batching-invariant pairwise means and
-row-wise estimator operators with their contraction inequalities."""
+"""Property tests: config and theory-report round trips, batching-invariant pairwise means,
+row-wise estimator operators with their contraction inequalities, and random runs against the
+one-trial reference loop."""
 
 import dataclasses
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -19,14 +22,26 @@ from biased_momentum import (
     RunConfig,
     build_theory_report,
     clip,
+    engine,
+    make_logistic_l2,
+    make_maml,
+    make_nonconvex_reg,
+    make_quadratic,
+    make_toy_composite,
     problem_from_dict,
+    run_trials,
     scaled_sign,
     top_k,
+    write_run_csv,
 )
+from biased_momentum.composite import CompositeProblem
+from biased_momentum.engine import CSV_FIELDS, read_run_csv
 from biased_momentum.harness import check_theory
+from biased_momentum.problems import make_synthetic_classification
 from biased_momentum.rng import pairwise_mean
 
-from _oracles import reference_clip, reference_pairwise_mean, reference_scaled_sign, reference_top_k
+from _oracles import (UnboundedQuadratic, reference_clip, reference_momentum,
+                      reference_pairwise_mean, reference_scaled_sign, reference_top_k)
 
 PROBLEM = problem_from_dict({"kind": "quadratic", "n_workers": 2, "seed": 1,
                              "matrix": {"spectrum": [0.5, 1.0, 1.5, 2.0]}})
@@ -195,3 +210,106 @@ def test_clip_rows(G, tau):
         # the residual is exactly the excess norm, up to rounding of the norms
         norm = np.linalg.norm(g)
         assert abs(np.linalg.norm(q - g) - max(norm - tau, 0.0)) <= 1e-12 * max(norm, tau)
+
+
+class UnboundedAtTheOrigin(UnboundedQuadratic):
+    """f = -inf at the origin too: ``observe`` evaluates f there for a
+    non-finite iterate, so an iterate stop meets an f stop at one k."""
+
+    EDGE = 0.5
+
+
+def _differential_problems():
+    quad = make_quadratic(spectrum=np.linspace(0.5, 2.0, 4), n_workers=3, seed=2)
+    return {
+        "quadratic": quad,
+        "unbounded": UnboundedAtTheOrigin(A=quad.A, blocks=quad.blocks, n_workers=quad.n_workers,
+                                          dimension=quad.dimension, L=quad.L, mu=quad.mu),
+        "logistic": make_logistic_l2(*make_synthetic_classification(3, 2, 5, seed=1), lam=0.3),
+        "nonconvex": make_nonconvex_reg(*make_synthetic_classification(3, 2, 5, seed=2), 0.5),
+        "maml": make_maml(*make_synthetic_classification(3, 2, 4, seed=4), 0.1),
+        "toy": make_toy_composite(n_workers=2),
+    }
+
+
+DIFFERENTIAL_PROBLEMS = _differential_problems()
+
+
+def _magnitudes(low, high):
+    """Floats of either sign whose decimal exponent is drawn from low..high."""
+    return st.builds(lambda sign, m, e: sign * m * 10.0**e, st.sampled_from([-1.0, 1.0]),
+                     st.floats(1.0, 9.0), st.integers(low, high))
+
+
+@st.composite
+def differential_runs(draw):
+    """(config, block budget): a small run of any estimator on a problem it
+    runs on, with a step size up to 1e308, noise, offset and start, and a
+    _BLOCK_ELEMENTS budget from one iteration a block up to the default."""
+    huge = st.floats(1e307, 1.7e308)  # a step or an offset that overflows a sum
+    kind = draw(st.sampled_from(["identity", "top_k", "scaled_sign", "clip", "composite"]))
+    names = [name for name, p in DIFFERENTIAL_PROBLEMS.items()
+             if kind != "composite" or isinstance(p, CompositeProblem)]
+    p = DIFFERENTIAL_PROBLEMS[draw(st.sampled_from(names))]
+    spec = EstimatorSpec(
+        kind=kind,
+        k=draw(st.integers(1, p.dimension)) if kind == "top_k" else None,
+        tau=draw(st.floats(1e-3, 1e3)) if kind == "clip" else None,
+        s_g=draw(st.integers(1, p.m_g)) if kind == "composite" else None,
+        s_f=draw(st.integers(1, p.m_F)) if kind == "composite" else None)
+    noise = NoiseSpec(sigma2=draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0))),
+                      delta_offset=draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0),
+                                                  _magnitudes(-3, 307), huge)))
+    scale = draw(st.one_of(st.none(), st.floats(-3.0, 3.0), _magnitudes(-3, 300)))
+    direction = np.cos(np.arange(p.dimension) + 1.0)  # entries of both signs, |.| < 1
+    steps = st.floats(1e-3, 2.0)  # drawn as often as the large and the overflowing together
+    gamma = draw(st.one_of(steps, steps, _magnitudes(0, 307).map(abs), huge))
+    cfg = RunConfig(problem=p, gamma=gamma,
+                    beta=draw(st.one_of(st.just(1.0), st.floats(1e-3, 1.0))),
+                    iterations=draw(st.integers(1, 12)), trials=draw(st.integers(1, 3)),
+                    estimator=spec, noise=noise,
+                    v_init=draw(st.sampled_from(["zero", "grad_at_x0"])),
+                    x0=None if scale is None else tuple(scale * direction),
+                    seed=draw(st.integers(0, 99)))
+    return cfg, draw(st.integers(1, 1 << 16))
+
+
+def _assert_same_bits(got, want):
+    """One shape, NaN in the same cells, and every other value bit for bit
+    (a NaN's sign and payload are not compared: the CSV writes every NaN as
+    'nan')."""
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    got, want = (np.where(np.isnan(a), 0.0, a) for a in (got, want))
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(run=differential_runs())
+def test_random_runs_are_the_one_trial_reference_and_round_trip_their_csv(run):
+    # each trial of the batched, blocked engine equals the reference loop's
+    # trial alone: values, NaN positions, iterates, length and stop reason;
+    # and the run.csv carries the table back
+    cfg, budget = run
+    with mock.patch.object(engine, "_BLOCK_ELEMENTS", budget):
+        stats = run_trials(cfg)
+    for r in range(cfg.trials):
+        with np.errstate(all="ignore"):  # the reference loop overflows unguarded
+            records, iterates, diverged_at, reason = reference_momentum(cfg, r)
+        n = stats.lengths[r]
+        assert (n, stats.reasons[r]) == (len(records), reason)
+        assert (n if reason else None) == diverged_at
+        fields = np.array([record[1:] for record in records]).reshape(n, len(CSV_FIELDS))
+        _assert_same_bits(np.stack([stats.table[name][r, :n] for name in CSV_FIELDS], axis=-1),
+                          fields)
+        _assert_same_bits(stats.iterates[r, :n + 1], np.array(iterates))
+        assert np.isnan(stats.iterates[r, n + 1:]).all()
+        assert all(np.isnan(column[r, n:]).all() for column in stats.table.values())
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "run.csv"
+        write_run_csv(stats, path)
+        back = read_run_csv(path, cfg.trials)
+    assert back.lengths == stats.lengths
+    for part in ("table", "mean", "stderr"):
+        for name in CSV_FIELDS:
+            _assert_same_bits(getattr(back, part)[name], getattr(stats, part)[name])
