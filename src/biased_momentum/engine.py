@@ -11,29 +11,28 @@ plain SGD.  Each iteration records f, the realized error eta_k = g_k -
 grad f(x_k) and the Lyapunov value, so the trajectory carries everything
 the inequality audits need.
 
-A round computes the next state and hands back the one evaluation of the
-problem it averaged (``step``); a block of rounds is observed once, in
-bulk (``observe``): f over the stack of the block's iterates, the exact
-gradient read off the rounds' evaluations, and the recorded squared
-norms.  A run
-has one result: ``run_trials`` returns a ``TrialStats`` holding a table of
-the CSV fields, each a C-ordered (trial, k) array with NaN past the
-iteration where a trial stopped, its per-k statistics, and each trial's
-visited iterates and stop reason; row r is trial r.  ``write_run_csv`` and
-``read_run_csv`` carry the table to text and back, and the audits read its
-columns.
+A run is one loop over blocks of rounds under one size rule: a block's
+worker randomness is drawn in bulk, each round computes the next state and
+hands back the one evaluation of the problem it averaged (``step``), and
+the block is observed once, in bulk, when it ends (``observe``): f over the
+stack of the block's iterates, the exact gradient read off the rounds'
+evaluations, and the recorded squared norms.  A run has one result:
+``run_trials`` returns a ``TrialStats`` holding a table of the CSV fields,
+each a C-ordered (trial, k) array with NaN past the iteration where a trial
+stopped, its per-k statistics, and each trial's visited iterates and stop
+reason; row r is trial r.  ``write_run_csv`` and ``read_run_csv`` carry the
+table to text and back, and the audits read its columns.
 
 Trajectories are pure functions of (config, seed): worker randomness comes
 from per-(trial, worker) substreams, one row per iteration, so trials can
 run in any order and reproduce identically.  All trials of a run step
 together in one fixed-size batch: the iterates and momentum buffers are
-(trials, d) stacks, and the worker noise and subset keys of a block of
-iterations are drawn in bulk before the block runs.  A trial stops at the
-first iteration whose iterate, f or aggregate is unusable, and stops
-recording there while the others go on.  A round checks and zeroes
-nothing: a stopped row steps on its non-finite values, silently, and the
-end of each observed block finds every stop of the block's rounds at once.
-Every trial's trajectory equals the one it would have alone.
+(trials, d) stacks.  A trial stops at the first iteration whose iterate, f
+or aggregate is unusable, and stops recording there while the others go
+on.  A round checks and zeroes nothing: a stopped row steps on its
+non-finite values, silently, and the end of each block finds every stop of
+its rounds at once.  Every trial's trajectory equals the one it would have
+alone.
 """
 
 from __future__ import annotations
@@ -73,9 +72,9 @@ __all__ = [
 ]
 
 DIVERGENCE_F_MAX = 1e12
-# each array of an observed block holds at most this share of the
-# _BLOCK_ELEMENTS budget, as it lives beside a block of drawn randomness
-_OBSERVE_SHARE = 8
+# rounds a block holds at least, however many trials share its budget, so a
+# many-trial run pays the per-block costs once every 16 rounds at most
+_MIN_BLOCK = 16
 
 CSV_FIELDS = ("f", "grad_norm_sq", "eta_norm_sq", "v_error_sq", "step_norm_sq", "phi")
 CSV_HEADER = "k,trial," + ",".join(CSV_FIELDS)
@@ -212,13 +211,14 @@ def step(
 
 
 def observe(problem: Problem, estimator: EstimatorSpec, xs: np.ndarray, v_prev: np.ndarray,
-            g: np.ndarray, evaluation: tuple) -> np.ndarray:
+            g: np.ndarray, evaluation: tuple, finite: np.ndarray) -> np.ndarray:
     """The first five CSV fields of a block of c rounds, (5, ..., c): f and
     the four squared norms (the exact gradient, eta, the momentum error and
     the step) of round j of each row of the (..., c + 1, d) stack xs of the
     iterates x^0 .. x^c, whose round j read v_prev[..., j, :], evaluated
     the problem as ``evaluation`` holds at [..., j] of each array (the
-    rounds' evaluations stacked) and averaged g[..., j, :].
+    rounds' evaluations stacked) and averaged g[..., j, :]; ``finite`` is
+    ``np.isfinite(xs[..., :-1, :])``.
 
     The exact gradient is read off the rounds' evaluations; f is evaluated
     here.  phi follows from f and v_error_sq.  f at a non-finite iterate,
@@ -227,7 +227,6 @@ def observe(problem: Problem, estimator: EstimatorSpec, xs: np.ndarray, v_prev: 
     of the row mean nothing.
     """
     x, x_next = xs[..., :-1, :], xs[..., 1:, :]
-    finite = np.isfinite(x)
     if not finite.all():
         x = np.where(finite.all(axis=-1, keepdims=True), x, 0.0)
     fields = np.empty((5,) + x.shape[:-1])
@@ -318,12 +317,11 @@ def run_trials(cfg: RunConfig) -> TrialStats:
     whose f is non-finite or above DIVERGENCE_F_MAX, or whose aggregate is
     non-finite, for the first of these reasons at that k.  Every trial has
     its own worker streams, so each row equals the trial's trajectory on its
-    own.  The worker randomness of a block of iterations is drawn before the
-    block runs (``_worker_draws``).  The rounds are observed a block of
-    ``_observed_iterations`` at a time, when it ends, their v_prev,
-    aggregates and evaluations held for that block alone; each block's end
-    finds its stops, and the run ends with the first by whose end every
-    trial has stopped.
+    own.  A run is one loop over blocks of ``_block_iterations`` rounds:
+    each block draws its rounds' worker randomness (``_worker_draws``),
+    steps them, holding their v_prev, aggregates and evaluations, and is
+    observed when it ends; its end finds its stops, and the run ends with
+    the first block by whose end every trial has stopped.
     """
     p, K, T = cfg.problem, cfg.iterations, cfg.trials
     x, v_prev = init_state(cfg, T)
@@ -333,29 +331,31 @@ def run_trials(cfg: RunConfig) -> TrialStats:
     lengths, reasons = np.full(T, K), [None] * T
     f_star = p.f_star if p.f_star is not None else 0.0
     lyapunov_A = lyapunov_weight(cfg.gamma, cfg.beta, analysis_regime(p))
-    block = _observed_iterations(cfg)
+    block = _block_iterations(cfg)
     history = np.empty((2, T, min(block, K), p.dimension))  # v_prev and g of a block's rounds
     held = ()  # and each array of their evaluations, (T, block, ...), from the first round on
-    draws = _worker_draws(cfg)
+    draw = _worker_draws(cfg)
     for start in range(0, K, block):
         count = min(block, K - start)
-        for j in range(count):  # holding no draws past its round, so the next block is drawn alone
+        for j, draws in enumerate(draw(count)):
             history[0, :, j] = v_prev
             x, v_prev, history[1, :, j], evaluation = step(
-                x, v_prev, p, cfg.estimator, cfg.gamma, cfg.beta, *next(draws))
+                x, v_prev, p, cfg.estimator, cfg.gamma, cfg.beta, *draws)
             held = held or tuple(np.empty(history.shape[1:3] + a.shape[1:]) for a in evaluation)
             for array, a in zip(held, evaluation):
                 array[:, j] = a
             iterates[:, start + j + 1] = x
+        del draws  # so the next block is drawn while none is held
+        finite = np.isfinite(iterates[:, start:start + count])
         fields = record[:, :, start:start + count]
         fields[:5] = observe(p, cfg.estimator, iterates[:, start:start + count + 1],
-                             *history[:, :, :count], tuple(array[:, :count] for array in held))
+                             *history[:, :, :count], tuple(a[:, :count] for a in held), finite)
         f = fields[0]
         fields[5] = (f - f_star) + lyapunov_A * fields[3]
         # a row stops at its first failing round, for its iterate before its f
         # before its aggregate at one round; rows are looked for only when a
         # scalar check of the whole block fails
-        usable = (np.isfinite(iterates[:, start:start + count]),
+        usable = (finite,
                   (np.isfinite(f) & (f <= DIVERGENCE_F_MAX))[..., None],
                   np.isfinite(history[1, :, :count]))
         if not all(ok.all() for ok in usable):
@@ -377,31 +377,35 @@ def run_trials(cfg: RunConfig) -> TrialStats:
     return TrialStats.from_table(dict(zip(CSV_FIELDS, record)), lengths, iterates, reasons)
 
 
-def _observed_iterations(cfg: RunConfig) -> int:
-    """Iterations per observed block: each array of the observation fits
-    1 / _OBSERVE_SHARE of the _BLOCK_ELEMENTS budget.  Per iteration and
-    trial the largest holds the four recorded vectors, or a round's
-    evaluation, or what the oracles hold per point
-    (``Problem.point_elements`` bounds both)."""
-    per_round = max(4 * cfg.problem.dimension, cfg.problem.point_elements)
-    return max(1, _BLOCK_ELEMENTS // (_OBSERVE_SHARE * cfg.trials * per_round))
+def _block_iterations(cfg: RunConfig) -> int:
+    """Rounds per block, drawn, stepped and observed together.  Per trial
+    and round a block holds n·(d + key_width) draws, v_prev and g (2d), the
+    evaluation (``Problem.point_elements`` at most) and the observation's
+    4d elements; the T trials' block fits _BLOCK_ELEMENTS but holds
+    _MIN_BLOCK rounds at least, so max(_BLOCK_ELEMENTS, _MIN_BLOCK · T ·
+    per_round) float64 elements at most.  A run's peak is that beside its
+    (T, K + 1, d) iterates and (6, T, K) record: linear in T, flat in K."""
+    p, d = cfg.problem, cfg.problem.dimension
+    per_round = p.n_workers * (d + cfg.estimator.key_width(p)) + 6 * d + p.point_elements
+    return max(_MIN_BLOCK, _BLOCK_ELEMENTS // (cfg.trials * per_round))
 
 
 def _worker_draws(cfg: RunConfig):
-    """Yield each iteration's (pert, subsets) for ``step``: the (T, n, d)
-    worker noise (the offset vector alone without Gaussian noise, None when
-    the noise is null) and the composite (inner, outer) (T, n, S) index
-    blocks (None for other kinds).
+    """draw(count): the next count rounds' (pert, subsets) for ``step``,
+    views of one block of draws: the (T, n, d) worker noise (the offset
+    vector alone without Gaussian noise, None when the noise is null) and
+    the composite (inner, outer) (T, n, S) index blocks (None otherwise).
 
     Worker w of trial t reads row k of its Gaussian noise from the stream
     keyed (STREAM_WORKER, t, w) and row k of its subset keys from the one
-    keyed (STREAM_SUBSET, t, w).  A block of iterations is drawn at a time,
-    within the _BLOCK_ELEMENTS budget; each stream is read in C order, so
-    the block size changes no value.
+    keyed (STREAM_SUBSET, t, w), count rows of each stream per call; each
+    stream is read in C order, so the block length changes no value.
     """
-    p, spec, noise, K = cfg.problem, cfg.estimator, cfg.noise, cfg.iterations
+    p, spec, noise = cfg.problem, cfg.estimator, cfg.noise
     workers = [(t, w) for t in range(cfg.trials) for w in range(p.n_workers)]
     d, m = p.dimension, spec.key_width(p)
+    normal = [substream(cfg.seed, STREAM_WORKER, t, w) for t, w in workers] if noise.sigma2 else []
+    uniform = [substream(cfg.seed, STREAM_SUBSET, t, w) for t, w in workers] if m else []
 
     def rows(gens, method, count, width):
         """(T, n, count, width): the next count rows of every stream."""
@@ -410,18 +414,14 @@ def _worker_draws(cfg: RunConfig):
             getattr(gen, method)(out=block)
         return out.reshape(cfg.trials, p.n_workers, count, width)
 
-    normal = [substream(cfg.seed, STREAM_WORKER, t, w) for t, w in workers] if noise.sigma2 else []
-    uniform = [substream(cfg.seed, STREAM_SUBSET, t, w) for t, w in workers] if m else []
-    width = (d if normal else 0) + m
-    block = max(1, _BLOCK_ELEMENTS // (len(workers) * max(width, 1)))
-    for start in range(0, K, block):
-        count = min(block, K - start)
+    def draw(count):
         pert = noise.draw(rows(normal, "standard_normal", count, d) if normal else None, d)
         subsets = spec.subsets(p, rows(uniform, "random", count, m)) if m else None
-        for j in range(count):  # iteration j's (T, n, ...) views
-            yield (pert[:, :, j] if normal else pert,
-                   None if subsets is None else (subsets[0][:, :, j], subsets[1][:, :, j]))
-        del pert, subsets  # one block of draws is alive at a time
+        return [(pert[:, :, j] if normal else pert,
+                 None if subsets is None else (subsets[0][:, :, j], subsets[1][:, :, j]))
+                for j in range(count)]
+
+    return draw
 
 
 # ---------------------------------------------------------------------------

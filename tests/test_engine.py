@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -30,6 +31,7 @@ from biased_momentum.engine import (
     CSV_FIELDS, CSV_HEADER, TrialStats, init_state, observe, per_k_stats, read_run_csv,
 )
 from biased_momentum.problems import make_synthetic_classification
+from biased_momentum.rng import STREAM_WORKER, substream
 from biased_momentum.rng import pairwise_mean as rng_pairwise_mean
 
 from _oracles import UnboundedQuadratic, reference_momentum, reference_sgd
@@ -121,7 +123,8 @@ def test_step_identities_hold_bitwise():
     # its observation: f, ||grad||^2 and eta = g - grad, the momentum error, the step
     rec = dict(zip(CSV_FIELDS, observe(p, cfg.estimator, np.stack([x, x1], axis=1),
                                        v_prev[:, None], g[:, None],
-                                       tuple(a[:, None] for a in evaluation))[:, 0, 0]))
+                                       tuple(a[:, None] for a in evaluation),
+                                       np.isfinite(x[:, None]))[:, 0, 0]))
     grad = full_gradient(p, x[0])
     eta, ve, dx = g[0] - grad, grad - v_prev[0], x1[0] - x[0]
     assert rec["f"] == p.f(x[0])
@@ -251,11 +254,8 @@ def test_block_size_changes_no_value(monkeypatch, case, iterations_per_block):
     # each worker stream is read a row per iteration in C order, so drawing
     # fewer iterations at a time reads the same values
     cfg = _noisy_cases()[case]
-    p = cfg.problem
-    width = p.dimension + (p.m_g + p.m_F if cfg.estimator.kind == "composite" else 0)
     default = run_trials(cfg)
-    monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", iterations_per_block * cfg.trials
-                        * p.n_workers * width)
+    monkeypatch.setattr(engine, "_block_iterations", lambda cfg: iterations_per_block)
     _assert_same_rows(run_trials(cfg), default, list(range(cfg.trials)))
 
 
@@ -286,6 +286,37 @@ def test_run_memory_does_not_grow_with_the_iterations(monkeypatch):
 
     small, large = peak_beyond_result(2000), peak_beyond_result(8000)
     assert large < 1.05 * small
+
+
+def test_many_trials_read_each_stream_a_block_of_rounds_at_a_time(monkeypatch):
+    # however many trials share the block budget, a block holds at least
+    # _MIN_BLOCK rounds, so each worker stream is read in ceil(K / _MIN_BLOCK)
+    # calls or fewer
+    p = make_quadratic(spectrum=np.linspace(0.5, 2.0, 10), n_workers=2, seed=2)
+    cfg = RunConfig(problem=p, gamma=0.3, beta=0.5, iterations=64, trials=1000,
+                    noise=NoiseSpec(sigma2=0.01), seed=5)
+
+    class Counting:
+        def __init__(self, gen):
+            self.gen, self.calls = gen, 0
+
+        def standard_normal(self, **kwargs):
+            self.calls += 1
+            return self.gen.standard_normal(**kwargs)
+
+    streams = []
+
+    def counting(seed, *key):
+        gen = substream(seed, *key)
+        if key[0] == STREAM_WORKER:
+            streams.append(gen := Counting(gen))
+        return gen
+
+    monkeypatch.setattr(engine, "substream", counting)
+    stats = run_trials(cfg)
+    assert len(streams) == cfg.trials * p.n_workers
+    assert max(s.calls for s in streams) <= math.ceil(cfg.iterations / engine._MIN_BLOCK)
+    assert stats.lengths == (cfg.iterations,) * cfg.trials
 
 
 @pytest.mark.parametrize("case", list(_noisy_cases()))
@@ -405,10 +436,7 @@ def test_stops_match_reference_momentum_across_block_ends(monkeypatch, case,
     # nothing (NaN) from there on, and the run ends with the block in which
     # its last trial stops
     cfg = _reference_config(case)
-    p = cfg.problem
-    monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", engine._OBSERVE_SHARE * iterations_per_block
-                        * cfg.trials * max(4 * p.dimension, p.point_elements))
-    assert engine._observed_iterations(cfg) == iterations_per_block
+    monkeypatch.setattr(engine, "_block_iterations", lambda cfg: iterations_per_block)
     rounds = []
     monkeypatch.setattr(engine, "step", lambda *args: rounds.append(1) or step(*args))
     stats = run_trials(cfg)
@@ -741,9 +769,8 @@ def test_run_evaluates_each_iterate_once(monkeypatch, kind):
         p, spec, noise = _divergence_case("maml")
     cfg = RunConfig(problem=p, gamma=0.05, beta=0.5, iterations=23, trials=2, estimator=spec,
                     noise=noise, seed=3)
-    monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", engine._OBSERVE_SHARE * 5 * cfg.trials
-                        * max(4 * p.dimension, p.point_elements))
-    assert engine._observed_iterations(cfg) == 5  # blocks of 5, 5, 5, 5 and 3 iterations
+    # blocks of 5, 5, 5, 5 and 3 iterations
+    monkeypatch.setattr(engine, "_block_iterations", lambda cfg: 5)
     expected = run_trials(cfg)
     calls = {"worker_grads": 0, "inner_table": 0}
     cls = type(p)

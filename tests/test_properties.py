@@ -243,9 +243,9 @@ def _magnitudes(low, high):
 
 @st.composite
 def differential_runs(draw):
-    """(config, block budget): a small run of any estimator on a problem it
+    """(config, block length): a small run of any estimator on a problem it
     runs on, with a step size up to 1e308, noise, offset and start, and a
-    _BLOCK_ELEMENTS budget from one iteration a block up to the default."""
+    block of 1 to K rounds."""
     huge = st.floats(1e307, 1.7e308)  # a step or an offset that overflows a sum
     kind = draw(st.sampled_from(["identity", "top_k", "scaled_sign", "clip", "composite"]))
     names = [name for name, p in DIFFERENTIAL_PROBLEMS.items()
@@ -271,7 +271,7 @@ def differential_runs(draw):
                     v_init=draw(st.sampled_from(["zero", "grad_at_x0"])),
                     x0=None if scale is None else tuple(scale * direction),
                     seed=draw(st.integers(0, 99)))
-    return cfg, draw(st.integers(1, 1 << 16))
+    return cfg, draw(st.integers(1, cfg.iterations))
 
 
 def _assert_same_bits(got, want):
@@ -290,8 +290,8 @@ def test_random_runs_are_the_one_trial_reference_and_round_trip_their_csv(run):
     # each trial of the batched, blocked engine equals the reference loop's
     # trial alone: values, NaN positions, iterates, length and stop reason;
     # and the run.csv carries the table back
-    cfg, budget = run
-    with mock.patch.object(engine, "_BLOCK_ELEMENTS", budget):
+    cfg, block = run
+    with mock.patch.object(engine, "_block_iterations", lambda cfg: block):
         stats = run_trials(cfg)
     for r in range(cfg.trials):
         with np.errstate(all="ignore"):  # the reference loop overflows unguarded

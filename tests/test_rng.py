@@ -21,7 +21,8 @@ def test_worker_noise_and_keys_are_rows_of_one_stream_per_trial_and_worker(kind)
     sigma2, seed, K, T = 0.3, 2**40 + 17, 9, 3
     cfg = RunConfig(problem=p, gamma=0.1, beta=0.5, iterations=K, trials=T, estimator=spec,
                     noise=NoiseSpec(sigma2=sigma2), seed=seed)
-    draws = list(_worker_draws(cfg))
+    draw = _worker_draws(cfg)
+    draws = draw(4) + draw(K - 4)  # two blocks read each stream on in C order
     assert len(draws) == K
     pert = np.stack([step_pert for step_pert, _ in draws])
     assert pert.shape == (K, T, p.n_workers, p.dimension)
