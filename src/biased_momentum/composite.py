@@ -4,12 +4,11 @@ instantiation g_{i,j}(x) = x - gamma * grad of the per-sample loss.
 
 Every worker's components are held as arrays with a worker axis, and each
 oracle evaluates one index set per worker in one call (one block of sets
-per row of any leading batch axes, at that row's point).  The subset
-estimates (``subset_gradients``) read one inner table, so a round, which
-computes only the aggregate, evaluates it once per point, and the error
-measurement once for all its draws at its point; f and the exact
-gradients (the table chained on the full sets) are what the engine
-observes of a block of rounds, each over the stack of the block's points.
+per row of any leading batch axes, at that row's point).  The problem's
+table is its inner table, which the subset estimates
+(``subset_gradients``), the exact gradients (the table chained on the full
+sets) and f read: a round builds it once per point, the error measurement
+once for all its draws, and the engine observes the tables its rounds built.
 Every mean over a set axis is ``_set_mean``.  For the meta-learning inner
 map the Jacobian is I - gamma * (loss Hessian); for per-sample logistic
 losses its action is closed form.
@@ -72,11 +71,11 @@ class CompositeProblem(Problem):
 
     ``rows`` is the table after its inner values, gathered on idx
     (``_gather``), (..., n, k, ...) per array; on the full sets it is the
-    table itself, which the exact gradients chain: bit for bit
-    ``chained_gradient``, the estimator's average over subsets, on the full
-    sets.  Each table row rounds exactly like its component on its own and
-    a gather copies it, so a subset average does not depend on how its rows
-    were batched.
+    table itself, which the exact gradients chain (``table_worker_grads``):
+    bit for bit ``chained_gradient``, the estimator's average over subsets,
+    on the full sets.  Each table row rounds exactly like its component on
+    its own and a gather copies it, so a subset average does not depend on
+    how its rows were batched.
 
     ``ell_g``/``L_g``/``ell_F``/``L_F`` are certified Lipschitz constants of
     the component maps and their gradients; the objective then has
@@ -96,21 +95,28 @@ class CompositeProblem(Problem):
         return self.L_g * self.ell_F + self.ell_g**2 * self.L_F
 
     def f(self, x: np.ndarray):
-        z = _set_mean(self.inner_table(as_points(x, self.dimension))[0])
-        return pairwise_mean(np.mean(self.outer_values(z, np.arange(self.m_F)), axis=-1), axis=-1)
+        return self.table_f(self.inner_table(as_points(x, self.dimension)), x)
 
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
         return self.table_worker_grads(self.inner_table(as_points(x, self.dimension)))
 
+    def table(self, x: np.ndarray) -> tuple:
+        return self.inner_table(x)
+
     def table_worker_grads(self, table: tuple) -> np.ndarray:
-        """The exact worker gradients at the points whose inner table this is."""
         values, *rows = table
         return _chain(self, rows, _set_mean(values), np.arange(self.m_g), np.arange(self.m_F))
 
+    def table_f(self, table: tuple, x: np.ndarray):
+        z = _set_mean(table[0])
+        return pairwise_mean(np.mean(self.outer_values(z, np.arange(self.m_F)), axis=-1), axis=-1)
+
     @property
     def point_elements(self) -> int:
-        """Each (n, m, p) or (n, m, d) array the oracles hold per point."""
-        return self.n_workers * max(self.m_g, self.m_F) * max(self.dimension, self.inner_dimension)
+        """Four (n, m, max(d, p)) arrays: the held inner table and the full-set
+        chain's outer gradients, Jacobian actions and their temporaries."""
+        m, width = max(self.m_g, self.m_F), max(self.dimension, self.inner_dimension)
+        return 4 * self.n_workers * m * width
 
     def _sets(self, idx: np.ndarray) -> np.ndarray:
         """idx as a (..., n, k) block: a (k,) set becomes every worker's set."""

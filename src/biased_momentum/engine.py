@@ -13,10 +13,10 @@ the inequality audits need.
 
 A run is one loop over blocks of rounds under one size rule: a block's
 worker randomness is drawn in bulk, each round computes the next state and
-hands back the one evaluation of the problem it averaged (``step``), and
-the block is observed once, in bulk, when it ends (``observe``): f over the
-stack of the block's iterates, the exact gradient read off the rounds'
-evaluations, and the recorded squared norms.  A run has one result:
+hands back the one table of the problem it averaged (``step``), and the
+block is observed once, in bulk, when it ends (``observe``): f and the
+exact gradient read off the rounds' tables, and the recorded squared
+norms.  A run has one result:
 ``run_trials`` returns a ``TrialStats`` holding a table of the CSV fields,
 each a C-ordered (trial, k) array with NaN past the iteration where a trial
 stopped, its per-k statistics, and each trial's visited iterates and stop
@@ -29,10 +29,10 @@ run in any order and reproduce identically.  All trials of a run step
 together in one fixed-size batch: the iterates and momentum buffers are
 (trials, d) stacks.  A trial stops at the first iteration whose iterate, f
 or aggregate is unusable, and stops recording there while the others go
-on.  A round checks and zeroes nothing: a stopped row steps on its
-non-finite values, silently, and the end of each block finds every stop of
-its rounds at once.  Every trial's trajectory equals the one it would have
-alone.
+on.  Neither a round nor the observation checks or zeroes anything: a
+stopped row steps on, and is observed at, its non-finite values, silently,
+and the end of each block finds every stop of its rounds at once.  Every
+trial's trajectory equals the one it would have alone.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimators import _BLOCK_ELEMENTS, EstimatorSpec, evaluate, exact_gradient
+from .estimators import _BLOCK_ELEMENTS, EstimatorSpec, evaluate
 from .problems import (
     NoiseSpec,
     Problem,
@@ -53,6 +53,7 @@ from .problems import (
     config_array,
     config_float,
     config_int,
+    exact_gradient,
     full_gradient,
     problem_from_dict,
 )
@@ -196,11 +197,11 @@ def step(
     ``pert`` and ``subsets`` are the round's drawn worker noise and
     composite index sets, one per (row, worker) (see
     ``estimators.evaluate``).  Returns (x_next, v_next, g, evaluation): g is
-    the (T, d) aggregate and ``evaluation`` the one evaluation of the
-    problem it was formed from, which ``observe`` reads the exact gradient
-    off.  The round is arithmetic alone: it checks nothing, a row with a
-    non-finite iterate or aggregate steps on its non-finite values, and no
-    other row's bits depend on it.  f and the stops are not a round's work
+    the (T, d) aggregate and ``evaluation`` the one table of the problem it
+    was formed from (``Problem.table``), which ``observe`` reads f and the
+    exact gradient off.  The round is arithmetic alone: it checks nothing,
+    a row with a non-finite iterate or aggregate steps on its non-finite
+    values, and no other row's bits depend on it.  f and the stops are not a round's work
     (see ``observe`` and ``run_trials``).
     """
     g, evaluation = evaluate(problem, x, estimator, pert, subsets)
@@ -210,30 +211,23 @@ def step(
     return x - gamma * v, v, g, evaluation
 
 
-def observe(problem: Problem, estimator: EstimatorSpec, xs: np.ndarray, v_prev: np.ndarray,
-            g: np.ndarray, evaluation: tuple, finite: np.ndarray) -> np.ndarray:
+def observe(problem: Problem, xs: np.ndarray, v_prev: np.ndarray, g: np.ndarray,
+            evaluation: tuple) -> np.ndarray:
     """The first five CSV fields of a block of c rounds, (5, ..., c): f and
     the four squared norms (the exact gradient, eta, the momentum error and
     the step) of round j of each row of the (..., c + 1, d) stack xs of the
-    iterates x^0 .. x^c, whose round j read v_prev[..., j, :], evaluated
-    the problem as ``evaluation`` holds at [..., j] of each array (the
-    rounds' evaluations stacked) and averaged g[..., j, :]; ``finite`` is
-    ``np.isfinite(xs[..., :-1, :])``.
-
-    The exact gradient is read off the rounds' evaluations; f is evaluated
-    here.  phi follows from f and v_error_sq.  f at a non-finite iterate,
-    which stops its row at that round, is evaluated at zero, so a composite
-    problem's f never sees it; the fields of that round and every later one
-    of the row mean nothing.
+    iterates x^0 .. x^c, whose round j read v_prev[..., j, :], built the
+    table that ``evaluation`` holds at [..., j] of each array (the rounds'
+    tables stacked) and averaged g[..., j, :].  f and the exact gradient are
+    read off those tables.  Nothing is checked: the fields of a row's round
+    at a non-finite iterate, which stops the row, and later mean nothing.
     """
     x, x_next = xs[..., :-1, :], xs[..., 1:, :]
-    if not finite.all():
-        x = np.where(finite.all(axis=-1, keepdims=True), x, 0.0)
     fields = np.empty((5,) + x.shape[:-1])
-    fields[0] = problem.f(x)
+    fields[0] = problem.table_f(evaluation, x)
     # grad, eta, the momentum error and the step, each row squared at once
     vectors = np.empty((4,) + x.shape)
-    vectors[0] = exact_gradient(problem, estimator, evaluation)
+    vectors[0] = exact_gradient(problem, evaluation)
     np.subtract(g, vectors[0], out=vectors[1])
     np.subtract(vectors[0], v_prev, out=vectors[2])
     np.subtract(x_next, x, out=vectors[3])
@@ -319,7 +313,7 @@ def run_trials(cfg: RunConfig) -> TrialStats:
     its own worker streams, so each row equals the trial's trajectory on its
     own.  A run is one loop over blocks of ``_block_iterations`` rounds:
     each block draws its rounds' worker randomness (``_worker_draws``),
-    steps them, holding their v_prev, aggregates and evaluations, and is
+    steps them, holding their v_prev, aggregates and tables, and is
     observed when it ends; its end finds its stops, and the run ends with
     the first block by whose end every trial has stopped.
     """
@@ -333,7 +327,7 @@ def run_trials(cfg: RunConfig) -> TrialStats:
     lyapunov_A = lyapunov_weight(cfg.gamma, cfg.beta, analysis_regime(p))
     block = _block_iterations(cfg)
     history = np.empty((2, T, min(block, K), p.dimension))  # v_prev and g of a block's rounds
-    held = ()  # and each array of their evaluations, (T, block, ...), from the first round on
+    held = ()  # and each array of their tables, (T, block, ...), from the first round on
     draw = _worker_draws(cfg)
     for start in range(0, K, block):
         count = min(block, K - start)
@@ -346,16 +340,15 @@ def run_trials(cfg: RunConfig) -> TrialStats:
                 array[:, j] = a
             iterates[:, start + j + 1] = x
         del draws  # so the next block is drawn while none is held
-        finite = np.isfinite(iterates[:, start:start + count])
         fields = record[:, :, start:start + count]
-        fields[:5] = observe(p, cfg.estimator, iterates[:, start:start + count + 1],
-                             *history[:, :, :count], tuple(a[:, :count] for a in held), finite)
+        fields[:5] = observe(p, iterates[:, start:start + count + 1], *history[:, :, :count],
+                             tuple(a[:, :count] for a in held))
         f = fields[0]
         fields[5] = (f - f_star) + lyapunov_A * fields[3]
         # a row stops at its first failing round, for its iterate before its f
         # before its aggregate at one round; rows are looked for only when a
         # scalar check of the whole block fails
-        usable = (finite,
+        usable = (np.isfinite(iterates[:, start:start + count]),
                   (np.isfinite(f) & (f <= DIVERGENCE_F_MAX))[..., None],
                   np.isfinite(history[1, :, :count]))
         if not all(ok.all() for ok in usable):
@@ -380,9 +373,9 @@ def run_trials(cfg: RunConfig) -> TrialStats:
 def _block_iterations(cfg: RunConfig) -> int:
     """Rounds per block, drawn, stepped and observed together.  Per trial
     and round a block holds n·(d + key_width) draws, v_prev and g (2d), the
-    evaluation (``Problem.point_elements`` at most) and the observation's
-    4d elements; the T trials' block fits _BLOCK_ELEMENTS but holds
-    _MIN_BLOCK rounds at least, so max(_BLOCK_ELEMENTS, _MIN_BLOCK · T ·
+    table and the reads off it (``Problem.point_elements`` at most) and the
+    observation's 4d elements; the T trials' block fits _BLOCK_ELEMENTS but
+    holds _MIN_BLOCK rounds at least, so max(_BLOCK_ELEMENTS, _MIN_BLOCK · T ·
     per_round) float64 elements at most.  A run's peak is that beside its
     (T, K + 1, d) iterates and (6, T, K) record: linear in T, flat in K."""
     p, d = cfg.problem, cfg.problem.dimension

@@ -10,15 +10,15 @@ in expectation.
 The operators act on the last axis of a stack of vectors, each row
 rounding exactly as the operator applied to that row alone.  A round's
 aggregate is the pairwise mean of the (draws, workers, d) transmissions,
-formed from one evaluation of the problem (the exact worker gradients, or
-one inner table for a composite problem): ``evaluate`` runs the two back
-to back for the momentum engine (one draw per trial, each at its own
-iterate) and returns the evaluation with the aggregate, and the
-Monte-Carlo error measurement evaluates its point once and forms every
-block of draws from that one evaluation.  Both read the exact gradient off
-their evaluations (``exact_gradient``), never evaluating it again: the
-engine for a whole block of rounds at once.  The aggregate takes
-its randomness already drawn: the noise as a perturbation block
+formed from one table of the problem (``Problem.table``: the exact worker
+gradients, or a composite problem's inner table): ``evaluate`` builds the
+table and aggregates it for the momentum engine (one draw per trial, each
+at its own iterate) and returns the table with the aggregate, and the
+Monte-Carlo error measurement builds its point's table once and forms
+every block of draws from it.  Both read the exact gradient off their
+tables (``problems.exact_gradient``), never evaluating it again: the
+engine for a whole block of rounds at once.  The aggregate takes its
+randomness already drawn: the noise as a perturbation block
 (``NoiseSpec.draw``) and the index sets as picked by uniform keys
 (``EstimatorSpec.subsets``); only ``measure_eta`` takes a generator, from
 which it draws each block.
@@ -33,7 +33,8 @@ import numpy as np
 
 from .composite import CompositeProblem, subset_gradients
 from .errors import ConfigurationError
-from .problems import NoiseSpec, Problem, as_param_vector, check_keys, config_float, config_int
+from .problems import (NoiseSpec, Problem, as_param_vector, check_keys, config_float, config_int,
+                       exact_gradient)
 from .rng import pairwise_mean, row_dot
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "clip",
     "apply_estimator",
     "evaluate",
-    "exact_gradient",
     "measure_eta",
 ]
 
@@ -196,54 +196,34 @@ def apply_estimator(spec: EstimatorSpec, raw: np.ndarray) -> np.ndarray:
 
 def evaluate(p: Problem, x: np.ndarray, spec: EstimatorSpec, pert: np.ndarray | None = None,
              subsets=None) -> tuple[np.ndarray, tuple]:
-    """(g, evaluation): the aggregate g at x, or per round at x[b] of a
-    (draws, d) stack, the pairwise mean of the n worker transmissions, and
-    the one evaluation of p it was formed from (``exact_gradient`` reads the
-    exact gradient off it).  ``pert`` is the rounds' drawn noise
-    (``NoiseSpec.draw``; None when the noise is null), and ``subsets`` the
-    composite kind's (inner, outer) blocks of one sorted index set per round
-    and worker.
+    """(g, table): the aggregate g at x, or per round at x[b] of a (draws,
+    d) stack, the pairwise mean of the n worker transmissions, and the one
+    table of p it was formed from (``p.table(x)``, which
+    ``problems.exact_gradient`` reads the exact gradient off).  ``pert`` is
+    the rounds' drawn noise (``NoiseSpec.draw``; None when the noise is
+    null), and ``subsets`` the composite kind's (inner, outer) blocks of one
+    sorted index set per round and worker.
 
     For compressor/clip kinds the noise is injected before the operator,
     matching the Top-K(grad + offset + gaussian) experimental pipeline.  The
-    composite kind gathers its estimates from one inner table, then perturbs
+    composite kind gathers its estimates from the inner table, then perturbs
     them.  The identity kind without noise sends the exact worker gradients,
     so g is the exact full gradient.
     """
-    evaluation = _evaluation(p, x, spec)
-    return _aggregate(p, spec, evaluation, pert, subsets), evaluation
+    table = p.table(x)
+    return _aggregate(p, spec, table, pert, subsets), table
 
 
-def _evaluation(p: Problem, x: np.ndarray, spec: EstimatorSpec) -> tuple:
-    """What the transmissions at x are formed from, a tuple of arrays: the
-    composite kind's inner table, else the exact worker gradients alone.
-    x is not validated: rows past a stop are its only non-finite points."""
+def _aggregate(p: Problem, spec: EstimatorSpec, table: tuple, pert, subsets) -> np.ndarray:
+    """The pairwise mean of the worker transmissions formed from a table (of
+    one point for a whole block of draws, or of one point per draw)."""
     if spec.kind == "composite":
-        return p.inner_table(x)
-    if isinstance(p, CompositeProblem):  # whose worker_grads refuses a non-finite point
-        return (p.table_worker_grads(p.inner_table(x)),)
-    return (p.worker_grads(x),)
-
-
-def _aggregate(p: Problem, spec: EstimatorSpec, evaluation: tuple, pert, subsets) -> np.ndarray:
-    """The pairwise mean of the worker transmissions formed from an
-    ``_evaluation`` (of one point for a whole block of draws, or of one
-    point per draw)."""
-    if spec.kind == "composite":
-        est = subset_gradients(p, evaluation, *subsets)
+        est = subset_gradients(p, table, *subsets)
         sent = est if pert is None else est + pert
     else:
-        grads = evaluation[0]
+        grads = p.table_worker_grads(table)
         sent = apply_estimator(spec, grads if pert is None else grads + pert)
     return pairwise_mean(sent, axis=-2)
-
-
-def exact_gradient(p: Problem, spec: EstimatorSpec, evaluation: tuple) -> np.ndarray:
-    """``full_gradient`` bit for bit at the points of an ``_evaluation``
-    (or of a stack of them): the pairwise mean of the exact worker
-    gradients, chained from the inner table for the composite kind."""
-    grads = p.table_worker_grads(evaluation) if spec.kind == "composite" else evaluation[0]
-    return pairwise_mean(grads, axis=-2)
 
 
 # float64 elements that one block of drawn worker randomness may hold (per
@@ -266,9 +246,9 @@ def measure_eta(
     exact ||grad f(x)||^2.
 
     eta is the aggregate error: the pairwise-averaged worker estimates minus
-    the exact full gradient at x.  x is evaluated once (``_evaluation``),
-    and the exact gradient and every draw's transmissions are formed from
-    that evaluation.  Draws are aggregated a block of B at a time as
+    the exact full gradient at x.  x is evaluated once (``p.table``), and
+    the exact gradient and every draw's transmissions are formed from that
+    table.  Draws are aggregated a block of B at a time as
     (B, workers, d) stacks: each block reads its (B, n, key_width) composite
     subset keys from ``rng``, then its (B, n, d) standard normals, so B fixes
     the order of the draws.
@@ -280,14 +260,14 @@ def measure_eta(
     noise = NoiseSpec() if noise is None else noise
     key_width = spec.key_width(p)
     block = max(1, _BLOCK_ELEMENTS // ((n + key_width) * d))
-    evaluation = _evaluation(p, x, spec)
-    exact = exact_gradient(p, spec, evaluation)
+    table = p.table(x)
+    exact = exact_gradient(p, table)
     vals = np.empty(samples)
     for start in range(0, samples, block):
         draws = min(block, samples - start)
         subsets = spec.subsets(p, rng.random((draws, n, key_width))) if key_width else None
         pert = noise.draw(rng.standard_normal((draws, n, d)) if noise.sigma2 > 0 else None, d)
-        diff = _aggregate(p, spec, evaluation, pert, subsets) - exact
+        diff = _aggregate(p, spec, table, pert, subsets) - exact
         vals[start:start + draws] = row_dot(diff, diff)  # one row for all when nothing is drawn
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0

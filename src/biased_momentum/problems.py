@@ -17,6 +17,10 @@ a stack rounds bit for bit like the same point evaluated on its own:
 products with data matrices are stacked matrix-vector products, never
 one matrix-matrix product.
 
+One table per point (``table(x)``, a tuple of arrays: the worker gradients
+unless a kind holds more) serves a round, its observation and the error
+measurement, which read both oracles' values off it.
+
 Parameter vectors are plain 1-D float64 numpy arrays; ``as_param_vector``
 is the single validation gate (finite entries, correct dimension).
 
@@ -52,6 +56,7 @@ __all__ = [
     "make_logistic_l2",
     "make_nonconvex_reg",
     "make_synthetic_classification",
+    "exact_gradient",
     "full_gradient",
     "problem_from_dict",
 ]
@@ -152,9 +157,9 @@ class Problem:
     Each kind names itself in the class constant ``kind``, adds its data
     and ``L`` and defines the stacked oracles ``f`` ((..., d) -> (...)) and
     ``worker_grads`` ((..., d) -> (..., n, d)) described in the module
-    docstring.  ``source`` is the JSON document the problem was built from.
-    ``point_elements`` bounds what the oracles hold per point of a stack;
-    the engine sizes its observed blocks by it.
+    docstring, whose table reads a kind that shares work overrides.
+    ``source`` is the JSON document the problem was built from.
+    ``point_elements`` bounds a point's table and the reads off it.
     """
 
     kind: ClassVar[str]
@@ -170,10 +175,20 @@ class Problem:
     def worker_grads(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def table(self, x: np.ndarray) -> tuple:
+        """The one evaluation at x (unvalidated) or a (..., d) stack, as arrays."""
+        return (self.worker_grads(x),)
+
+    def table_worker_grads(self, table: tuple) -> np.ndarray:
+        return table[0]
+
+    def table_f(self, table: tuple, x: np.ndarray):
+        return self.f(x)
+
     @property
     def point_elements(self) -> int:
-        """float64 elements of the largest array the oracles hold per point
-        of a stack: the n worker gradients."""
+        """float64 elements that a point's table and the reads off it hold
+        at most: the n worker gradients."""
         return self.n_workers * self.dimension
 
 
@@ -523,10 +538,14 @@ def make_synthetic_classification(
 # module-level gradient oracles
 
 
+def exact_gradient(p: Problem, table: tuple) -> np.ndarray:
+    """Exact (1/n) sum_i grad f_i, pairwise-tree reduced over ascending i, off a table."""
+    return pairwise_mean(p.table_worker_grads(table), axis=-2)
+
+
 def full_gradient(p: Problem, x: np.ndarray) -> np.ndarray:
-    """Exact (1/n) sum_i grad f_i(x), pairwise-tree reduced over ascending i,
-    at one point or at each point of a (..., d) stack."""
-    return pairwise_mean(p.worker_grads(as_points(x, p.dimension)), axis=-2)
+    """``exact_gradient`` at one point or at each point of a (..., d) stack."""
+    return exact_gradient(p, p.table(as_points(x, p.dimension)))
 
 
 # ---------------------------------------------------------------------------

@@ -121,10 +121,8 @@ def test_step_identities_hold_bitwise():
     np.testing.assert_array_equal(x1[0], x[0] - 0.1 * v1[0])
     np.testing.assert_array_equal(v1[0], v_prev[0] + 0.3 * (g[0] - v_prev[0]))
     # its observation: f, ||grad||^2 and eta = g - grad, the momentum error, the step
-    rec = dict(zip(CSV_FIELDS, observe(p, cfg.estimator, np.stack([x, x1], axis=1),
-                                       v_prev[:, None], g[:, None],
-                                       tuple(a[:, None] for a in evaluation),
-                                       np.isfinite(x[:, None]))[:, 0, 0]))
+    rec = dict(zip(CSV_FIELDS, observe(p, np.stack([x, x1], axis=1), v_prev[:, None],
+                                       g[:, None], tuple(a[:, None] for a in evaluation))[:, 0, 0]))
     grad = full_gradient(p, x[0])
     eta, ve, dx = g[0] - grad, grad - v_prev[0], x1[0] - x[0]
     assert rec["f"] == p.f(x[0])
@@ -286,6 +284,37 @@ def test_run_memory_does_not_grow_with_the_iterations(monkeypatch):
 
     small, large = peak_beyond_result(2000), peak_beyond_result(8000)
     assert large < 1.05 * small
+
+
+@pytest.mark.parametrize("preset,edits", [
+    ("maml_composite", {}),
+    ("pl_quadratic", {"trials": 4, "n_workers": 4, "sigma2": 0.01}),  # the traj_small_d shape
+])
+def test_run_peak_fits_the_documented_block_budget(presets_dir, preset, edits):
+    # past its result, a run allocates at most the block budget that
+    # _block_iterations documents, max(_BLOCK_ELEMENTS, _MIN_BLOCK * T *
+    # per_round) float64 elements, up to a factor of 1.25 for the python
+    # objects and the small temporaries it leaves out; a composite
+    # point_elements that counts the inner table alone, not the full-set
+    # chain's transients, peaks at over twice the budget on maml
+    doc = json.loads((presets_dir / f"{preset}.json").read_text())
+    doc["trials"] = edits.get("trials", doc["trials"])
+    doc["problem"]["n_workers"] = edits.get("n_workers", doc["problem"]["n_workers"])
+    doc["noise"]["sigma2"] = edits.get("sigma2", doc["noise"]["sigma2"])
+    cfg = RunConfig.from_dict(doc)
+    p, d = cfg.problem, cfg.problem.dimension
+    per_round = p.n_workers * (d + cfg.estimator.key_width(p)) + 6 * d + p.point_elements
+    budget = 8 * max(estimators._BLOCK_ELEMENTS, engine._MIN_BLOCK * cfg.trials * per_round)
+    run_trials(cfg)  # numpy's and the package's first-call allocations are not the run's
+    tracemalloc.start()
+    try:
+        stats = run_trials(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = stats.iterates.nbytes + sum(a.nbytes for part in (stats.table, stats.mean, stats.stderr)
+                                         for a in part.values())
+    assert peak - result <= 1.25 * budget
 
 
 def test_many_trials_read_each_stream_a_block_of_rounds_at_a_time(monkeypatch):
@@ -756,12 +785,12 @@ def test_step_evaluates_each_worker_gradient_once(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["quadratic", "maml"])
 def test_run_evaluates_each_iterate_once(monkeypatch, kind):
-    # a round hands its evaluation to the observation, which reads the exact
-    # gradient off it: over several observed blocks a run of K iterations
-    # calls worker_grads K + 1 times (the rounds and the start's v_init), one
-    # call per block fewer than when the observation evaluated it again; a
-    # composite run builds an inner table per round, one for the start and
-    # one per block for f, none for the exact gradient
+    # a round hands its table to the observation, which reads f and the
+    # exact gradient off it: over several observed blocks a run of K
+    # iterations calls worker_grads K + 1 times (the rounds and the start's
+    # v_init), one call per block fewer than when the observation evaluated
+    # it again; a composite run builds K + 1 inner tables (its table), none
+    # of them for f or the exact gradient
     if kind == "quadratic":
         p, spec, noise = make_quadratic(spectrum=np.linspace(0.5, 2.0, 6), n_workers=3,
                                         seed=2), EstimatorSpec(), NoiseSpec(sigma2=0.01)
@@ -783,7 +812,7 @@ def test_run_evaluates_each_iterate_once(monkeypatch, kind):
     if kind == "quadratic":
         assert calls == {"worker_grads": 23 + 1, "inner_table": 0}
     else:
-        assert calls == {"worker_grads": 1, "inner_table": 23 + 1 + 5}
+        assert calls == {"worker_grads": 0, "inner_table": 23 + 1}
     _assert_same_rows(stats, expected, [0, 1])
 
 

@@ -20,7 +20,7 @@ from biased_momentum import (
     make_toy_composite,
     problem_from_dict,
 )
-from biased_momentum.problems import Problem, _sigmoid, as_point_stack
+from biased_momentum.problems import Problem, _sigmoid, as_point_stack, exact_gradient
 from biased_momentum.rng import substream
 
 from _oracles import (
@@ -224,6 +224,20 @@ def test_stacked_oracles_match_reference():
                 for i in range(p.n_workers):
                     np.testing.assert_array_equal(grads[t, i], reference_worker_grad(p, i, row),
                                                   err_msg=f"{kind} row {t} worker {i}")
+
+
+@pytest.mark.parametrize("kind", list(_oracle_problems()))
+def test_table_reads_are_the_oracles_bitwise(kind):
+    # f and the exact gradient read off a table are the oracles' bits, at one
+    # point and on a (T, c, d) stack laid out as the engine's observation
+    # reads it: the iterates of a block without its last, a strided view
+    p = _oracle_problems()[kind]
+    rng = substream(13, 3, p.dimension)
+    for x in (rng.standard_normal(p.dimension),
+              rng.standard_normal((3, 5, p.dimension))[:, :-1]):
+        table = p.table(x)
+        assert np.asarray(p.table_f(table, x)).tobytes() == np.asarray(p.f(x)).tobytes()
+        assert exact_gradient(p, table).tobytes() == full_gradient(p, x).tobytes()
 
 
 SHARED_FIELDS = {"n_workers", "dimension", "mu", "f_star", "source"}

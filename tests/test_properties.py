@@ -213,8 +213,7 @@ def test_clip_rows(G, tau):
 
 
 class UnboundedAtTheOrigin(UnboundedQuadratic):
-    """f = -inf at the origin too: ``observe`` evaluates f there for a
-    non-finite iterate, so an iterate stop meets an f stop at one k."""
+    """f = -inf wherever x_0 < 0.5, the minimizer at the origin included."""
 
     EDGE = 0.5
 
